@@ -125,7 +125,7 @@ fn main() {
 
     let list_end = OpMix::list_heavy();
     let arith_end = OpMix::arith_heavy();
-    let mut session = Session::new();
+    let session = Session::new();
 
     let mut curve: Vec<Point> = Vec::with_capacity(points);
     for i in 0..points {
@@ -136,7 +136,7 @@ fn main() {
         let names: Vec<String> = (0..seeds)
             .map(|s| {
                 let source = synth::render(&synth::generate(seed_base + s, &mix));
-                let name = spec::inline_name(&source);
+                let name = spec::inline_name(&source, None);
                 session.register_source(&name, InlineProgram::new(source));
                 name
             })

@@ -176,7 +176,7 @@ fn main() {
         presets.insert(0, ("ideal", TimingConfig::ideal()));
     }
 
-    let mut session = bench::session();
+    let session = bench::session();
     let mut cells: Vec<Cell> = Vec::new();
     for &(preset, timing) in &presets {
         // One batch per preset so the session's worker pool sees the whole

@@ -47,11 +47,18 @@ pub struct ExperimentSpec {
 }
 
 /// The content-derived name of an inline source: `inline:` plus the 64-bit
-/// FNV-1a hash of the source text. Two specs with the same source share a
-/// name (and therefore a cache entry per [`Config`]); the `inline:`
-/// namespace cannot collide with benchmark names, which never contain `:`.
-pub fn inline_name(source: &str) -> String {
-    format!("inline:{:016x}", store::fnv1a64(source.as_bytes()))
+/// FNV-1a hash of the source text, and of the heap override when one is
+/// given. Two specs with the same source and heap share a name (and
+/// therefore a cache entry per [`Config`]); the same source under two heaps
+/// gets two names, since the heap changes the measurement. Without a heap
+/// the name hashes the source alone. The `inline:` namespace cannot collide
+/// with benchmark names, which never contain `:`.
+pub fn inline_name(source: &str, heap_semi_bytes: Option<u32>) -> String {
+    let hash = match heap_semi_bytes {
+        None => store::fnv1a64(source.as_bytes()),
+        Some(heap) => store::fnv1a64(format!("{source}\0heap={heap}").as_bytes()),
+    };
+    format!("inline:{hash:016x}")
 }
 
 impl ExperimentSpec {
@@ -65,7 +72,7 @@ impl ExperimentSpec {
     ) -> ExperimentSpec {
         let source = source.into();
         ExperimentSpec {
-            program: inline_name(&source),
+            program: inline_name(&source, heap_semi_bytes),
             config,
             source: Some(source),
             heap_semi_bytes,
@@ -538,6 +545,24 @@ mod tests {
             a.to_spec_string(),
             format!("{}:high5:full:plain", a.program)
         );
-        assert_eq!(a.program, inline_name("(print 1)"));
+        assert_eq!(a.program, inline_name("(print 1)", None));
+        // A heap-less name hashes the source alone, as it always has.
+        assert_eq!(a.program, "inline:8508c9d692687518");
+    }
+
+    /// The heap override is part of an inline point's name: one source under
+    /// two heaps is two programs.
+    #[test]
+    fn inline_names_cover_the_heap() {
+        let cfg = Config::baseline(CheckingMode::Full);
+        let small = ExperimentSpec::inline("(print 1)", cfg, Some(16 << 10));
+        let large = ExperimentSpec::inline("(print 1)", cfg, Some(1 << 20));
+        let default = ExperimentSpec::inline("(print 1)", cfg, None);
+        assert_ne!(small.program, large.program);
+        assert_ne!(small.program, default.program);
+        assert_eq!(
+            small.program,
+            ExperimentSpec::inline("(print 1)", cfg, Some(16 << 10)).program
+        );
     }
 }

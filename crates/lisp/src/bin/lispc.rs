@@ -58,8 +58,12 @@ fn main() -> ExitCode {
                     _ => usage(),
                 }
             }
-            "--heap" => match args.next().and_then(|s| s.parse::<u32>().ok()) {
-                Some(kb) => opts.heap_semi_bytes = kb << 10,
+            "--heap" => match args
+                .next()
+                .and_then(|s| s.parse::<u32>().ok())
+                .and_then(|kb| kb.checked_mul(1024))
+            {
+                Some(bytes) => opts.heap_semi_bytes = bytes,
                 None => usage(),
             },
             "--stats" => stats = true,

@@ -202,11 +202,11 @@ impl Layout {
         }
 
         let stack_low = align8(cursor);
-        let stack_top = align8(stack_low + stack_bytes);
-        let heap_a = stack_top;
-        let heap_b = heap_a + semi_bytes;
-        let mem_end = heap_b + semi_bytes;
-        if u64::from(mem_end) >= 1u64 << scheme.pointer_bits() {
+        // Sized in u64: a stack or semispace near 2 GiB must not wrap the
+        // end of the map back under the pointer-space check.
+        let stack_top = (u64::from(stack_low) + u64::from(stack_bytes) + 7) & !7;
+        let mem_end = stack_top + 2 * u64::from(semi_bytes);
+        if mem_end >= 1u64 << scheme.pointer_bits() {
             return Err(CompileError::Literal {
                 message: format!(
                     "memory map ({mem_end:#x}) exceeds the {}-bit pointer space of {scheme}",
@@ -214,6 +214,12 @@ impl Layout {
                 ),
             });
         }
+        // Every address below fits in u32: the map ends inside the pointer
+        // space, which is at most 32 bits wide.
+        let stack_top = stack_top as u32;
+        let mem_end = mem_end as u32;
+        let heap_a = stack_top;
+        let heap_b = heap_a + semi_bytes;
 
         // --- symbol records -----------------------------------------------------
         for s in &symbols {
@@ -425,6 +431,27 @@ mod tests {
         let unit = lower_sources(&["(defun f () 1)"]).unwrap();
         let err = Layout::build(&unit, TagScheme::HighTag6, 40 << 20, 16 << 10);
         assert!(err.is_err(), "two 40MB semispaces exceed 26-bit pointers");
+    }
+
+    /// Semispaces near 2 GiB used to wrap the end of the map in u32 and slip
+    /// past the check; every size up to `u32::MAX` is now refused exactly.
+    #[test]
+    fn huge_semispaces_are_refused_not_wrapped() {
+        let unit = lower_sources(&["(defun f () 1)"]).unwrap();
+        for semi in [2_147_481_600, 1 << 31, u32::MAX - 7, u32::MAX] {
+            for scheme in ALL_SCHEMES {
+                let err = Layout::build(&unit, scheme, semi, 256 << 10).unwrap_err();
+                assert!(
+                    err.to_string().contains("memory map") && err.to_string().contains("exceeds"),
+                    "{scheme} {semi}: {err}"
+                );
+            }
+        }
+        let err = Layout::build(&unit, TagScheme::LowTag2, 1 << 20, u32::MAX).unwrap_err();
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        // The largest map that fits a 32-bit scheme still builds.
+        let l = Layout::build(&unit, TagScheme::LowTag2, 1 << 30, 256 << 10).unwrap();
+        assert_eq!(l.mem_bytes as u64, u64::from(l.heap_b) + (1 << 30));
     }
 
     #[test]

@@ -15,11 +15,21 @@
 //! |---|---|
 //! | `POST /v1/experiments` | Measure a batch (see [`crate::proto`]); deduplicated and fanned through the session worker pool |
 //! | `GET /v1/results/{key}` | The raw validated store record for a content address |
-//! | `GET /metrics` | Prometheus text: session + daemon + store series |
+//! | `GET /metrics` | Prometheus text: session + daemon + store series, always current |
 //! | `GET /healthz` | Liveness: `ok` |
 //! | `GET /v1/debug/trace` | Flight-recorder snapshot (JSON; `?format=chrome` for `chrome://tracing`) |
 //! | `GET /v1/debug/trace/{id}` | One completed trace by trace id |
 //! | `POST /v1/shutdown` | Graceful shutdown: stop accepting, drain, flush |
+//!
+//! ## Concurrency
+//!
+//! Every HTTP worker shares the one session directly; the daemon has no
+//! lock around it. A cache hit is answered while other requests' misses are
+//! being compiled and simulated, and `/metrics` reads the session without
+//! waiting on any measurement. A point that several requests ask for at
+//! once is measured once (single-flight): the first request measures it,
+//! the others wait for that result and count as cache hits. A failed
+//! measurement is not cached; every request waiting on it gets the error.
 //!
 //! ## Tracing
 //!
@@ -178,11 +188,9 @@ pub struct WarmStart {
 /// The shared daemon state: the session, the store, the bounded accept
 /// queue, and the daemon-side metrics.
 struct Daemon {
-    session: Mutex<Session>,
-    /// Prometheus text of the session's metrics as of the last time the
-    /// session lock was available — served when a scrape races a batch, so
-    /// `/metrics` never blocks behind a long simulation.
-    session_prom: Mutex<String>,
+    /// Shared by every worker without an outer lock: a cache hit is answered
+    /// while another request's miss is being measured.
+    session: Session,
     store: Option<Arc<ResultStore>>,
     metrics: Mutex<MetricsRegistry>,
     queue: Mutex<VecDeque<(TcpStream, Instant)>>,
@@ -211,7 +219,9 @@ impl DaemonHandle {
         self.0.shutdown();
     }
 
-    /// The full Prometheus exposition the `/metrics` endpoint serves.
+    /// The full Prometheus exposition the `/metrics` endpoint serves:
+    /// current session, daemon and store series. It never waits on a
+    /// measurement in flight.
     pub fn metrics_prometheus(&self) -> String {
         self.0.metrics_prometheus()
     }
@@ -278,10 +288,8 @@ impl Server {
             warm.skipped = on_disk.saturating_sub(warm.seeded);
         }
 
-        let session_prom = session.metrics_prometheus();
         let daemon = Arc::new(Daemon {
-            session: Mutex::new(session),
-            session_prom: Mutex::new(session_prom),
+            session,
             store,
             metrics: Mutex::new(MetricsRegistry::new()),
             queue: Mutex::new(VecDeque::new()),
@@ -568,26 +576,8 @@ impl Daemon {
         let batch_start = Instant::now();
         let child_ctx = TraceContext::new(ctx.trace, batch_span);
         let _scope = self.store.as_ref().map(|s| s.trace_scope(child_ctx));
-        let mut session = self.session.lock().unwrap_or_else(|e| e.into_inner());
-        session.begin_trace(child_ctx);
-        // Inline specs carry their own source: register each under its
-        // content-derived name before measuring, so the batch rides the same
-        // memoizing engine as named benchmarks. Re-registering identical
-        // content is a no-op, so repeated batches stay cache hits.
-        for spec in &specs {
-            if let Some(source) = &spec.source {
-                let mut program = tagstudy::InlineProgram::new(source.clone());
-                if let Some(heap) = spec.heap_semi_bytes {
-                    program = program.with_heap(heap);
-                }
-                session.register_source(&spec.program, program);
-            }
-        }
-        let result = session.measure_many(&requests);
-        session.end_trace();
-        // Refresh the lock-free metrics snapshot while we hold the session.
-        *self.session_prom.lock().unwrap_or_else(|e| e.into_inner()) = session.metrics_prometheus();
-        drop(session);
+        self.register_inline(&specs);
+        let result = self.session.measure_many_traced(&requests, child_ctx);
         self.tracer.record(SpanRecord {
             trace: ctx.trace,
             id: batch_span,
@@ -640,28 +630,15 @@ impl Daemon {
             Err(why) => return Response::error(400, &why),
         };
         let _scope = self.store.as_ref().map(|s| s.trace_scope(ctx));
-        let mut session = self.session.lock().unwrap_or_else(|e| e.into_inner());
-        for spec in &specs {
-            if let Some(source) = &spec.source {
-                let mut program = tagstudy::InlineProgram::new(source.clone());
-                if let Some(heap) = spec.heap_semi_bytes {
-                    program = program.with_heap(heap);
-                }
-                session.register_source(&spec.program, program);
-            }
-        }
+        self.register_inline(&specs);
         let mut entries: Vec<(ExperimentSpec, StoreKey, tagstudy::Measurement)> = Vec::new();
         for spec in specs {
-            // One fuzz.column span per matrix column: the session's
-            // measure/compile/simulate spans nest under it.
-            let column_span = SpanId::generate();
+            // One fuzz.column span per matrix column.
             let column_start = Instant::now();
-            session.begin_trace(TraceContext::new(ctx.trace, column_span));
-            let measured = session.measure_uncached(&spec.program, spec.config);
-            session.end_trace();
+            let measured = self.session.measure_uncached(&spec.program, spec.config);
             self.tracer.record(SpanRecord {
                 trace: ctx.trace,
-                id: column_span,
+                id: SpanId::generate(),
                 parent: Some(ctx.parent),
                 name: "fuzz.column".to_string(),
                 component: "fleet".to_string(),
@@ -687,7 +664,6 @@ impl Daemon {
                 // *is* a differential signal — e.g. a halt-code mismatch the
                 // measurement validator catches before the client could).
                 Err(e) => {
-                    drop(session);
                     return Response::error(
                         500,
                         &format!("fuzz run failed: {}: {e}", spec.to_spec_string()),
@@ -695,13 +671,29 @@ impl Daemon {
                 }
             }
         }
-        drop(session);
         {
             let mut m = self.lock_metrics();
             m.inc(daemon_metrics::FUZZ_RUNS);
             m.add(daemon_metrics::FUZZ_COLUMNS, entries.len() as u64);
         }
         Response::json(200, proto::results_json(&entries))
+    }
+
+    /// Inline specs carry their own source: register each under its
+    /// content-derived name before measuring, so the batch rides the same
+    /// memoizing engine as named benchmarks. The name covers the source and
+    /// the heap, so re-registering is a no-op and repeated batches — and
+    /// concurrent ones — stay cache hits.
+    fn register_inline(&self, specs: &[ExperimentSpec]) {
+        for spec in specs {
+            if let Some(source) = &spec.source {
+                let mut program = tagstudy::InlineProgram::new(source.clone());
+                if let Some(heap) = spec.heap_semi_bytes {
+                    program = program.with_heap(heap);
+                }
+                self.session.register_source(&spec.program, program);
+            }
+        }
     }
 
     /// Campaign telemetry sink: the fuzz driver posts per-batch deltas and
@@ -800,21 +792,11 @@ impl Daemon {
         }
     }
 
-    /// The full `/metrics` exposition: session series (fresh if the session
-    /// lock is free, last snapshot if a batch is mid-flight), daemon series,
-    /// store series.
+    /// The full `/metrics` exposition: session series, daemon series, store
+    /// series — always current, since reading the session never waits on a
+    /// measurement.
     fn metrics_prometheus(&self) -> String {
-        let session_text = match self.session.try_lock() {
-            Ok(session) => {
-                let text = session.metrics_prometheus();
-                *self.session_prom.lock().unwrap_or_else(|e| e.into_inner()) = text.clone();
-                text
-            }
-            Err(_) => format!(
-                "# session metrics: snapshot from before the batch in flight\n{}",
-                self.session_prom.lock().unwrap_or_else(|e| e.into_inner())
-            ),
-        };
+        let session_text = self.session.metrics_prometheus();
         let daemon_text = {
             let mut m = self.lock_metrics().clone();
             m.set_gauge(

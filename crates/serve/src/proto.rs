@@ -86,6 +86,9 @@ fn spec_from_object(obj: &[(String, Json)]) -> Result<ExperimentSpec, String> {
             .with_hw(hw)
             .with_backend(backend)
             .with_timing(timing);
+        if let Some(bytes) = heap {
+            check_heap_fits(bytes, &config)?;
+        }
         return Ok(ExperimentSpec::inline(source, config, heap));
     }
     if get(obj, "heap").is_some() {
@@ -103,6 +106,23 @@ fn spec_from_object(obj: &[(String, Json)]) -> Result<ExperimentSpec, String> {
     let mut parsed = spec::parse_spec(&text)?;
     parsed.config = parsed.config.with_backend(backend).with_timing(timing);
     Ok(parsed)
+}
+
+/// Refuse a semispace size whose two semispaces plus the stack cannot fit
+/// the scheme's pointer space, whatever the program: such a request is the
+/// caller's mistake, and gets a precise 400 rather than a compile failure.
+fn check_heap_fits(semi_bytes: u32, config: &tagstudy::Config) -> Result<(), String> {
+    let stack = u64::from(config.to_options().stack_bytes);
+    let need = 2 * u64::from(semi_bytes) + stack;
+    let bits = config.scheme.pointer_bits();
+    if need >= 1u64 << bits {
+        return Err(format!(
+            "heap of {semi_bytes} bytes does not fit: two semispaces plus the {stack}-byte \
+             stack need {need} bytes, beyond the {bits}-bit pointer space of {}",
+            config.scheme
+        ));
+    }
+    Ok(())
 }
 
 /// Parse a batch request body into validated experiment specs.
@@ -223,9 +243,14 @@ mod tests {
             "{}",
             specs[0].program
         );
-        assert_eq!(
+        assert_ne!(
             specs[0].program, specs[1].program,
-            "same source, same content-derived name"
+            "the heap override is part of the content-derived name"
+        );
+        assert_eq!(
+            specs[1].program,
+            bench::spec::inline_name("(print 1)", None),
+            "no heap: the name hashes the source alone"
         );
         assert_eq!(specs[0].source.as_deref(), Some("(print 1)"));
         assert_eq!(specs[0].heap_semi_bytes, Some(65536));
@@ -375,6 +400,37 @@ mod tests {
             let err = parse_batch(body.as_bytes()).unwrap_err();
             assert!(err.contains(want), "{body}: {err}");
         }
+    }
+
+    /// A heap whose two semispaces cannot fit the scheme's pointer space is
+    /// refused at parse time with the sizes spelled out — including the
+    /// sizes that used to wrap the memory map in u32 — while the largest
+    /// heap that can fit is accepted.
+    #[test]
+    fn oversized_heaps_are_refused_precisely() {
+        let body = |heap: u64, scheme: &str| {
+            format!(
+                r#"{{"experiments": [{{"source": "(print 1)", "heap": {heap}, "scheme": "{scheme}"}}]}}"#
+            )
+        };
+        for (heap, scheme, bits) in [
+            (u64::from(u32::MAX), "low2", 32),
+            (2_147_481_600, "low3", 32),
+            (1 << 31, "low2", 32),
+            (64 << 20, "high5", 27),
+            (32 << 20, "high6", 26),
+        ] {
+            let err = parse_batch(body(heap, scheme).as_bytes()).unwrap_err();
+            assert!(
+                err.contains(&format!("heap of {heap} bytes does not fit"))
+                    && err.contains(&format!("{bits}-bit pointer space")),
+                "{heap} {scheme}: {err}"
+            );
+        }
+        // Two semispaces plus the 256 KiB stack just fit a 32-bit space.
+        let largest = ((1u64 << 32) - (256 << 10) - 8) / 2;
+        let specs = parse_batch(body(largest, "low2").as_bytes()).unwrap();
+        assert_eq!(specs[0].heap_semi_bytes, Some(largest as u32));
     }
 
     #[test]

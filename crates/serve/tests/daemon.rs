@@ -96,7 +96,7 @@ fn batch_matches_direct_session_and_concurrent_clients_agree() {
     // Compare against a Session driven directly, with the same encoding.
     let results = proto::parse_results(&bodies[0].1).unwrap();
     assert_eq!(results.len(), 3);
-    let mut direct = Session::serial();
+    let direct = Session::serial();
     for (spec_text, key, served) in &results {
         let spec = bench::spec::parse_spec(spec_text).unwrap();
         let reference = direct.measure(&spec.program, spec.config).unwrap();
@@ -261,6 +261,56 @@ fn inline_sources_measure_but_are_not_persisted() {
         assert_eq!(status, 404, "inline result persisted: {body}");
     }
 
+    shutdown(&addr, server);
+}
+
+/// One inline source under two heap sizes is two programs, also within one
+/// batch: each spec gets its own heap's cycle count, not the last one's.
+#[test]
+fn one_source_under_two_heaps_in_one_batch() {
+    let (server, _, addr) = start(None, ServerConfig::default());
+    // A live list plus steady garbage: a small heap collects, a large one
+    // never does, so the two heaps cost different cycles.
+    let source = "(defvar keep (list 1 2 3 4 5 6 7 8)) \
+                  (defun churn (n) (while (greaterp n 0) (list n n n n) (setq n (sub1 n)))) \
+                  (churn 3000) (print (car keep))";
+    let spec = |heap: u32| format!(r#"{{"source": "{source}", "heap": {heap}}}"#);
+    let cycles = |body: &str| -> Vec<u64> {
+        let (status, text) = post(&addr, "/v1/experiments", body);
+        assert_eq!(status, 200, "{text}");
+        proto::parse_results(&text)
+            .unwrap()
+            .iter()
+            .map(|(_, _, m)| m.stats.cycles)
+            .collect()
+    };
+    let small = cycles(&format!(r#"{{"experiments": [{}]}}"#, spec(16 << 10)))[0];
+    let large = cycles(&format!(r#"{{"experiments": [{}]}}"#, spec(1 << 20)))[0];
+    assert_ne!(small, large, "the heap must change the measurement");
+
+    let both = cycles(&format!(
+        r#"{{"experiments": [{}, {}]}}"#,
+        spec(16 << 10),
+        spec(1 << 20)
+    ));
+    assert_eq!(both, [small, large], "each heap keeps its own answer");
+
+    shutdown(&addr, server);
+}
+
+/// A heap whose semispaces cannot fit the pointer space is a 400 with the
+/// sizes spelled out — never a 500 or a simulated memory fault.
+#[test]
+fn oversized_heap_is_a_precise_400() {
+    let (server, _, addr) = start(None, ServerConfig::default());
+    for heap in [2_147_481_600u64, u64::from(u32::MAX)] {
+        let body = format!(
+            r#"{{"experiments": [{{"source": "(print 1)", "heap": {heap}, "scheme": "low2"}}]}}"#
+        );
+        let (status, text) = post(&addr, "/v1/experiments", &body);
+        assert_eq!(status, 400, "{text}");
+        assert!(text.contains("does not fit"), "{text}");
+    }
     shutdown(&addr, server);
 }
 

@@ -55,7 +55,9 @@
 //! are the persistence hooks the `store` crate's durable result store (and the
 //! `tagstudyd` daemon built on it) plug into: every fresh measurement is
 //! written through, and a restarted process preloads the cache so repeat
-//! queries are answered without simulating.
+//! queries are answered without simulating. A `Session` is `Sync` and
+//! measures through `&self`, so such a process shares one session between
+//! threads without a lock around it (see the [`Session`] docs).
 
 #![deny(missing_docs)]
 

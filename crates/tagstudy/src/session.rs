@@ -19,12 +19,32 @@
 //! assert!(session.stats().hits > 0);
 //! # Ok::<(), tagstudy::StudyError>(())
 //! ```
+//!
+//! ## Sharing one session between threads
+//!
+//! `Session` is `Sync`, and every measuring method takes `&self`, so a
+//! long-lived process (the `tagstudyd` daemon) shares one session between
+//! request threads without an outer lock. No session-wide lock is held
+//! across a compile, a simulation or a writeback:
+//!
+//! - Each `(program, Config)` point has one cache cell, either *ready* or
+//!   *in flight*. The map of cells is locked only to look up or claim a
+//!   cell, so a cached point is answered while other batches are measuring.
+//! - A point is measured once however many batches ask for it at the same
+//!   time (single-flight): the first batch claims the cell and measures it
+//!   on its worker pool; every other request for it waits on that cell alone
+//!   and counts as a hit, as a duplicate within one batch does.
+//! - A failed measurement drops its cell. Every waiter gets the error, and a
+//!   later request measures the point again: failures are never cached.
+//!
+//! The worker-pool bound applies per batch; concurrent batches each run
+//! their own pool.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use crate::config::Config;
@@ -36,17 +56,18 @@ use crate::trace::{SpanId, SpanRecord, TraceContext, Tracer};
 
 /// A resolved program name: either one of the ten compiled-in paper
 /// benchmarks, or an [`InlineProgram`] registered on this session.
-#[derive(Clone, Copy)]
-enum Source<'a> {
+#[derive(Clone)]
+enum Source {
     Builtin(&'static programs::Benchmark),
-    Inline(&'a InlineProgram),
+    Inline(Arc<InlineProgram>),
 }
 
 /// A progress event, delivered to the session's callback as measurements move
 /// through the engine. Callbacks run on worker threads; keep them cheap.
 #[derive(Debug, Clone)]
 pub enum Progress {
-    /// A requested measurement was served from the cache.
+    /// A requested measurement was served from the cache, or joined one
+    /// already being measured.
     Hit {
         /// Benchmark name.
         program: String,
@@ -74,7 +95,8 @@ pub enum Progress {
 /// Aggregate counters for one [`Session`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Requests served from the cache (including duplicates within one batch).
+    /// Requests served from the cache (including duplicates within one batch
+    /// and requests that waited on another batch measuring the same point).
     pub hits: u64,
     /// Measurements actually compiled and simulated.
     pub misses: u64,
@@ -100,36 +122,103 @@ impl SessionStats {
 type ProgressFn = Arc<dyn Fn(&Progress) + Send + Sync>;
 type WritebackFn = Arc<dyn Fn(&Measurement, &Timing) + Send + Sync>;
 type MeasureResult = Result<(Measurement, Timing), StudyError>;
+type Key = (String, Config);
+
+/// The cache cell of one `(program, Config)` point. Almost every cell is
+/// ready, so boxing the large variant would only add an allocation.
+#[allow(clippy::large_enum_variant)]
+enum Cell {
+    /// Measured in this process, or seeded from a persistent store — hits on
+    /// seeded cells span as `store.read`, on measured ones as `cache.read`.
+    Ready {
+        measurement: Measurement,
+        timing: Timing,
+        seeded: bool,
+    },
+    /// Claimed by one batch that is measuring it now.
+    InFlight(Arc<Flight>),
+}
+
+/// The hand-off from the batch measuring a point to the requests waiting on
+/// it: set once, by that batch.
+type Flight = OnceLock<Result<Measurement, StudyError>>;
+
+/// A point one batch has claimed. Publishing settles it; a claim dropped
+/// unpublished (its batch unwound) publishes an error, so waiters never hang
+/// on a measurement nobody will finish.
+struct Claim<'s> {
+    cells: &'s Mutex<HashMap<Key, Cell>>,
+    key: Key,
+    flight: Arc<Flight>,
+    published: bool,
+}
+
+impl Claim<'_> {
+    /// Replace the in-flight cell with the outcome — a ready cell, or no
+    /// cell for a failure — and wake the waiters. A cell evicted meanwhile
+    /// (its source was replaced) stays evicted.
+    fn publish(&mut self, result: &MeasureResult) {
+        let mut cells = lock(self.cells);
+        let ours =
+            matches!(cells.get(&self.key), Some(Cell::InFlight(f)) if Arc::ptr_eq(f, &self.flight));
+        if ours {
+            match result {
+                Ok((measurement, timing)) => {
+                    let ready = Cell::Ready {
+                        measurement: measurement.clone(),
+                        timing: *timing,
+                        seeded: false,
+                    };
+                    cells.insert(self.key.clone(), ready);
+                }
+                Err(_) => {
+                    cells.remove(&self.key);
+                }
+            }
+        }
+        drop(cells);
+        let _ = self.flight.set(result.clone().map(|(m, _)| m));
+        self.published = true;
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            self.publish(&Err(StudyError::Sim {
+                program: self.key.0.clone(),
+                message: "measurement abandoned: its batch unwound before finishing".to_string(),
+            }));
+        }
+    }
+}
+
+/// Lock `m`, riding over a poisoned lock (a panicking progress callback must
+/// not take the session down with it).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The memoizing, parallel experiment engine. See the [module docs](self).
 pub struct Session {
-    cache: HashMap<(String, Config), (Measurement, Timing)>,
+    cells: Mutex<HashMap<Key, Cell>>,
     /// Caller-registered inline programs, consulted before the built-in
     /// benchmark registry when a name is resolved.
-    sources: HashMap<String, InlineProgram>,
+    sources: Mutex<HashMap<String, Arc<InlineProgram>>>,
     parallelism: NonZeroUsize,
     progress: Option<ProgressFn>,
     writeback: Option<WritebackFn>,
-    stats: SessionStats,
+    stats: Mutex<SessionStats>,
     /// The structured metrics/event registry every lifecycle event flows
     /// through (see [`crate::metrics`]); `Progress` is an adapter fed from
-    /// the same spine. Behind a mutex because workers report through `&self`.
+    /// the same spine.
     metrics: Mutex<MetricsRegistry>,
     /// Measurements currently on a worker (pool-occupancy observations).
     inflight: AtomicUsize,
     /// Optional flight recorder (see [`crate::trace`]). When attached *and* a
-    /// trace context is active, lifecycle events additionally synthesize
+    /// call passes a trace context, lifecycle events additionally synthesize
     /// spans; otherwise the tracing path is a single `Option` check.
     tracer: Option<Tracer>,
-    /// The trace the current batch's spans attach to (set by
-    /// [`Session::begin_trace`], cleared by [`Session::end_trace`]). Workers
-    /// read it through `&self` while a batch is in flight; it only changes
-    /// between batches, under the caller's `&mut`.
-    trace_ctx: Option<TraceContext>,
-    /// Cache keys that came from [`Session::seed`] (a persistent store)
-    /// rather than a measurement in this process — hits on them span as
-    /// `store.read`, hits on in-process results as `cache.read`.
-    seeded: HashSet<(String, Config)>,
 }
 
 impl Default for Session {
@@ -141,9 +230,9 @@ impl Default for Session {
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("cached", &self.cache.len())
+            .field("cached", &self.cached_measurements())
             .field("parallelism", &self.parallelism)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -154,17 +243,15 @@ impl Session {
         let parallelism =
             std::thread::available_parallelism().unwrap_or(NonZeroUsize::new(4).expect("non-zero"));
         Session {
-            cache: HashMap::new(),
-            sources: HashMap::new(),
+            cells: Mutex::new(HashMap::new()),
+            sources: Mutex::new(HashMap::new()),
             parallelism,
             progress: None,
             writeback: None,
-            stats: SessionStats::default(),
+            stats: Mutex::new(SessionStats::default()),
             metrics: Mutex::new(MetricsRegistry::new()),
             inflight: AtomicUsize::new(0),
             tracer: None,
-            trace_ctx: None,
-            seeded: HashSet::new(),
         }
     }
 
@@ -174,7 +261,7 @@ impl Session {
         Session::new().with_parallelism(NonZeroUsize::new(1).expect("non-zero"))
     }
 
-    /// Bound the worker pool to `parallelism` workers.
+    /// Bound each batch's worker pool to `parallelism` workers.
     pub fn with_parallelism(mut self, parallelism: NonZeroUsize) -> Session {
         self.parallelism = parallelism;
         self
@@ -188,9 +275,10 @@ impl Session {
     }
 
     /// Install a persistence hook: `f` is called once for every *fresh*
-    /// measurement the moment it enters the cache (never for cache hits,
-    /// seeded entries, or failed measurements). A daemon wires this to a
-    /// durable result store so every computed point is written through.
+    /// measurement, on the thread that requested it, just before it enters
+    /// the cache (never for cache hits, seeded entries, or failed
+    /// measurements). A daemon wires this to a durable result store so every
+    /// computed point is written through.
     pub fn with_writeback(
         mut self,
         f: impl Fn(&Measurement, &Timing) + Send + Sync + 'static,
@@ -199,31 +287,19 @@ impl Session {
         self
     }
 
-    /// Attach a flight recorder. Spans are only synthesized while a trace
-    /// context is active (see [`Session::begin_trace`]), and never alter a
-    /// measurement: they wrap the same wall-clock split [`Timing`] already
-    /// records, so `Stats` and outputs stay byte-identical (test-asserted).
+    /// Attach a flight recorder. Spans are only synthesized for calls that
+    /// pass a trace context (see [`Session::measure_many_traced`]), and never
+    /// alter a measurement: they wrap the same wall-clock split [`Timing`]
+    /// already records, so `Stats` and outputs stay byte-identical
+    /// (test-asserted).
     pub fn with_tracer(mut self, tracer: Tracer) -> Session {
         self.tracer = Some(tracer);
         self
     }
 
-    /// Activate `ctx` as the trace the next batch's spans attach to. The
-    /// daemon calls this (under its session lock) before `measure_many`, so
-    /// every cache-read / measure / compile / simulate span of the batch
-    /// parents under the request's batch span.
-    pub fn begin_trace(&mut self, ctx: TraceContext) {
-        self.trace_ctx = Some(ctx);
-    }
-
-    /// Deactivate the current trace context (see [`Session::begin_trace`]).
-    pub fn end_trace(&mut self) {
-        self.trace_ctx = None;
-    }
-
     /// The session's counters so far.
     pub fn stats(&self) -> SessionStats {
-        self.stats
+        *lock(&self.stats)
     }
 
     /// The configured worker-pool bound.
@@ -233,13 +309,19 @@ impl Session {
 
     /// Number of distinct `(program, Config)` points measured so far.
     pub fn cached_measurements(&self) -> usize {
-        self.cache.len()
+        lock(&self.cells)
+            .values()
+            .filter(|cell| matches!(cell, Cell::Ready { .. }))
+            .count()
     }
 
     /// Whether `(program, config)` is already in the cache (a request for it
-    /// would be answered without simulating).
+    /// would be answered without simulating or waiting).
     pub fn contains(&self, program: &str, config: Config) -> bool {
-        self.cache.contains_key(&(program.to_string(), config))
+        matches!(
+            lock(&self.cells).get(&(program.to_string(), config)),
+            Some(Cell::Ready { .. })
+        )
     }
 
     /// Preload one measurement into the cache — the warm-start path for a
@@ -247,23 +329,29 @@ impl Session {
     /// is counted separately (the `session_seeded_total` counter), so "zero
     /// simulations since restart" is provable from the metrics alone.
     ///
-    /// Returns `false` (and changes nothing) if the point is already cached;
-    /// the writeback hook is *not* invoked — the store already has it.
-    pub fn seed(&mut self, measurement: Measurement, timing: Timing) -> bool {
+    /// Returns `false` (and changes nothing) if the point is already cached
+    /// or being measured; the writeback hook is *not* invoked — the store
+    /// already has it.
+    pub fn seed(&self, measurement: Measurement, timing: Timing) -> bool {
         let key = (measurement.program.clone(), measurement.config);
-        if self.cache.contains_key(&key) {
-            return false;
-        }
         {
-            let mut m = self.lock_metrics();
-            m.inc(names::SEEDED);
-            m.event(
-                "cache_seeded",
-                &[("program", &key.0), ("config", &key.1.to_string())],
-            );
+            let mut cells = lock(&self.cells);
+            if cells.contains_key(&key) {
+                return false;
+            }
+            let ready = Cell::Ready {
+                measurement,
+                timing,
+                seeded: true,
+            };
+            cells.insert(key.clone(), ready);
         }
-        self.seeded.insert(key.clone());
-        self.cache.insert(key, (measurement, timing));
+        let mut m = self.lock_metrics();
+        m.inc(names::SEEDED);
+        m.event(
+            "cache_seeded",
+            &[("program", &key.0), ("config", &key.1.to_string())],
+        );
         true
     }
 
@@ -277,16 +365,22 @@ impl Session {
     /// Re-registering a *different* program under an existing name replaces
     /// it and evicts every cached measurement for that name — the cache is
     /// keyed by name, and stale results must not outlive their source.
-    pub fn register_source(&mut self, name: impl Into<String>, program: InlineProgram) -> bool {
+    pub fn register_source(&self, name: impl Into<String>, program: InlineProgram) -> bool {
         let name = name.into();
-        if self.sources.get(&name) == Some(&program) {
-            return false;
-        }
-        let replaced = self.sources.insert(name.clone(), program).is_some();
-        if replaced {
-            self.cache.retain(|(cached, _), _| *cached != name);
-            self.seeded.retain(|(cached, _)| *cached != name);
-        }
+        let replaced = {
+            let mut sources = lock(&self.sources);
+            if sources.get(&name).is_some_and(|p| **p == program) {
+                return false;
+            }
+            let replaced = sources.insert(name.clone(), Arc::new(program)).is_some();
+            if replaced {
+                // Evict before releasing the sources lock: a request that
+                // resolves the new source can never find a cell measured
+                // from the old one.
+                lock(&self.cells).retain(|(cached, _), _| *cached != name);
+            }
+            replaced
+        };
         let mut m = self.lock_metrics();
         m.inc(names::SOURCES_REGISTERED);
         m.event(
@@ -299,24 +393,35 @@ impl Session {
     /// Whether `name` is currently answerable: a registered inline source or
     /// a built-in benchmark.
     pub fn has_source(&self, name: &str) -> bool {
-        self.sources.contains_key(name) || programs::by_name(name).is_some()
+        lock(&self.sources).contains_key(name) || programs::by_name(name).is_some()
     }
 
     /// Resolve a program name: registered inline sources first, then the
     /// built-in benchmark registry.
-    fn resolve(&self, name: &str) -> Result<Source<'_>, StudyError> {
-        if let Some(p) = self.sources.get(name) {
-            return Ok(Source::Inline(p));
+    fn resolve(&self, name: &str) -> Result<Source, StudyError> {
+        if let Some(p) = lock(&self.sources).get(name) {
+            return Ok(Source::Inline(Arc::clone(p)));
         }
         programs::by_name(name)
             .map(Source::Builtin)
             .ok_or_else(|| StudyError::UnknownProgram(name.to_string()))
     }
 
-    /// Iterate over every cached measurement and its timing, in no particular
-    /// order.
-    pub fn measurements(&self) -> impl Iterator<Item = (&Measurement, &Timing)> {
-        self.cache.values().map(|(m, t)| (m, t))
+    /// A snapshot of every cached measurement and its timing, in no
+    /// particular order.
+    pub fn measurements(&self) -> impl Iterator<Item = (Measurement, Timing)> {
+        let ready: Vec<(Measurement, Timing)> = lock(&self.cells)
+            .values()
+            .filter_map(|cell| match cell {
+                Cell::Ready {
+                    measurement,
+                    timing,
+                    ..
+                } => Some((measurement.clone(), *timing)),
+                Cell::InFlight(_) => None,
+            })
+            .collect();
+        ready.into_iter()
     }
 
     /// Measure one `(program, config)` point, reusing the cache.
@@ -324,7 +429,7 @@ impl Session {
     /// # Errors
     ///
     /// Any [`StudyError`] the underlying measurement raises.
-    pub fn measure(&mut self, program: &str, config: Config) -> Result<Measurement, StudyError> {
+    pub fn measure(&self, program: &str, config: Config) -> Result<Measurement, StudyError> {
         self.measure_many(&[(program, config)])
             .map(|mut v| v.pop().expect("one result per request"))
     }
@@ -332,7 +437,9 @@ impl Session {
     /// Measure every `(program, config)` request of a batch, returning results
     /// in request order. Cached points are served without work; uncached
     /// points are deduplicated (a point requested twice in one batch is
-    /// measured once) and measured on the bounded worker pool.
+    /// measured once) and measured on the bounded worker pool. A point
+    /// another batch is measuring right now is not measured again: this
+    /// batch waits for that result (see the [module docs](self)).
     ///
     /// # Errors
     ///
@@ -340,76 +447,156 @@ impl Session {
     /// collapsed via [`StudyError::Multiple`]; a panicking worker surfaces as
     /// a [`StudyError::Sim`] for its program, never as a harness panic.
     pub fn measure_many(
-        &mut self,
+        &self,
         requests: &[(&str, Config)],
     ) -> Result<Vec<Measurement>, StudyError> {
-        // Partition into cache hits and deduplicated pending work.
-        let mut pending: Vec<(String, Config)> = Vec::new();
-        for (name, config) in requests {
-            let key = (name.to_string(), *config);
-            if self.cache.contains_key(&key) {
-                self.stats.hits += 1;
-                self.emit(&Progress::Hit {
-                    program: key.0,
-                    config: *config,
-                });
-            } else if pending.contains(&key) {
-                // In-flight dedup: a second request of the same point rides
-                // along with the first and counts as a hit (and is reported
-                // as one, so every request produces exactly one event).
-                self.stats.hits += 1;
-                self.emit(&Progress::Hit {
-                    program: key.0,
-                    config: *config,
-                });
-            } else {
-                pending.push(key);
+        self.measure_batch(requests, None)
+    }
+
+    /// [`Session::measure_many`], with every cache-read / measure / compile /
+    /// simulate span of the batch parented under `ctx` when a tracer is
+    /// attached (see [`Session::with_tracer`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Session::measure_many`].
+    pub fn measure_many_traced(
+        &self,
+        requests: &[(&str, Config)],
+        ctx: TraceContext,
+    ) -> Result<Vec<Measurement>, StudyError> {
+        self.measure_batch(requests, Some(ctx))
+    }
+
+    fn measure_batch(
+        &self,
+        requests: &[(&str, Config)],
+        ctx: Option<TraceContext>,
+    ) -> Result<Vec<Measurement>, StudyError> {
+        /// Where one distinct point of the batch gets its answer.
+        #[allow(clippy::large_enum_variant)]
+        enum Point {
+            Ready(Measurement),
+            /// Index into `claims`: this batch measures it.
+            Claimed(usize),
+            /// Another batch is measuring it.
+            Waiting(Arc<Flight>),
+        }
+        let mut seen: HashMap<Key, usize> = HashMap::new();
+        let mut points: Vec<Point> = Vec::new();
+        let mut claims: Vec<Claim<'_>> = Vec::new();
+        let mut order: Vec<usize> = Vec::with_capacity(requests.len());
+        let mut hits: Vec<Key> = Vec::new();
+        {
+            // The map lock covers lookups and claims only — never the work.
+            let mut cells = lock(&self.cells);
+            for (name, config) in requests {
+                let key = (name.to_string(), *config);
+                if let Some(&i) = seen.get(&key) {
+                    // A second request of the same point rides along with
+                    // the first and counts as a hit (and is reported as one,
+                    // so every request produces exactly one event).
+                    order.push(i);
+                    hits.push(key);
+                    continue;
+                }
+                let point = match cells.get(&key) {
+                    Some(Cell::Ready { measurement, .. }) => {
+                        hits.push(key.clone());
+                        Point::Ready(measurement.clone())
+                    }
+                    Some(Cell::InFlight(flight)) => {
+                        hits.push(key.clone());
+                        Point::Waiting(Arc::clone(flight))
+                    }
+                    None => {
+                        let flight = Arc::new(Flight::default());
+                        cells.insert(key.clone(), Cell::InFlight(Arc::clone(&flight)));
+                        claims.push(Claim {
+                            cells: &self.cells,
+                            key: key.clone(),
+                            flight,
+                            published: false,
+                        });
+                        Point::Claimed(claims.len() - 1)
+                    }
+                };
+                order.push(points.len());
+                seen.insert(key, points.len());
+                points.push(point);
             }
+        }
+        for (program, config) in hits {
+            lock(&self.stats).hits += 1;
+            self.emit(&Progress::Hit { program, config }, ctx);
         }
 
+        // Publish every claimed point before waiting on anyone else's: two
+        // batches each waiting on the other's unpublished point would never
+        // finish.
+        let jobs: Vec<Key> = claims.iter().map(|c| c.key.clone()).collect();
+        let measured: Vec<Result<Measurement, StudyError>> = claims
+            .iter_mut()
+            .zip(self.run_pool(&jobs, ctx))
+            .map(|(claim, result)| self.settle(claim, result))
+            .collect();
+
         let mut errors: Vec<StudyError> = Vec::new();
-        if !pending.is_empty() {
-            for (key, result) in pending.iter().zip(self.run_pool(&pending)) {
-                match result {
-                    Ok((measurement, timing)) => {
-                        self.stats.misses += 1;
-                        self.stats.compile_time += timing.compile;
-                        self.stats.sim_time += timing.simulate;
-                        if let Some(wb) = &self.writeback {
-                            wb(&measurement, &timing);
-                        }
-                        self.cache.insert(key.clone(), (measurement, timing));
-                    }
-                    Err(e) => {
-                        let mut m = self.lock_metrics();
-                        m.inc(names::FAILURES);
-                        m.event(
-                            "measure_failed",
-                            &[
-                                ("program", &key.0),
-                                ("config", &key.1.to_string()),
-                                ("error", &e.to_string()),
-                            ],
-                        );
-                        drop(m);
-                        errors.push(e);
-                    }
-                }
-            }
-        }
+        let answers: Vec<Option<Measurement>> = points
+            .into_iter()
+            .map(|point| {
+                let result = match point {
+                    Point::Ready(measurement) => Ok(measurement),
+                    Point::Claimed(i) => measured[i].clone(),
+                    Point::Waiting(flight) => flight.wait().clone(),
+                };
+                result.map_err(|e| errors.push(e)).ok()
+            })
+            .collect();
         if !errors.is_empty() {
             return Err(StudyError::from_many(errors));
         }
-
-        Ok(requests
-            .iter()
-            .map(|(name, config)| {
-                self.cache
-                    .get(&(name.to_string(), *config))
-                    .map(|(m, _)| m.clone())
-                    .expect("every successful request is cached")
-            })
+        Ok(order
+            .into_iter()
+            .map(|i| answers[i].clone().expect("every point succeeded"))
             .collect())
+    }
+
+    /// Account for one claimed point's outcome — counters, writeback, or the
+    /// failure event — then publish it to the cache and its waiters.
+    fn settle(
+        &self,
+        claim: &mut Claim<'_>,
+        result: MeasureResult,
+    ) -> Result<Measurement, StudyError> {
+        match &result {
+            Ok((measurement, timing)) => {
+                {
+                    let mut stats = lock(&self.stats);
+                    stats.misses += 1;
+                    stats.compile_time += timing.compile;
+                    stats.sim_time += timing.simulate;
+                }
+                if let Some(wb) = &self.writeback {
+                    wb(measurement, timing);
+                }
+            }
+            Err(e) => {
+                let (program, config) = &claim.key;
+                let mut m = self.lock_metrics();
+                m.inc(names::FAILURES);
+                m.event(
+                    "measure_failed",
+                    &[
+                        ("program", program),
+                        ("config", &config.to_string()),
+                        ("error", &e.to_string()),
+                    ],
+                );
+            }
+        }
+        claim.publish(&result);
+        result.map(|(m, _)| m)
     }
 
     /// Measure every program of `names` under one `config`, in `names` order.
@@ -418,7 +605,7 @@ impl Session {
     ///
     /// As [`Session::measure_many`].
     pub fn measure_set(
-        &mut self,
+        &self,
         names: &[&str],
         config: Config,
     ) -> Result<Vec<Measurement>, StudyError> {
@@ -441,7 +628,7 @@ impl Session {
     ) -> Result<Measurement, StudyError> {
         match self.resolve(program)? {
             Source::Builtin(b) => crate::measure::run_benchmark(b, &config),
-            Source::Inline(p) => run_inline_timed(program, p, &config).map(|(m, _)| m),
+            Source::Inline(p) => run_inline_timed(program, &p, &config).map(|(m, _)| m),
         }
     }
 
@@ -505,7 +692,8 @@ impl Session {
                     message: e.to_string(),
                 }
             })?;
-        let expected: Option<&str> = match self.resolve(program).expect("compiled above") {
+        let source = self.resolve(program)?;
+        let expected: Option<&str> = match &source {
             Source::Builtin(b) => Some(b.expected_output),
             Source::Inline(p) => p.expected_output.as_deref(),
         };
@@ -564,10 +752,13 @@ impl Session {
         config: Config,
         fuel: u64,
     ) -> Result<(Measurement, mipsx::Profiler, Option<Vec<mipsx::FuncStalls>>), StudyError> {
-        self.emit(&Progress::Started {
-            program: program.to_string(),
-            config,
-        });
+        self.emit(
+            &Progress::Started {
+                program: program.to_string(),
+                config,
+            },
+            None,
+        );
         let t0 = std::time::Instant::now();
         let compiled = self.compile_program(program, config)?;
         let compile = t0.elapsed();
@@ -594,14 +785,17 @@ impl Session {
             let stalls = model.by_function(&compiled.program.symtab);
             (measurement, profiler, Some(stalls))
         };
-        self.emit(&Progress::Finished {
-            program: program.to_string(),
-            config,
-            timing: Timing {
-                compile,
-                simulate: t1.elapsed(),
+        self.emit(
+            &Progress::Finished {
+                program: program.to_string(),
+                config,
+                timing: Timing {
+                    compile,
+                    simulate: t1.elapsed(),
+                },
             },
-        });
+            None,
+        );
         Ok((measurement, profiler, stalls))
     }
 
@@ -611,11 +805,11 @@ impl Session {
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let s = &self.stats;
+        let s = self.stats();
         let _ = writeln!(
             out,
             "session: {} measurements cached, {} hits / {} misses ({} requests), workers {}",
-            self.cache.len(),
+            self.cached_measurements(),
             s.hits,
             s.misses,
             s.requests(),
@@ -628,7 +822,7 @@ impl Session {
             s.compile_time,
             s.sim_time
         );
-        let mut slowest: Vec<(&Measurement, &Timing)> = self.measurements().collect();
+        let mut slowest: Vec<(Measurement, Timing)> = self.measurements().collect();
         slowest.sort_by_key(|(_, t)| std::cmp::Reverse(t.total()));
         for (m, t) in slowest.iter().take(3) {
             let _ = writeln!(
@@ -644,10 +838,8 @@ impl Session {
         out
     }
 
-    /// Lock the metrics registry, riding over a poisoned lock (a panicking
-    /// progress callback must not take observability down with it).
-    fn lock_metrics(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
-        self.metrics.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_metrics(&self) -> MutexGuard<'_, MetricsRegistry> {
+        lock(&self.metrics)
     }
 
     /// A snapshot of the session's metrics registry: every counter, histogram
@@ -656,7 +848,10 @@ impl Session {
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = self.lock_metrics().clone();
         m.set_gauge(names::WORKERS_CONFIGURED, self.parallelism.get() as f64);
-        m.set_gauge(names::CACHED_MEASUREMENTS, self.cache.len() as f64);
+        m.set_gauge(
+            names::CACHED_MEASUREMENTS,
+            self.cached_measurements() as f64,
+        );
         m
     }
 
@@ -672,15 +867,15 @@ impl Session {
         self.metrics().to_prometheus()
     }
 
-    /// Synthesize trace spans for one lifecycle event, when a tracer and an
-    /// active trace context are both present. A cache hit becomes a point
+    /// Synthesize trace spans for one lifecycle event, when a tracer is
+    /// attached and the call carries a trace context. A cache hit becomes a point
     /// `store.read` (seeded from the persistent store) or `cache.read`
     /// (measured earlier in-process) span; a finished measurement becomes a
     /// `measure` span with `compile` and `simulate` children cut from the
     /// same [`Timing`] split the metrics already record. Returns the spans
     /// recorded so [`Session::emit`] can mirror them onto the event spine.
-    fn record_spans(&self, event: &Progress) -> Vec<SpanRecord> {
-        let (Some(tracer), Some(ctx)) = (&self.tracer, self.trace_ctx) else {
+    fn record_spans(&self, event: &Progress, ctx: Option<TraceContext>) -> Vec<SpanRecord> {
+        let (Some(tracer), Some(ctx)) = (&self.tracer, ctx) else {
             return Vec::new();
         };
         let mut spans = Vec::new();
@@ -690,7 +885,10 @@ impl Session {
         };
         match event {
             Progress::Hit { program, config } => {
-                let seeded = self.seeded.contains(&(program.clone(), *config));
+                let seeded = matches!(
+                    lock(&self.cells).get(&(program.clone(), *config)),
+                    Some(Cell::Ready { seeded: true, .. })
+                );
                 push(
                     tracer,
                     SpanRecord {
@@ -771,8 +969,8 @@ impl Session {
 
     /// The instrumentation spine: record the event in the metrics registry,
     /// then hand it to the optional [`Progress`] adapter.
-    fn emit(&self, event: &Progress) {
-        let spans = self.record_spans(event);
+    fn emit(&self, event: &Progress, ctx: Option<TraceContext>) {
+        let spans = self.record_spans(event, ctx);
         {
             let mut m = self.lock_metrics();
             match event {
@@ -840,10 +1038,10 @@ impl Session {
 
     /// Run `jobs` on at most `self.parallelism` workers, returning results in
     /// job order. Worker panics are converted into per-program errors.
-    fn run_pool(&self, jobs: &[(String, Config)]) -> Vec<MeasureResult> {
+    fn run_pool(&self, jobs: &[Key], ctx: Option<TraceContext>) -> Vec<MeasureResult> {
         let workers = jobs.len().min(self.parallelism.get());
         if workers <= 1 {
-            return jobs.iter().map(|job| self.run_one(job)).collect();
+            return jobs.iter().map(|job| self.run_one(job, ctx)).collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<MeasureResult>>> =
@@ -853,7 +1051,7 @@ impl Session {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
-                    *slots[i].lock().expect("result slot") = Some(self.run_one(job));
+                    *slots[i].lock().expect("result slot") = Some(self.run_one(job, ctx));
                 });
             }
         });
@@ -867,7 +1065,7 @@ impl Session {
             .collect()
     }
 
-    fn run_one(&self, (name, config): &(String, Config)) -> MeasureResult {
+    fn run_one(&self, (name, config): &Key, ctx: Option<TraceContext>) -> MeasureResult {
         let source = self.resolve(name)?;
         let depth = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         {
@@ -875,23 +1073,32 @@ impl Session {
             m.observe(names::POOL_OCCUPANCY, OCCUPANCY_BUCKETS, depth as f64);
             m.gauge_max(names::POOL_PEAK_OCCUPANCY, depth as f64);
         }
-        let result = self.run_one_inner(name, config, source);
+        let result = self.run_one_inner(name, config, source, ctx);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
         result
     }
 
-    fn run_one_inner(&self, name: &str, config: &Config, source: Source<'_>) -> MeasureResult {
+    fn run_one_inner(
+        &self,
+        name: &str,
+        config: &Config,
+        source: Source,
+        ctx: Option<TraceContext>,
+    ) -> MeasureResult {
         // The Started emit runs inside the panic guard too: a misbehaving
         // progress callback surfaces as this measurement's error, not as a
         // harness abort.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            self.emit(&Progress::Started {
-                program: name.to_owned(),
-                config: *config,
-            });
+            self.emit(
+                &Progress::Started {
+                    program: name.to_owned(),
+                    config: *config,
+                },
+                ctx,
+            );
             match source {
                 Source::Builtin(b) => run_benchmark_timed(b, config),
-                Source::Inline(p) => run_inline_timed(name, p, config),
+                Source::Inline(p) => run_inline_timed(name, &p, config),
             }
         }))
         .unwrap_or_else(|payload| {
@@ -901,11 +1108,14 @@ impl Session {
             })
         });
         if let Ok((_, timing)) = &result {
-            self.emit(&Progress::Finished {
-                program: name.to_owned(),
-                config: *config,
-                timing: *timing,
-            });
+            self.emit(
+                &Progress::Finished {
+                    program: name.to_owned(),
+                    config: *config,
+                    timing: *timing,
+                },
+                ctx,
+            );
         }
         result
     }
@@ -929,7 +1139,7 @@ mod tests {
 
     #[test]
     fn measure_hits_cache_on_second_request() {
-        let mut s = Session::serial();
+        let s = Session::serial();
         let cfg = Config::baseline(CheckingMode::None);
         let a = s.measure("frl", cfg).unwrap();
         assert_eq!(s.stats().misses, 1);
@@ -943,7 +1153,7 @@ mod tests {
 
     #[test]
     fn batch_duplicates_measure_once() {
-        let mut s = Session::new();
+        let s = Session::new();
         let cfg = Config::baseline(CheckingMode::None);
         let out = s
             .measure_many(&[("frl", cfg), ("frl", cfg), ("frl", cfg)])
@@ -956,7 +1166,7 @@ mod tests {
 
     #[test]
     fn failures_are_collected_not_raced() {
-        let mut s = Session::new();
+        let s = Session::new();
         let cfg = Config::baseline(CheckingMode::None);
         let err = s
             .measure_many(&[("frl", cfg), ("nope", cfg), ("nada", cfg)])
@@ -981,7 +1191,7 @@ mod tests {
         let finished = Arc::new(AtomicU64::new(0));
         let hits = Arc::new(AtomicU64::new(0));
         let (s2, f2, h2) = (started.clone(), finished.clone(), hits.clone());
-        let mut s = Session::new().with_progress(move |p| match p {
+        let s = Session::new().with_progress(move |p| match p {
             Progress::Started { .. } => {
                 s2.fetch_add(1, Ordering::Relaxed);
             }
@@ -1006,7 +1216,7 @@ mod tests {
     /// failures in the same [`StudyError::Multiple`].
     #[test]
     fn worker_panic_is_collected_into_multiple() {
-        let mut s = Session::new().with_progress(|p| {
+        let s = Session::new().with_progress(|p| {
             if let Progress::Started { program, .. } = p {
                 assert!(program != "trav", "callback rejects trav");
             }
@@ -1044,7 +1254,7 @@ mod tests {
     /// after — including in-batch duplicates — is a hit.
     #[test]
     fn warm_cache_counters_match_hand_computed_plan() {
-        let mut s = Session::serial();
+        let s = Session::serial();
         let none = Config::baseline(CheckingMode::None);
         let full = Config::baseline(CheckingMode::Full);
 
@@ -1072,7 +1282,7 @@ mod tests {
         let cfg = Config::baseline(CheckingMode::None);
         let written: Arc<Mutex<Vec<(Measurement, Timing)>>> = Arc::default();
         let sink = written.clone();
-        let mut s = Session::serial()
+        let s = Session::serial()
             .with_writeback(move |m, t| sink.lock().unwrap().push((m.clone(), *t)));
 
         assert!(!s.contains("frl", cfg));
@@ -1085,11 +1295,11 @@ mod tests {
         // A second session warm-started from the persisted entry answers the
         // same request with zero misses, and the metrics prove it.
         let (m, t) = persisted.into_iter().next().unwrap();
-        let mut warm = Session::serial();
+        let warm = Session::serial();
         assert!(warm.seed(m.clone(), t));
-        assert!(!warm.seed(m, t), "double seed is a no-op");
+        assert!(!warm.seed(m.clone(), t), "double seed is a no-op");
         let again = warm.measure("frl", cfg).unwrap();
-        assert_eq!(again.stats, warm.cache[&("frl".to_string(), cfg)].0.stats);
+        assert_eq!(again.stats, m.stats);
         assert_eq!(warm.stats().misses, 0, "seeded entry served without work");
         assert_eq!(warm.stats().hits, 1);
         assert_eq!(warm.metrics().counter(names::SEEDED), 1);
@@ -1100,7 +1310,7 @@ mod tests {
     #[test]
     fn inline_sources_measure_like_benchmarks() {
         let cfg = Config::baseline(CheckingMode::Full);
-        let mut s = Session::serial();
+        let s = Session::serial();
         assert!(!s.has_source("tiny"));
         assert!(s.register_source(
             "tiny",
@@ -1132,7 +1342,7 @@ mod tests {
     #[test]
     fn inline_expected_output_is_enforced_when_pinned() {
         let cfg = Config::baseline(CheckingMode::Full);
-        let mut s = Session::serial();
+        let s = Session::serial();
         s.register_source(
             "claims-four",
             InlineProgram::new("(print (plus 1 2))").with_expected_output("4\n"),
@@ -1151,7 +1361,7 @@ mod tests {
     #[test]
     fn reregistering_a_different_source_evicts_the_cache() {
         let cfg = Config::baseline(CheckingMode::Full);
-        let mut s = Session::serial();
+        let s = Session::serial();
         s.register_source("shifty", InlineProgram::new("(print (plus 1 2))"));
         s.measure("shifty", cfg).unwrap();
         assert!(s.contains("shifty", cfg));
@@ -1167,7 +1377,7 @@ mod tests {
     #[test]
     fn inline_compile_errors_carry_the_registered_name() {
         let cfg = Config::baseline(CheckingMode::Full);
-        let mut s = Session::serial();
+        let s = Session::serial();
         s.register_source("broken", InlineProgram::new("(print (no-such-fn 1))"));
         let err = s.measure("broken", cfg).unwrap_err();
         assert!(
@@ -1178,7 +1388,7 @@ mod tests {
         assert!(matches!(err, StudyError::UnknownProgram(_)), "{err}");
     }
 
-    /// With a tracer attached and a context active, a batch synthesizes
+    /// With a tracer attached and a context passed, a batch synthesizes
     /// session spans (cache.read for hits, measure/compile/simulate for
     /// misses, store.read for seeded hits) that share the request's trace id
     /// and ride the event spine; without a context, nothing is recorded.
@@ -1186,16 +1396,14 @@ mod tests {
     fn traced_batch_records_session_spans() {
         use crate::trace::{TraceContext, Tracer};
         let tracer = Tracer::new(8, Duration::from_secs(3600));
-        let mut s = Session::serial().with_tracer(tracer.clone());
+        let s = Session::serial().with_tracer(tracer.clone());
         let cfg = Config::baseline(CheckingMode::None);
         s.measure("frl", cfg).unwrap(); // no context: no spans
 
         let ctx = TraceContext::fresh();
-        s.begin_trace(ctx);
-        s.measure("frl", cfg).unwrap(); // hit → cache.read
-        s.measure("trav", cfg).unwrap(); // miss → measure + compile + simulate
-        s.end_trace();
-        s.measure("boyer", cfg).unwrap(); // context cleared: no spans
+        s.measure_many_traced(&[("frl", cfg)], ctx).unwrap(); // hit → cache.read
+        s.measure_many_traced(&[("trav", cfg)], ctx).unwrap(); // miss → measure + compile + simulate
+        s.measure("boyer", cfg).unwrap(); // no context: no spans
 
         tracer.finish(ctx.trace, ctx.parent).expect("trace recorded");
         let rec = tracer.lookup(ctx.trace).unwrap();
@@ -1224,17 +1432,15 @@ mod tests {
     fn seeded_hit_spans_as_store_read() {
         use crate::trace::{TraceContext, Tracer};
         let cfg = Config::baseline(CheckingMode::None);
-        let mut cold = Session::serial();
+        let cold = Session::serial();
         let m = cold.measure("frl", cfg).unwrap();
         let t = Timing::default();
 
         let tracer = Tracer::new(8, Duration::from_secs(3600));
-        let mut warm = Session::serial().with_tracer(tracer.clone());
+        let warm = Session::serial().with_tracer(tracer.clone());
         warm.seed(m, t);
         let ctx = TraceContext::fresh();
-        warm.begin_trace(ctx);
-        warm.measure("frl", cfg).unwrap();
-        warm.end_trace();
+        warm.measure_many_traced(&[("frl", cfg)], ctx).unwrap();
         tracer.finish(ctx.trace, ctx.parent).expect("trace recorded");
         let rec = tracer.lookup(ctx.trace).unwrap();
         assert_eq!(rec.spans.len(), 1);
@@ -1244,7 +1450,7 @@ mod tests {
 
     #[test]
     fn summary_mentions_cache_and_split() {
-        let mut s = Session::new();
+        let s = Session::new();
         s.measure("frl", Config::baseline(CheckingMode::None))
             .unwrap();
         let text = s.summary();

@@ -5,7 +5,7 @@
 use tagstudy::{CheckingMode, Config, Json, MetricsRegistry, Session};
 
 fn warmed_session() -> Session {
-    let mut s = Session::serial();
+    let s = Session::serial();
     let none = Config::baseline(CheckingMode::None);
     let full = Config::baseline(CheckingMode::Full);
     s.measure_many(&[("frl", none), ("frl", none), ("frl", full)])
@@ -98,7 +98,7 @@ fn session_metrics_schema_is_sane() {
 /// `measure_failed` event carrying the error text.
 #[test]
 fn failures_are_recorded() {
-    let mut s = Session::serial();
+    let s = Session::serial();
     let cfg = Config::baseline(CheckingMode::None);
     s.measure_many(&[("no-such-benchmark", cfg), ("frl", cfg)])
         .expect_err("unknown benchmark fails the batch");

@@ -58,7 +58,7 @@ fn figure2_shape_on_subset() {
 
 #[test]
 fn checking_is_never_free() {
-    let mut session = Session::new();
+    let session = Session::new();
     for name in SET {
         let none = session
             .measure(name, Config::baseline(CheckingMode::None))

@@ -41,7 +41,7 @@ fn main() {
 
     // Batch all nine configurations up front so the session's worker pool can
     // measure them concurrently.
-    let mut session = Session::new();
+    let session = Session::new();
     let requests: Vec<(&str, Config)> = rows
         .iter()
         .map(|(_, hw)| {

@@ -26,7 +26,7 @@ fn main() {
 
     // One batch of all eight (scheme, mode) points; the session runs them on
     // its worker pool and hands back results in request order.
-    let mut session = Session::new();
+    let session = Session::new();
     let name_ref = name.as_str();
     let requests: Vec<(&str, Config)> = [CheckingMode::None, CheckingMode::Full]
         .iter()

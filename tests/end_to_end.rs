@@ -122,7 +122,7 @@ fn checking_delta_matches_attributed_checking_cycles() {
 
 #[test]
 fn measurement_framework_round_trips() {
-    let mut session = Session::new();
+    let session = Session::new();
     let m = session
         .measure("rat", Config::baseline(CheckingMode::Full))
         .unwrap();
