@@ -1,6 +1,6 @@
 //! Dispatch-speedup study: the predecoded micro-op `FastCpu` against the
-//! classic decode-on-step `Cpu`, measured as simulated cycles per wall-clock
-//! second over real benchmark workloads.
+//! decode-on-step reference interpreter `RefCpu`, measured as simulated
+//! cycles per wall-clock second over real benchmark workloads.
 //!
 //! ```text
 //! dispatch [--programs a,b,c] [--reps N] [--min-speedup X] [--out PATH] [--smoke]
@@ -57,13 +57,13 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> T {
 struct Row {
     name: &'static str,
     cycles: u64,
-    classic_secs: f64,
+    ref_secs: f64,
     fast_secs: f64,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
-        self.classic_secs / self.fast_secs
+        self.ref_secs / self.fast_secs
     }
     /// Simulated megacycles per wall-clock second.
     fn mcps(&self, secs: f64) -> f64 {
@@ -123,23 +123,23 @@ fn main() {
         let compiled = b
             .compile(&lisp::Options::default())
             .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"));
-        let (classic_secs, classic_cycles) = time_backend(&compiled, Backend::Classic, reps);
+        let (ref_secs, ref_cycles) = time_backend(&compiled, Backend::Ref, reps);
         let (fast_secs, fast_cycles) = time_backend(&compiled, Backend::Fast, reps);
         assert_eq!(
-            classic_cycles, fast_cycles,
+            ref_cycles, fast_cycles,
             "{name}: backends disagree on cycle count"
         );
         let row = Row {
             name: b.name,
             cycles: fast_cycles,
-            classic_secs,
+            ref_secs,
             fast_secs,
         };
         eprintln!(
-            "[dispatch] {}: {} cycles, classic {:.1} Mc/s, fast {:.1} Mc/s, speedup {:.2}x",
+            "[dispatch] {}: {} cycles, ref {:.1} Mc/s, fast {:.1} Mc/s, speedup {:.2}x",
             row.name,
             row.cycles,
-            row.mcps(row.classic_secs),
+            row.mcps(row.ref_secs),
             row.mcps(row.fast_secs),
             row.speedup()
         );
@@ -167,7 +167,7 @@ fn main() {
     if geomean < min_speedup {
         eprintln!(
             "FAIL: expected the predecoded backend to dispatch >= {min_speedup}x faster than \
-             classic (got {geomean:.2}x)"
+             the reference interpreter (got {geomean:.2}x)"
         );
         std::process::exit(1);
     }
@@ -179,7 +179,7 @@ fn render_json(rows: &[Row], reps: u32, min_speedup: f64, geomean: f64) -> Strin
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"study\": \"dispatch_speedup\",");
-    let _ = writeln!(out, "  \"classic\": \"decode-on-step Cpu\",");
+    let _ = writeln!(out, "  \"ref\": \"decode-on-step RefCpu\",");
     let _ = writeln!(out, "  \"fast\": \"predecoded micro-op FastCpu\",");
     let _ = writeln!(out, "  \"reps\": {reps},");
     let _ = writeln!(out, "  \"min_speedup\": {min_speedup},");
@@ -189,14 +189,14 @@ fn render_json(rows: &[Row], reps: u32, min_speedup: f64, geomean: f64) -> Strin
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"name\": \"{}\", \"cycles\": {}, \"classic_secs\": {:.6}, \
-             \"fast_secs\": {:.6}, \"classic_mcps\": {:.3}, \"fast_mcps\": {:.3}, \
+            "    {{\"name\": \"{}\", \"cycles\": {}, \"ref_secs\": {:.6}, \
+             \"fast_secs\": {:.6}, \"ref_mcps\": {:.3}, \"fast_mcps\": {:.3}, \
              \"speedup\": {:.4}}}{comma}",
             r.name,
             r.cycles,
-            r.classic_secs,
+            r.ref_secs,
             r.fast_secs,
-            r.mcps(r.classic_secs),
+            r.mcps(r.ref_secs),
             r.mcps(r.fast_secs),
             r.speedup()
         );

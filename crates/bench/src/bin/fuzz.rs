@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Every generated program fans across the full 24-configuration oracle
-//! matrix × the classic and fast backends, and every column is diffed against
+//! matrix × both backends (fast and ref), and every column is diffed against
 //! the reference evaluator. The run fails (exit 1) unless the campaign
 //! saturates its coverage ledger with **zero divergences** — the executable
 //! form of the paper's claim that all tagging schemes compute the same

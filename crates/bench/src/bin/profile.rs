@@ -8,7 +8,7 @@
 //! ```text
 //! profile <benchmark> [--scheme high5|high6|low2|low3] [--checking none|full]
 //!                     [--hw plain|tagbr|genarith|maximal|spur]
-//!                     [--backend classic|fast|ref]
+//!                     [--backend fast|ref]
 //!                     [--timing ideal|classic5|modern]
 //!                     [--folded] [--metrics json|prom]
 //! ```
@@ -31,7 +31,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: profile <benchmark> [--scheme high5|high6|low2|low3] \
          [--checking none|full] [--hw plain|tagbr|genarith|maximal|spur] \
-         [--backend classic|fast|ref] [--timing ideal|classic5|modern] \
+         [--backend fast|ref] [--timing ideal|classic5|modern] \
          [--folded] [--metrics json|prom]\nbenchmarks: {}",
         programs::names().join(" ")
     );

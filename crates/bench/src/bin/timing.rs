@@ -11,7 +11,7 @@
 //! architectural measurements the tables are built from. For each non-ideal
 //! cell the binary asserts, to the cycle, that the stall breakdown reconciles
 //! (`timed = architectural + icache + dcache + mispredict + load-use`) and
-//! that the classic and predecoded backends produce an identical breakdown
+//! that the predecoded and reference backends produce an identical breakdown
 //! (sampled per program). It then ranks the schemes within each
 //! (checking, hardware) group by total cycles — architectural vs timed — and
 //! prints every group whose order changes: the "ranking flips" table.
@@ -100,17 +100,20 @@ fn assert_reconciles(m: &Measurement) -> (u64, [u64; 4]) {
 
 /// Backend equivalence: the stall breakdown is a function of the retirement
 /// stream, which every backend produces identically — so the full
-/// `TimingStats` must match between the classic and predecoded executors.
+/// `TimingStats` must match between the predecoded and reference executors.
 fn assert_backend_equivalence(session: &tagstudy::Session, program: &str, config: Config) {
-    let classic = session
-        .measure_uncached(program, config.with_backend(Backend::Classic))
-        .unwrap_or_else(|e| panic!("{program}: classic backend failed: {e}"));
     let fast = session
         .measure_uncached(program, config.with_backend(Backend::Fast))
         .unwrap_or_else(|e| panic!("{program}: fast backend failed: {e}"));
-    assert_eq!(classic.stats.cycles, fast.stats.cycles, "{program}: cycles");
+    let reference = session
+        .measure_uncached(program, config.with_backend(Backend::Ref))
+        .unwrap_or_else(|e| panic!("{program}: ref backend failed: {e}"));
     assert_eq!(
-        classic.stats.timing, fast.stats.timing,
+        fast.stats.cycles, reference.stats.cycles,
+        "{program}: cycles"
+    );
+    assert_eq!(
+        fast.stats.timing, reference.stats.timing,
         "{program} under {config}: backends disagree on the stall breakdown"
     );
 }
@@ -225,7 +228,7 @@ fn main() {
         for &program in &programs {
             let config = Config::baseline(CheckingMode::Full).with_timing(timing);
             assert_backend_equivalence(&session, program, config);
-            eprintln!("[timing] {program}: classic/fast stall breakdowns identical under {preset}");
+            eprintln!("[timing] {program}: fast/ref stall breakdowns identical under {preset}");
         }
     }
 

@@ -3,9 +3,10 @@
 //! One experiment point is written `program:scheme:checking:hw` with trailing
 //! fields optional (`frl`, `frl:low2`, `frl:high5:full:tagbr`, …). Trailing
 //! `key=value` fields (in any order) refine the point: a
-//! `backend=classic|fast|ref` field pins the simulator backend
-//! (`frl:backend=ref`, `frl:low2:none:plain:backend=classic`); backends
-//! produce identical results, so that key never enters cache identities. A
+//! `backend=fast|ref` field pins the simulator backend (`frl:backend=ref`,
+//! `frl:low2:none:plain:backend=fast`); backends produce identical results,
+//! so that key never enters cache identities. The removed `classic` backend
+//! is rejected like any unknown name, never aliased to another backend. A
 //! `timing=ideal|classic5|modern` field attaches a microarchitectural timing
 //! model (`frl:low2:none:plain:timing=modern`) — unlike the backend, timing
 //! **is** part of the point's identity, since it adds a stall breakdown to
@@ -155,15 +156,14 @@ pub fn parse_checking(name: &str) -> Result<CheckingMode, String> {
     }
 }
 
-/// Parse an execution-backend name (`classic`, `fast`, or `ref`), ignoring
-/// ASCII case.
+/// Parse an execution-backend name (`fast` or `ref`), ignoring ASCII case.
 ///
 /// # Errors
 ///
 /// A usage-ready message naming the accepted backends.
 pub fn parse_backend(name: &str) -> Result<mipsx::Backend, String> {
     mipsx::Backend::from_name(name)
-        .ok_or_else(|| format!("unknown backend {name:?} (want classic, fast, or ref)"))
+        .ok_or_else(|| format!("unknown backend {name:?} (want fast or ref)"))
 }
 
 /// Parse a timing-preset name (`ideal`, `classic5`, or `modern`), ignoring
@@ -302,7 +302,7 @@ pub fn spec_grammar() -> String {
     let schemes: Vec<&str> = tagword::ALL_SCHEMES.iter().map(|s| s.name()).collect();
     format!(
         "spec: program[:scheme[:checking[:hw]]][:backend=B][:timing=T]  \
-         (schemes: {}; checking: none|full; hw: {}; backend: classic|fast|ref; \
+         (schemes: {}; checking: none|full; hw: {}; backend: fast|ref; \
          timing: {})\n\
          benchmarks: {}",
         schemes.join("|"),
@@ -399,7 +399,6 @@ mod tests {
     fn backend_key_is_parsed_and_identity_free() {
         use mipsx::Backend;
         let cases = [
-            ("frl:backend=classic", Backend::Classic),
             ("frl:backend=fast", Backend::Fast),
             ("frl:low2:backend=ref", Backend::Ref),
             ("frl:high5:full:plain:backend=ref", Backend::Ref),
@@ -428,6 +427,12 @@ mod tests {
             ("frl:backend=turbo", "unknown backend \"turbo\""),
             ("frl:backend=", "empty backend field"),
             ("frl:high5:full:plain:backend=x", "unknown backend"),
+            // The removed interpreter is rejected, never aliased: an alias
+            // would report one backend's numbers under another's name.
+            (
+                "frl:backend=classic",
+                "unknown backend \"classic\" (want fast or ref)",
+            ),
         ] {
             let err = parse_spec(text).unwrap_err();
             assert!(err.contains(reason), "{text:?}: {err}");

@@ -7,7 +7,7 @@
 //! ```
 
 use lisp::CheckingMode;
-use mipsx::{Backend, Fault};
+use mipsx::Fault;
 use tagstudy::{Config, Session};
 
 fn main() {
@@ -17,8 +17,8 @@ fn main() {
         .compile_program("trav", config)
         .expect("trav compiles");
 
-    let c = conformance::check_compiled(Backend::Fast, &compiled, programs::FUEL, None)
-        .expect("clean run conforms");
+    let c =
+        conformance::check_compiled(&compiled, programs::FUEL, None).expect("clean run conforms");
     println!(
         "trav/{config}: {} retirements, {} squashed slots, {} cycles — executors agree\n",
         c.retired, c.squashed, c.cycles
@@ -28,9 +28,8 @@ fn main() {
         Fault::AddOffByOne { nth: 500 },
         Fault::BranchInvert { nth: 40 },
     ] {
-        let err =
-            conformance::check_compiled(Backend::Fast, &compiled, programs::FUEL, Some(fault))
-                .expect_err("an injected bug must diverge");
+        let err = conformance::check_compiled(&compiled, programs::FUEL, Some(fault))
+            .expect_err("an injected bug must diverge");
         println!("injected {fault:?}:\n{err}");
     }
 }

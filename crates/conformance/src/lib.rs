@@ -1,12 +1,15 @@
 //! The trace-oracle differential harness.
 //!
-//! Every cycle count the study reports comes out of a pipelined simulator
-//! backend ([`mipsx::Cpu`] or [`mipsx::FastCpu`], selected by a
-//! [`mipsx::Backend`]); this crate checks the subject backend against a second,
+//! Every cycle count the study reports comes out of the predecoded pipelined
+//! simulator ([`mipsx::FastCpu`]); this crate checks it against a second,
 //! deliberately naive implementation of the same ISA ([`mipsx::RefCpu`]). The
-//! two executors run the same program **in lockstep**: the subject backend's
+//! two executors run the same program **in lockstep**: `FastCpu`'s
 //! retired-instruction trace (see [`mipsx::trace`]) drives one [`RefCpu::step`]
-//! per retirement, and the two [`Retirement`] records are compared on the spot.
+//! per retirement, and the two [`Retirement`] records are compared on the spot,
+//! together with the annotation and cycle cost `FastCpu` charged for it
+//! ([`RefCpu::charge`]). Every squashed delay slot is checked against the
+//! slots the reference squashed, and must cost one cycle charged to its
+//! branch.
 //! Comparison is O(1) in memory — the benchmark workloads retire hundreds of
 //! millions of instructions, so traces are never stored, only the last few
 //! records for divergence context.
@@ -24,8 +27,9 @@
 //! reported as a [`Divergence`] whose `Display` form shows both records plus
 //! the last few retirements both executors agreed on.
 //!
-//! The crate's integration tests sweep every benchmark in
-//! [`programs`] under every `TagScheme × CheckingMode` point, plus the
+//! The crate's integration tests sweep every benchmark in [`programs`] and
+//! 200 fixed-seed synth programs under the 24-point
+//! `TagScheme × CheckingMode × hardware` oracle matrix, plus the remaining
 //! tag-hardware configurations, and prove (via [`mipsx::Fault`] injection)
 //! that the harness actually notices a semantics bug.
 
@@ -37,7 +41,7 @@ use std::ops::ControlFlow;
 
 use mipsx::trace::{Observer, Retirement};
 use mipsx::{
-    Annot, Backend, Executor, Fault, HwConfig, InsnClass, Program, RefCpu, Reg, SimError, Stats,
+    Annot, Executor, FastCpu, Fault, HwConfig, InsnClass, Program, RefCpu, Reg, SimError, Stats,
 };
 
 /// How many agreed retirements to keep for divergence context.
@@ -69,6 +73,26 @@ pub enum Divergence {
         reference: Retirement,
         /// The most recent retirements both agreed on, oldest first.
         context: Vec<Retirement>,
+    },
+    /// The pipeline charged a retirement a different annotation or cycle
+    /// cost than the architecture prescribes.
+    Charge {
+        /// Zero-based index into the retirement stream.
+        index: u64,
+        /// The retirement (both executors agree on it).
+        cpu: Retirement,
+        /// What the pipelined simulator charged: annotation and cycles.
+        charged: (Annot, u64),
+        /// What [`RefCpu::charge`] prescribes.
+        expected: (Annot, u64),
+    },
+    /// The pipeline squashed a delay slot the reference did not squash, or
+    /// charged a squash other than one cycle to its branch's annotation.
+    Squash {
+        /// Retirements agreed on before the squash.
+        index: u64,
+        /// The delay slot in question.
+        pc: usize,
     },
     /// The reference executor raised an error where the pipeline retired.
     RefError {
@@ -171,6 +195,23 @@ impl fmt::Display for Divergence {
                 }
                 Ok(())
             }
+            Divergence::Charge {
+                index,
+                cpu,
+                charged,
+                expected,
+            } => {
+                writeln!(f, "charge divergence at retirement #{index}:")?;
+                write!(f, "  retired:   ")?;
+                fmt_record(f, cpu)?;
+                writeln!(f)?;
+                writeln!(f, "  pipelined: {:?}, {} cycles", charged.0, charged.1)?;
+                write!(f, "  reference: {:?}, {} cycles", expected.0, expected.1)
+            }
+            Divergence::Squash { index, pc } => write!(
+                f,
+                "squash divergence at delay slot pc {pc}, after retirement #{index}"
+            ),
             Divergence::RefError { index, cpu, error } => {
                 writeln!(f, "reference executor failed at retirement #{index}: {error}")?;
                 write!(f, "  pipelined retired: ")?;
@@ -248,6 +289,9 @@ struct Lockstep<'p> {
     last_cycle: u64,
     squashed: u64,
     traps: u64,
+    /// Slots the reference squashed after the last retirement that the
+    /// pipeline has not yet reported: `(next slot pc, count)`.
+    pending_squash: Option<(usize, usize)>,
 }
 
 impl<'p> Lockstep<'p> {
@@ -261,12 +305,24 @@ impl<'p> Lockstep<'p> {
             last_cycle: 0,
             squashed: 0,
             traps: 0,
+            pending_squash: None,
         }
+    }
+
+    fn diverge(&mut self, d: Divergence) -> ControlFlow<()> {
+        self.divergence.get_or_insert(d);
+        ControlFlow::Break(())
     }
 }
 
 impl Observer for Lockstep<'_> {
     fn retire(&mut self, ev: &Retirement, annot: Annot, cycle: u64) -> ControlFlow<()> {
+        // A squash divergence is recorded by `squash`, which cannot stop the
+        // run; stop at the next retirement. (Slots the reference squashed
+        // but the pipeline did not show up as a record divergence below.)
+        if self.divergence.is_some() {
+            return ControlFlow::Break(());
+        }
         // Rebuild the statistics exactly as the simulator accounts them: the
         // cumulative-cycle delta is this retirement's cost.
         let delta = cycle - self.last_cycle;
@@ -281,6 +337,16 @@ impl Observer for Lockstep<'_> {
         let step = self.reference.step();
         match step {
             Ok(Some(r)) if r == *ev => {
+                let expected = self.reference.charge(&r);
+                if (annot, delta) != expected {
+                    return self.diverge(Divergence::Charge {
+                        index: self.index,
+                        cpu: *ev,
+                        charged: (annot, delta),
+                        expected,
+                    });
+                }
+                self.pending_squash = self.reference.take_squashed();
                 self.index += 1;
                 self.context.push_back(*ev);
                 if self.context.len() > CONTEXT {
@@ -315,29 +381,42 @@ impl Observer for Lockstep<'_> {
         }
     }
 
-    fn squash(&mut self, _pc: usize, branch_annot: Annot, cycle: u64) {
-        // A squashed slot costs exactly one cycle; any accounting drift shows
-        // up as a Stats divergence at the end of the run.
+    fn squash(&mut self, pc: usize, branch_annot: Annot, cycle: u64) {
+        let delta = cycle - self.last_cycle;
         self.last_cycle = cycle;
         self.squashed += 1;
         self.rebuilt.record_squashed(branch_annot);
+        // The reference squashed this very slot, after the branch that was
+        // just retired, whose annotation the cycle is charged to.
+        let branch_annot_ok = self
+            .context
+            .back()
+            .is_some_and(|b| self.reference.charge(b).0 == branch_annot);
+        match self.pending_squash {
+            Some((next, n)) if next == pc && delta == 1 && branch_annot_ok => {
+                self.pending_squash = (n > 1).then_some((next + 1, n - 1));
+            }
+            _ => {
+                let _ = self.diverge(Divergence::Squash {
+                    index: self.index,
+                    pc,
+                });
+            }
+        }
     }
 }
 
-/// Check one program: run it on the subject `backend` and the reference
-/// executor in lockstep and verify trace, final state, and statistics
-/// agreement. `fault`, if given, is injected into the *reference* executor —
-/// used by self-tests to prove the harness notices a semantics bug.
-///
-/// Checking [`Backend::Ref`] against itself is legal but vacuous; the
-/// interesting subjects are [`Backend::Classic`] and [`Backend::Fast`].
+/// Check one program: run it on [`FastCpu`] and the reference executor in
+/// lockstep and verify trace, final state, and statistics agreement.
+/// `fault`, if given, is injected into the *reference* executor — used by
+/// self-tests to prove the harness notices a semantics bug.
 ///
 /// # Errors
 ///
 /// [`CheckError::Diverged`] when the executors disagree, [`CheckError::Sim`]
-/// when the subject simulator itself fails (e.g. out of fuel).
+/// when `FastCpu` itself fails (e.g. out of fuel, or absent hardware at
+/// predecode).
 pub fn check_program(
-    backend: Backend,
     prog: &Program,
     hw: HwConfig,
     mem_bytes: usize,
@@ -349,9 +428,7 @@ pub fn check_program(
         reference.inject_fault(fault);
     }
     let mut lockstep = Lockstep::new(reference);
-    let mut cpu = backend
-        .executor(prog, hw, mem_bytes)
-        .map_err(CheckError::Sim)?;
+    let mut cpu = FastCpu::new(prog, hw, mem_bytes).map_err(CheckError::Sim)?;
 
     let outcome = match cpu.run_observed(fuel, &mut lockstep) {
         Ok(outcome) => outcome,
@@ -437,13 +514,11 @@ pub fn check_program(
 ///
 /// As [`check_program`].
 pub fn check_compiled(
-    backend: Backend,
     compiled: &lisp::CompiledProgram,
     fuel: u64,
     fault: Option<Fault>,
 ) -> Result<Conformance, CheckError> {
     check_program(
-        backend,
         &compiled.program,
         compiled.hw,
         compiled.mem_bytes,
@@ -477,20 +552,16 @@ mod tests {
     #[test]
     fn clean_program_conforms() {
         let prog = tiny_program();
-        for backend in [Backend::Classic, Backend::Fast] {
-            let c =
-                check_program(backend, &prog, HwConfig::plain(), 1 << 12, 10_000, None).unwrap();
-            assert!(c.retired > 10);
-            assert_eq!(c.traps, 0);
-            assert!(c.cycles >= c.retired, "every retirement costs >= 1 cycle");
-        }
+        let c = check_program(&prog, HwConfig::plain(), 1 << 12, 10_000, None).unwrap();
+        assert!(c.retired > 10);
+        assert_eq!(c.traps, 0);
+        assert!(c.cycles >= c.retired, "every retirement costs >= 1 cycle");
     }
 
     #[test]
     fn injected_fault_is_reported_with_context() {
         let prog = tiny_program();
         let err = check_program(
-            Backend::Classic,
             &prog,
             HwConfig::plain(),
             1 << 12,
@@ -518,27 +589,45 @@ mod tests {
     #[test]
     fn injected_branch_fault_is_caught() {
         let prog = tiny_program();
-        for backend in [Backend::Classic, Backend::Fast] {
-            let err = check_program(
-                backend,
-                &prog,
-                HwConfig::plain(),
-                1 << 12,
-                10_000,
-                Some(Fault::BranchInvert { nth: 10 }),
-            )
-            .unwrap_err();
-            assert!(matches!(err, CheckError::Diverged(_)), "got {err}");
-        }
+        let err = check_program(
+            &prog,
+            HwConfig::plain(),
+            1 << 12,
+            10_000,
+            Some(Fault::BranchInvert { nth: 10 }),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CheckError::Diverged(_)), "got {err}");
+    }
+
+    /// The charge and squash checks bite: a retirement charged the wrong
+    /// cycle cost, and a squash the reference did not make, both diverge.
+    #[test]
+    fn wrong_charges_and_squashes_diverge() {
+        let prog = tiny_program();
+        let hw = HwConfig::plain();
+        // The first retirement, `li a0, 0`, costs one cycle.
+        let first = RefCpu::new(&prog, hw, 1 << 12).step().unwrap().unwrap();
+        let annot = prog.annots[first.pc];
+
+        let mut lockstep = Lockstep::new(RefCpu::new(&prog, hw, 1 << 12));
+        assert!(lockstep.retire(&first, annot, 2).is_break());
+        assert!(matches!(
+            lockstep.divergence,
+            Some(Divergence::Charge { .. })
+        ));
+
+        let mut lockstep = Lockstep::new(RefCpu::new(&prog, hw, 1 << 12));
+        assert!(lockstep.retire(&first, annot, 1).is_continue());
+        lockstep.squash(first.pc + 1, annot, 2);
+        let d = lockstep.divergence.expect("an unexpected squash diverges");
+        assert!(matches!(d, Divergence::Squash { .. }), "{d}");
     }
 
     #[test]
     fn out_of_fuel_is_a_sim_error_not_a_divergence() {
         let prog = tiny_program();
-        for backend in [Backend::Classic, Backend::Fast] {
-            let err =
-                check_program(backend, &prog, HwConfig::plain(), 1 << 12, 5, None).unwrap_err();
-            assert!(matches!(err, CheckError::Sim(SimError::OutOfFuel { .. })));
-        }
+        let err = check_program(&prog, HwConfig::plain(), 1 << 12, 5, None).unwrap_err();
+        assert!(matches!(err, CheckError::Sim(SimError::OutOfFuel { .. })));
     }
 }

@@ -1,89 +1,157 @@
-//! The full conformance matrix: every benchmark workload under every
-//! `TagScheme × CheckingMode`, on both executors, in lockstep.
+//! The conformance matrix: `FastCpu` in lockstep against `RefCpu` on every
+//! benchmark workload and on 200 fixed-seed synth programs, under the
+//! 24-point scheme × checking × hardware oracle matrix
+//! ([`synth::oracle_configs`]). Each cell runs exactly once.
 //!
-//! One `#[test]` per scheme so a failure names the scheme and progress is
-//! visible; each test covers all ten programs under both checking modes.
-//! Run with `cargo test -p conformance --release` — the matrix simulates a
-//! few billion instructions in total.
+//! Lockstep compares every retirement record (a squashed slot is a gap in the
+//! pc sequence, so squashes are compared too), the final halt code, output,
+//! register file and data memory, and a `Stats` rebuilt from the trace
+//! against `FastCpu`'s own accounting.
+//!
+//! Debug builds (plain `cargo test`) run a deterministic subset: every
+//! benchmark on the plain-hardware cells, `trav` and `inter` on the
+//! tag-hardware cells, and every eighth synth seed. `--release` runs
+//! everything. One `#[test]` per slice so failures name their cell and the
+//! slices run in parallel.
 
 use lisp::CheckingMode;
-use mipsx::Backend;
+use mipsx::HwConfig;
+use synth::{generate, oracle_configs, render, OpMix};
 use tagstudy::{Config, Session};
 use tagword::TagScheme;
 
-/// Check every benchmark under both checking modes for one scheme, plus the
-/// harness invariants the summary exposes.
-fn check_scheme(scheme: TagScheme) {
+/// Check one compiled program in lockstep, plus the harness invariants the
+/// summary exposes.
+fn check(label: &str, compiled: &lisp::CompiledProgram, fuel: u64) -> conformance::Conformance {
+    let c = conformance::check_compiled(compiled, fuel, None)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert!(c.retired > 0, "{label}: empty trace");
+    assert!(
+        c.cycles >= c.retired + c.squashed,
+        "{label}: cycles ({}) < retired ({}) + squashed ({})",
+        c.cycles,
+        c.retired,
+        c.squashed
+    );
+    c
+}
+
+/// Check every benchmark under the six cells of the oracle matrix belonging
+/// to `scheme` (2 checking modes × 3 hardware levels).
+fn benchmark_slice(scheme: TagScheme) {
     let session = Session::serial();
+    let configs: Vec<Config> = oracle_configs()
+        .into_iter()
+        .filter(|c| c.scheme == scheme)
+        .collect();
+    assert_eq!(configs.len(), 6);
+    let debug = cfg!(debug_assertions);
     for b in programs::all() {
-        for checking in [CheckingMode::None, CheckingMode::Full] {
-            let config = Config::new(scheme, checking);
+        for config in &configs {
+            let plain = config.hw == HwConfig::plain();
+            if debug && !plain && !matches!(b.name, "trav" | "inter") {
+                continue;
+            }
+            let label = format!("{} under {config}", b.name);
             let compiled = session
-                .compile_program(b.name, config)
-                .unwrap_or_else(|e| panic!("{}/{config}: compile failed: {e}", b.name));
-            let c = conformance::check_compiled(Backend::Classic, &compiled, programs::FUEL, None)
-                .unwrap_or_else(|e| panic!("{}/{config}: {e}", b.name));
-            assert!(c.retired > 0, "{}/{config}: empty trace", b.name);
-            assert!(
-                c.cycles >= c.retired + c.squashed,
-                "{}/{config}: cycles ({}) < retired ({}) + squashed ({})",
-                b.name,
-                c.cycles,
-                c.retired,
-                c.squashed
-            );
-            assert_eq!(
-                c.traps, 0,
-                "{}/{config}: plain hardware cannot trap",
-                b.name
-            );
+                .compile_program(b.name, *config)
+                .unwrap_or_else(|e| panic!("{label}: compile failed: {e}"));
+            let c = check(&label, &compiled, programs::FUEL);
+            if plain {
+                assert_eq!(c.traps, 0, "{label}: plain hardware cannot trap");
+            }
         }
     }
 }
 
 #[test]
 fn matrix_high5_conforms() {
-    check_scheme(TagScheme::HighTag5);
+    benchmark_slice(TagScheme::HighTag5);
 }
 
 #[test]
 fn matrix_high6_conforms() {
-    check_scheme(TagScheme::HighTag6);
+    benchmark_slice(TagScheme::HighTag6);
 }
 
 #[test]
 fn matrix_low2_conforms() {
-    check_scheme(TagScheme::LowTag2);
+    benchmark_slice(TagScheme::LowTag2);
 }
 
 #[test]
 fn matrix_low3_conforms() {
-    check_scheme(TagScheme::LowTag3);
+    benchmark_slice(TagScheme::LowTag3);
 }
 
-/// The tag-hardware configurations exercise the instructions the plain matrix
-/// cannot: tag branches, checked loads/stores, and generic arithmetic.
+/// The number of fixed synth seeds the release suite sweeps.
+const SYNTH_SEEDS: u64 = 200;
+
+/// Check one quarter of the synth seeds (seeds ≡ `lane` mod 4). Each seed gets
+/// a rotating generator mix and a rotating cell of the 24-config matrix, so
+/// the 200 seeds cover every cell more than eight times.
+fn synth_slice(lane: u64) {
+    let mixes = [
+        OpMix::balanced(),
+        OpMix::list_heavy(),
+        OpMix::vector_heavy(),
+        OpMix::arith_heavy(),
+    ];
+    let configs = oracle_configs();
+    // Debug builds take every eighth seed of the lane; release takes them all.
+    let step: u64 = if cfg!(debug_assertions) { 32 } else { 4 };
+    let mut seed = lane;
+    while seed < SYNTH_SEEDS {
+        let mix = &mixes[(seed as usize / 4) % mixes.len()];
+        let config = &configs[seed as usize % configs.len()];
+        let source = render(&generate(seed, mix));
+        let label = format!("synth seed {seed} under {config}");
+        let compiled = lisp::compile(&source, &config.to_options())
+            .unwrap_or_else(|e| panic!("{label}: compile failed: {e}"));
+        check(&label, &compiled, synth::oracle::SIM_FUEL);
+        seed += step;
+    }
+}
+
+#[test]
+fn synth_seeds_lane0_conform() {
+    synth_slice(0);
+}
+
+#[test]
+fn synth_seeds_lane1_conform() {
+    synth_slice(1);
+}
+
+#[test]
+fn synth_seeds_lane2_conform() {
+    synth_slice(2);
+}
+
+#[test]
+fn synth_seeds_lane3_conform() {
+    synth_slice(3);
+}
+
+/// The tag-hardware configurations outside the oracle matrix: SPUR (the
+/// maximal set with checked accesses for lists only) and generic arithmetic
+/// alone. Tag branches and the maximal set are matrix cells above.
 #[test]
 fn tag_hardware_conforms() {
-    use mipsx::HwConfig;
     let session = Session::serial();
     let hws = [
-        ("maximal", HwConfig::maximal(5)),
         ("spur", HwConfig::spur(5)),
-        ("tagbr", HwConfig::with_tag_branch()),
         ("generic", HwConfig::with_generic_arith()),
     ];
     for name in ["inter", "trav"] {
         for (hw_name, hw) in hws {
             for checking in [CheckingMode::None, CheckingMode::Full] {
+                let label = format!("{name}/{hw_name}/{checking:?}");
                 let config = Config::baseline(checking).with_hw(hw);
                 let compiled = session
                     .compile_program(name, config)
-                    .unwrap_or_else(|e| panic!("{name}/{hw_name}/{checking:?}: compile: {e}"));
-                for backend in [Backend::Classic, Backend::Fast] {
-                    conformance::check_compiled(backend, &compiled, programs::FUEL, None)
-                        .unwrap_or_else(|e| panic!("{name}/{hw_name}/{checking:?}/{backend}: {e}"));
-                }
+                    .unwrap_or_else(|e| panic!("{label}: compile: {e}"));
+                check(&label, &compiled, programs::FUEL);
             }
         }
     }
@@ -97,7 +165,6 @@ fn injected_bug_is_caught_on_a_workload() {
     let config = Config::baseline(CheckingMode::None);
     let compiled = session.compile_program("trav", config).expect("compiles");
     let err = conformance::check_compiled(
-        Backend::Classic,
         &compiled,
         programs::FUEL,
         Some(mipsx::Fault::AddOffByOne { nth: 500 }),

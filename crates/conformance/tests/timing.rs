@@ -1,7 +1,7 @@
 //! Timing-model determinism: the stall breakdown is a pure function of the
 //! retirement stream and the `TimingConfig`, so it must be identical across
-//! executor backends and across repeated runs — the microarchitectural
-//! counterpart of the backend-equivalence sweep in `backends.rs`.
+//! executor backends (`FastCpu` and `RefCpu`) and across repeated runs — the
+//! microarchitectural counterpart of the lockstep sweep in `matrix.rs`.
 //!
 //! 64 fixed-seed synth oracle programs, each under a rotating cell of the
 //! 24-point scheme × checking × hardware matrix and both non-ideal presets.
@@ -49,39 +49,38 @@ fn timing_slice(lane: u64) {
         let source = render(&generate(seed, mix));
         let compiled = lisp::compile(&source, &config.to_options())
             .unwrap_or_else(|e| panic!("synth seed {seed} under {config}: compile failed: {e}"));
-        let baseline = lisp::run_with(&compiled, Backend::Classic, synth::oracle::SIM_FUEL)
+        let baseline = lisp::run_with(&compiled, Backend::Fast, synth::oracle::SIM_FUEL)
             .unwrap_or_else(|e| panic!("synth seed {seed} under {config}: run failed: {e}"));
         for timing in [TimingConfig::classic5(), TimingConfig::modern()] {
             let label = format!("synth seed {seed} under {config}, timing={timing}");
-            let (classic, classic_stats) =
-                timed_run(&label, &compiled, Backend::Classic, timing);
             let (fast, fast_stats) = timed_run(&label, &compiled, Backend::Fast, timing);
+            let (reference, ref_stats) = timed_run(&label, &compiled, Backend::Ref, timing);
 
             // Determinism across backends: breakdown and architectural
             // outcome both match field for field.
-            assert_eq!(classic_stats, fast_stats, "{label}: stall breakdown");
-            assert_eq!(classic.halt_code, fast.halt_code, "{label}: halt code");
-            assert_eq!(classic.output, fast.output, "{label}: output");
-            assert_eq!(classic.stats, fast.stats, "{label}: statistics");
+            assert_eq!(fast_stats, ref_stats, "{label}: stall breakdown");
+            assert_eq!(fast.halt_code, reference.halt_code, "{label}: halt code");
+            assert_eq!(fast.output, reference.output, "{label}: output");
+            assert_eq!(fast.stats, reference.stats, "{label}: statistics");
 
             // Determinism across runs: a second fresh model on the same
             // backend reproduces the breakdown exactly.
-            let (_, again) = timed_run(&label, &compiled, Backend::Classic, timing);
-            assert_eq!(classic_stats, again, "{label}: repeat run");
+            let (_, again) = timed_run(&label, &compiled, Backend::Fast, timing);
+            assert_eq!(fast_stats, again, "{label}: repeat run");
 
             // Observation is free: the architectural outcome matches the
             // unobserved baseline byte for byte.
-            assert_eq!(classic.stats, baseline.stats, "{label}: observer effect");
-            assert_eq!(classic.output, baseline.output, "{label}: observer effect");
+            assert_eq!(fast.stats, baseline.stats, "{label}: observer effect");
+            assert_eq!(fast.output, baseline.output, "{label}: observer effect");
 
             // And the books balance: timed = architectural + the four causes.
             let total: u64 = ALL_STALL_CAUSES
                 .iter()
-                .map(|&c| classic_stats.stall(c))
+                .map(|&c| fast_stats.stall(c))
                 .sum();
             assert_eq!(
-                classic_stats.timed_cycles(classic.stats.cycles),
-                classic.stats.cycles + total,
+                fast_stats.timed_cycles(fast.stats.cycles),
+                fast.stats.cycles + total,
                 "{label}: stall breakdown reconciles"
             );
         }

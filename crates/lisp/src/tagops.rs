@@ -510,7 +510,7 @@ fn label_id(l: Label) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mipsx::{Cpu, Executor, Outcome};
+    use mipsx::{Executor, FastCpu, Outcome};
 
     fn ops(scheme: TagScheme, hw: HwConfig) -> TagOps {
         TagOps {
@@ -527,7 +527,10 @@ mod tests {
         let mut prog = asm.finish().unwrap();
         prog.data.extend_from_slice(data);
         mipsx::verify::verify(&prog).unwrap();
-        Cpu::new(&prog, hw, 1 << 20).run(100_000).unwrap()
+        FastCpu::new(&prog, hw, 1 << 20)
+            .unwrap()
+            .run(100_000)
+            .unwrap()
     }
 
     fn setup(asm: &mut Asm, t: &TagOps) {
@@ -696,7 +699,9 @@ mod tests {
         let mut prog = asm.finish().unwrap();
         prog.data.extend_from_slice(&data);
         mipsx::verify::verify(&prog).unwrap();
-        let o = Cpu::new(&prog, HwConfig::plain(), 1 << 20).run(100_000);
+        let o = FastCpu::new(&prog, HwConfig::plain(), 1 << 20)
+            .unwrap()
+            .run(100_000);
         match o {
             Ok(o) => assert_eq!(o.halt_code, 1),
             Err(e) => panic!("vector check failed: {e}"),

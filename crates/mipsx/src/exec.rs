@@ -1,15 +1,17 @@
 //! The execution-backend API: the [`Executor`] trait, the [`Backend`]
-//! selector, and the predecoded fast interpreter ([`FastCpu`]).
+//! selector, the run results ([`Outcome`], [`SimError`]), and the predecoded
+//! interpreter ([`FastCpu`]).
 //!
-//! # Why a second interpreter
+//! # Two interpreters
 //!
-//! The classic [`Cpu`] re-derives per-instruction facts on every step: it
-//! looks up the instruction's [`Annot`], classifies it, checks hardware
-//! availability, and charges statistics through three `HashMap` entry
-//! operations per retirement. None of that depends on run-time state — it is
-//! all a pure function of `(Program, HwConfig)`. [`DecodedProgram::decode`]
-//! therefore lowers the program **once** into a dense array of micro-ops
-//! ([`FastCpu`]'s internal `Op`) with everything pre-resolved:
+//! [`FastCpu`] produces every number the study reports. A naive interpreter
+//! re-derives per-instruction facts on every step: it looks up the
+//! instruction's [`Annot`], classifies it, checks hardware availability, and
+//! charges statistics through `HashMap` entries on every retirement. None of
+//! that depends on run-time state — it is all a pure function of
+//! `(Program, HwConfig)`. [`DecodedProgram::decode`] therefore lowers the
+//! program **once** into a dense array of micro-ops ([`FastCpu`]'s internal
+//! `Op`) with everything pre-resolved:
 //!
 //! - hardware-feature availability: an instruction needing absent hardware is
 //!   a *predecode* error ([`SimError::MissingHardware`] from `decode`), not a
@@ -27,31 +29,37 @@
 //! count. Everything else in [`Stats`] is a linear function of those counts
 //! and the predecoded op metadata, so it is reconstructed exactly when the
 //! run completes (trap penalties, which are rare and data-dependent, are
-//! accumulated directly as they happen). The [`Observer`] hook stays
-//! monomorphized behind [`Observer::ENABLED`] exactly as in the classic
-//! loop, so the unobserved path compiles to the plain loop.
+//! accumulated directly as they happen). The [`Observer`] hook is
+//! monomorphized behind [`Observer::ENABLED`], so the unobserved path
+//! compiles to the plain loop.
+//!
+//! [`RefCpu`] is the other interpreter, and the oracle: a deliberately naive
+//! single-step interpreter over the undecoded [`Insn`]s, sharing none of the
+//! machinery above. Its [`Executor`] implementation drives the single step
+//! in a loop and rebuilds the statistics from the retirement stream (cycle
+//! accounting is purely architectural).
 //!
 //! # Equivalence contract
 //!
-//! For any program that the classic interpreter runs to completion (`Ok` or
-//! `Err`), [`FastCpu`] produces **byte-identical** results: the same
-//! [`Outcome`] (halt code, output, and `Stats`, including every map entry),
-//! the same retirement/squash event stream, and the same errors — with one
-//! deliberate exception: `MissingHardware` is reported by
-//! [`DecodedProgram::decode`] for the lowest-pc offending instruction even if
-//! that instruction would never have executed. The `conformance` crate's
-//! backend differential suite holds the two interpreters to this contract.
+//! For any program that [`RefCpu`] runs to completion (`Ok` or `Err`),
+//! [`FastCpu`] produces **byte-identical** results: the same [`Outcome`]
+//! (halt code, output, and `Stats`, including every map entry), the same
+//! retirement/squash event stream, and the same errors — except where
+//! [`RefCpu`] documents that it does not model the pipeline:
 //!
-//! [`RefCpu`] also implements [`Executor`] by driving its single-step
-//! interpreter in a loop and rebuilding the statistics from the retirement
-//! stream (cycle accounting is purely architectural). Two caveats, both
-//! documented on [`RefCpu`]: it does not enforce the load-delay rule, and on
-//! error paths the event stream may be truncated slightly differently.
+//! - only [`FastCpu`] enforces the load-delay rule
+//!   ([`SimError::LoadDelayViolation`]);
+//! - [`FastCpu`] reports `MissingHardware` from [`DecodedProgram::decode`]
+//!   for the lowest-pc offending instruction, even if that instruction would
+//!   never have executed;
+//! - on error paths the event stream may end slightly differently.
+//!
+//! The `conformance` crate holds [`FastCpu`] to this contract by running it
+//! in lockstep against [`RefCpu`].
 
 use std::fmt;
 
 use crate::annot::{Annot, CheckCat, Provenance, TagOpKind, ALL_CHECK_CATS, ALL_TAG_OPS};
-use crate::cpu::{Cpu, Outcome, SimError};
 use crate::hw::{HwConfig, ParallelCheck};
 use crate::insn::{Cond, FpOp, Insn, IntTest, TagField, WriteKind};
 use crate::mem::Mem;
@@ -61,12 +69,100 @@ use crate::reg::Reg;
 use crate::stats::{InsnClass, Stats, ALL_CLASSES};
 use crate::trace::{MemOp, NoTrace, Observer, Retirement};
 
+/// Simulation failures. These indicate bugs in generated code (or an exhausted
+/// cycle budget), never ordinary program behaviour.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// The cycle budget ran out before `halt`.
+    OutOfFuel {
+        /// Cycles executed when the budget expired.
+        cycles: u64,
+    },
+    /// A memory access fell outside the simulated memory.
+    MemFault {
+        /// Faulting effective byte address.
+        addr: u32,
+        /// Instruction index.
+        pc: usize,
+    },
+    /// The program counter left the code.
+    PcOutOfRange {
+        /// The bad instruction index.
+        pc: usize,
+    },
+    /// An instruction requiring absent hardware support was executed.
+    MissingHardware {
+        /// Instruction index.
+        pc: usize,
+        /// Which feature was missing.
+        feature: &'static str,
+    },
+    /// A control-transfer instruction appeared in a delay slot.
+    ControlInSlot {
+        /// Slot instruction index.
+        pc: usize,
+    },
+    /// The instruction after a load read the loaded register.
+    LoadDelayViolation {
+        /// Offending instruction index.
+        pc: usize,
+        /// The register read too early.
+        reg: Reg,
+    },
+    /// The [`Observer`] asked the simulation to stop (never produced by
+    /// [`Executor::run`], whose observer cannot break).
+    Stopped {
+        /// Cycles executed when the observer broke.
+        cycles: u64,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::OutOfFuel { cycles } => write!(f, "cycle budget exhausted after {cycles}"),
+            SimError::MemFault { addr, pc } => {
+                write!(f, "memory fault at address {addr:#x} (pc {pc})")
+            }
+            SimError::PcOutOfRange { pc } => write!(f, "pc {pc} outside code"),
+            SimError::MissingHardware { pc, feature } => {
+                write!(f, "instruction at pc {pc} needs absent hardware: {feature}")
+            }
+            SimError::ControlInSlot { pc } => {
+                write!(f, "control transfer in delay slot at pc {pc}")
+            }
+            SimError::LoadDelayViolation { pc, reg } => {
+                write!(
+                    f,
+                    "instruction at pc {pc} reads {reg} during its load delay"
+                )
+            }
+            SimError::Stopped { cycles } => {
+                write!(f, "stopped by the observer after {cycles} cycles")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+/// The result of a completed simulation.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// Exit code passed to `halt`.
+    pub halt_code: i32,
+    /// Everything the program wrote with [`Insn::Write`].
+    pub output: String,
+    /// Cycle and attribution statistics.
+    pub stats: Stats,
+}
+
 /// A simulation backend: anything that can run a program to an [`Outcome`]
 /// while reporting retirements to an [`Observer`].
 ///
-/// All three interpreters ([`Cpu`], [`FastCpu`], [`RefCpu`]) implement this
-/// trait, so harnesses, studies, and the profiler drive any backend through
-/// one API. Construct a backend generically with [`Backend::executor`].
+/// Both interpreters ([`FastCpu`], [`RefCpu`]) implement this trait, so
+/// harnesses, studies, and the profiler drive either backend through one
+/// API. Construct a backend generically with [`Backend::executor`].
 pub trait Executor {
     /// Run until `halt`, a simulation error, or the cycle budget is
     /// exhausted, reporting every retired instruction to `obs`.
@@ -101,14 +197,12 @@ pub trait Executor {
 
 /// Which interpreter executes a program.
 ///
-/// All backends produce identical results by construction (the conformance
-/// suite enforces it), so the choice only affects host-side speed — which is
-/// why measurement cache keys and store content addresses deliberately
-/// exclude it.
+/// Both backends produce identical results (the conformance suite runs them
+/// in lockstep), so the choice only affects host-side speed — which is why
+/// measurement cache keys and store content addresses deliberately exclude
+/// it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// The classic one-pass interpreter ([`Cpu`]).
-    Classic,
     /// The predecoded micro-op interpreter ([`FastCpu`]) — the default.
     #[default]
     Fast,
@@ -118,13 +212,12 @@ pub enum Backend {
 }
 
 /// All backends, in report order.
-pub const ALL_BACKENDS: [Backend; 3] = [Backend::Classic, Backend::Fast, Backend::Ref];
+pub const ALL_BACKENDS: [Backend; 2] = [Backend::Fast, Backend::Ref];
 
 impl Backend {
-    /// The canonical lower-case name (`classic`, `fast`, `ref`).
+    /// The canonical lower-case name (`fast`, `ref`).
     pub fn name(self) -> &'static str {
         match self {
-            Backend::Classic => "classic",
             Backend::Fast => "fast",
             Backend::Ref => "ref",
         }
@@ -133,14 +226,14 @@ impl Backend {
     /// Parse a backend name (case-insensitive); `None` for unknown names.
     pub fn from_name(name: &str) -> Option<Backend> {
         match name.to_ascii_lowercase().as_str() {
-            "classic" => Some(Backend::Classic),
             "fast" => Some(Backend::Fast),
             "ref" => Some(Backend::Ref),
             _ => None,
         }
     }
 
-    /// Build an executor of this kind for `prog`, mirroring [`Cpu::new`].
+    /// Build an executor of this kind for `prog` with `hw` support and
+    /// `mem_bytes` of data memory, applying the program's initial data image.
     ///
     /// # Errors
     ///
@@ -153,9 +246,8 @@ impl Backend {
         mem_bytes: usize,
     ) -> Result<AnyExecutor<'p>, SimError> {
         Ok(match self {
-            Backend::Classic => AnyExecutor::Classic(Cpu::new(prog, hw, mem_bytes)),
-            Backend::Fast => AnyExecutor::Fast(FastCpu::new(prog, hw, mem_bytes)?),
-            Backend::Ref => AnyExecutor::Ref(RefCpu::new(prog, hw, mem_bytes)),
+            Backend::Fast => AnyExecutor::Fast(Box::new(FastCpu::new(prog, hw, mem_bytes)?)),
+            Backend::Ref => AnyExecutor::Ref(Box::new(RefCpu::new(prog, hw, mem_bytes))),
         })
     }
 }
@@ -168,15 +260,14 @@ impl fmt::Display for Backend {
 
 /// A backend chosen at run time: the [`Executor`] trait object-ified as an
 /// enum (the trait itself is not object-safe because `run_observed` is
-/// generic over the observer).
+/// generic over the observer). Both variants are boxed: the interpreters
+/// differ in size by hundreds of bytes, and one is built per run.
 #[derive(Debug)]
 pub enum AnyExecutor<'p> {
-    /// The classic interpreter.
-    Classic(Cpu<'p>),
     /// The predecoded interpreter.
-    Fast(FastCpu<'p>),
+    Fast(Box<FastCpu<'p>>),
     /// The reference interpreter.
-    Ref(RefCpu<'p>),
+    Ref(Box<RefCpu<'p>>),
 }
 
 impl Executor for AnyExecutor<'_> {
@@ -186,7 +277,6 @@ impl Executor for AnyExecutor<'_> {
         obs: &mut O,
     ) -> Result<Outcome, SimError> {
         match self {
-            AnyExecutor::Classic(c) => c.run_observed(max_cycles, obs),
             AnyExecutor::Fast(c) => c.run_observed(max_cycles, obs),
             AnyExecutor::Ref(c) => c.run_observed(max_cycles, obs),
         }
@@ -194,7 +284,6 @@ impl Executor for AnyExecutor<'_> {
 
     fn regs(&self) -> &[u32; 32] {
         match self {
-            AnyExecutor::Classic(c) => c.regs(),
             AnyExecutor::Fast(c) => c.regs(),
             AnyExecutor::Ref(c) => c.regs(),
         }
@@ -202,7 +291,6 @@ impl Executor for AnyExecutor<'_> {
 
     fn mem(&self) -> &Mem {
         match self {
-            AnyExecutor::Classic(c) => c.mem(),
             AnyExecutor::Fast(c) => c.mem(),
             AnyExecutor::Ref(c) => c.mem(),
         }
@@ -216,9 +304,8 @@ const NO_SLOT: u8 = u8::MAX;
 const TAG_SLOTS: usize = ALL_TAG_OPS.len() * 2;
 
 /// The annotation every generic-arithmetic trap is charged to (dispatch work,
-/// regardless of the fast path's annotation) — mirrors the classic
-/// interpreter's constant.
-const GEN_TRAP_ANNOT: Annot = Annot {
+/// regardless of the fast path's annotation), on both backends.
+pub(crate) const GEN_TRAP_ANNOT: Annot = Annot {
     tag_op: Some(TagOpKind::Generic),
     cat: CheckCat::Arith,
     prov: Provenance::Checking,
@@ -263,7 +350,8 @@ fn cat_slot(annot: Annot) -> u8 {
 
 /// [`Stats`] as flat arrays: the hot-loop accumulator. Converted back to the
 /// `HashMap` form (inserting only the touched entries, so the result is
-/// byte-identical to classic accounting) when the run finishes.
+/// byte-identical to per-retirement [`Stats::record`] accounting) when the
+/// run finishes.
 #[derive(Debug, Clone, Default)]
 struct DenseStats {
     cycles: u64,
@@ -273,7 +361,7 @@ struct DenseStats {
     traps: u64,
     class_counts: [u64; ALL_CLASSES.len()],
     tag_cycles: [u64; TAG_SLOTS],
-    /// Bit per tag slot: the classic accounting creates a map entry even when
+    /// Bit per tag slot: [`Stats`] accounting creates a map entry even when
     /// it adds zero cycles (a zero trap penalty), so "touched" is tracked
     /// separately from "non-zero".
     tag_touched: u16,
@@ -523,8 +611,8 @@ impl DecodedProgram {
     ///
     /// [`SimError::MissingHardware`] at the lowest pc whose instruction
     /// requires a feature `hw` does not provide — even if that instruction
-    /// would never execute (the one place predecode is stricter than the
-    /// classic interpreter).
+    /// would never execute (the one place predecode is stricter than
+    /// [`RefCpu`]).
     ///
     /// # Panics
     ///
@@ -785,8 +873,8 @@ pub struct FastCpu<'p> {
 }
 
 impl<'p> FastCpu<'p> {
-    /// Predecode `prog` for `hw` and build an interpreter over it, mirroring
-    /// [`Cpu::new`] (same memory size, same initial data image).
+    /// Predecode `prog` for `hw` and build an interpreter over it with
+    /// `mem_bytes` of data memory, applying the program's initial data image.
     ///
     /// # Errors
     ///
@@ -895,8 +983,7 @@ impl<'p> FastCpu<'p> {
         Ok(Flow::Trap { target })
     }
 
-    /// Execute one non-control micro-op, recording its cycles. Mirrors
-    /// `Cpu::exec_simple` exactly (same effect order, same event shapes).
+    /// Execute one non-control micro-op, recording its cycles.
     #[inline(always)]
     fn exec_simple<O: Observer>(
         &mut self,
@@ -1327,19 +1414,18 @@ impl Executor for RefCpu<'_> {
     /// Drive [`RefCpu::step`] to completion, rebuilding the cycle accounting
     /// from the retirement stream (it is purely architectural: retirement
     /// class/annotation plus the hardware's fixed costs determine every
-    /// counter). Produces the same `Outcome` and event stream as the other
-    /// backends, with two caveats: the reference interpreter does not enforce
-    /// the load-delay rule, and on error paths the event stream may end
-    /// slightly earlier than the classic interpreter's.
+    /// counter; see [`RefCpu::charge`]). Produces the same `Outcome` and
+    /// event stream as [`FastCpu`], with two caveats: the reference
+    /// interpreter does not enforce the load-delay rule, and on error paths
+    /// the event stream may end slightly earlier than [`FastCpu`]'s.
     fn run_observed<O: Observer>(
         &mut self,
         max_cycles: u64,
         obs: &mut O,
     ) -> Result<Outcome, SimError> {
-        let trap_penalty = u64::from(self.hw_config().trap_penalty);
         let mut stats = Stats::default();
         loop {
-            // The classic loop checks fuel only between instruction groups
+            // The pipelined loop checks fuel only between instruction groups
             // (never inside a branch's delay slots); mirror that.
             if !self.in_delay_slot() && stats.cycles >= max_cycles {
                 return Err(SimError::OutOfFuel {
@@ -1356,30 +1442,16 @@ impl Executor for RefCpu<'_> {
                     })
                 }
             };
-            let annot = self.program().annots[ev.pc];
+            let (annot, cost) = self.charge(&ev);
             if ev.trap.is_some() {
-                // Generic-arithmetic traps are charged to the fixed dispatch
-                // annotation, as in the classic interpreter.
-                let trap_annot = if matches!(ev.insn, Insn::AddG { .. } | Insn::SubG { .. }) {
-                    GEN_TRAP_ANNOT
-                } else {
-                    annot
-                };
-                stats.record_trap(trap_annot, trap_penalty);
-                if O::ENABLED && obs.retire(&ev, trap_annot, stats.cycles).is_break() {
+                stats.record_trap(annot, cost);
+                if O::ENABLED && obs.retire(&ev, annot, stats.cycles).is_break() {
                     return Err(SimError::Stopped {
                         cycles: stats.cycles,
                     });
                 }
                 continue;
             }
-            let hw = self.hw_config();
-            let cost = match ev.insn {
-                Insn::Fop(..) => u64::from(hw.fp_cycles),
-                Insn::Mul(..) => u64::from(hw.mul_cycles),
-                Insn::Div(..) | Insn::Rem(..) => u64::from(hw.div_cycles),
-                _ => 1,
-            };
             stats.record(InsnClass::of(ev.insn), annot, cost);
             if O::ENABLED && obs.retire(&ev, annot, stats.cycles).is_break() {
                 return Err(SimError::Stopped {
@@ -1431,6 +1503,41 @@ mod tests {
         asm.finish().expect("assembles")
     }
 
+    /// Run `prog` on `backend` with 64 KiB of memory.
+    fn run_on(
+        backend: Backend,
+        prog: &Program,
+        hw: HwConfig,
+        fuel: u64,
+    ) -> Result<Outcome, SimError> {
+        backend.executor(prog, hw, 1 << 16)?.run(fuel)
+    }
+
+    /// Run `prog` on every backend, assert they agree on the whole
+    /// [`Outcome`], and return it.
+    fn run_prog(prog: &Program, hw: HwConfig) -> Outcome {
+        let fast = run_on(Backend::Fast, prog, hw, 1_000_000).expect("fast runs");
+        let reference = run_on(Backend::Ref, prog, hw, 1_000_000).expect("ref runs");
+        assert_eq!(fast.halt_code, reference.halt_code, "halt code");
+        assert_eq!(fast.output, reference.output, "output");
+        assert_eq!(fast.stats, reference.stats, "statistics");
+        fast
+    }
+
+    fn run(asm: Asm, hw: HwConfig) -> Outcome {
+        run_prog(&asm.finish().expect("assembles"), hw)
+    }
+
+    /// The error `prog` stops with on `backend`.
+    fn run_err(backend: Backend, prog: &Program, hw: HwConfig, fuel: u64) -> SimError {
+        run_on(backend, prog, hw, fuel).expect_err("the run must fail")
+    }
+
+    fn entry(asm: &mut Asm) {
+        let e = asm.here("entry");
+        asm.set_entry(e);
+    }
+
     #[test]
     fn backend_names_round_trip() {
         for b in ALL_BACKENDS {
@@ -1438,30 +1545,20 @@ mod tests {
             assert_eq!(Backend::from_name(&b.name().to_uppercase()), Some(b));
         }
         assert_eq!(Backend::from_name("turbo"), None);
+        assert_eq!(Backend::from_name("classic"), None);
         assert_eq!(Backend::default(), Backend::Fast);
         assert_eq!(Backend::Fast.to_string(), "fast");
     }
 
     #[test]
     fn all_backends_agree_on_a_demo_program() {
-        let prog = demo_program();
-        let hw = HwConfig::plain();
-        let classic = Backend::Classic
-            .executor(&prog, hw, 1 << 16)
-            .unwrap()
-            .run(100_000)
-            .unwrap();
-        for backend in [Backend::Fast, Backend::Ref] {
-            let mut ex = backend.executor(&prog, hw, 1 << 16).unwrap();
-            let o = ex.run(100_000).unwrap();
-            assert_eq!(o.halt_code, classic.halt_code, "{backend}");
-            assert_eq!(o.output, classic.output, "{backend}");
-            assert_eq!(o.stats, classic.stats, "{backend}");
-        }
+        let o = run_prog(&demo_program(), HwConfig::plain());
+        assert_eq!(o.halt_code, 42);
+        assert_eq!(o.output, "42");
     }
 
     #[test]
-    fn fast_and_ref_event_streams_match_classic() {
+    fn fast_and_ref_event_streams_match() {
         let prog = demo_program();
         let hw = HwConfig::plain();
         let trace = |backend: Backend| {
@@ -1470,11 +1567,11 @@ mod tests {
             ex.run_observed(100_000, &mut buf).unwrap();
             (buf.records, buf.annotations, buf.squashes)
         };
-        let classic = trace(Backend::Classic);
-        assert_eq!(trace(Backend::Fast), classic);
-        assert_eq!(trace(Backend::Ref), classic);
+        assert_eq!(trace(Backend::Fast), trace(Backend::Ref));
     }
 
+    /// `FastCpu` only: `RefCpu` reports absent hardware when the instruction
+    /// executes, not at construction.
     #[test]
     fn missing_hardware_is_a_predecode_error() {
         let mut asm = Asm::new();
@@ -1516,26 +1613,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_detects_load_delay_violation() {
-        let mut asm = Asm::new();
-        let e = asm.here("entry");
-        asm.set_entry(e);
-        asm.li(Reg::T0, 0x100);
-        asm.ld(Reg::A0, Reg::T0, 0);
-        asm.emit(Insn::Add(Reg::A1, Reg::A0, Reg::Zero)); // reads A0 too early
-        asm.halt(Reg::A1);
-        let prog = asm.finish().unwrap();
-        let err = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
-            .unwrap()
-            .run(1000)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::LoadDelayViolation { reg: Reg::A0, .. }
-        ));
-    }
-
-    #[test]
     fn dense_stats_round_trip_matches_hashmap_accounting() {
         // Exercise every attribution path, including a zero-cycle trap (the
         // case where "touched" differs from "non-zero").
@@ -1547,16 +1624,483 @@ mod tests {
             GEN_TRAP_ANNOT,
         ];
         let mut dense = DenseStats::default();
-        let mut classic = Stats::default();
+        let mut per_retirement = Stats::default();
         for (i, &a) in annots.iter().enumerate() {
             let class = ALL_CLASSES[i];
             dense.record(class_slot(class), tag_slot(a), cat_slot(a), i as u64 + 1);
-            classic.record(class, a, i as u64 + 1);
+            per_retirement.record(class, a, i as u64 + 1);
         }
         dense.record_squashed(tag_slot(annots[2]), cat_slot(annots[2]));
-        classic.record_squashed(annots[2]);
+        per_retirement.record_squashed(annots[2]);
         dense.record_trap(tag_slot(GEN_TRAP_ANNOT), cat_slot(GEN_TRAP_ANNOT), 0);
-        classic.record_trap(GEN_TRAP_ANNOT, 0);
-        assert_eq!(dense.to_stats(), classic);
+        per_retirement.record_trap(GEN_TRAP_ANNOT, 0);
+        assert_eq!(dense.to_stats(), per_retirement);
+    }
+
+    // ISA semantics. Each test runs on both backends (`run` asserts they
+    // agree), except behaviour `RefCpu` documents it does not model.
+
+    #[test]
+    fn arithmetic_and_halt() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::A0, 40);
+        asm.li(Reg::A1, 2);
+        asm.emit(Insn::Add(Reg::A0, Reg::A0, Reg::A1));
+        asm.halt(Reg::A0);
+        let o = run(asm, HwConfig::plain());
+        assert_eq!(o.halt_code, 42);
+        assert_eq!(o.stats.cycles, 4);
+    }
+
+    #[test]
+    fn r0_is_hardwired_zero() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::Zero, 7);
+        asm.emit(Insn::Add(Reg::A0, Reg::Zero, Reg::Zero));
+        asm.halt(Reg::A0);
+        assert_eq!(run(asm, HwConfig::plain()).halt_code, 0);
+    }
+
+    #[test]
+    fn taken_branch_executes_slots_and_jumps() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let target = asm.new_label();
+        asm.li(Reg::A0, 1);
+        asm.beq(Reg::A0, Reg::A0, target); // always taken; 2 nop slots
+        asm.li(Reg::A0, 99); // skipped
+        asm.bind(target);
+        asm.halt(Reg::A0);
+        let o = run(asm, HwConfig::plain());
+        assert_eq!(o.halt_code, 1);
+        // li + br + 2 slots + halt
+        assert_eq!(o.stats.cycles, 5);
+    }
+
+    #[test]
+    fn squashing_branch_cancels_slots_when_not_taken() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let target = asm.new_label();
+        asm.li(Reg::A0, 1);
+        asm.br_raw(Cond::Eq, Reg::A0, Reg::Zero, target, true); // not taken, squash
+        asm.li(Reg::A0, 50); // slot 1: squashed
+        asm.li(Reg::A0, 60); // slot 2: squashed
+        asm.halt(Reg::A0);
+        asm.bind(target);
+        asm.halt(Reg::Zero);
+        let o = run(asm, HwConfig::plain());
+        assert_eq!(o.halt_code, 1, "squashed writes must not commit");
+        assert_eq!(o.stats.squashed, 2);
+    }
+
+    #[test]
+    fn non_squashing_branch_commits_slots_when_not_taken() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let target = asm.new_label();
+        asm.li(Reg::A0, 1);
+        asm.br_raw(Cond::Eq, Reg::A0, Reg::Zero, target, false); // not taken
+        asm.li(Reg::A1, 50); // slot 1: commits
+        asm.nop(); // slot 2
+        asm.halt(Reg::A1);
+        asm.bind(target);
+        asm.halt(Reg::Zero);
+        let o = run(asm, HwConfig::plain());
+        assert_eq!(o.halt_code, 50);
+        assert_eq!(o.stats.squashed, 0);
+    }
+
+    #[test]
+    fn call_and_return() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let f = asm.new_label();
+        asm.jal(f, Reg::Link);
+        asm.halt(Reg::A0);
+        asm.bind(f);
+        asm.li(Reg::A0, 7);
+        asm.jr(Reg::Link);
+        let o = run(asm, HwConfig::plain());
+        assert_eq!(o.halt_code, 7);
+    }
+
+    #[test]
+    fn loads_and_stores_round_trip() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::T0, 0x100);
+        asm.li(Reg::T1, 1234);
+        asm.st(Reg::T1, Reg::T0, 8);
+        asm.ld(Reg::A0, Reg::T0, 8);
+        asm.nop(); // load delay
+        asm.halt(Reg::A0);
+        assert_eq!(run(asm, HwConfig::plain()).halt_code, 1234);
+    }
+
+    /// `FastCpu` only: `RefCpu` does not enforce the load-delay rule.
+    #[test]
+    fn load_delay_violation_detected() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::T0, 0x100);
+        asm.ld(Reg::A0, Reg::T0, 0);
+        asm.emit(Insn::Add(Reg::A1, Reg::A0, Reg::Zero)); // reads A0 too early
+        asm.halt(Reg::A1);
+        let prog = asm.finish().unwrap();
+        let err = run_err(Backend::Fast, &prog, HwConfig::plain(), 1000);
+        assert!(matches!(
+            err,
+            SimError::LoadDelayViolation { reg: Reg::A0, .. }
+        ));
+    }
+
+    #[test]
+    fn address_drop_masks_high_bits() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        // Address with a 5-bit "tag" in the top bits.
+        asm.li(Reg::T0, (0b01011u32 << 27) as i32 | 0x40);
+        asm.li(Reg::T1, 77);
+        asm.st(Reg::T1, Reg::T0, 0);
+        asm.ld(Reg::A0, Reg::T0, 0);
+        asm.nop();
+        asm.halt(Reg::A0);
+        let o = run(asm, HwConfig::with_address_drop(5));
+        assert_eq!(o.halt_code, 77);
+    }
+
+    #[test]
+    fn tagged_address_without_drop_faults() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::T0, (0b01011u32 << 27) as i32 | 0x40);
+        asm.st(Reg::T0, Reg::T0, 0);
+        asm.halt(Reg::Zero);
+        let prog = asm.finish().unwrap();
+        for backend in ALL_BACKENDS {
+            let err = run_err(backend, &prog, HwConfig::plain(), 1000);
+            assert!(matches!(err, SimError::MemFault { .. }), "{backend}: {err}");
+        }
+    }
+
+    #[test]
+    fn tag_branch_requires_hardware() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let t = asm.new_label();
+        asm.emit(Insn::TagBr {
+            rs: Reg::A0,
+            field: TagField {
+                shift: 27,
+                mask: 0x1F,
+            },
+            value: 0,
+            neq: false,
+            target: t.0,
+            squash: false,
+        });
+        asm.nop();
+        asm.nop();
+        asm.bind(t);
+        asm.halt(Reg::Zero);
+        let prog = asm.finish().unwrap();
+        for backend in ALL_BACKENDS {
+            let err = run_err(backend, &prog, HwConfig::plain(), 1000);
+            assert!(
+                matches!(
+                    err,
+                    SimError::MissingHardware {
+                        feature: "tag branch",
+                        ..
+                    }
+                ),
+                "{backend}: {err}"
+            );
+        }
+        let ok = run_prog(&prog, HwConfig::with_tag_branch());
+        assert_eq!(ok.halt_code, 0);
+    }
+
+    #[test]
+    fn tag_branch_compares_field() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let is_pair = asm.new_label();
+        // tag 1 (pair) in top 5 bits
+        asm.li(Reg::A0, (1u32 << 27) as i32 | 0x123);
+        asm.emit(Insn::TagBr {
+            rs: Reg::A0,
+            field: TagField {
+                shift: 27,
+                mask: 0x1F,
+            },
+            value: 1,
+            neq: false,
+            target: is_pair.0,
+            squash: false,
+        });
+        asm.nop();
+        asm.nop();
+        asm.halt(Reg::Zero); // not reached
+        asm.bind(is_pair);
+        asm.li(Reg::A1, 1);
+        asm.halt(Reg::A1);
+        let o = run(asm, HwConfig::with_tag_branch());
+        assert_eq!(o.halt_code, 1);
+    }
+
+    #[test]
+    fn checked_load_passes_and_traps() {
+        let field = TagField {
+            shift: 27,
+            mask: 0x1F,
+        };
+        let mk = |tag: u32| -> i32 { ((tag << 27) | 0x80) as i32 };
+        let build = |tag: u32| {
+            let mut asm = Asm::new();
+            entry(&mut asm);
+            let fail = asm.new_label();
+            asm.li(Reg::T0, mk(tag));
+            asm.li(Reg::T1, 55);
+            asm.st(Reg::T1, Reg::T0, 0); // plain store faults on tagged addr...
+            asm.emit(Insn::LdChk {
+                rd: Reg::A0,
+                base: Reg::T0,
+                disp: 0,
+                field,
+                expect: 1,
+                on_fail: fail.0,
+            });
+            asm.nop();
+            asm.halt(Reg::A0);
+            asm.bind(fail);
+            asm.li(Reg::A0, -1);
+            asm.halt(Reg::A0);
+            asm.finish().unwrap()
+        };
+        // Use address-drop hardware so the plain store works through a tagged ptr.
+        let hw = HwConfig {
+            parallel_check: ParallelCheck::All,
+            drop_high_address_bits: 5,
+            ..HwConfig::plain()
+        };
+        let o = run_prog(&build(1), hw);
+        assert_eq!(o.halt_code, 55, "matching tag loads normally");
+        assert_eq!(o.stats.traps, 0);
+        let o = run_prog(&build(3), hw);
+        assert_eq!(o.halt_code, -1, "mismatch traps to on_fail");
+        assert_eq!(o.stats.traps, 1);
+        assert_eq!(o.stats.trap_cycles, u64::from(hw.trap_penalty));
+    }
+
+    #[test]
+    fn generic_add_fast_path_and_trap() {
+        let test = IntTest::SignExt(27);
+        let build = |a: i32, b: i32| {
+            let mut asm = Asm::new();
+            entry(&mut asm);
+            let fail = asm.new_label();
+            asm.li(Reg::A0, a);
+            asm.li(Reg::A1, b);
+            asm.emit(Insn::AddG {
+                rd: Reg::A2,
+                rs: Reg::A0,
+                rt: Reg::A1,
+                int_test: test,
+                on_fail: fail.0,
+            });
+            asm.halt(Reg::A2);
+            asm.bind(fail);
+            asm.li(Reg::A2, -999);
+            asm.halt(Reg::A2);
+            asm.finish().unwrap()
+        };
+        let hw = HwConfig::with_generic_arith();
+        assert_eq!(run_prog(&build(20, 22), hw).halt_code, 42);
+        // Overflow of the 27-bit fixnum range traps.
+        assert_eq!(run_prog(&build((1 << 26) - 1, 1), hw).halt_code, -999);
+        // Non-integer operand traps.
+        assert_eq!(run_prog(&build((3u32 << 27) as i32, 1), hw).halt_code, -999);
+    }
+
+    #[test]
+    fn write_output() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::A0, 'h' as i32);
+        asm.write(Reg::A0, WriteKind::Char);
+        asm.li(Reg::A0, -42);
+        asm.write(Reg::A0, WriteKind::Int);
+        asm.halt(Reg::Zero);
+        let o = run(asm, HwConfig::plain());
+        assert_eq!(o.output, "h-42");
+    }
+
+    #[test]
+    fn out_of_fuel() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let l = asm.here("loop");
+        asm.j(l);
+        let prog = asm.finish().unwrap();
+        for backend in ALL_BACKENDS {
+            let err = run_err(backend, &prog, HwConfig::plain(), 100);
+            assert!(
+                matches!(err, SimError::OutOfFuel { .. }),
+                "{backend}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn mul_div_cost_and_semantics() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::A0, -6);
+        asm.li(Reg::A1, 7);
+        asm.emit(Insn::Mul(Reg::A2, Reg::A0, Reg::A1));
+        asm.halt(Reg::A2);
+        let o = run(asm, HwConfig::plain());
+        assert_eq!(o.halt_code, -42);
+        assert_eq!(
+            o.stats.cycles,
+            2 + u64::from(HwConfig::plain().mul_cycles) + 1
+        );
+        // division by zero yields 0 (runtime checks divisors itself)
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::A0, 5);
+        asm.emit(Insn::Div(Reg::A2, Reg::A0, Reg::Zero));
+        asm.halt(Reg::A2);
+        assert_eq!(run(asm, HwConfig::plain()).halt_code, 0);
+    }
+
+    #[test]
+    fn control_in_slot_is_an_error() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let t = asm.new_label();
+        asm.br_raw(Cond::Eq, Reg::Zero, Reg::Zero, t, false);
+        asm.emit(Insn::J(t.0)); // illegal: control in slot
+        asm.nop();
+        asm.bind(t);
+        asm.halt(Reg::Zero);
+        let prog = asm.finish().unwrap();
+        for backend in ALL_BACKENDS {
+            let err = run_err(backend, &prog, HwConfig::plain(), 1000);
+            assert!(
+                matches!(err, SimError::ControlInSlot { .. }),
+                "{backend}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn bri_compares_against_immediate() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let hit = asm.new_label();
+        asm.li(Reg::A0, -3);
+        asm.bri(Cond::Lt, Reg::A0, 0, hit); // signed comparison with immediate
+        asm.halt(Reg::Zero);
+        asm.bind(hit);
+        asm.li(Reg::A1, 1);
+        asm.halt(Reg::A1);
+        assert_eq!(run(asm, HwConfig::plain()).halt_code, 1);
+    }
+
+    #[test]
+    fn fop_semantics_and_cost() {
+        let hw = HwConfig::plain();
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::A0, 2.5f32.to_bits() as i32);
+        asm.li(Reg::A1, 0.5f32.to_bits() as i32);
+        asm.emit(Insn::Fop(FpOp::Mul, Reg::A2, Reg::A0, Reg::A1));
+        asm.emit(Insn::Fop(FpOp::Lt, Reg::A3, Reg::A1, Reg::A2));
+        asm.halt(Reg::A3);
+        let o = run(asm, hw);
+        assert_eq!(o.halt_code, 1, "0.5 < 1.25");
+        assert_eq!(o.stats.cycles, 2 + 2 * u64::from(hw.fp_cycles) + 1);
+        // integer conversion
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::A0, -7);
+        asm.emit(Insn::Fop(FpOp::FromInt, Reg::A1, Reg::A0, Reg::Zero));
+        asm.halt(Reg::A1);
+        let o = run(asm, hw);
+        assert_eq!(f32::from_bits(o.halt_code as u32), -7.0);
+    }
+
+    #[test]
+    fn checked_store_traps_on_mismatch() {
+        let field = TagField {
+            shift: 27,
+            mask: 0x1F,
+        };
+        let hw = HwConfig {
+            parallel_check: ParallelCheck::All,
+            ..HwConfig::plain()
+        };
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let fail = asm.new_label();
+        asm.li(Reg::T0, ((3u32 << 27) | 0x80) as i32); // wrong tag
+        asm.li(Reg::T1, 9);
+        asm.emit(Insn::StChk {
+            src: Reg::T1,
+            base: Reg::T0,
+            disp: 0,
+            field,
+            expect: 1,
+            on_fail: fail.0,
+        });
+        asm.halt(Reg::Zero);
+        asm.bind(fail);
+        asm.li(Reg::A0, -7);
+        asm.halt(Reg::A0);
+        let o = run(asm, hw);
+        assert_eq!(o.halt_code, -7);
+        assert_eq!(o.stats.traps, 1);
+    }
+
+    /// Regression: a `Program` whose `annots` is shorter than `insns` used to
+    /// be accepted, with missing entries silently read as `Annot::NONE` —
+    /// misattributing every affected cycle. Construction now rejects it.
+    #[test]
+    fn mismatched_annots_are_rejected_at_construction() {
+        let prog = Program {
+            insns: vec![Insn::Nop, Insn::Halt(Reg::Zero)],
+            annots: vec![Annot::NONE], // one short
+            ..Program::default()
+        };
+        for backend in ALL_BACKENDS {
+            let panic = std::panic::catch_unwind(|| {
+                let _ = backend.executor(&prog, HwConfig::plain(), 1 << 12);
+            })
+            .expect_err("construction must panic");
+            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("annots must parallel insns"),
+                "{backend}: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn jal_links_past_slot() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let f = asm.new_label();
+        asm.jal(f, Reg::Link); // emits jal + 1 slot nop
+        asm.li(Reg::A1, 5); // return lands here
+        asm.halt(Reg::A1);
+        asm.bind(f);
+        asm.jr(Reg::Link);
+        let o = run(asm, HwConfig::plain());
+        assert_eq!(o.halt_code, 5);
     }
 }

@@ -40,9 +40,10 @@
 //!
 //! # Example
 //!
-//! Programs run on any [`Executor`] backend — the classic [`Cpu`], the
-//! predecoded [`FastCpu`] (the default), or the reference [`RefCpu`]; all
-//! three produce identical results (see the [`exec`] module docs).
+//! Programs run on either [`Executor`] backend — the predecoded [`FastCpu`]
+//! (the default, which produces every reported number) or the reference
+//! [`RefCpu`], the oracle it is checked against; both produce identical
+//! results (see the [`exec`] module docs).
 //!
 //! ```
 //! use mipsx::{Asm, Backend, Executor, HwConfig, Insn, Reg};
@@ -67,7 +68,6 @@
 
 mod annot;
 mod asm;
-mod cpu;
 mod hw;
 mod insn;
 mod mem;
@@ -86,8 +86,9 @@ pub mod verify;
 
 pub use annot::{Annot, CheckCat, Provenance, TagOpKind, ALL_CHECK_CATS, ALL_TAG_OPS};
 pub use asm::{Asm, AsmError, Label};
-pub use cpu::{Cpu, Outcome, SimError};
-pub use exec::{AnyExecutor, Backend, DecodedProgram, Executor, FastCpu, ALL_BACKENDS};
+pub use exec::{
+    AnyExecutor, Backend, DecodedProgram, Executor, FastCpu, Outcome, SimError, ALL_BACKENDS,
+};
 pub use hw::{HwConfig, ParallelCheck};
 pub use insn::{Cond, FpOp, Insn, IntTest, TagField, WriteKind};
 pub use mem::Mem;

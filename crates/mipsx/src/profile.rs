@@ -5,7 +5,7 @@
 //! The paper reports tag costs only as whole-program aggregates (Tables 1–2);
 //! this module answers the question those tables cannot: *where* does tag
 //! handling concentrate? A [`Profiler`] attaches to any observed run
-//! ([`crate::Cpu::run_observed`]) and attributes every cycle — including
+//! ([`crate::Executor::run_observed`]) and attributes every cycle — including
 //! squashed delay slots and trap penalties — to the instruction that spent it,
 //! the function that contains it (via the program's
 //! [`SymbolTable`](crate::SymbolTable)), and the tag operation /
@@ -138,7 +138,7 @@ struct Frame {
 ///
 /// Build one per observed run with [`Profiler::new`] (it snapshots the
 /// program's instructions and symbol table, so it outlives the run) and pass
-/// it to [`crate::Cpu::run_observed`].
+/// it to [`crate::Executor::run_observed`].
 #[derive(Debug, Clone)]
 pub struct Profiler {
     symtab: SymbolTable,
@@ -611,8 +611,7 @@ impl Observer for Profiler {
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::cpu::Cpu;
-    use crate::exec::Executor;
+    use crate::exec::{Executor, FastCpu};
     use crate::hw::HwConfig;
     use crate::reg::Reg;
 
@@ -644,7 +643,8 @@ mod tests {
         let prog = asm.finish().unwrap();
 
         let mut prof = Profiler::new(&prog);
-        let o = Cpu::new(&prog, HwConfig::plain(), 1 << 16)
+        let o = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
+            .unwrap()
             .run_observed(10_000, &mut prof)
             .unwrap();
         assert_eq!(o.halt_code, 2);
@@ -686,6 +686,7 @@ mod tests {
         asm.set_entry(entry);
         let f = asm.new_label();
         asm.name_label("fn:count", f);
+        asm.li(Reg::Sp, 0x8000);
         asm.li(Reg::A0, 6);
         asm.jal(f, Reg::Link);
         asm.halt(Reg::A0);
@@ -704,9 +705,10 @@ mod tests {
         let prog = asm.finish().unwrap();
 
         let mut prof = Profiler::new(&prog);
-        let mut cpu = Cpu::new(&prog, HwConfig::plain(), 1 << 16);
-        cpu.set_reg(Reg::Sp, 0x8000);
-        let o = cpu.run_observed(10_000, &mut prof).unwrap();
+        let o = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
+            .unwrap()
+            .run_observed(10_000, &mut prof)
+            .unwrap();
         prof.reconcile(&o.stats).expect("books balance");
 
         let funcs: HashMap<&str, &FuncProfile> = prof.hot_functions().into_iter().collect();
@@ -739,7 +741,8 @@ mod tests {
         let prog = asm.finish().unwrap();
 
         let mut prof = Profiler::new(&prog);
-        let o = Cpu::new(&prog, HwConfig::plain(), 1 << 16)
+        let o = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
+            .unwrap()
             .run_observed(1_000, &mut prof)
             .unwrap();
         assert_eq!(o.stats.squashed, 2);
@@ -760,7 +763,8 @@ mod tests {
         asm.halt(Reg::A0);
         let prog = asm.finish().unwrap();
         let mut prof = Profiler::new(&prog);
-        let o = Cpu::new(&prog, HwConfig::plain(), 1 << 16)
+        let o = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
+            .unwrap()
             .run_observed(1_000, &mut prof)
             .unwrap();
         prof.reconcile(&o.stats).expect("books balance");

@@ -1,18 +1,18 @@
 //! A reference executor: the trace oracle's second opinion.
 //!
 //! [`RefCpu`] is a deliberately naive sequential interpreter for the same
-//! instruction set as [`crate::Cpu`]. It shares the decoded [`Insn`]
+//! instruction set as [`crate::FastCpu`]. It shares the [`Insn`]
 //! representation and the pure operand helpers ([`Cond::eval`],
 //! [`TagField::extract`], [`IntTest::is_int`], [`FpOp::apply`]) but **none** of
-//! the pipelined simulator's fetch-execute machinery: no cycle accounting, no
+//! the pipelined simulator's machinery: no predecode, no cycle accounting, no
 //! statistics, no load-delay enforcement, and delay slots handled by a
-//! three-field resume bookkeeping instead of the `Cpu` main loop's inline slot
-//! execution. Where `Cpu` is written for speed and cycle attribution, `RefCpu`
-//! is written to be obviously correct — which is what makes disagreement
-//! between the two meaningful (see the `conformance` crate).
+//! three-field resume bookkeeping instead of the dispatch loop's inline slot
+//! execution. Where `FastCpu` is written for speed and cycle attribution,
+//! `RefCpu` is written to be obviously correct — which is what makes
+//! disagreement between the two meaningful (see the `conformance` crate).
 //!
 //! [`RefCpu::step`] retires exactly one instruction per call and returns the
-//! same [`Retirement`] record [`crate::Cpu::run_observed`] reports, so a
+//! same [`Retirement`] record [`crate::FastCpu`] reports to its observer, so a
 //! lockstep harness can compare the two streams with `==`. Squashed delay
 //! slots retire nothing (on either executor) and are skipped silently here.
 //!
@@ -20,7 +20,8 @@
 //! semantics bug ([`Fault`]) so a conformance suite can prove it would notice
 //! one.
 
-use crate::cpu::SimError;
+use crate::annot::Annot;
+use crate::exec::{SimError, GEN_TRAP_ANNOT};
 use crate::hw::{HwConfig, ParallelCheck};
 use crate::insn::{Insn, WriteKind};
 use crate::mem::Mem;
@@ -75,12 +76,13 @@ pub struct RefCpu<'p> {
 }
 
 impl<'p> RefCpu<'p> {
-    /// Build a reference executor for `prog`, mirroring [`crate::Cpu::new`].
+    /// Build a reference executor for `prog` with `hw` support and
+    /// `mem_bytes` of data memory, applying the program's initial data image.
     ///
     /// # Panics
     ///
     /// If `prog.annots` is not parallel to `prog.insns`, as for
-    /// [`crate::Cpu::new`].
+    /// [`crate::DecodedProgram::decode`].
     pub fn new(prog: &'p Program, hw: HwConfig, mem_bytes: usize) -> Self {
         assert_eq!(
             prog.annots.len(),
@@ -185,6 +187,31 @@ impl<'p> RefCpu<'p> {
         self.squashed.take()
     }
 
+    /// The annotation and cycle cost the architecture charges for retiring
+    /// `ev`, a record this executor produced: the instruction's annotation
+    /// and its fixed cost on this hardware, or, for a tag trap, the trap
+    /// penalty (a generic add/subtract trap is charged to the dispatch
+    /// annotation instead of its own). Each squashed slot costs one cycle,
+    /// charged to its branch's annotation.
+    pub fn charge(&self, ev: &Retirement) -> (Annot, u64) {
+        let annot = self.prog.annots[ev.pc];
+        if ev.trap.is_some() {
+            let annot = if matches!(ev.insn, Insn::AddG { .. } | Insn::SubG { .. }) {
+                GEN_TRAP_ANNOT
+            } else {
+                annot
+            };
+            return (annot, u64::from(self.hw.trap_penalty));
+        }
+        let cost = match ev.insn {
+            Insn::Fop(..) => self.hw.fp_cycles,
+            Insn::Mul(..) => self.hw.mul_cycles,
+            Insn::Div(..) | Insn::Rem(..) => self.hw.div_cycles,
+            _ => 1,
+        };
+        (annot, u64::from(cost))
+    }
+
     fn fetch(&self, pc: usize) -> Result<Insn, SimError> {
         match self.prog.insns.get(pc) {
             Some(i) => Ok(*i),
@@ -217,9 +244,10 @@ impl<'p> RefCpu<'p> {
     ///
     /// # Errors
     ///
-    /// The same [`SimError`]s as [`crate::Cpu::run`] raises for the same
+    /// The same [`SimError`]s as [`crate::FastCpu`] raises for the same
     /// programs, except the pipeline-only ones: `RefCpu` never reports
-    /// `OutOfFuel`, `LoadDelayViolation`, or `Stopped`.
+    /// `OutOfFuel`, `LoadDelayViolation`, or `Stopped`, and it reports
+    /// `MissingHardware` only when the instruction executes.
     pub fn step(&mut self) -> Result<Option<Retirement>, SimError> {
         if self.halt_code.is_some() {
             return Ok(None);
@@ -602,8 +630,7 @@ impl<'p> RefCpu<'p> {
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::cpu::Cpu;
-    use crate::exec::Executor;
+    use crate::exec::{Executor, FastCpu};
     use crate::insn::Cond;
     use crate::trace::{Observer, TraceBuffer};
 
@@ -622,7 +649,7 @@ mod tests {
 
     fn both(prog: &Program, hw: HwConfig) -> (Vec<Retirement>, Vec<Retirement>) {
         let mut buf = TraceBuffer::default();
-        let mut cpu = Cpu::new(prog, hw, 1 << 16);
+        let mut cpu = FastCpu::new(prog, hw, 1 << 16).expect("predecodes");
         let out = cpu.run_observed(100_000, &mut buf).expect("cpu runs");
         let (evs, code, output) = ref_trace(prog, hw);
         assert_eq!(out.halt_code, code);
@@ -795,7 +822,8 @@ mod tests {
         asm.li(Reg::A1, 2);
         asm.halt(Reg::A0);
         let prog = asm.finish().unwrap();
-        let err = Cpu::new(&prog, HwConfig::plain(), 1 << 16)
+        let err = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
+            .unwrap()
             .run_observed(1000, &mut StopAfter(1))
             .unwrap_err();
         assert!(matches!(err, SimError::Stopped { .. }));

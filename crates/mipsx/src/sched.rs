@@ -266,8 +266,7 @@ use crate::annot::TagOpKind as _docref; // keep rustdoc link targets alive
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::Cpu;
-    use crate::exec::Executor;
+    use crate::exec::{Executor, FastCpu};
     use crate::hw::HwConfig;
     use crate::insn::Cond;
     use crate::reg::Reg;
@@ -275,7 +274,8 @@ mod tests {
     fn run_code(asm: Asm) -> (i32, u64) {
         let prog = asm.finish().unwrap();
         crate::verify::verify(&prog).unwrap();
-        let o = Cpu::new(&prog, HwConfig::plain(), 1 << 16)
+        let o = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
+            .unwrap()
             .run(100_000)
             .unwrap();
         (o.halt_code, o.stats.cycles)

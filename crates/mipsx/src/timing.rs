@@ -804,8 +804,7 @@ impl Observer for TimingModel {
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::cpu::Cpu;
-    use crate::exec::Executor;
+    use crate::exec::{Executor, FastCpu};
     use crate::hw::HwConfig;
     use crate::insn::Cond;
     use crate::reg::Reg;
@@ -814,7 +813,8 @@ mod tests {
         let prog = asm.finish().unwrap();
         crate::verify::verify(&prog).unwrap();
         let mut model = TimingModel::new(config);
-        let o = Cpu::new(&prog, HwConfig::plain(), 1 << 16)
+        let o = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
+            .unwrap()
             .run_observed(1_000_000, &mut model)
             .unwrap();
         (o.stats, model.finish(), model)
@@ -928,7 +928,8 @@ mod tests {
     fn architectural_results_are_untouched() {
         let (with_model, _, _) = run_timed(loop_program(100), TimingConfig::modern());
         let prog = loop_program(100).finish().unwrap();
-        let bare = Cpu::new(&prog, HwConfig::plain(), 1 << 16)
+        let bare = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
+            .unwrap()
             .run(1_000_000)
             .unwrap();
         assert_eq!(with_model, bare.stats);

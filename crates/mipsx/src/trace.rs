@@ -1,27 +1,29 @@
-//! The retired-instruction trace layer: an opt-in observer hook on [`Cpu`].
+//! The retired-instruction trace layer: an opt-in observer hook on every
+//! [`Executor`].
 //!
-//! [`Cpu::run_observed`] reports every *architecturally executed* instruction
-//! to an [`Observer`] as a [`Retirement`] record — program counter, decoded
-//! instruction, register writeback, memory operation, tag-trap redirect — plus
-//! the cumulative cycle count and the instruction's [`Annot`]ation at the
-//! moment it retired. Squashed delay slots (which burn a cycle but execute
-//! nothing) are reported separately through [`Observer::squash`].
+//! [`Executor::run_observed`] reports every *architecturally executed*
+//! instruction to an [`Observer`] as a [`Retirement`] record — program
+//! counter, decoded instruction, register writeback, memory operation,
+//! tag-trap redirect — plus the cumulative cycle count and the instruction's
+//! [`Annot`]ation at the moment it retired. Squashed delay slots (which burn a
+//! cycle but execute nothing) are reported separately through
+//! [`Observer::squash`].
 //!
 //! The hook is **zero-cost when disabled**: observers are a generic parameter,
 //! every emission site is guarded by the associated constant
-//! [`Observer::ENABLED`], and [`Cpu::run`] instantiates the loop with
+//! [`Observer::ENABLED`], and [`Executor::run`] instantiates the loop with
 //! [`NoTrace`] (`ENABLED = false`), so the plain path monomorphizes to exactly
-//! the untraced fetch-execute loop.
+//! the untraced dispatch loop.
 //!
-//! Two executors produce this record stream — the pipelined [`Cpu`] and the
-//! deliberately simple [`crate::RefCpu`] — which is what makes differential
-//! (trace-oracle) testing possible; see the `conformance` crate.
+//! Two executors produce this record stream — the predecoded
+//! [`crate::FastCpu`] and the deliberately simple [`crate::RefCpu`] — which is
+//! what makes differential (trace-oracle) testing possible; see the
+//! `conformance` crate.
 //!
-//! [`Cpu`]: crate::Cpu
-//! [`Cpu::run`]: crate::Cpu::run
-//! [`Cpu::run_observed`]: crate::Cpu::run_observed
+//! [`Executor`]: crate::Executor
+//! [`Executor::run`]: crate::Executor::run
+//! [`Executor::run_observed`]: crate::Executor::run_observed
 
-use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 
 use crate::annot::Annot;
@@ -42,8 +44,8 @@ pub struct MemOp {
 /// One retired instruction, as both executors report it.
 ///
 /// `Retirement` deliberately contains only *architectural* facts — no cycles,
-/// no pipeline state — so records from the pipelined [`crate::Cpu`] and the
-/// sequential [`crate::RefCpu`] can be compared with `==`.
+/// no pipeline state — so records from the pipelined [`crate::FastCpu`] and
+/// the sequential [`crate::RefCpu`] can be compared with `==`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retirement {
     /// Instruction index.
@@ -87,7 +89,7 @@ pub trait Observer {
     }
 }
 
-/// The disabled observer: [`crate::Cpu::run`] uses it, and with
+/// The disabled observer: [`crate::Executor::run`] uses it, and with
 /// `ENABLED = false` the traced loop monomorphizes back to the plain one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoTrace;
@@ -161,69 +163,6 @@ impl TraceBuffer {
             std::mem::take(&mut self.annotations),
             std::mem::take(&mut self.squashes),
         )
-    }
-}
-
-/// An observer that folds the whole event stream into a single order-sensitive
-/// digest, in constant memory.
-///
-/// Two runs produce the same `(digest, retired, squashed)` triple exactly when
-/// they emitted the same [`Retirement`] records (with the same annotations and
-/// cumulative cycles) and the same squashed slots, in the same order — which is
-/// what the backend-equivalence suite in the `conformance` crate checks on
-/// workloads too large for a [`TraceBuffer`]. The digest is
-/// [`DefaultHasher`](std::collections::hash_map::DefaultHasher)-based, so it is
-/// only stable within one process — compare two `StreamHash`es from the same
-/// run of a test, don't persist the value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamHash {
-    /// The running digest over every event so far.
-    pub digest: u64,
-    /// Number of retirements folded in.
-    pub retired: u64,
-    /// Number of squashed slots folded in.
-    pub squashed: u64,
-}
-
-impl StreamHash {
-    /// A fresh digest (same as `StreamHash::default()`).
-    pub fn new() -> StreamHash {
-        StreamHash::default()
-    }
-
-    #[inline]
-    fn fold(&mut self, f: impl FnOnce(&mut std::collections::hash_map::DefaultHasher)) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.digest.hash(&mut h);
-        f(&mut h);
-        self.digest = h.finish();
-    }
-}
-
-impl Observer for StreamHash {
-    fn retire(&mut self, ev: &Retirement, annot: Annot, cycle: u64) -> ControlFlow<()> {
-        self.fold(|h| {
-            0u8.hash(h); // event kind: retirement
-            ev.pc.hash(h);
-            format!("{:?}", ev.insn).hash(h);
-            ev.write.map(|(r, v)| (r as u8, v)).hash(h);
-            ev.mem.map(|m| (m.addr, m.value, m.store)).hash(h);
-            ev.trap.hash(h);
-            format!("{annot:?}").hash(h);
-            cycle.hash(h);
-        });
-        self.retired += 1;
-        ControlFlow::Continue(())
-    }
-
-    fn squash(&mut self, pc: usize, branch_annot: Annot, cycle: u64) {
-        self.fold(|h| {
-            1u8.hash(h); // event kind: squashed slot
-            pc.hash(h);
-            format!("{branch_annot:?}").hash(h);
-            cycle.hash(h);
-        });
-        self.squashed += 1;
     }
 }
 

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use mipsx::{sched, verify, Asm, Cond, Cpu, Executor, HwConfig, Insn, Reg};
+use mipsx::{sched, verify, Asm, Cond, Executor, FastCpu, HwConfig, Insn, Reg};
 
 /// The registers random programs may touch (avoid the runtime-convention ones
 /// so setup stays trivial).
@@ -128,7 +128,8 @@ fn run_prog(prog: &Prog, schedule: bool) -> (i32, u64) {
     }
     let p = asm.finish().expect("assembles");
     verify::verify(&p).expect("verifies");
-    let o = Cpu::new(&p, HwConfig::plain(), 1 << 16)
+    let o = FastCpu::new(&p, HwConfig::plain(), 1 << 16)
+        .expect("predecodes")
         .run(5_000_000)
         .expect("runs");
     (o.halt_code, o.stats.cycles)

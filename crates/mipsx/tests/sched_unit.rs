@@ -5,7 +5,7 @@
 //! check is the final arbiter that no hazard survived.
 
 use mipsx::sched::{schedule, schedule_and_attribute};
-use mipsx::{Asm, Cpu, Executor, HwConfig, Insn, Program, Reg};
+use mipsx::{Asm, Executor, FastCpu, HwConfig, Insn, Program, Reg};
 
 /// Finish a scheduled stream into a verified program.
 fn finish(asm: Asm) -> Program {
@@ -17,7 +17,8 @@ fn finish(asm: Asm) -> Program {
 /// Run a verified program; returns (halt code, cycles). The simulator's
 /// dynamic load-delay check makes any surviving hazard a hard failure here.
 fn run_prog(prog: &Program) -> (i32, u64) {
-    let o = Cpu::new(prog, HwConfig::plain(), 1 << 16)
+    let o = FastCpu::new(prog, HwConfig::plain(), 1 << 16)
+        .expect("predecodes")
         .run(100_000)
         .expect("runs");
     (o.halt_code, o.stats.cycles)

@@ -6,7 +6,7 @@
 use std::ops::ControlFlow;
 
 use mipsx::trace::{MemOp, Observer, TraceBuffer};
-use mipsx::{Asm, Cpu, Executor, HwConfig, Insn, Reg, SimError, TagField};
+use mipsx::{Asm, Executor, FastCpu, HwConfig, Insn, Reg, SimError, TagField};
 
 fn entry(asm: &mut Asm) {
     let e = asm.here("entry");
@@ -15,7 +15,7 @@ fn entry(asm: &mut Asm) {
 
 fn run_traced(asm: Asm, hw: HwConfig, buf: &mut TraceBuffer) -> Result<mipsx::Outcome, SimError> {
     let prog = asm.finish().expect("assembles");
-    Cpu::new(&prog, hw, 1 << 16).run_observed(10_000, buf)
+    FastCpu::new(&prog, hw, 1 << 16)?.run_observed(10_000, buf)
 }
 
 #[test]
@@ -248,7 +248,8 @@ fn custom_observer_break_stops_the_run() {
     }
     let prog = looping_asm().finish().unwrap();
     let mut obs = StopAfter(7);
-    let err = Cpu::new(&prog, HwConfig::plain(), 1 << 16)
+    let err = FastCpu::new(&prog, HwConfig::plain(), 1 << 16)
+        .unwrap()
         .run_observed(10_000, &mut obs)
         .unwrap_err();
     assert!(matches!(err, SimError::Stopped { .. }));

@@ -441,7 +441,7 @@ mod tests {
             "--per-cell",
             "3",
             "--backends",
-            "classic,fast",
+            "ref,fast",
             "--witness-dir",
             "/tmp/w",
             "--max-programs",
@@ -455,7 +455,7 @@ mod tests {
         assert_eq!(args.spec.seed_base, 7);
         assert_eq!(args.spec.per_cell, 3);
         assert_eq!(args.spec.axis_points, CampaignSpec::smoke().axis_points);
-        assert_eq!(args.spec.backends, [Backend::Classic, Backend::Fast]);
+        assert_eq!(args.spec.backends, [Backend::Ref, Backend::Fast]);
         assert_eq!(args.spec.max_programs, Some(9));
         assert!(args.spec.fault.is_none() && !args.spec.stop_on_witness);
     }
@@ -478,7 +478,10 @@ mod tests {
         assert!(parse_err(&["fuzz", "--inject-fault", "rowhammer:1"]).contains("unknown fault"));
         assert!(parse_err(&["fuzz", "--fuzz-harder"]).contains("unknown flag"));
         assert!(parse_err(&["fuzz", "now"]).contains("unexpected argument"));
-        assert!(parse_err(&["fuzz", "--backends", "classic,turbo"]).contains("unknown backend"));
+        assert!(parse_err(&["fuzz", "--backends", "fast,turbo"]).contains("unknown backend"));
+        // The removed interpreter is rejected with the same precise error.
+        assert!(parse_err(&["fuzz", "--backends", "classic"])
+            .contains("fuzz: unknown backend \"classic\" (want fast or ref)"));
         assert!(parse_err(&["fuzz", "--per-cell", "many"]).contains("bad --per-cell"));
         assert!(parse_err(&["fuzz", "--seed-base"]).contains("needs a value"));
     }

@@ -71,7 +71,7 @@ use bench::spec::ExperimentSpec;
 use store::{ResultStore, StoreKey};
 use tagstudy::metrics::{labeled, REQUEST_BUCKETS};
 use tagstudy::trace::{chrome_trace_json, SpanId, SpanRecord, TraceContext, TraceId, Tracer};
-use tagstudy::{MetricsRegistry, Session};
+use tagstudy::{MetricsRegistry, Session, StudyError};
 
 use http::{Request, Response};
 
@@ -613,6 +613,12 @@ impl Daemon {
                     .collect();
                 Response::json(200, proto::results_json(&entries))
             }
+            // The client's own inline source failed to compile, validate or
+            // fit: its error, not the server's. A failing named benchmark is
+            // a server bug.
+            Err(e) if only_inline_failures(&e, &specs) => {
+                Response::error(400, &format!("inline source failed: {e}"))
+            }
             Err(e) => Response::error(500, &format!("measurement failed: {e}")),
         }
     }
@@ -622,7 +628,7 @@ impl Daemon {
     /// config)` with the backend deliberately excluded (results are
     /// backend-independent *by design* — which is exactly the property a
     /// differential fuzzer must not assume), so the cached path would
-    /// collapse a classic-vs-fast fan-out into one execution. This route
+    /// collapse a fast-vs-ref fan-out into one execution. This route
     /// always compiles and simulates, per spec, on the spec's own backend.
     fn handle_fuzz_run(&self, body: &[u8], ctx: TraceContext) -> Response {
         let specs = match proto::parse_batch(body) {
@@ -900,6 +906,21 @@ fn query_param<'q>(query: &'q str, name: &str) -> Option<&'q str> {
         .filter_map(|pair| pair.split_once('='))
         .find(|(k, _)| *k == name)
         .map(|(_, v)| v)
+}
+
+/// Whether every failure in `e` belongs to one of the inline specs of the
+/// batch (each failure names the program it measured).
+fn only_inline_failures(e: &StudyError, specs: &[ExperimentSpec]) -> bool {
+    let program = match e {
+        StudyError::Multiple(all) => return all.iter().all(|e| only_inline_failures(e, specs)),
+        StudyError::UnknownProgram(program)
+        | StudyError::Compile { program, .. }
+        | StudyError::Sim { program, .. }
+        | StudyError::WrongOutput { program, .. } => program,
+    };
+    specs
+        .iter()
+        .any(|s| s.source.is_some() && s.program == *program)
 }
 
 #[cfg(test)]

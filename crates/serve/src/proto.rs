@@ -273,15 +273,15 @@ mod tests {
     fn backend_rides_along_without_changing_identity() {
         use mipsx::Backend;
         let body = br#"{"experiments": [
-            "frl:backend=classic",
+            "frl:backend=fast",
             {"program": "trav", "backend": "ref"},
-            {"source": "(print 1)", "backend": "classic"},
+            {"source": "(print 1)", "backend": "ref"},
             {"program": "boyer"}
         ]}"#;
         let specs = parse_batch(body).unwrap();
-        assert_eq!(specs[0].config.backend, Backend::Classic);
+        assert_eq!(specs[0].config.backend, Backend::Fast);
         assert_eq!(specs[1].config.backend, Backend::Ref);
-        assert_eq!(specs[2].config.backend, Backend::Classic);
+        assert_eq!(specs[2].config.backend, Backend::Ref);
         assert_eq!(specs[3].config.backend, Backend::default());
         for s in &specs {
             assert!(
@@ -365,14 +365,19 @@ mod tests {
         assert_eq!(parsed[0].2.config, m.config);
     }
 
-    /// Unknown backend values take the canonical error paths of both shapes.
+    /// Unknown backend values — including the removed `classic` — take the
+    /// canonical error paths of both shapes.
     #[test]
     fn bad_backends_are_rejected() {
-        let err = parse_batch(br#"{"experiments": ["frl:backend=turbo"]}"#).unwrap_err();
-        assert!(err.contains("unknown backend \"turbo\""), "{err}");
-        let err = parse_batch(br#"{"experiments": [{"program": "frl", "backend": "turbo"}]}"#)
-            .unwrap_err();
-        assert!(err.contains("unknown backend \"turbo\""), "{err}");
+        for name in ["turbo", "classic"] {
+            let want = format!("unknown backend \"{name}\" (want fast or ref)");
+            let body = format!(r#"{{"experiments": ["frl:backend={name}"]}}"#);
+            let err = parse_batch(body.as_bytes()).unwrap_err();
+            assert!(err.contains(&want), "{err}");
+            let body = format!(r#"{{"experiments": [{{"program": "frl", "backend": "{name}"}}]}}"#);
+            let err = parse_batch(body.as_bytes()).unwrap_err();
+            assert!(err.contains(&want), "{err}");
+        }
     }
 
     #[test]

@@ -314,6 +314,33 @@ fn oversized_heap_is_a_precise_400() {
     shutdown(&addr, server);
 }
 
+/// A broken inline source is the client's error, not the server's: a 400
+/// naming the spec and the reason, whether the source fails to parse or
+/// fails validation at run time — also beside a good named benchmark.
+#[test]
+fn broken_inline_source_is_a_400() {
+    let (server, _, addr) = start(None, ServerConfig::default());
+    let cases = [
+        (r#"{"source": "(print"}"#, "(print", "unterminated list"),
+        (
+            r#"{"source": "(car 5)", "checking": "full"}"#,
+            "(car 5)",
+            "wrong output",
+        ),
+    ];
+    for (spec, source, reason) in cases {
+        for batch in [format!("[{spec}]"), format!(r#"["trav", {spec}]"#)] {
+            let body = format!(r#"{{"experiments": {batch}}}"#);
+            let (status, text) = post(&addr, "/v1/experiments", &body);
+            assert_eq!(status, 400, "{batch}: {text}");
+            let name = bench::spec::inline_name(source, None);
+            assert!(text.contains(&name), "{batch}: spec not named: {text}");
+            assert!(text.contains(reason), "{batch}: reason missing: {text}");
+        }
+    }
+    shutdown(&addr, server);
+}
+
 /// `POST /v1/shutdown` stops accepting but drains in-flight work: a batch
 /// already being measured still completes and gets its full response.
 #[test]

@@ -84,12 +84,12 @@ pub struct Witness {
     pub mix: String,
     /// The coverage cell (`profile@step`) the program was steered at.
     pub cell: String,
-    /// Human-readable column label, e.g. `high5:full:maximal:classic`.
+    /// Human-readable column label, e.g. `high5:full:maximal:ref`.
     pub column: String,
     /// The configuration of the diverging column (backend **not** included —
     /// see [`Witness::backend`]).
     pub config: Config,
-    /// The simulator backend of the diverging column (`classic`/`fast`/`ref`).
+    /// The simulator backend of the diverging column (`fast`/`ref`).
     pub backend: String,
     /// The injected fault, e.g. `branch-invert:1`, or `None` for an organic
     /// divergence.
@@ -125,11 +125,12 @@ impl Witness {
     ///
     /// # Errors
     ///
-    /// An unknown backend name (a record carrying one would have been written
-    /// by a future format and should not be trusted).
+    /// An unknown backend name: a record written by a future format, or one
+    /// naming the removed `classic` interpreter. Neither is trusted, and
+    /// `classic` is never replayed under another backend's name.
     pub fn config_with_backend(&self) -> Result<Config, String> {
         let backend = mipsx::Backend::from_name(&self.backend)
-            .ok_or_else(|| format!("unknown backend {:?}", self.backend))?;
+            .ok_or_else(|| format!("unknown backend {:?} (want fast or ref)", self.backend))?;
         Ok(self.config.with_backend(backend))
     }
 }

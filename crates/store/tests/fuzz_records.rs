@@ -38,9 +38,9 @@ fn witness(seed: u64, kind: &str) -> Witness {
         seed,
         mix: "list=4,vector=1,arith=2,branch=2,call=1".to_string(),
         cell: "list@2".to_string(),
-        column: "high5:full:maximal:classic".to_string(),
+        column: "high5:full:maximal:ref".to_string(),
         config: Config::baseline(CheckingMode::Full),
-        backend: "classic".to_string(),
+        backend: "ref".to_string(),
         fault: Some("branch-invert:1".to_string()),
         kind: kind.to_string(),
         detail: "halt: want 0, got 3".to_string(),
@@ -247,4 +247,25 @@ fn corrupt_or_stale_ledger_is_quarantined_not_trusted() {
         assert_eq!(store.quarantine_count(), 1, "{tag}");
         assert!(!path.exists(), "{tag}: moved out of the way");
     }
+}
+
+/// A stored witness naming the removed `classic` interpreter still loads (the
+/// record itself is intact), but asking for its replay configuration is an
+/// error naming the backend — never a panic, never another backend.
+#[test]
+fn witness_naming_classic_loads_but_has_no_replay_config() {
+    let scratch = Scratch::new("wit-classic");
+    let store = FuzzStore::open(&scratch.0).unwrap();
+    let w = Witness {
+        column: "high5:full:maximal:classic".to_string(),
+        backend: "classic".to_string(),
+        ..witness(11, "Halt")
+    };
+    let key = store.put_witness(&w).unwrap();
+    let back = store.get_witness(&key).expect("an intact record loads");
+    assert_eq!(
+        back.config_with_backend().unwrap_err(),
+        "unknown backend \"classic\" (want fast or ref)"
+    );
+    assert!(witness(11, "Halt").config_with_backend().is_ok());
 }

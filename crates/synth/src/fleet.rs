@@ -29,7 +29,7 @@ use crate::profile::OpMix;
 use crate::shrink;
 use lisp::eval::EvalOutcome;
 use lisp::CheckingMode;
-use mipsx::{Backend, Executor as _, Fault, HwConfig, RefCpu, Stats};
+use mipsx::{Backend, Executor as _, Fault, HwConfig, RefCpu, Stats, ALL_BACKENDS};
 use store::fuzz::{CoverageLedger, FuzzStore, Witness};
 use tagstudy::trace::{SpanId, SpanRecord, TraceContext, Tracer};
 use tagstudy::Config;
@@ -59,7 +59,7 @@ pub struct Column {
     pub checking: String,
     /// Hardware level: `plain`, `tagbr`, or `maximal`.
     pub hw: String,
-    /// Simulator backend: `classic`, `fast`, or `ref`.
+    /// Simulator backend: `fast` or `ref`.
     pub backend: String,
 }
 
@@ -85,7 +85,7 @@ impl Column {
         }
     }
 
-    /// The column's coordinate label, e.g. `high5:full:maximal:classic`.
+    /// The column's coordinate label, e.g. `high5:full:maximal:ref`.
     pub fn label(&self) -> String {
         format!(
             "{}:{}:{}:{}",
@@ -377,14 +377,14 @@ pub struct CampaignSpec {
 
 impl CampaignSpec {
     /// The full acceptance campaign: 12 op-mix cells × 45 programs = 540
-    /// programs, each through 24 configurations × the classic and fast
-    /// backends.
+    /// programs, each through 24 configurations × both backends (fast and
+    /// ref).
     pub fn full() -> CampaignSpec {
         CampaignSpec {
             seed_base: 0x5EED_F1EE,
             axis_points: 4,
             per_cell: 45,
-            backends: vec![Backend::Classic, Backend::Fast],
+            backends: ALL_BACKENDS.to_vec(),
             max_programs: None,
             fault: None,
             stop_on_witness: false,
@@ -654,12 +654,7 @@ fn archive_divergence(
     // exact retired instruction — record that alongside the oracle's view.
     if let Some(fault) = spec.fault {
         if let Ok(compiled) = lisp::compile(&source, &column.config.to_options()) {
-            if let Err(e) = conformance::check_compiled(
-                column.config.backend,
-                &compiled,
-                SIM_FUEL,
-                Some(fault),
-            ) {
+            if let Err(e) = conformance::check_compiled(&compiled, SIM_FUEL, Some(fault)) {
                 detail.push_str("; lockstep: ");
                 detail.push_str(&e.to_string());
             }
@@ -699,13 +694,13 @@ mod tests {
 
     #[test]
     fn matrix_is_configs_times_backends() {
-        let columns = matrix_columns(&[Backend::Classic, Backend::Fast]);
+        let columns = matrix_columns(&ALL_BACKENDS);
         assert_eq!(columns.len(), 24 * 2);
         let mut labels: Vec<String> = columns.iter().map(Column::label).collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 48, "labels identify columns uniquely");
-        assert!(labels.iter().any(|l| l == "high5:full:maximal:classic"));
+        assert!(labels.iter().any(|l| l == "high5:full:maximal:ref"));
     }
 
     #[test]

@@ -182,3 +182,25 @@ fn fault_campaign_archives_a_small_replayable_witness() {
         w.source
     );
 }
+
+/// A witness naming the removed `classic` interpreter is refused on replay
+/// with the precise backend error: never a panic, and never a silent re-run
+/// under another backend.
+#[test]
+fn witness_naming_classic_is_refused_on_replay() {
+    let w = store::fuzz::Witness {
+        seed: 1,
+        mix: "list=1".to_string(),
+        cell: "list@0".to_string(),
+        column: "high5:full:maximal:classic".to_string(),
+        config: tagstudy::Config::baseline(tagstudy::CheckingMode::Full),
+        backend: "classic".to_string(),
+        fault: None,
+        kind: "Halt".to_string(),
+        detail: "halt: want 0, got 3".to_string(),
+        source: "(print 1)\n".to_string(),
+        forms: 1,
+    };
+    let err = replay_witness(&w).expect_err("classic must not replay");
+    assert_eq!(err, "unknown backend \"classic\" (want fast or ref)");
+}

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lisp::CheckingMode;
-use mipsx::{Backend, Fault};
+use mipsx::Fault;
 use synth::{generate, render, shrink, OpMix};
 use tagstudy::Config;
 use tagword::TagScheme;
@@ -102,13 +102,12 @@ fn generated_programs_feed_the_conformance_harness() {
     let config = Config::new(TagScheme::HighTag5, CheckingMode::Full);
     let source = render(&generate(17, &OpMix::balanced()));
     let compiled = lisp::compile(&source, &config.to_options()).expect("compile");
-    let report =
-        conformance::check_compiled(Backend::Classic, &compiled, synth::oracle::SIM_FUEL, None)
-            .expect("clean run must conform");
+    let report = conformance::check_compiled(&compiled, synth::oracle::SIM_FUEL, None)
+        .expect("clean run must conform");
     assert!(report.retired > 0);
 
     let fault = Some(Fault::BranchInvert { nth: 1 });
-    match conformance::check_compiled(Backend::Fast, &compiled, synth::oracle::SIM_FUEL, fault) {
+    match conformance::check_compiled(&compiled, synth::oracle::SIM_FUEL, fault) {
         Err(conformance::CheckError::Diverged(_)) => {}
         other => panic!("faulted reference must diverge, got {other:?}"),
     }

@@ -214,93 +214,35 @@ fn simulate(
     }
 }
 
-/// [`run_benchmark`], also reporting where the host's wall time went.
-///
-/// # Errors
-///
-/// [`StudyError`] on compile/run failure or output mismatch.
-pub fn run_benchmark_timed(
-    b: &Benchmark,
-    config: &Config,
-) -> Result<(Measurement, Timing), StudyError> {
-    let compile_start = Instant::now();
-    let compiled = b
-        .compile(&config.to_options())
-        .map_err(|e| StudyError::Compile {
-            program: b.name.to_string(),
-            message: e.to_string(),
-        })?;
-    let compile_time = compile_start.elapsed();
-    let sim_start = Instant::now();
-    let outcome = simulate(&compiled, config).map_err(|e| StudyError::Sim {
-        program: b.name.to_string(),
-        message: e.to_string(),
-    })?;
-    if outcome.halt_code != lisp::exit_code::OK || outcome.output != b.expected_output {
-        return Err(StudyError::WrongOutput {
-            program: b.name.to_string(),
-            config: config.to_string(),
-            got: format!("halt={} {:?}", outcome.halt_code, outcome.output),
-        });
-    }
-    let timing = Timing {
-        compile: compile_time,
-        simulate: sim_start.elapsed(),
-    };
-    Ok((
-        Measurement {
-            program: b.name.to_string(),
-            config: *config,
-            stats: outcome.stats,
-            compile: compiled.stats,
-            halt_code: outcome.halt_code,
-            output: outcome.output,
-        },
-        timing,
-    ))
-}
-
-/// Compile and run benchmark `b` under `config`, validating its output.
-///
-/// # Errors
-///
-/// [`StudyError`] on compile/run failure or output mismatch.
-pub fn run_benchmark(b: &Benchmark, config: &Config) -> Result<Measurement, StudyError> {
-    run_benchmark_timed(b, config).map(|(m, _)| m)
-}
-
-/// [`run_benchmark_timed`] for an [`InlineProgram`] registered as `name`.
-///
-/// Validation matches the program's contract: the exit code must be
-/// [`lisp::exit_code::OK`], and the output must match `expected_output` when
-/// one is pinned.
+/// Compile and run program `name` under `config`, validating its output,
+/// and report where the host's wall time went. `compile` builds the program
+/// from the config's compiler options (a [`Benchmark`] or an
+/// [`InlineProgram`]); `expected_output` is the exact output to assert, or
+/// `None` to validate only the exit code ([`lisp::exit_code::OK`], which is
+/// always required).
 ///
 /// # Errors
 ///
 /// [`StudyError`] on compile/run failure, a non-zero exit, or (when pinned)
 /// an output mismatch.
-pub fn run_inline_timed(
+pub fn run_timed(
     name: &str,
-    p: &InlineProgram,
+    compile: impl FnOnce(&lisp::Options) -> Result<lisp::CompiledProgram, lisp::CompileError>,
+    expected_output: Option<&str>,
     config: &Config,
 ) -> Result<(Measurement, Timing), StudyError> {
     let compile_start = Instant::now();
-    let compiled = p
-        .compile(&config.to_options())
-        .map_err(|e| StudyError::Compile {
-            program: name.to_string(),
-            message: e.to_string(),
-        })?;
+    let compiled = compile(&config.to_options()).map_err(|e| StudyError::Compile {
+        program: name.to_string(),
+        message: e.to_string(),
+    })?;
     let compile_time = compile_start.elapsed();
     let sim_start = Instant::now();
     let outcome = simulate(&compiled, config).map_err(|e| StudyError::Sim {
         program: name.to_string(),
         message: e.to_string(),
     })?;
-    let output_ok = p
-        .expected_output
-        .as_ref()
-        .is_none_or(|want| outcome.output == *want);
+    let output_ok = expected_output.is_none_or(|want| outcome.output == want);
     if outcome.halt_code != lisp::exit_code::OK || !output_ok {
         return Err(StudyError::WrongOutput {
             program: name.to_string(),
@@ -323,6 +265,15 @@ pub fn run_inline_timed(
         },
         timing,
     ))
+}
+
+/// Compile and run benchmark `b` under `config`, validating its output.
+///
+/// # Errors
+///
+/// [`StudyError`] on compile/run failure or output mismatch.
+pub fn run_benchmark(b: &Benchmark, config: &Config) -> Result<Measurement, StudyError> {
+    run_timed(b.name, |o| b.compile(o), Some(b.expected_output), config).map(|(m, _)| m)
 }
 
 /// Run a named benchmark under `config`.
@@ -357,7 +308,8 @@ mod tests {
     #[test]
     fn timed_runs_attribute_wall_time() {
         let b = programs::by_name("frl").unwrap();
-        let (_, t) = run_benchmark_timed(b, &Config::baseline(CheckingMode::None)).unwrap();
+        let config = Config::baseline(CheckingMode::None);
+        let (_, t) = run_timed(b.name, |o| b.compile(o), Some(b.expected_output), &config).unwrap();
         assert!(t.compile > Duration::ZERO);
         assert!(t.simulate > Duration::ZERO);
         assert_eq!(t.total(), t.compile + t.simulate);

@@ -48,9 +48,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use crate::config::Config;
-use crate::measure::{
-    run_benchmark_timed, run_inline_timed, InlineProgram, Measurement, StudyError, Timing,
-};
+use crate::measure::{run_timed, InlineProgram, Measurement, StudyError, Timing};
 use crate::metrics::{names, MetricsRegistry, DURATION_BUCKETS, OCCUPANCY_BUCKETS};
 use crate::trace::{SpanId, SpanRecord, TraceContext, Tracer};
 
@@ -60,6 +58,21 @@ use crate::trace::{SpanId, SpanRecord, TraceContext, Tracer};
 enum Source {
     Builtin(&'static programs::Benchmark),
     Inline(Arc<InlineProgram>),
+}
+
+impl Source {
+    /// Measure this program as `name` under `config`: a benchmark always
+    /// pins its output, an inline program may.
+    fn run_timed(&self, name: &str, config: &Config) -> Result<(Measurement, Timing), StudyError> {
+        match self {
+            Source::Builtin(b) => {
+                run_timed(b.name, |o| b.compile(o), Some(b.expected_output), config)
+            }
+            Source::Inline(p) => {
+                run_timed(name, |o| p.compile(o), p.expected_output.as_deref(), config)
+            }
+        }
+    }
 }
 
 /// A progress event, delivered to the session's callback as measurements move
@@ -626,10 +639,9 @@ impl Session {
         program: &str,
         config: Config,
     ) -> Result<Measurement, StudyError> {
-        match self.resolve(program)? {
-            Source::Builtin(b) => crate::measure::run_benchmark(b, &config),
-            Source::Inline(p) => run_inline_timed(program, &p, &config).map(|(m, _)| m),
-        }
+        self.resolve(program)?
+            .run_timed(program, &config)
+            .map(|(m, _)| m)
     }
 
     /// Compile a named program (built-in benchmark or registered inline
@@ -1096,10 +1108,7 @@ impl Session {
                 },
                 ctx,
             );
-            match source {
-                Source::Builtin(b) => run_benchmark_timed(b, config),
-                Source::Inline(p) => run_inline_timed(name, &p, config),
-            }
+            source.run_timed(name, config)
         }))
         .unwrap_or_else(|payload| {
             Err(StudyError::Sim {

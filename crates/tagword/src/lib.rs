@@ -16,10 +16,6 @@
 //!   at `000`/`100` and double-word-aligned pointer objects (paper §5.2; the scheme
 //!   Lucid Common Lisp used).
 //!
-//! Beyond the paper's 32-bit schemes, the crate provides the modern descendants that
-//! the paper's software-tagging conclusion led to: low-bit [`ptr::TaggedPtr`] tagging
-//! of real Rust pointers, and [`nanbox::NanBox`] 64-bit NaN boxing.
-//!
 //! # Example
 //!
 //! ```
@@ -36,14 +32,9 @@
 
 #![deny(missing_docs)]
 
-mod cost;
 mod scheme;
 mod tag;
 
-pub mod nanbox;
-pub mod ptr;
-
-pub use cost::{CostModel, OpCost, TagOp, ALL_OPS};
 pub use scheme::{Extracted, SchemeError, TagScheme, ALL_SCHEMES};
 pub use tag::{Tag, ALL_TAGS};
 
