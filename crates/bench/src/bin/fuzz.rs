@@ -86,12 +86,18 @@ fn main() {
         eprintln!("cannot open witness dir {}: {e}", witness_dir.display());
         std::process::exit(1);
     });
-    let report = run_campaign(&spec, &store, &mut LocalRunner::default(), false, &mut |p| {
-        eprintln!(
-            "[fuzz] cell={} programs={} columns={} divergences={} coverage={:.1}%",
-            p.cell, p.programs, p.columns_run, p.divergences, p.coverage_percent
-        );
-    })
+    let report = run_campaign(
+        &spec,
+        &store,
+        &mut LocalRunner::default(),
+        false,
+        &mut |p| {
+            eprintln!(
+                "[fuzz] cell={} programs={} columns={} divergences={} coverage={:.1}%",
+                p.cell, p.programs, p.columns_run, p.divergences, p.coverage_percent
+            );
+        },
+    )
     .unwrap_or_else(|why| {
         eprintln!("fuzz: {why}");
         std::process::exit(1);
@@ -143,7 +149,11 @@ fn render_json(report: &synth::fleet::CampaignReport) -> String {
     let _ = writeln!(out, "  \"columns_run\": {},", report.columns_run);
     let _ = writeln!(out, "  \"columns_skipped\": {},", report.columns_skipped);
     let _ = writeln!(out, "  \"divergences\": {},", report.divergences);
-    let _ = writeln!(out, "  \"coverage_percent\": {:.4},", report.coverage_percent);
+    let _ = writeln!(
+        out,
+        "  \"coverage_percent\": {:.4},",
+        report.coverage_percent
+    );
     let _ = writeln!(out, "  \"complete\": {},", report.complete);
     let _ = writeln!(
         out,

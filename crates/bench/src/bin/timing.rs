@@ -279,9 +279,7 @@ fn main() {
     println!("every non-ideal cell's stall breakdown reconciles to the cycle");
     println!();
     if flips.is_empty() {
-        println!(
-            "ranking flips: none — the scheme order is robust to every measured timing model"
-        );
+        println!("ranking flips: none — the scheme order is robust to every measured timing model");
     } else {
         println!("ranking flips (scheme order by total cycles, ideal -> timed):");
         for f in &flips {

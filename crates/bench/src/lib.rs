@@ -52,6 +52,7 @@ pub fn session() -> Session {
             program,
             config,
             timing,
+            ..
         } = p
         {
             eprintln!(
@@ -160,7 +161,13 @@ pub fn stall_report(measurement: &Measurement, stalls: &[mipsx::FuncStalls]) -> 
         let _ = writeln!(
             out,
             "{:<24} {:>10} {:>10} {:>10} {:>10} {:>10} {:>6.1}%",
-            f.name, f.stalls[0], f.stalls[1], f.stalls[2], f.stalls[3], f.total(), share
+            f.name,
+            f.stalls[0],
+            f.stalls[1],
+            f.stalls[2],
+            f.stalls[3],
+            f.total(),
+            share
         );
     }
     out

@@ -460,7 +460,10 @@ mod tests {
             ("frl:timing=ideal", TimingConfig::ideal()),
             ("frl:timing=classic5", TimingConfig::classic5()),
             ("frl:low2:timing=modern", TimingConfig::modern()),
-            ("frl:high5:full:plain:timing=classic5", TimingConfig::classic5()),
+            (
+                "frl:high5:full:plain:timing=classic5",
+                TimingConfig::classic5(),
+            ),
             ("frl : TIMING=Modern", TimingConfig::modern()),
         ];
         for (text, want) in cases {

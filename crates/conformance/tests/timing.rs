@@ -74,10 +74,7 @@ fn timing_slice(lane: u64) {
             assert_eq!(fast.output, baseline.output, "{label}: observer effect");
 
             // And the books balance: timed = architectural + the four causes.
-            let total: u64 = ALL_STALL_CAUSES
-                .iter()
-                .map(|&c| fast_stats.stall(c))
-                .sum();
+            let total: u64 = ALL_STALL_CAUSES.iter().map(|&c| fast_stats.stall(c)).sum();
             assert_eq!(
                 fast_stats.timed_cycles(fast.stats.cycles),
                 fast.stats.cycles + total,

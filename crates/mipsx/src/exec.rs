@@ -21,17 +21,32 @@
 //! - the retirement cost in cycles (multiply/divide/float costs folded in);
 //! - branch shapes: delay-slot counts, squash behaviour, link registers, and
 //!   tag-clearing masks for checked accesses;
-//! - the register-use set as a bitmask, so the load-delay check is two ANDs.
+//! - the register-use set as a bitmask, so the load-delay check is two ANDs;
+//! - the straight-line *run* starting at each pc: the consecutive ops with no
+//!   control transfer, no trapping op (`LdChk`, `StChk`, generic
+//!   arithmetic), no `halt`, and no load whose register the very next op
+//!   reads — with its length and total cost. A branch or jump records the
+//!   same for its delay slots when they form such a run.
 //!
-//! The dispatch loop then matches on the dense micro-op enum (a jump table)
-//! and pays only two counter bumps per retirement — the running cycle count
-//! (needed for fuel checks and observer stamps) and a per-pc execution
-//! count. Everything else in [`Stats`] is a linear function of those counts
-//! and the predecoded op metadata, so it is reconstructed exactly when the
-//! run completes (trap penalties, which are rare and data-dependent, are
-//! accumulated directly as they happen). The [`Observer`] hook is
-//! monomorphized behind [`Observer::ENABLED`], so the unobserved path
-//! compiles to the plain loop.
+//! The dispatch loop matches on the dense micro-op enum (a jump table) and
+//! accounts **per run, not per instruction**. Every counter in [`Stats`] is a
+//! linear function of how often each pc commits, and inside a run every pc
+//! commits exactly as often as the run is entered. So when the whole run
+//! fits the cycle budget, the loop executes it as one step: one load-delay
+//! check at its first op, each op through the one semantic `match`, one
+//! cycle add, one bump of the run's counter, and the load hazard of its last
+//! op. A taken or non-squashing branch executes slots that form a run the
+//! same way, with one counter per branch. Trapping ops, runs the fuel check
+//! could fire inside, and squashed slots take the per-op path, which bumps a
+//! per-pc counter. When the run halts, the run counters are spread over
+//! their ops through a difference array and added to the per-pc counts, and
+//! [`Stats`] is folded from those counts and the predecoded op metadata
+//! (trap penalties, which are rare and data-dependent, are accumulated
+//! directly as they happen). The result is byte-identical to charging every
+//! retirement as it happens. The [`Observer`] hook is monomorphized behind
+//! [`Observer::ENABLED`]: the unobserved path compiles to the plain loop,
+//! and an observed run still sees every retirement, stamped with its own
+//! cycle.
 //!
 //! [`RefCpu`] is the other interpreter, and the oracle: a deliberately naive
 //! single-step interpreter over the undecoded [`Insn`]s, sharing none of the
@@ -383,7 +398,7 @@ impl DenseStats {
     }
 
     /// Per-retirement accounting, one call per committed op. The dispatch
-    /// loop does not use this — it bumps a per-pc execution counter and
+    /// loop does not use this — it counts executions per pc and per run and
     /// reconstructs the same totals in [`DenseStats::fold_counts`] — but the
     /// equivalence test below uses it as the reference accumulator.
     #[cfg(test)]
@@ -406,8 +421,9 @@ impl DenseStats {
     /// its tag/category slots, and `committed`; each squashed slot
     /// contributes one cycle against the owning branch's slots. Exactly what
     /// per-retirement `Stats::record`/`record_squashed` calls would have
-    /// accumulated — but the hot loop only paid one counter bump per op
-    /// (trap penalties are rare and recorded directly as they happen).
+    /// accumulated — but the hot loop only paid one counter bump per op or
+    /// per run (trap penalties are rare and recorded directly as they
+    /// happen).
     fn fold_counts(&self, decoded: &DecodedProgram, counts: &[u64], squashes: &[u64]) -> Stats {
         let mut agg = self.clone();
         for (pc, op) in decoded.ops.iter().enumerate() {
@@ -570,6 +586,27 @@ impl OpKind {
             OpKind::CondBr { .. } | OpKind::Jump { .. } | OpKind::JumpReg { .. }
         )
     }
+
+    /// Whether the op may sit in a straight-line run: it always falls
+    /// through to the next pc (no control transfer, no trap, no halt).
+    fn is_straight(self) -> bool {
+        !self.is_control()
+            && !matches!(
+                self,
+                OpKind::LdChk { .. }
+                    | OpKind::StChk { .. }
+                    | OpKind::GenArith { .. }
+                    | OpKind::Halt(_)
+            )
+    }
+
+    /// The register a plain load writes, as a bitmask (0 for other ops).
+    fn load_mask(self) -> u32 {
+        match self {
+            OpKind::Ld(d, ..) => 1 << d.index(),
+            _ => 0,
+        }
+    }
 }
 
 /// One micro-op with its fused metadata.
@@ -588,6 +625,13 @@ struct Op {
     cost: u32,
     /// Registers read, as a bitmask over register indices (r0 excluded).
     use_mask: u32,
+    /// Length of the run the dispatch loop may execute as one step here, or
+    /// 0: for a straight op, the straight-line run starting at this pc; for
+    /// a control op, its delay slots when they form such a run.
+    run: u16,
+    /// Total cost in cycles of those `run` ops (a run ends early rather
+    /// than overflow either field).
+    run_cost: u32,
 }
 
 /// A program lowered to micro-ops for one hardware configuration.
@@ -628,6 +672,7 @@ impl DecodedProgram {
         for (pc, &insn) in prog.insns.iter().enumerate() {
             ops.push(decode_one(pc, insn, prog.annots[pc], hw)?);
         }
+        link_runs(&mut ops);
         Ok(DecodedProgram {
             ops,
             entry: prog.entry,
@@ -644,6 +689,46 @@ impl DecodedProgram {
     /// Whether the program is empty.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+}
+
+/// Fill in every op's `run` and `run_cost`, back to front. A straight op
+/// heads a run of itself plus the run after it, unless it is a load whose
+/// register the next op reads (the load-delay check must then run at that
+/// next op) or its length or total cost would overflow. A control op's delay slots
+/// form a run when the run after it covers them all.
+fn link_runs(ops: &mut [Op]) {
+    for pc in (0..ops.len()).rev() {
+        let op = ops[pc];
+        let next = ops
+            .get(pc + 1)
+            .filter(|n| n.run > 0 && !n.kind.is_control());
+        let (run, run_cost) = match op.kind {
+            OpKind::CondBr { .. } | OpKind::Jump { .. } | OpKind::JumpReg { .. } => {
+                let slots = if matches!(op.kind, OpKind::CondBr { .. }) {
+                    2
+                } else {
+                    1
+                };
+                match next {
+                    // The run after covers the slots, so their cost fits.
+                    Some(n) if n.run >= slots => {
+                        let group = &ops[pc + 1..=pc + slots as usize];
+                        (slots, group.iter().map(|o| o.cost).sum())
+                    }
+                    _ => (0, 0),
+                }
+            }
+            kind if kind.is_straight() => {
+                let linked = next
+                    .filter(|n| kind.load_mask() & n.use_mask == 0)
+                    .and_then(|n| Some((n.run.checked_add(1)?, op.cost.checked_add(n.run_cost)?)));
+                linked.unwrap_or((1, op.cost))
+            }
+            _ => (0, 0),
+        };
+        ops[pc].run = run;
+        ops[pc].run_cost = run_cost;
     }
 }
 
@@ -840,84 +925,45 @@ fn decode_one(pc: usize, insn: Insn, annot: Annot, hw: HwConfig) -> Result<Op, S
         cat: cat_slot(annot),
         cost,
         use_mask,
+        run: 0,
+        run_cost: 0,
     })
 }
 
 enum Flow {
     Next,
     Halt(i32),
-    Trap { target: usize },
+    /// A checked op failed its check: nothing committed, control goes to
+    /// `target`, and the caller charges the trap.
+    Trap {
+        target: usize,
+    },
 }
 
-/// The predecoded interpreter: [`DecodedProgram`] micro-ops driven by a dense
-/// dispatch loop. The default [`Backend`]. See the [module docs](self).
+/// What one non-control micro-op did besides its architectural effects.
+struct Effect {
+    flow: Flow,
+    /// The register the op loaded, as a bitmask (0 = none): the next op's
+    /// load-delay hazard.
+    pending: u32,
+    /// The memory access, for observers (only filled when one is enabled).
+    mem: Option<MemOp>,
+}
+
+/// The architectural state the micro-ops read and write.
 #[derive(Debug)]
-pub struct FastCpu<'p> {
-    /// Kept for observer events (retirements carry the original [`Insn`]).
-    prog: &'p Program,
-    decoded: DecodedProgram,
+struct Arch {
     regs: [u32; 32],
     mem: Mem,
-    pc: usize,
-    stats: DenseStats,
-    /// Committed executions per pc; folded into [`Stats`] at halt (one
-    /// counter bump per retirement instead of the full attribution).
-    counts: Vec<u64>,
-    /// Squashed delay slots per *branch* pc (squashes are attributed to the
-    /// branch that owns the slot).
-    squash_counts: Vec<u64>,
     output: String,
-    /// Register written by the immediately preceding load, as a bitmask
-    /// (0 = none): the load-delay check is `use_mask & pending_load`.
-    pending_load: u32,
+    /// [`HwConfig::address_mask`], applied to every effective address.
+    address_mask: u32,
 }
 
-impl<'p> FastCpu<'p> {
-    /// Predecode `prog` for `hw` and build an interpreter over it with
-    /// `mem_bytes` of data memory, applying the program's initial data image.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::MissingHardware`] from [`DecodedProgram::decode`].
-    pub fn new(prog: &'p Program, hw: HwConfig, mem_bytes: usize) -> Result<Self, SimError> {
-        let decoded = DecodedProgram::decode(prog, hw)?;
-        Ok(FastCpu::from_decoded(prog, decoded, mem_bytes))
-    }
-
-    /// Build an interpreter from an already-decoded program. `decoded` must
-    /// have been produced by [`DecodedProgram::decode`] from this same `prog`
-    /// (reusing a decoded program across runs skips the predecode pass).
-    pub fn from_decoded(prog: &'p Program, decoded: DecodedProgram, mem_bytes: usize) -> Self {
-        assert_eq!(
-            decoded.ops.len(),
-            prog.insns.len(),
-            "decoded program must match the source program"
-        );
-        let mut mem = Mem::new(mem_bytes);
-        for &(addr, word) in &prog.data {
-            assert!(
-                mem.store(addr, word),
-                "data image outside memory: {addr:#x}"
-            );
-        }
-        let nops = decoded.ops.len();
-        FastCpu {
-            prog,
-            pc: decoded.entry,
-            decoded,
-            regs: [0; 32],
-            mem,
-            stats: DenseStats::default(),
-            counts: vec![0; nops],
-            squash_counts: vec![0; nops],
-            output: String::new(),
-            pending_load: 0,
-        }
-    }
-
+impl Arch {
     /// Read a register (r0 reads zero).
     #[inline(always)]
-    pub fn reg(&self, r: Reg) -> u32 {
+    fn reg(&self, r: Reg) -> u32 {
         if r == Reg::Zero {
             0
         } else {
@@ -932,68 +978,28 @@ impl<'p> FastCpu<'p> {
         }
     }
 
-    /// The register file (for post-run comparison).
-    pub fn regs(&self) -> &[u32; 32] {
-        &self.regs
-    }
-
-    /// The data memory (for post-run inspection).
-    pub fn mem(&self) -> &Mem {
-        &self.mem
-    }
-
-    #[inline(always)]
-    fn check_load_delay(&self, pc: usize, op: &Op) -> Result<(), SimError> {
-        if op.use_mask & self.pending_load != 0 {
-            return Err(SimError::LoadDelayViolation {
-                pc,
-                reg: Reg::from_index(self.pending_load.trailing_zeros() as usize),
-            });
-        }
-        Ok(())
-    }
-
     #[inline(always)]
     fn ea(&self, base: Reg, disp: u32) -> u32 {
-        self.reg(base).wrapping_add(disp) & self.decoded.address_mask
+        self.reg(base).wrapping_add(disp) & self.address_mask
     }
 
-    /// Report a trapping checked instruction to the observer and redirect.
-    fn emit_trap<O: Observer>(
-        &mut self,
-        obs: &mut O,
-        pc: usize,
-        annot: Annot,
-        target: usize,
-    ) -> Result<Flow, SimError> {
-        if O::ENABLED {
-            let ev = Retirement {
-                pc,
-                insn: self.prog.insns[pc],
-                write: None,
-                mem: None,
-                trap: Some(target),
-            };
-            if obs.retire(&ev, annot, self.stats.cycles).is_break() {
-                return Err(SimError::Stopped {
-                    cycles: self.stats.cycles,
-                });
-            }
+    /// The observer record of a committed retirement of `insn` at `pc`.
+    fn retirement(&self, pc: usize, insn: Insn, mem: Option<MemOp>) -> Retirement {
+        Retirement {
+            pc,
+            insn,
+            write: insn.def().map(|r| (r, self.reg(r))),
+            mem,
+            trap: None,
         }
-        Ok(Flow::Trap { target })
     }
 
-    /// Execute one non-control micro-op, recording its cycles.
+    /// The semantics of one non-control micro-op — the only copy, shared by
+    /// the per-op and the whole-run paths. Accounting is the caller's.
     #[inline(always)]
-    fn exec_simple<O: Observer>(
-        &mut self,
-        pc: usize,
-        op: Op,
-        obs: &mut O,
-    ) -> Result<Flow, SimError> {
+    fn exec<O: Observer>(&mut self, pc: usize, op: &Op) -> Result<Effect, SimError> {
         debug_assert!(!op.kind.is_control());
-        self.check_load_delay(pc, &op)?;
-        let mut next_pending = 0u32;
+        let mut pending = 0u32;
         let mut memop: Option<MemOp> = None;
         let flow = match op.kind {
             OpKind::Add(d, a, b) => {
@@ -1111,7 +1117,7 @@ impl<'p> FastCpu<'p> {
                     });
                 }
                 self.set_reg(d, v);
-                next_pending = 1 << d.index();
+                pending = 1 << d.index();
                 Flow::Next
             }
             OpKind::St { src, base, disp } => {
@@ -1140,23 +1146,23 @@ impl<'p> FastCpu<'p> {
             } => {
                 let word = self.reg(base);
                 if field.extract(word) != expect {
-                    self.stats
-                        .record_trap(op.tag, op.cat, self.decoded.trap_penalty);
-                    self.pending_load = 0;
-                    return self.emit_trap(obs, pc, op.annot, on_fail as usize);
+                    Flow::Trap {
+                        target: on_fail as usize,
+                    }
+                } else {
+                    let addr = (word & clear).wrapping_add(disp) & self.address_mask;
+                    let v = self.mem.load(addr).ok_or(SimError::MemFault { addr, pc })?;
+                    if O::ENABLED {
+                        memop = Some(MemOp {
+                            addr,
+                            value: v,
+                            store: false,
+                        });
+                    }
+                    self.set_reg(rd, v);
+                    pending = 1 << rd.index();
+                    Flow::Next
                 }
-                let addr = (word & clear).wrapping_add(disp) & self.decoded.address_mask;
-                let v = self.mem.load(addr).ok_or(SimError::MemFault { addr, pc })?;
-                if O::ENABLED {
-                    memop = Some(MemOp {
-                        addr,
-                        value: v,
-                        store: false,
-                    });
-                }
-                self.set_reg(rd, v);
-                next_pending = 1 << rd.index();
-                Flow::Next
             }
             OpKind::StChk {
                 src,
@@ -1169,24 +1175,24 @@ impl<'p> FastCpu<'p> {
             } => {
                 let word = self.reg(base);
                 if field.extract(word) != expect {
-                    self.stats
-                        .record_trap(op.tag, op.cat, self.decoded.trap_penalty);
-                    self.pending_load = 0;
-                    return self.emit_trap(obs, pc, op.annot, on_fail as usize);
+                    Flow::Trap {
+                        target: on_fail as usize,
+                    }
+                } else {
+                    let addr = (word & clear).wrapping_add(disp) & self.address_mask;
+                    let v = self.reg(src);
+                    if !self.mem.store(addr, v) {
+                        return Err(SimError::MemFault { addr, pc });
+                    }
+                    if O::ENABLED {
+                        memop = Some(MemOp {
+                            addr,
+                            value: v,
+                            store: true,
+                        });
+                    }
+                    Flow::Next
                 }
-                let addr = (word & clear).wrapping_add(disp) & self.decoded.address_mask;
-                let v = self.reg(src);
-                if !self.mem.store(addr, v) {
-                    return Err(SimError::MemFault { addr, pc });
-                }
-                if O::ENABLED {
-                    memop = Some(MemOp {
-                        addr,
-                        value: v,
-                        store: true,
-                    });
-                }
-                Flow::Next
             }
             OpKind::GenArith {
                 sub,
@@ -1203,20 +1209,19 @@ impl<'p> FastCpu<'p> {
                 } else {
                     (a as i32).checked_add(b as i32)
                 };
-                let ok = int_test.is_int(a)
-                    && int_test.is_int(b)
-                    && result.map(|r| int_test.is_int(r as u32)).unwrap_or(false);
-                if !ok {
-                    self.stats.record_trap(
-                        tag_slot(GEN_TRAP_ANNOT),
-                        cat_slot(GEN_TRAP_ANNOT),
-                        self.decoded.trap_penalty,
-                    );
-                    self.pending_load = 0;
-                    return self.emit_trap(obs, pc, GEN_TRAP_ANNOT, on_fail as usize);
+                match result {
+                    Some(r)
+                        if int_test.is_int(a)
+                            && int_test.is_int(b)
+                            && int_test.is_int(r as u32) =>
+                    {
+                        self.set_reg(rd, r as u32);
+                        Flow::Next
+                    }
+                    _ => Flow::Trap {
+                        target: on_fail as usize,
+                    },
                 }
-                self.set_reg(rd, result.expect("checked above") as u32);
-                Flow::Next
             }
             OpKind::Nop => Flow::Next,
             OpKind::Write(r, kind) => {
@@ -1235,25 +1240,203 @@ impl<'p> FastCpu<'p> {
                 unreachable!("control handled by the main loop")
             }
         };
+        Ok(Effect {
+            flow,
+            pending,
+            mem: memop,
+        })
+    }
+}
+
+/// Hand `ev` to the observer, stamped `cycles`; a break stops the run.
+#[inline(always)]
+fn report<O: Observer>(
+    obs: &mut O,
+    ev: &Retirement,
+    annot: Annot,
+    cycles: u64,
+) -> Result<(), SimError> {
+    if obs.retire(ev, annot, cycles).is_break() {
+        return Err(SimError::Stopped { cycles });
+    }
+    Ok(())
+}
+
+/// The predecoded interpreter: [`DecodedProgram`] micro-ops driven by a dense
+/// dispatch loop. The default [`Backend`]. See the [module docs](self).
+#[derive(Debug)]
+pub struct FastCpu<'p> {
+    /// Kept for observer events (retirements carry the original [`Insn`]).
+    prog: &'p Program,
+    decoded: DecodedProgram,
+    arch: Arch,
+    pc: usize,
+    stats: DenseStats,
+    /// Committed executions per pc on the per-op path.
+    counts: Vec<u64>,
+    /// Whole-run executions, per pc heading the run (for a control op: per
+    /// execution of its delay slots as one run). Spread over the run's ops
+    /// when the program halts.
+    run_counts: Vec<u64>,
+    /// Squashed delay slots per *branch* pc (squashes are attributed to the
+    /// branch that owns the slot).
+    squash_counts: Vec<u64>,
+    /// Register written by the immediately preceding load, as a bitmask
+    /// (0 = none): the load-delay check is `use_mask & pending_load`.
+    pending_load: u32,
+}
+
+impl<'p> FastCpu<'p> {
+    /// Predecode `prog` for `hw` and build an interpreter over it with
+    /// `mem_bytes` of data memory, applying the program's initial data image.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MissingHardware`] from [`DecodedProgram::decode`].
+    pub fn new(prog: &'p Program, hw: HwConfig, mem_bytes: usize) -> Result<Self, SimError> {
+        let decoded = DecodedProgram::decode(prog, hw)?;
+        Ok(FastCpu::from_decoded(prog, decoded, mem_bytes))
+    }
+
+    /// Build an interpreter from an already-decoded program. `decoded` must
+    /// have been produced by [`DecodedProgram::decode`] from this same `prog`
+    /// (reusing a decoded program across runs skips the predecode pass).
+    pub fn from_decoded(prog: &'p Program, decoded: DecodedProgram, mem_bytes: usize) -> Self {
+        assert_eq!(
+            decoded.ops.len(),
+            prog.insns.len(),
+            "decoded program must match the source program"
+        );
+        let mut mem = Mem::new(mem_bytes);
+        for &(addr, word) in &prog.data {
+            assert!(
+                mem.store(addr, word),
+                "data image outside memory: {addr:#x}"
+            );
+        }
+        let nops = decoded.ops.len();
+        FastCpu {
+            prog,
+            pc: decoded.entry,
+            arch: Arch {
+                regs: [0; 32],
+                mem,
+                output: String::new(),
+                address_mask: decoded.address_mask,
+            },
+            decoded,
+            stats: DenseStats::default(),
+            counts: vec![0; nops],
+            run_counts: vec![0; nops],
+            squash_counts: vec![0; nops],
+            pending_load: 0,
+        }
+    }
+
+    /// Read a register (r0 reads zero).
+    #[inline(always)]
+    pub fn reg(&self, r: Reg) -> u32 {
+        self.arch.reg(r)
+    }
+
+    /// The register file (for post-run comparison).
+    pub fn regs(&self) -> &[u32; 32] {
+        &self.arch.regs
+    }
+
+    /// The data memory (for post-run inspection).
+    pub fn mem(&self) -> &Mem {
+        &self.arch.mem
+    }
+
+    #[inline(always)]
+    fn check_load_delay(&self, pc: usize, op: &Op) -> Result<(), SimError> {
+        if op.use_mask & self.pending_load != 0 {
+            return Err(SimError::LoadDelayViolation {
+                pc,
+                reg: Reg::from_index(self.pending_load.trailing_zeros() as usize),
+            });
+        }
+        Ok(())
+    }
+
+    /// Execute one non-control micro-op, recording its cycles.
+    #[inline(always)]
+    fn exec_simple<O: Observer>(
+        &mut self,
+        pc: usize,
+        op: &Op,
+        obs: &mut O,
+    ) -> Result<Flow, SimError> {
+        self.check_load_delay(pc, op)?;
+        let done = self.arch.exec::<O>(pc, op)?;
+        if let Flow::Trap { target } = done.flow {
+            // Nothing commits; the trap penalty is charged to the op's
+            // annotation (a generic-arithmetic trap to dispatch work).
+            let (annot, tag, cat) = if matches!(op.kind, OpKind::GenArith { .. }) {
+                let a = GEN_TRAP_ANNOT;
+                (a, tag_slot(a), cat_slot(a))
+            } else {
+                (op.annot, op.tag, op.cat)
+            };
+            self.stats.record_trap(tag, cat, self.decoded.trap_penalty);
+            self.pending_load = 0;
+            if O::ENABLED {
+                let ev = Retirement {
+                    pc,
+                    insn: self.prog.insns[pc],
+                    write: None,
+                    mem: None,
+                    trap: Some(target),
+                };
+                report(obs, &ev, annot, self.stats.cycles)?;
+            }
+            return Ok(done.flow);
+        }
         self.stats.cycles += u64::from(op.cost);
         self.counts[pc] += 1;
-        self.pending_load = next_pending;
+        self.pending_load = done.pending;
         if O::ENABLED {
-            let insn = self.prog.insns[pc];
-            let ev = Retirement {
-                pc,
-                insn,
-                write: insn.def().map(|r| (r, self.reg(r))),
-                mem: memop,
-                trap: None,
-            };
-            if obs.retire(&ev, op.annot, self.stats.cycles).is_break() {
-                return Err(SimError::Stopped {
-                    cycles: self.stats.cycles,
-                });
+            let ev = self.arch.retirement(pc, self.prog.insns[pc], done.mem);
+            report(obs, &ev, op.annot, self.stats.cycles)?;
+        }
+        Ok(done.flow)
+    }
+
+    /// Execute the `len` straight ops from `start` (costing `cost` cycles) as
+    /// one step: one load-delay check at the first op, each op through
+    /// [`Arch::exec`], one cycle add, and the hazard of the last op. The
+    /// caller counts the run. Observers still see every retirement, stamped
+    /// with its own cycle.
+    #[inline(always)]
+    fn exec_run<O: Observer>(
+        &mut self,
+        start: usize,
+        len: usize,
+        cost: u64,
+        obs: &mut O,
+    ) -> Result<(), SimError> {
+        let ops = &self.decoded.ops[start..start + len];
+        self.check_load_delay(start, &ops[0])?;
+        let mut pending = 0;
+        for (pc, op) in (start..).zip(ops) {
+            let done = self.arch.exec::<O>(pc, op)?;
+            debug_assert!(
+                matches!(done.flow, Flow::Next),
+                "runs hold straight ops only"
+            );
+            pending = done.pending;
+            if O::ENABLED {
+                self.stats.cycles += u64::from(op.cost);
+                let ev = self.arch.retirement(pc, self.prog.insns[pc], done.mem);
+                report(obs, &ev, op.annot, self.stats.cycles)?;
             }
         }
-        Ok(flow)
+        if !O::ENABLED {
+            self.stats.cycles += cost;
+        }
+        self.pending_load = pending;
+        Ok(())
     }
 
     /// Execute one delay-slot micro-op (must not be a control transfer).
@@ -1267,16 +1450,40 @@ impl<'p> FastCpu<'p> {
         if op.kind.is_control() {
             return Err(SimError::ControlInSlot { pc });
         }
-        self.exec_simple(pc, op, obs)
+        self.exec_simple(pc, &op, obs)
+    }
+
+    /// Committed executions per pc: the per-op counts, plus every whole-run
+    /// execution spread over its ops through a difference array (a control
+    /// op's run is its delay slots, one pc on).
+    fn commit_counts(&self) -> Vec<u64> {
+        let ops = &self.decoded.ops;
+        let mut counts = vec![0u64; ops.len() + 1];
+        for (pc, (&n, op)) in self.run_counts.iter().zip(ops).enumerate() {
+            if n > 0 {
+                let first = pc + usize::from(op.kind.is_control());
+                let end = first + op.run as usize;
+                counts[first] = counts[first].wrapping_add(n);
+                counts[end] = counts[end].wrapping_sub(n);
+            }
+        }
+        counts.pop();
+        let mut live = 0u64;
+        for (c, &own) in counts.iter_mut().zip(&self.counts) {
+            live = live.wrapping_add(*c);
+            *c = live + own;
+        }
+        counts
     }
 
     fn outcome(&mut self, code: i32) -> Outcome {
+        let counts = self.commit_counts();
         Outcome {
             halt_code: code,
-            output: std::mem::take(&mut self.output),
+            output: std::mem::take(&mut self.arch.output),
             stats: self
                 .stats
-                .fold_counts(&self.decoded, &self.counts, &self.squash_counts),
+                .fold_counts(&self.decoded, &counts, &self.squash_counts),
         }
     }
 }
@@ -1300,7 +1507,16 @@ impl Executor for FastCpu<'_> {
                 .get(pc)
                 .ok_or(SimError::PcOutOfRange { pc })?;
             if !op.kind.is_control() {
-                match self.exec_simple(pc, op, obs)? {
+                // A whole run in one step, unless the fuel check could fire
+                // inside it.
+                let cost = u64::from(op.run_cost);
+                if op.run > 0 && cost < max_cycles - self.stats.cycles {
+                    self.exec_run(pc, op.run as usize, cost, obs)?;
+                    self.run_counts[pc] += 1;
+                    self.pc = pc + op.run as usize;
+                    continue;
+                }
+                match self.exec_simple(pc, &op, obs)? {
                     Flow::Next => self.pc = pc + 1,
                     Flow::Halt(code) => return Ok(self.outcome(code)),
                     Flow::Trap { target } => self.pc = target,
@@ -1347,35 +1563,33 @@ impl Executor for FastCpu<'_> {
                 };
 
             if let Some(link) = link {
-                self.set_reg(link, (pc + 1 + slots) as u32);
+                self.arch.set_reg(link, (pc + 1 + slots) as u32);
             }
 
             if O::ENABLED {
-                let insn = self.prog.insns[pc];
-                let ev = Retirement {
-                    pc,
-                    insn,
-                    write: insn.def().map(|r| (r, self.reg(r))),
-                    mem: None,
-                    trap: None,
-                };
-                if obs.retire(&ev, op.annot, self.stats.cycles).is_break() {
-                    return Err(SimError::Stopped {
-                        cycles: self.stats.cycles,
-                    });
-                }
+                let ev = self.arch.retirement(pc, self.prog.insns[pc], None);
+                report(obs, &ev, op.annot, self.stats.cycles)?;
             }
 
-            let mut halted = None;
-            for s in 1..=slots {
-                let spc = pc + s;
-                if taken || !squash {
+            if !taken && squash {
+                // Squashed: each slot's cycle is wasted, attributed to the
+                // branch.
+                for spc in pc + 1..=pc + slots {
+                    self.stats.cycles += 1;
+                    self.squash_counts[pc] += 1;
+                    if O::ENABLED {
+                        obs.squash(spc, op.annot, self.stats.cycles);
+                    }
+                }
+            } else if op.run > 0 {
+                // The slots form a run: one step, counted at the branch.
+                self.exec_run(pc + 1, slots, u64::from(op.run_cost), obs)?;
+                self.run_counts[pc] += 1;
+            } else {
+                for spc in pc + 1..=pc + slots {
                     match self.exec_slot(spc, obs)? {
                         Flow::Next => {}
-                        Flow::Halt(code) => {
-                            halted = Some(code);
-                            break;
-                        }
+                        Flow::Halt(code) => return Ok(self.outcome(code)),
                         Flow::Trap { .. } => {
                             // Checked instructions are never placed in delay
                             // slots by the code generator (verify.rs enforces
@@ -1383,18 +1597,7 @@ impl Executor for FastCpu<'_> {
                             return Err(SimError::ControlInSlot { pc: spc });
                         }
                     }
-                } else {
-                    // Squashed: cycle wasted, attributed to the branch.
-                    self.stats.cycles += 1;
-                    self.squash_counts[pc] += 1;
-                    self.pending_load = 0;
-                    if O::ENABLED {
-                        obs.squash(spc, op.annot, self.stats.cycles);
-                    }
                 }
-            }
-            if let Some(code) = halted {
-                return Ok(self.outcome(code));
             }
 
             self.pc = if taken { target } else { pc + 1 + slots };
@@ -1402,11 +1605,11 @@ impl Executor for FastCpu<'_> {
     }
 
     fn regs(&self) -> &[u32; 32] {
-        &self.regs
+        &self.arch.regs
     }
 
     fn mem(&self) -> &Mem {
-        &self.mem
+        &self.arch.mem
     }
 }
 
@@ -1426,8 +1629,9 @@ impl Executor for RefCpu<'_> {
         let mut stats = Stats::default();
         loop {
             // The pipelined loop checks fuel only between instruction groups
-            // (never inside a branch's delay slots); mirror that.
-            if !self.in_delay_slot() && stats.cycles >= max_cycles {
+            // (never inside a branch's delay slots, never after `halt`);
+            // mirror that.
+            if !self.in_delay_slot() && self.halt_code().is_none() && stats.cycles >= max_cycles {
                 return Err(SimError::OutOfFuel {
                     cycles: stats.cycles,
                 });
@@ -1513,15 +1717,26 @@ mod tests {
         backend.executor(prog, hw, 1 << 16)?.run(fuel)
     }
 
-    /// Run `prog` on every backend, assert they agree on the whole
+    /// Run `prog` on both backends with `fuel`, assert they agree on the
+    /// whole result (the `Outcome`, or the error), and return FastCpu's.
+    fn agree(prog: &Program, hw: HwConfig, fuel: u64) -> Result<Outcome, SimError> {
+        let fast = run_on(Backend::Fast, prog, hw, fuel);
+        let reference = run_on(Backend::Ref, prog, hw, fuel);
+        match (&fast, &reference) {
+            (Ok(f), Ok(r)) => {
+                assert_eq!(f.halt_code, r.halt_code, "halt code at fuel {fuel}");
+                assert_eq!(f.output, r.output, "output at fuel {fuel}");
+                assert_eq!(f.stats, r.stats, "statistics at fuel {fuel}");
+            }
+            (f, r) => assert_eq!(f.as_ref().err(), r.as_ref().err(), "error at fuel {fuel}"),
+        }
+        fast
+    }
+
+    /// Run `prog` on both backends, assert they agree on the whole
     /// [`Outcome`], and return it.
     fn run_prog(prog: &Program, hw: HwConfig) -> Outcome {
-        let fast = run_on(Backend::Fast, prog, hw, 1_000_000).expect("fast runs");
-        let reference = run_on(Backend::Ref, prog, hw, 1_000_000).expect("ref runs");
-        assert_eq!(fast.halt_code, reference.halt_code, "halt code");
-        assert_eq!(fast.output, reference.output, "output");
-        assert_eq!(fast.stats, reference.stats, "statistics");
-        fast
+        agree(prog, hw, 1_000_000).expect("both backends run")
     }
 
     fn run(asm: Asm, hw: HwConfig) -> Outcome {
@@ -2102,5 +2317,185 @@ mod tests {
         asm.jr(Reg::Link);
         let o = run(asm, HwConfig::plain());
         assert_eq!(o.halt_code, 5);
+    }
+
+    // Boundaries of whole-run dispatch. FastCpu executes a straight-line run
+    // (or a branch's delay slots) as one step; each test pins a case where
+    // that step must stop, fall back to the per-op path, or be entered
+    // mid-way, and checks FastCpu against RefCpu.
+
+    /// FastCpu's committed executions per pc after running `prog` to halt,
+    /// next to RefCpu's, counted from its retirement stream.
+    fn per_pc_counts(prog: &Program, hw: HwConfig) -> (Vec<u64>, Vec<u64>) {
+        let mut fast = FastCpu::new(prog, hw, 1 << 16).unwrap();
+        fast.run(1_000_000).expect("fast runs");
+        let mut buf = TraceBuffer::default();
+        RefCpu::new(prog, hw, 1 << 16)
+            .run_observed(1_000_000, &mut buf)
+            .expect("ref runs");
+        let mut reference = vec![0; prog.len()];
+        for r in buf.records.iter().filter(|r| r.trap.is_none()) {
+            reference[r.pc] += 1;
+        }
+        (fast.commit_counts(), reference)
+    }
+
+    /// `(run, run_cost)` of every op, as predecode linked them.
+    fn runs(prog: &Program, hw: HwConfig) -> Vec<(u16, u32)> {
+        let decoded = DecodedProgram::decode(prog, hw).unwrap();
+        decoded.ops.iter().map(|o| (o.run, o.run_cost)).collect()
+    }
+
+    /// A three-trip loop whose body is one run holding a multiply (so op
+    /// costs differ), closed by a branch whose two nop slots form a run.
+    fn costed_loop() -> Program {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::T0, 3);
+        let top = asm.here("top");
+        asm.emit(Insn::Addi(Reg::A0, Reg::A0, 1));
+        asm.emit(Insn::Mul(Reg::A1, Reg::A0, Reg::A0));
+        asm.emit(Insn::Add(Reg::A2, Reg::A2, Reg::A1));
+        asm.emit(Insn::Addi(Reg::T0, Reg::T0, -1));
+        asm.bri(Cond::Gt, Reg::T0, 0, top);
+        asm.halt(Reg::A2);
+        asm.finish().unwrap()
+    }
+
+    #[test]
+    fn fuel_ending_inside_or_at_the_end_of_a_run_matches_ref() {
+        let prog = costed_loop();
+        let hw = HwConfig::plain();
+        let mul = u64::from(hw.mul_cycles);
+        let body = 3 + mul;
+        let table = runs(&prog, hw);
+        assert_eq!(table[1], (4, 3 + hw.mul_cycles), "the loop body is one run");
+        let total = agree(&prog, hw, 1_000_000).unwrap().stats.cycles;
+        assert_eq!(total, 1 + 3 * (body + 3) + 1);
+        // Every budget up to past the end: each one expires at a different
+        // op, inside a run, at a run's last op, or in a branch's slots.
+        // A budget that ends with the `halt` itself still halts.
+        for fuel in 1..=total + 1 {
+            match agree(&prog, hw, fuel) {
+                Err(SimError::OutOfFuel { cycles }) => assert!(cycles >= fuel && fuel < total),
+                Err(e) => panic!("fuel {fuel}: {e}"),
+                Ok(o) => assert!(o.stats.cycles == total && fuel >= total),
+            }
+        }
+        // The budget covers the first run of the body up to, not including,
+        // its last op: the check before that op fires.
+        let before_last = 1 + 1 + mul + 1;
+        assert_eq!(
+            agree(&prog, hw, before_last).unwrap_err(),
+            SimError::OutOfFuel {
+                cycles: before_last
+            }
+        );
+        // The budget ends exactly with the run: the check after it fires.
+        assert_eq!(
+            agree(&prog, hw, 1 + body).unwrap_err(),
+            SimError::OutOfFuel { cycles: 1 + body }
+        );
+    }
+
+    /// `FastCpu` only: `RefCpu` does not enforce the load-delay rule.
+    #[test]
+    fn load_ending_a_run_is_checked_at_the_next_runs_first_op() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::T0, 0x100);
+        asm.ld(Reg::A0, Reg::T0, 0);
+        asm.emit(Insn::Add(Reg::A1, Reg::A0, Reg::Zero)); // reads A0 too early
+        asm.emit(Insn::Add(Reg::A1, Reg::A1, Reg::A1));
+        asm.halt(Reg::A1);
+        let prog = asm.finish().unwrap();
+        let hw = HwConfig::plain();
+        let table = runs(&prog, hw);
+        assert_eq!(table[0].0, 2, "li + ld: the run stops at the load");
+        assert_eq!(table[2].0, 2, "the reader heads the next run");
+        assert_eq!(
+            run_err(Backend::Fast, &prog, hw, 1000),
+            SimError::LoadDelayViolation {
+                pc: 2,
+                reg: Reg::A0
+            }
+        );
+    }
+
+    #[test]
+    fn jumps_into_a_run_and_onto_a_delay_slot_count_every_pc() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        let mid = asm.new_label();
+        let slot = asm.new_label();
+        asm.li(Reg::T0, 2); // 0
+        asm.emit(Insn::J(mid.0)); // 1
+        asm.bind(slot);
+        asm.emit(Insn::Addi(Reg::A0, Reg::A0, 100)); // 2: the jump's slot
+        asm.emit(Insn::Addi(Reg::A0, Reg::A0, 1)); // 3
+        asm.bind(mid);
+        asm.emit(Insn::Addi(Reg::A0, Reg::A0, 2)); // 4: mid-run target
+        asm.emit(Insn::Addi(Reg::T0, Reg::T0, -1)); // 5
+        asm.bri(Cond::Gt, Reg::T0, 0, slot); // 6, slots 7-8: back onto pc 2
+        asm.halt(Reg::A0); // 9
+        let prog = asm.finish().unwrap();
+        let hw = HwConfig::plain();
+        let table: Vec<u16> = runs(&prog, hw).iter().map(|r| r.0).collect();
+        assert_eq!(table, [1, 1, 4, 3, 2, 1, 2, 2, 1, 0]);
+        let o = agree(&prog, hw, 1_000_000).unwrap();
+        assert_eq!(o.halt_code, 100 + 2 + 100 + 1 + 2);
+        let (fast, reference) = per_pc_counts(&prog, hw);
+        assert_eq!(fast, reference);
+        assert_eq!(fast, [1, 1, 2, 1, 2, 2, 2, 2, 2, 1]);
+    }
+
+    #[test]
+    fn halt_in_a_delay_slot_group_matches_ref() {
+        for first in [true, false] {
+            let mut asm = Asm::new();
+            entry(&mut asm);
+            let t = asm.new_label();
+            asm.li(Reg::A0, 7);
+            asm.br_raw(Cond::Eq, Reg::Zero, Reg::Zero, t, false); // taken
+            if first {
+                asm.halt(Reg::A0);
+                asm.nop();
+            } else {
+                asm.emit(Insn::Addi(Reg::A0, Reg::A0, 1));
+                asm.halt(Reg::A0);
+            }
+            asm.bind(t);
+            asm.halt(Reg::Zero);
+            let prog = asm.finish().unwrap();
+            let hw = HwConfig::plain();
+            assert_eq!(runs(&prog, hw)[1].0, 0, "a halt keeps the slots per-op");
+            let o = agree(&prog, hw, 1000).unwrap();
+            assert_eq!(o.halt_code, if first { 7 } else { 8 });
+            let (fast, reference) = per_pc_counts(&prog, hw);
+            assert_eq!(fast, reference);
+        }
+    }
+
+    #[test]
+    fn mem_fault_in_the_middle_of_a_run_matches_ref() {
+        let mut asm = Asm::new();
+        entry(&mut asm);
+        asm.li(Reg::T0, 0x100);
+        asm.li(Reg::A0, 5);
+        asm.st(Reg::A0, Reg::T0, 0);
+        asm.li(Reg::T1, -8); // far outside the 64 KiB memory
+        asm.st(Reg::A0, Reg::T1, 0); // pc 4 faults
+        asm.emit(Insn::Addi(Reg::A0, Reg::A0, 1));
+        asm.halt(Reg::A0);
+        let prog = asm.finish().unwrap();
+        let hw = HwConfig::plain();
+        assert_eq!(runs(&prog, hw)[0].0, 6, "the fault sits inside one run");
+        assert_eq!(
+            agree(&prog, hw, 1000).unwrap_err(),
+            (SimError::MemFault {
+                addr: -8i32 as u32,
+                pc: 4
+            })
+        );
     }
 }

@@ -372,7 +372,10 @@ impl Cache {
         if p.size == 0 {
             return None;
         }
-        assert!(p.line.is_power_of_two(), "cache line must be a power of two");
+        assert!(
+            p.line.is_power_of_two(),
+            "cache line must be a power of two"
+        );
         assert!(p.ways >= 1, "cache needs at least one way");
         let n_sets = (p.size / (p.line * p.ways)).max(1);
         assert!(
@@ -455,7 +458,11 @@ impl Predictor {
         if self.kind != PredictorKind::NotTaken {
             let ix = self.index(pc);
             let c = &mut self.table[ix];
-            *c = if taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
+            *c = if taken {
+                (*c + 1).min(3)
+            } else {
+                c.saturating_sub(1)
+            };
         }
         if self.kind == PredictorKind::Gshare {
             self.history =
@@ -784,7 +791,13 @@ impl Observer for TimingModel {
             }
             Insn::Jr(_) | Insn::Jalr(..) => {
                 let predicted = self.btb.predict(ev.pc);
-                self.pending = Some((Pending::Indirect { pc: ev.pc, predicted }, 1));
+                self.pending = Some((
+                    Pending::Indirect {
+                        pc: ev.pc,
+                        predicted,
+                    },
+                    1,
+                ));
             }
             // Direct jumps are free; traps redirect but their drain cost is
             // already architectural (`trap_penalty`).
@@ -846,11 +859,7 @@ mod tests {
         let (stats, t, model) = run_timed(loop_program(50), TimingConfig::modern());
         assert_eq!(
             t.timed_cycles(stats.cycles),
-            stats.cycles
-                + t.stall_icache
-                + t.stall_dcache
-                + t.stall_mispredict
-                + t.stall_load_use
+            stats.cycles + t.stall_icache + t.stall_dcache + t.stall_mispredict + t.stall_load_use
         );
         // Per-pc attribution reconciles with the per-cause totals exactly.
         let mut sums = [0u64; 4];

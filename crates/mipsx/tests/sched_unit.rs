@@ -254,7 +254,8 @@ fn attribution_tracks_the_filled_layout() {
         Insn::Add(Reg::T2, Reg::T0, Reg::T1)
     );
     assert_eq!(
-        prog.annots[branch_at + 1].tag_op, None,
+        prog.annots[branch_at + 1].tag_op,
+        None,
         "the hoisted add keeps its own annotation"
     );
     assert_eq!(prog.insns[branch_at + 2], Insn::Nop);

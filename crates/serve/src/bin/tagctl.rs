@@ -178,7 +178,10 @@ fn trace_cmd(addr: &str, chrome: bool, slow: bool, id: Option<&str>) {
         &snapshot.recent
     };
     if traces.is_empty() {
-        println!("(no {} traces recorded)", if slow { "slow" } else { "recent" });
+        println!(
+            "(no {} traces recorded)",
+            if slow { "slow" } else { "recent" }
+        );
         return;
     }
     for record in traces {
@@ -210,8 +213,7 @@ fn render_top(metrics: &str) -> String {
             line.strip_prefix("daemon_request_duration_seconds_count{endpoint=\"")
         {
             if let Some((endpoint, value)) = rest.split_once("\"} ") {
-                rows.entry(endpoint.to_string()).or_default().0 =
-                    value.trim().parse().unwrap_or(0);
+                rows.entry(endpoint.to_string()).or_default().0 = value.trim().parse().unwrap_or(0);
             }
         } else if let Some(rest) =
             line.strip_prefix("daemon_request_latency_quantile_seconds{endpoint=\"")

@@ -77,8 +77,10 @@ fn main() {
                 ));
             }
             "--trace-capacity" => {
-                config.trace_capacity =
-                    parse_or_usage("--trace-capacity", value("--trace-capacity").parse::<usize>());
+                config.trace_capacity = parse_or_usage(
+                    "--trace-capacity",
+                    value("--trace-capacity").parse::<usize>(),
+                );
             }
             "--slow-ms" => {
                 config.slow_threshold = Duration::from_millis(parse_or_usage(

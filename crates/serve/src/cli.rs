@@ -462,13 +462,15 @@ mod tests {
 
     #[test]
     fn fuzz_fault_and_replay_modes() {
-        let Command::Fuzz(args) =
-            parse_ok(&["fuzz", "--inject-fault", "branch-invert:1"]).command
+        let Command::Fuzz(args) = parse_ok(&["fuzz", "--inject-fault", "branch-invert:1"]).command
         else {
             panic!("not a fuzz");
         };
         assert_eq!(args.spec.fault, Some(Fault::BranchInvert { nth: 1 }));
-        assert!(args.spec.stop_on_witness, "fault mode stops at first witness");
+        assert!(
+            args.spec.stop_on_witness,
+            "fault mode stops at first witness"
+        );
 
         let Command::Fuzz(args) = parse_ok(&["fuzz", "--replay", "deadbeef"]).command else {
             panic!("not a fuzz");

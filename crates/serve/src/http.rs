@@ -157,8 +157,10 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
                 if text.is_empty() || !text.bytes().all(|b| b.is_ascii_digit()) {
                     return Err(format!("bad Content-Length {value:?}"));
                 }
-                content_length =
-                    Some(text.parse().map_err(|_| format!("bad Content-Length {value:?}"))?);
+                content_length = Some(
+                    text.parse()
+                        .map_err(|_| format!("bad Content-Length {value:?}"))?,
+                );
             }
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }

@@ -773,8 +773,7 @@ impl Daemon {
         let snapshot = self.tracer.snapshot();
         if query_param(query, "format") == Some("chrome") {
             let mut traces = snapshot.recent.clone();
-            let seen: std::collections::HashSet<u128> =
-                traces.iter().map(|t| t.trace.0).collect();
+            let seen: std::collections::HashSet<u128> = traces.iter().map(|t| t.trace.0).collect();
             traces.extend(
                 snapshot
                     .slow
@@ -929,7 +928,10 @@ mod tests {
 
     #[test]
     fn endpoint_labels_are_bounded() {
-        assert_eq!(endpoint_of("POST", "/v1/experiments"), "POST /v1/experiments");
+        assert_eq!(
+            endpoint_of("POST", "/v1/experiments"),
+            "POST /v1/experiments"
+        );
         assert_eq!(
             endpoint_of("GET", "/v1/results/abc123"),
             "GET /v1/results/{key}"

@@ -315,10 +315,17 @@ mod tests {
         assert_eq!(specs[2].config.timing, TimingConfig::classic5());
         assert_eq!(specs[3].config.timing, TimingConfig::ideal());
         assert_eq!(specs[4], specs[3], "explicit ideal equals omitted");
-        assert_eq!(specs[1].to_spec_string(), "trav:high5:full:plain:timing=modern");
+        assert_eq!(
+            specs[1].to_spec_string(),
+            "trav:high5:full:plain:timing=modern"
+        );
         let ideal = StoreKey::compute("src", &specs[3].config);
         let timed = StoreKey::compute("src", &specs[3].config.with_timing(TimingConfig::modern()));
-        assert_ne!(ideal.as_str(), timed.as_str(), "timing must split addresses");
+        assert_ne!(
+            ideal.as_str(),
+            timed.as_str(),
+            "timing must split addresses"
+        );
     }
 
     /// Unknown timing presets take the canonical error paths of both shapes.
@@ -326,8 +333,8 @@ mod tests {
     fn bad_timing_presets_are_rejected() {
         let err = parse_batch(br#"{"experiments": ["frl:timing=warp"]}"#).unwrap_err();
         assert!(err.contains("unknown timing preset \"warp\""), "{err}");
-        let err = parse_batch(br#"{"experiments": [{"program": "frl", "timing": "warp"}]}"#)
-            .unwrap_err();
+        let err =
+            parse_batch(br#"{"experiments": [{"program": "frl", "timing": "warp"}]}"#).unwrap_err();
         assert!(err.contains("unknown timing preset \"warp\""), "{err}");
     }
 

@@ -40,8 +40,7 @@ impl Drop for Scratch {
 }
 
 fn start() -> (Server, String) {
-    let (server, _) =
-        Server::start("127.0.0.1:0", None, ServerConfig::default()).expect("bind");
+    let (server, _) = Server::start("127.0.0.1:0", None, ServerConfig::default()).expect("bind");
     let addr = server.addr().to_string();
     (server, addr)
 }
@@ -99,10 +98,26 @@ fn daemon_campaign_saturates_and_reports_metrics() {
 
     let metrics = server.handle().metrics_prometheus();
     assert_eq!(metric(&metrics, "daemon_fuzz_runs_total"), 3.0, "{metrics}");
-    assert_eq!(metric(&metrics, "daemon_fuzz_columns_total"), 72.0, "{metrics}");
-    assert_eq!(metric(&metrics, "daemon_fuzz_programs_total"), 3.0, "{metrics}");
-    assert_eq!(metric(&metrics, "daemon_fuzz_divergences_total"), 0.0, "{metrics}");
-    assert_eq!(metric(&metrics, "daemon_fuzz_coverage_percent"), 100.0, "{metrics}");
+    assert_eq!(
+        metric(&metrics, "daemon_fuzz_columns_total"),
+        72.0,
+        "{metrics}"
+    );
+    assert_eq!(
+        metric(&metrics, "daemon_fuzz_programs_total"),
+        3.0,
+        "{metrics}"
+    );
+    assert_eq!(
+        metric(&metrics, "daemon_fuzz_divergences_total"),
+        0.0,
+        "{metrics}"
+    );
+    assert_eq!(
+        metric(&metrics, "daemon_fuzz_coverage_percent"),
+        100.0,
+        "{metrics}"
+    );
     assert!(
         metric(&metrics, "daemon_fuzz_columns_per_second") > 0.0,
         "{metrics}"
@@ -152,8 +167,14 @@ fn campaign_survives_daemon_restart_and_skips_covered_columns() {
     // Phase 2: fresh daemon, resumed campaign. The new daemon has no memory
     // of phase 1 — the skipping is driven entirely by the persisted ledger.
     let (server, addr) = start();
-    let part2 = run_campaign(&spec, &store, &mut DaemonRunner::new(&addr), true, &mut |_| {})
-        .unwrap();
+    let part2 = run_campaign(
+        &spec,
+        &store,
+        &mut DaemonRunner::new(&addr),
+        true,
+        &mut |_| {},
+    )
+    .unwrap();
     assert_eq!(part2.resumed_from, 24 + 5, "inherited coverage is visible");
     assert_eq!(part2.columns_skipped, 5, "covered columns are not re-run");
     assert_eq!(part2.columns_run, 72 - 24 - 5);
@@ -168,7 +189,11 @@ fn campaign_survives_daemon_restart_and_skips_covered_columns() {
 
     // The restarted daemon only saw phase 2's work.
     let metrics = server.handle().metrics_prometheus();
-    assert_eq!(metric(&metrics, "daemon_fuzz_columns_total"), 43.0, "{metrics}");
+    assert_eq!(
+        metric(&metrics, "daemon_fuzz_columns_total"),
+        43.0,
+        "{metrics}"
+    );
 
     shutdown(&addr, server);
 }
@@ -213,9 +238,21 @@ fn fuzz_endpoints_validate_inputs() {
         assert_eq!(status, 200, "{body}");
     }
     let metrics = server.handle().metrics_prometheus();
-    assert_eq!(metric(&metrics, "daemon_fuzz_programs_total"), 4.0, "{metrics}");
-    assert_eq!(metric(&metrics, "daemon_fuzz_divergences_total"), 2.0, "{metrics}");
-    assert_eq!(metric(&metrics, "daemon_fuzz_coverage_percent"), 50.0, "{metrics}");
+    assert_eq!(
+        metric(&metrics, "daemon_fuzz_programs_total"),
+        4.0,
+        "{metrics}"
+    );
+    assert_eq!(
+        metric(&metrics, "daemon_fuzz_divergences_total"),
+        2.0,
+        "{metrics}"
+    );
+    assert_eq!(
+        metric(&metrics, "daemon_fuzz_coverage_percent"),
+        50.0,
+        "{metrics}"
+    );
 
     // A well-executed run batch works end-to-end through raw HTTP, too.
     let (status, body) = post(

@@ -193,7 +193,11 @@ fn content_length_is_parsed_strictly() {
         false,
     );
     assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
-    assert_eq!(raw.matches("HTTP/1.1").count(), 1, "one response only:\n{raw}");
+    assert_eq!(
+        raw.matches("HTTP/1.1").count(),
+        1,
+        "one response only:\n{raw}"
+    );
 
     assert_still_healthy(&addr);
     server.handle().shutdown();

@@ -116,7 +116,10 @@ fn client_trace_id_spans_daemon_session_and_store() {
         "simulate",
         "store.write", // write-through I/O
     ] {
-        assert!(names.contains(&expected), "missing {expected:?} in {names:?}");
+        assert!(
+            names.contains(&expected),
+            "missing {expected:?} in {names:?}"
+        );
     }
     let root = record
         .spans
@@ -130,7 +133,8 @@ fn client_trace_id_spans_daemon_session_and_store() {
         "request root parents under the client's span"
     );
     assert!(
-        root.labels.contains(&("status".to_string(), "200".to_string())),
+        root.labels
+            .contains(&("status".to_string(), "200".to_string())),
         "{:?}",
         root.labels
     );

@@ -358,10 +358,8 @@ impl CoverageLedger {
         }
         let stored_checksum = get_str(obj, "checksum")?;
         let payload = get(obj, "ledger")?.as_object("ledger")?;
-        let mut ledger = CoverageLedger::new(
-            get_str(payload, "campaign")?,
-            get_u64(payload, "target")?,
-        );
+        let mut ledger =
+            CoverageLedger::new(get_str(payload, "campaign")?, get_u64(payload, "target")?);
         for entry in get(payload, "cells")?.as_array("cells")? {
             let pair = entry.as_array("cell entry")?;
             let [cell, count] = pair else {
@@ -511,9 +509,7 @@ impl FuzzStore {
             .map(|entries| {
                 entries
                     .flatten()
-                    .filter(|e| {
-                        e.path().extension().and_then(|x| x.to_str()) == Some(WITNESS_EXT)
-                    })
+                    .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some(WITNESS_EXT))
                     .count()
             })
             .unwrap_or(0)

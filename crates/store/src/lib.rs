@@ -319,8 +319,9 @@ impl ResultStore {
         let started = Instant::now();
         let path = self.record_path(key);
         let text = fs::read_to_string(&path).ok();
-        let result = text.as_deref().and_then(|text| {
-            match record::record_from_json(text) {
+        let result = text
+            .as_deref()
+            .and_then(|text| match record::record_from_json(text) {
                 Ok((stored_key, m, t)) if stored_key == *key => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     Some((m, t))
@@ -333,12 +334,14 @@ impl ResultStore {
                     self.quarantine(&path, &why);
                     None
                 }
-            }
-        });
+            });
         self.record_span(
             "store.read",
             started,
-            &[("key", key.as_str()), ("hit", if result.is_some() { "true" } else { "false" })],
+            &[
+                ("key", key.as_str()),
+                ("hit", if result.is_some() { "true" } else { "false" }),
+            ],
         );
         result
     }
@@ -350,26 +353,30 @@ impl ResultStore {
         self.gets.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
         let path = self.record_path(key);
-        let result = fs::read_to_string(&path).ok().and_then(|text| {
-            match record::record_from_json(&text) {
-                Ok((stored_key, ..)) if stored_key == *key => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(text)
-                }
-                Ok((stored_key, ..)) => {
-                    self.quarantine(&path, &format!("key mismatch: record says {stored_key}"));
-                    None
-                }
-                Err(why) => {
-                    self.quarantine(&path, &why);
-                    None
-                }
-            }
-        });
+        let result =
+            fs::read_to_string(&path)
+                .ok()
+                .and_then(|text| match record::record_from_json(&text) {
+                    Ok((stored_key, ..)) if stored_key == *key => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        Some(text)
+                    }
+                    Ok((stored_key, ..)) => {
+                        self.quarantine(&path, &format!("key mismatch: record says {stored_key}"));
+                        None
+                    }
+                    Err(why) => {
+                        self.quarantine(&path, &why);
+                        None
+                    }
+                });
         self.record_span(
             "store.read",
             started,
-            &[("key", key.as_str()), ("hit", if result.is_some() { "true" } else { "false" })],
+            &[
+                ("key", key.as_str()),
+                ("hit", if result.is_some() { "true" } else { "false" }),
+            ],
         );
         result
     }

@@ -238,12 +238,16 @@ fn trace_scope_records_store_spans_per_thread() {
         let _scope = store.trace_scope(ctx);
         store.put(&m, &timing(1)).unwrap();
         assert!(store.get(&key).is_some());
-        assert!(store.get(&StoreKey::compute("(no such src)", &cfg)).is_none());
+        assert!(store
+            .get(&StoreKey::compute("(no such src)", &cfg))
+            .is_none());
     }
     // Scope dropped: subsequent I/O is unrecorded again.
     assert!(store.get(&key).is_some());
 
-    tracer.finish(ctx.trace, ctx.parent).expect("spans recorded");
+    tracer
+        .finish(ctx.trace, ctx.parent)
+        .expect("spans recorded");
     let rec = tracer.lookup(ctx.trace).unwrap();
     let names: Vec<&str> = rec.spans.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(names, ["store.write", "store.read", "store.read"]);

@@ -552,8 +552,9 @@ pub fn run_campaign(
         let seed = spec.seed_base + ci as u64 * SEED_STRIDE + k;
         let program = gen::generate(seed, &cell.mix);
         let source = gen::render(&program);
-        let expected = oracle::reference(&source)
-            .map_err(|e| format!("seed {seed}: reference evaluation failed (generator bug): {e:?}"))?;
+        let expected = oracle::reference(&source).map_err(|e| {
+            format!("seed {seed}: reference evaluation failed (generator bug): {e:?}")
+        })?;
 
         // Columns a previous run already carried past k are skipped — the
         // observable proof that resuming does not repeat covered work.
@@ -587,9 +588,8 @@ pub fn run_campaign(
             };
             if let Some((kind, detail)) = divergence {
                 report.divergences += 1;
-                let key = archive_divergence(
-                    spec, store, cell, column, seed, &program, kind, detail,
-                )?;
+                let key =
+                    archive_divergence(spec, store, cell, column, seed, &program, kind, detail)?;
                 report.witnesses.push(key);
             }
             ledger.bump(&ledger_key(&cell.name, &column.label()));
@@ -647,8 +647,7 @@ fn archive_divergence(
         program.clone()
     };
     let source = gen::render(&small);
-    let (kind, mut detail) =
-        column_diverges(&source, column, spec.fault).unwrap_or((kind, detail));
+    let (kind, mut detail) = column_diverges(&source, column, spec.fault).unwrap_or((kind, detail));
 
     // In fault mode the conformance harness can pin the divergence to the
     // exact retired instruction — record that alongside the oracle's view.

@@ -38,9 +38,7 @@ pub mod profile;
 pub mod rng;
 pub mod shrink;
 
-pub use fleet::{
-    run_campaign, CampaignReport, CampaignSpec, Column, LocalRunner, Runner,
-};
+pub use fleet::{run_campaign, CampaignReport, CampaignSpec, Column, LocalRunner, Runner};
 pub use gen::{generate, render, Program};
 pub use oracle::{check_program, check_rendered, oracle_configs, Mismatch, MismatchKind};
 pub use profile::OpMix;

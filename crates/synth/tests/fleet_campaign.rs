@@ -117,8 +117,14 @@ fn resumed_campaign_skips_covered_columns() {
     store.store_ledger(&ledger).unwrap();
 
     // Part 2: resume finishes the books without repeating covered work.
-    let part2 = run_campaign(&spec, &store, &mut LocalRunner::default(), true, &mut |_| {})
-        .unwrap();
+    let part2 = run_campaign(
+        &spec,
+        &store,
+        &mut LocalRunner::default(),
+        true,
+        &mut |_| {},
+    )
+    .unwrap();
     assert_eq!(part2.resumed_from, 24 + 5, "inherited coverage is visible");
     assert_eq!(part2.columns_skipped, 5, "covered columns are not re-run");
     assert_eq!(part2.columns_run, 72 - 24 - 5);
@@ -128,15 +134,24 @@ fn resumed_campaign_skips_covered_columns() {
     assert!(part2.complete);
 
     // Grand total: every column of every cell exactly once.
-    assert_eq!(part1.columns_run + part2.columns_skipped + part2.columns_run, 72);
+    assert_eq!(
+        part1.columns_run + part2.columns_skipped + part2.columns_run,
+        72
+    );
 
     // A ledger from a different campaign is refused, not silently mixed.
     let other = CampaignSpec {
         seed_base: spec.seed_base + 1,
         ..spec.clone()
     };
-    let err = run_campaign(&other, &store, &mut LocalRunner::default(), true, &mut |_| {})
-        .unwrap_err();
+    let err = run_campaign(
+        &other,
+        &store,
+        &mut LocalRunner::default(),
+        true,
+        &mut |_| {},
+    )
+    .unwrap_err();
     assert!(err.contains("belongs to campaign"), "{err}");
 }
 
@@ -173,7 +188,12 @@ fn fault_campaign_archives_a_small_replayable_witness() {
     assert!(!witnesses.is_empty());
     let (key, w) = &witnesses[0];
     assert!(report.witnesses.contains(&key.to_string()));
-    assert!(w.forms <= 20, "witness did not shrink: {} forms\n{}", w.forms, w.source);
+    assert!(
+        w.forms <= 20,
+        "witness did not shrink: {} forms\n{}",
+        w.forms,
+        w.source
+    );
     assert_eq!(w.fault.as_deref(), Some("branch-invert:1"));
     assert!(w.source.contains("(defun drive"));
     assert!(

@@ -60,7 +60,10 @@ fn shrinking_preserves_failure_never_grows_and_is_idempotent() {
                 })
             })
             .collect();
-        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
     });
 
     let failures: Vec<&String> = results

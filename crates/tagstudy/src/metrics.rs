@@ -14,7 +14,7 @@
 //! formatting, so `from_json(to_json(r)) == r` holds exactly (asserted by the
 //! round-trip tests).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 /// Histogram bucket upper bounds for wall-time observations, in seconds.
@@ -27,6 +27,16 @@ pub const OCCUPANCY_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 /// seconds — the geometric ×4 spacing covers 0.5ms…8s so both p50 of warm
 /// traffic and p99 of cold traffic land inside finite buckets.
 pub const REQUEST_BUCKETS: &[f64] = &[0.0005, 0.002, 0.008, 0.032, 0.128, 0.512, 2.048, 8.192];
+/// Histogram bucket upper bounds for simulated throughput, in millions of
+/// simulated cycles per wall-clock second. Doubling from 4: the reference
+/// interpreter runs at tens of Mcycles/s, the predecoded one at hundreds.
+pub const MCYCLES_PER_SECOND_BUCKETS: &[f64] =
+    &[4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0];
+
+/// How many events the log keeps. A long-lived registry (the daemon's
+/// session gains an event per cache hit) keeps only the newest ones; the
+/// rest are dropped and counted.
+pub const EVENT_LOG_CAPACITY: usize = 4096;
 
 /// Metric names the [`crate::Session`] publishes.
 pub mod names {
@@ -42,6 +52,9 @@ pub mod names {
     pub const COMPILE_SECONDS: &str = "session_compile_seconds";
     /// Histogram: simulate wall time per measurement, seconds.
     pub const SIMULATE_SECONDS: &str = "session_simulate_seconds";
+    /// Histogram: simulated throughput per measurement — its simulated
+    /// cycles over its simulate wall time, in Mcycles/s.
+    pub const SIMULATE_MCYCLES_PER_SECOND: &str = "session_simulate_mcycles_per_second";
     /// Histogram: in-flight measurements observed at each measurement start.
     pub const POOL_OCCUPANCY: &str = "session_pool_occupancy";
     /// Gauge: configured worker-pool bound.
@@ -131,7 +144,8 @@ impl Histogram {
 /// One entry of the machine-readable event log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// Monotonic sequence number (0-based, append order).
+    /// Monotonic sequence number (0-based, append order; dropped events
+    /// keep their numbers, so the log's first entry may not be 0).
     pub seq: u64,
     /// Event name (`cache_hit`, `measure_started`, `measure_finished`, …).
     pub name: String,
@@ -146,7 +160,11 @@ pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    events: Vec<Event>,
+    /// The newest [`EVENT_LOG_CAPACITY`] events.
+    events: VecDeque<Event>,
+    /// Events dropped from the front of the log (the next one has seq
+    /// `events_dropped + events.len()`).
+    events_dropped: u64,
 }
 
 impl MetricsRegistry {
@@ -187,10 +205,15 @@ impl MetricsRegistry {
             .observe(value);
     }
 
-    /// Append an event to the log.
+    /// Append an event to the log, dropping the oldest one when the log
+    /// holds [`EVENT_LOG_CAPACITY`] events.
     pub fn event(&mut self, name: &str, labels: &[(&str, &str)]) {
-        self.events.push(Event {
-            seq: self.events.len() as u64,
+        if self.events.len() == EVENT_LOG_CAPACITY {
+            self.events.pop_front();
+            self.events_dropped += 1;
+        }
+        self.events.push_back(Event {
+            seq: self.events_dropped + self.events.len() as u64,
             name: name.to_string(),
             labels: labels
                 .iter()
@@ -219,16 +242,23 @@ impl MetricsRegistry {
         self.histograms.iter().map(|(k, h)| (k.as_str(), h))
     }
 
-    /// The event log, in append order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
+    /// The event log (the newest [`EVENT_LOG_CAPACITY`] events), in append
+    /// order.
+    pub fn events(&self) -> impl DoubleEndedIterator<Item = &Event> + ExactSizeIterator {
+        self.events.iter()
+    }
+
+    /// How many events the log has dropped to stay bounded.
+    pub fn events_dropped(&self) -> u64 {
+        self.events_dropped
     }
 
     // --- JSON -------------------------------------------------------------
 
     /// Serialize the whole registry as a JSON object with keys `counters`,
-    /// `gauges`, `histograms` and `events`. Deterministic (maps are sorted by
-    /// name) and exactly invertible by [`MetricsRegistry::from_json`].
+    /// `gauges`, `histograms`, `events_dropped` and `events`. Deterministic
+    /// (maps are sorted by name) and exactly invertible by
+    /// [`MetricsRegistry::from_json`].
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (k, v)) in self.counters.iter().enumerate() {
@@ -265,7 +295,11 @@ impl MetricsRegistry {
             }
             let _ = write!(out, "],\"sum\":{},\"count\":{}}}", json_f64(h.sum), h.count);
         }
-        out.push_str("},\"events\":[");
+        let _ = write!(
+            out,
+            "}},\"events_dropped\":{},\"events\":[",
+            self.events_dropped
+        );
         for (i, e) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -292,7 +326,9 @@ impl MetricsRegistry {
     ///
     /// # Errors
     ///
-    /// A description of the first syntactic or schema violation.
+    /// A description of the first syntactic or schema violation, including
+    /// events whose `seq` values do not count on from `events_dropped`, and
+    /// more events than the log holds.
     pub fn from_json(text: &str) -> Result<MetricsRegistry, String> {
         let root = Json::parse(text)?;
         let obj = root.as_object("top level")?;
@@ -332,13 +368,21 @@ impl MetricsRegistry {
                 },
             );
         }
-        for (i, e) in get(obj, "events")?.as_array("events")?.iter().enumerate() {
+        r.events_dropped = get(obj, "events_dropped")?.as_u64("events_dropped")?;
+        let events = get(obj, "events")?.as_array("events")?;
+        if events.len() > EVENT_LOG_CAPACITY {
+            return Err(format!(
+                "{} events exceed the log's capacity of {EVENT_LOG_CAPACITY}",
+                events.len()
+            ));
+        }
+        for (i, e) in events.iter().enumerate() {
             let eo = e.as_object("event")?;
             let seq = get(eo, "seq")?.as_u64("seq")?;
-            if seq != i as u64 {
+            if seq != r.events_dropped + i as u64 {
                 return Err(format!("event {i}: out-of-order seq {seq}"));
             }
-            r.events.push(Event {
+            r.events.push_back(Event {
                 seq,
                 name: get(eo, "name")?.as_str("name")?.to_string(),
                 labels: get(eo, "labels")?
@@ -890,7 +934,10 @@ mod tests {
 
     #[test]
     fn labeled_escapes_values() {
-        assert_eq!(labeled("m", &[("k", "a\"b\\c\nd")]), "m{k=\"a\\\"b\\\\c\\nd\"}");
+        assert_eq!(
+            labeled("m", &[("k", "a\"b\\c\nd")]),
+            "m{k=\"a\\\"b\\\\c\\nd\"}"
+        );
         assert_eq!(split_labels("m{k=\"v\"}"), ("m", Some("k=\"v\"")));
         assert_eq!(split_labels("plain"), ("plain", None));
     }
@@ -926,11 +973,40 @@ mod tests {
         let err = MetricsRegistry::from_json(bad).unwrap_err();
         assert!(err.contains("want buckets+1"), "{err}");
         // events must carry contiguous seq numbers.
-        let bad = r#"{"counters":{},"gauges":{},"histograms":{},"events":[{"seq":3,"name":"x","labels":{}}]}"#;
+        let bad = r#"{"counters":{},"gauges":{},"histograms":{},"events_dropped":0,"events":[{"seq":3,"name":"x","labels":{}}]}"#;
         let err = MetricsRegistry::from_json(bad).unwrap_err();
+        assert!(err.contains("out-of-order"), "{err}");
+        // ...counting on from the dropped events.
+        let ok = r#"{"counters":{},"gauges":{},"histograms":{},"events_dropped":3,"events":[{"seq":3,"name":"x","labels":{}}]}"#;
+        let r = MetricsRegistry::from_json(ok).expect("seq counts from events_dropped");
+        assert_eq!(r.events_dropped(), 3);
+        let bad = ok.replace("\"events_dropped\":3", "\"events_dropped\":2");
+        let err = MetricsRegistry::from_json(&bad).unwrap_err();
         assert!(err.contains("out-of-order"), "{err}");
         // missing a top-level section.
         let err = MetricsRegistry::from_json(r#"{"counters":{}}"#).unwrap_err();
         assert!(err.contains("missing key"), "{err}");
+    }
+
+    #[test]
+    fn event_log_keeps_the_newest_events() {
+        let mut r = MetricsRegistry::new();
+        let n = 100_000;
+        for i in 0..n {
+            r.event("cache_hit", &[("i", &i.to_string())]);
+        }
+        assert_eq!(r.events().len(), EVENT_LOG_CAPACITY);
+        assert_eq!(r.events_dropped(), (n - EVENT_LOG_CAPACITY) as u64);
+        for (e, seq) in r.events().zip(r.events_dropped()..) {
+            assert_eq!(e.seq, seq, "seq values stay contiguous");
+        }
+        let last = r.events().next_back().unwrap();
+        assert_eq!(last.seq, n as u64 - 1);
+        assert_eq!(last.labels, [("i".to_string(), (n - 1).to_string())]);
+        // The bounded log round-trips, dropped count included.
+        let json = r.to_json();
+        let back = MetricsRegistry::from_json(&json).expect("parses");
+        assert_eq!(back, r);
+        assert_eq!(back.to_json(), json);
     }
 }

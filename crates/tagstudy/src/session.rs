@@ -49,7 +49,9 @@ use std::time::Duration;
 
 use crate::config::Config;
 use crate::measure::{run_timed, InlineProgram, Measurement, StudyError, Timing};
-use crate::metrics::{names, MetricsRegistry, DURATION_BUCKETS, OCCUPANCY_BUCKETS};
+use crate::metrics::{
+    names, MetricsRegistry, DURATION_BUCKETS, MCYCLES_PER_SECOND_BUCKETS, OCCUPANCY_BUCKETS,
+};
 use crate::trace::{SpanId, SpanRecord, TraceContext, Tracer};
 
 /// A resolved program name: either one of the ten compiled-in paper
@@ -102,6 +104,8 @@ pub enum Progress {
         config: Config,
         /// Where the wall time went.
         timing: Timing,
+        /// Simulated cycles of the measured run (`Stats::cycles`).
+        cycles: u64,
     },
 }
 
@@ -805,6 +809,7 @@ impl Session {
                     compile,
                     simulate: t1.elapsed(),
                 },
+                cycles: measurement.stats.cycles,
             },
             None,
         );
@@ -925,6 +930,7 @@ impl Session {
                 program,
                 config,
                 timing,
+                ..
             } => {
                 let end = tracer.now_us();
                 let compile_us = timing.compile.as_micros() as u64;
@@ -1006,11 +1012,19 @@ impl Session {
                     program,
                     config,
                     timing,
+                    cycles,
                 } => {
                     let compile = timing.compile.as_secs_f64();
                     let simulate = timing.simulate.as_secs_f64();
                     m.observe(names::COMPILE_SECONDS, DURATION_BUCKETS, compile);
                     m.observe(names::SIMULATE_SECONDS, DURATION_BUCKETS, simulate);
+                    if simulate > 0.0 {
+                        m.observe(
+                            names::SIMULATE_MCYCLES_PER_SECOND,
+                            MCYCLES_PER_SECOND_BUCKETS,
+                            *cycles as f64 / simulate / 1e6,
+                        );
+                    }
                     m.event(
                         "measure_finished",
                         &[
@@ -1116,12 +1130,13 @@ impl Session {
                 message: format!("measurement worker panicked: {}", panic_text(&payload)),
             })
         });
-        if let Ok((_, timing)) = &result {
+        if let Ok((measurement, timing)) = &result {
             self.emit(
                 &Progress::Finished {
                     program: name.to_owned(),
                     config: *config,
                     timing: *timing,
+                    cycles: measurement.stats.cycles,
                 },
                 ctx,
             );
@@ -1414,7 +1429,9 @@ mod tests {
         s.measure_many_traced(&[("trav", cfg)], ctx).unwrap(); // miss → measure + compile + simulate
         s.measure("boyer", cfg).unwrap(); // no context: no spans
 
-        tracer.finish(ctx.trace, ctx.parent).expect("trace recorded");
+        tracer
+            .finish(ctx.trace, ctx.parent)
+            .expect("trace recorded");
         let rec = tracer.lookup(ctx.trace).unwrap();
         let names: Vec<&str> = rec.spans.iter().map(|sp| sp.name.as_str()).collect();
         assert_eq!(names, ["cache.read", "measure", "compile", "simulate"]);
@@ -1428,11 +1445,12 @@ mod tests {
 
         // The spans were mirrored onto the event spine, program-labeled.
         let m = s.metrics();
-        let span_events: Vec<_> = m.events().iter().filter(|e| e.name == "span_end").collect();
+        let span_events: Vec<_> = m.events().filter(|e| e.name == "span_end").collect();
         assert_eq!(span_events.len(), 4);
-        assert!(span_events
+        assert!(span_events.iter().all(|e| e
+            .labels
             .iter()
-            .all(|e| e.labels.iter().any(|(k, v)| k == "program" && !v.is_empty())));
+            .any(|(k, v)| k == "program" && !v.is_empty())));
     }
 
     /// A hit on a seeded entry spans as `store.read` — the provenance that
@@ -1450,7 +1468,9 @@ mod tests {
         warm.seed(m, t);
         let ctx = TraceContext::fresh();
         warm.measure_many_traced(&[("frl", cfg)], ctx).unwrap();
-        tracer.finish(ctx.trace, ctx.parent).expect("trace recorded");
+        tracer
+            .finish(ctx.trace, ctx.parent)
+            .expect("trace recorded");
         let rec = tracer.lookup(ctx.trace).unwrap();
         assert_eq!(rec.spans.len(), 1);
         assert_eq!(rec.spans[0].name, "store.read");

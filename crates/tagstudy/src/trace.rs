@@ -512,22 +512,21 @@ impl TraceRecord {
     /// The first schema violation, described.
     pub fn from_json(v: &Json) -> Result<TraceRecord, String> {
         let obj = v.as_object("trace record")?;
-        let trace = TraceId::from_hex(json_get(obj, "trace")?.as_str("trace")?)
-            .ok_or("bad trace id")?;
+        let trace =
+            TraceId::from_hex(json_get(obj, "trace")?.as_str("trace")?).ok_or("bad trace id")?;
         let mut spans = Vec::new();
         for s in json_get(obj, "spans")?.as_array("spans")? {
             let so = s.as_object("span")?;
             let parent = match json_get(so, "parent")? {
                 Json::Null => None,
-                other => Some(
-                    SpanId::from_hex(other.as_str("parent")?).ok_or("bad parent span id")?,
-                ),
+                other => {
+                    Some(SpanId::from_hex(other.as_str("parent")?).ok_or("bad parent span id")?)
+                }
             };
             spans.push(SpanRecord {
                 trace: TraceId::from_hex(json_get(so, "trace")?.as_str("trace")?)
                     .ok_or("bad span trace id")?,
-                id: SpanId::from_hex(json_get(so, "span")?.as_str("span")?)
-                    .ok_or("bad span id")?,
+                id: SpanId::from_hex(json_get(so, "span")?.as_str("span")?).ok_or("bad span id")?,
                 parent,
                 name: json_get(so, "name")?.as_str("name")?.to_string(),
                 component: json_get(so, "component")?.as_str("component")?.to_string(),
@@ -734,7 +733,14 @@ pub fn fmt_us(us: u64) -> String {
 mod tests {
     use super::*;
 
-    fn span(trace: TraceId, id: u64, parent: Option<u64>, name: &str, start: u64, dur: u64) -> SpanRecord {
+    fn span(
+        trace: TraceId,
+        id: u64,
+        parent: Option<u64>,
+        name: &str,
+        start: u64,
+        dur: u64,
+    ) -> SpanRecord {
         SpanRecord {
             trace,
             id: SpanId(id),
@@ -755,7 +761,10 @@ mod tests {
         assert_eq!(SpanId::from_hex(&s.to_string()), Some(s));
         assert_ne!(TraceId::generate(), TraceId::generate());
         assert!(TraceId::from_hex("short").is_none());
-        assert!(TraceId::from_hex(&"0".repeat(32)).is_none(), "all-zero is invalid");
+        assert!(
+            TraceId::from_hex(&"0".repeat(32)).is_none(),
+            "all-zero is invalid"
+        );
         assert!(SpanId::from_hex(&"g".repeat(16)).is_none());
     }
 

@@ -52,7 +52,11 @@ fn session_metrics_schema_is_sane() {
     assert_eq!(m.gauge(names::CACHED_MEASUREMENTS), Some(2.0));
     assert_eq!(m.gauge(names::POOL_PEAK_OCCUPANCY), Some(1.0));
 
-    for name in [names::COMPILE_SECONDS, names::SIMULATE_SECONDS] {
+    for name in [
+        names::COMPILE_SECONDS,
+        names::SIMULATE_SECONDS,
+        names::SIMULATE_MCYCLES_PER_SECOND,
+    ] {
         let h = m
             .histogram(name)
             .unwrap_or_else(|| panic!("{name} missing"));
@@ -68,7 +72,7 @@ fn session_metrics_schema_is_sane() {
 
     // The event log tells the same story, in order: every request produced
     // exactly one lifecycle event plus one finish per actual measurement.
-    let events = m.events();
+    let events: Vec<_> = m.events().collect();
     assert_eq!(
         events
             .iter()
@@ -94,6 +98,31 @@ fn session_metrics_schema_is_sane() {
     }
 }
 
+/// Simulated throughput is observed once per fresh measurement, as its
+/// simulated cycles over its simulate wall time: a simulator slowdown shows
+/// on `/metrics` without a bench. Cache hits observe nothing.
+#[test]
+fn simulated_throughput_is_observed_per_measurement() {
+    use tagstudy::metrics::names;
+
+    let s = Session::serial();
+    let cfg = Config::baseline(CheckingMode::None);
+    let measured = s.measure("trav", cfg).expect("trav measures");
+    s.measure("trav", cfg).expect("warm hit");
+    let m = s.metrics();
+    let simulate = m.histogram(names::SIMULATE_SECONDS).expect("simulate time");
+    let rate = m
+        .histogram(names::SIMULATE_MCYCLES_PER_SECOND)
+        .expect("throughput");
+    assert_eq!(rate.count, 1, "one fresh measurement, one observation");
+    assert!(measured.stats.cycles > 1_000_000);
+    assert_eq!(rate.sum, measured.stats.cycles as f64 / simulate.sum / 1e6);
+    assert!(rate.sum > 1.0, "{} Mcycles/s", rate.sum);
+    let prom = s.metrics_prometheus();
+    assert!(prom.contains("# TYPE session_simulate_mcycles_per_second histogram"));
+    assert!(prom.contains("session_simulate_mcycles_per_second_count 1"));
+}
+
 /// A failing measurement is visible in the registry: failure counter, a
 /// `measure_failed` event carrying the error text.
 #[test]
@@ -104,11 +133,7 @@ fn failures_are_recorded() {
         .expect_err("unknown benchmark fails the batch");
     let m = s.metrics();
     assert_eq!(m.counter("session_failures_total"), 1);
-    let failed: Vec<_> = m
-        .events()
-        .iter()
-        .filter(|e| e.name == "measure_failed")
-        .collect();
+    let failed: Vec<_> = m.events().filter(|e| e.name == "measure_failed").collect();
     assert_eq!(failed.len(), 1);
     assert!(
         failed[0]
