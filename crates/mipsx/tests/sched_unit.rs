@@ -5,7 +5,7 @@
 //! check is the final arbiter that no hazard survived.
 
 use mipsx::sched::{schedule, schedule_and_attribute};
-use mipsx::{Asm, Executor, FastCpu, HwConfig, Insn, Program, Reg};
+use mipsx::{Asm, Cond, Executor, FastCpu, HwConfig, Insn, Program, Reg};
 
 /// Finish a scheduled stream into a verified program.
 fn finish(asm: Asm) -> Program {
@@ -264,4 +264,305 @@ fn attribution_tracks_the_filled_layout() {
         Some(TagOpKind::Check),
         "the leftover nop is charged to the branch's operation"
     );
+}
+
+// --- exact layouts ----------------------------------------------------------
+//
+// The cases below pin the finished instruction stream and every label
+// target, not just the run result: each is a place where the scheduler's
+// bookkeeping of positions (inserted pads, hoisted fillers, label shifts)
+// could go wrong without changing what the program computes.
+
+/// Schedule and assemble without running: (report, program).
+fn scheduled(mut asm: Asm) -> (mipsx::sched::ScheduleReport, Program) {
+    let rep = schedule(&mut asm);
+    (rep, asm.finish().expect("assembles"))
+}
+
+/// Where the label registered under `name` ended up.
+fn at(prog: &Program, name: &str) -> usize {
+    prog.symbols[name]
+}
+
+fn br(cond: Cond, target: u32, squash: bool) -> Insn {
+    Insn::Br {
+        cond,
+        rs: Reg::Zero,
+        rt: Reg::Zero,
+        target,
+        squash,
+    }
+}
+
+/// A label bound on a delay slot moves with its slot: the one on the filled
+/// first slot now names the hoisted instruction, the one on the unfilled
+/// second slot still names the `nop`.
+#[test]
+fn labels_inside_delay_slots_follow_their_slots() {
+    let mut asm = Asm::new();
+    let e = asm.here("entry");
+    asm.set_entry(e);
+    let done = asm.new_label();
+    asm.li(Reg::T0, 1);
+    asm.li(Reg::T1, 2);
+    asm.emit(Insn::Add(Reg::T2, Reg::T0, Reg::T1)); // the only legal filler
+    asm.br_raw(Cond::Eq, Reg::Zero, Reg::Zero, done, false);
+    asm.here("slot1");
+    asm.nop();
+    asm.here("slot2");
+    asm.nop();
+    asm.bind(done);
+    asm.name_label("done", done);
+    asm.halt(Reg::T2);
+
+    let (rep, prog) = scheduled(asm);
+    assert_eq!(rep.slots_filled, 1);
+    assert_eq!(
+        prog.insns,
+        vec![
+            Insn::Li(Reg::T0, 1),
+            Insn::Li(Reg::T1, 2),
+            br(Cond::Eq, 5, false),
+            Insn::Add(Reg::T2, Reg::T0, Reg::T1),
+            Insn::Nop,
+            Insn::Halt(Reg::T2),
+        ]
+    );
+    assert_eq!(at(&prog, "slot1"), 3);
+    assert_eq!(at(&prog, "slot2"), 4);
+    assert_eq!(at(&prog, "done"), 5);
+    mipsx::verify::verify(&prog).expect("verifies");
+    assert_eq!(run_prog(&prog).0, 3);
+}
+
+/// A label bound after the last instruction stays one past the end, however
+/// many slots were filled before it.
+#[test]
+fn label_at_the_end_of_the_stream_stays_at_the_end() {
+    let mut asm = Asm::new();
+    let e = asm.here("entry");
+    asm.set_entry(e);
+    let done = asm.new_label();
+    asm.li(Reg::A0, 7); // carries the entry label: may not move
+    asm.li(Reg::T0, 3);
+    asm.beq(Reg::Zero, Reg::Zero, done);
+    asm.bind(done);
+    asm.name_label("done", done);
+    asm.halt(Reg::A0);
+    asm.here("end");
+
+    let (rep, prog) = scheduled(asm);
+    assert_eq!(rep.slots_filled, 1);
+    assert_eq!(
+        prog.insns,
+        vec![
+            Insn::Li(Reg::A0, 7),
+            br(Cond::Eq, 4, false),
+            Insn::Li(Reg::T0, 3),
+            Insn::Nop,
+            Insn::Halt(Reg::A0),
+        ]
+    );
+    assert_eq!(at(&prog, "entry"), 0);
+    assert_eq!(at(&prog, "done"), 4);
+    assert_eq!(at(&prog, "end"), prog.insns.len());
+    assert_eq!(run_prog(&prog).0, 7);
+}
+
+/// A load as the very last item has no successor to pad for; a load just
+/// before a consumer still gets its pad, and the end label moves past it.
+#[test]
+fn load_as_the_last_item_needs_no_pad() {
+    let mut asm = Asm::new();
+    let e = asm.here("entry");
+    asm.set_entry(e);
+    asm.li(Reg::T5, 0x100);
+    asm.ld(Reg::A0, Reg::T5, 0);
+    asm.here("use");
+    asm.emit(Insn::Add(Reg::A1, Reg::A0, Reg::A0));
+    asm.ld(Reg::A2, Reg::A1, 0); // last item
+    asm.here("end");
+
+    let (rep, prog) = scheduled(asm);
+    assert_eq!(rep.load_nops_inserted, 1);
+    assert_eq!(rep.slots_filled, 0);
+    assert_eq!(
+        prog.insns,
+        vec![
+            Insn::Li(Reg::T5, 0x100),
+            Insn::Ld(Reg::A0, Reg::T5, 0),
+            Insn::Nop,
+            Insn::Add(Reg::A1, Reg::A0, Reg::A0),
+            Insn::Ld(Reg::A2, Reg::A1, 0),
+        ]
+    );
+    assert_eq!(at(&prog, "use"), 3, "the label stays on the consumer");
+    assert_eq!(at(&prog, "end"), 5);
+}
+
+/// A label on the first instruction of a block pins it there (a jump
+/// enters at it), while a later instruction of the block may still fill.
+#[test]
+fn label_at_block_start_blocks_hoisting_that_instruction() {
+    let mut asm = Asm::new();
+    let e = asm.here("entry");
+    asm.set_entry(e);
+    let done = asm.new_label();
+    asm.li(Reg::T0, 1);
+    asm.li(Reg::T1, 2);
+    asm.here("top");
+    asm.li(Reg::T2, 5); // independent, but labelled
+    asm.li(Reg::T3, 6); // independent, unlabelled
+    asm.beq(Reg::Zero, Reg::Zero, done);
+    asm.li(Reg::T2, 9); // skipped
+    asm.bind(done);
+    asm.name_label("done", done);
+    asm.emit(Insn::Add(Reg::A0, Reg::T2, Reg::T3));
+    asm.halt(Reg::A0);
+
+    let (rep, prog) = scheduled(asm);
+    assert_eq!(rep.slots_filled, 1);
+    assert_eq!(
+        prog.insns,
+        vec![
+            Insn::Li(Reg::T0, 1),
+            Insn::Li(Reg::T1, 2),
+            Insn::Li(Reg::T2, 5),
+            br(Cond::Eq, 7, false),
+            Insn::Li(Reg::T3, 6),
+            Insn::Nop,
+            Insn::Li(Reg::T2, 9),
+            Insn::Add(Reg::A0, Reg::T2, Reg::T3),
+            Insn::Halt(Reg::A0),
+        ]
+    );
+    assert_eq!(at(&prog, "top"), 2);
+    assert_eq!(at(&prog, "done"), 7);
+    assert_eq!(run_prog(&prog).0, 11);
+}
+
+/// A branch right after a label has an empty block: nothing before the
+/// label may cross it, so both slots stay `nop`.
+#[test]
+fn branch_right_after_a_label_has_nothing_to_hoist() {
+    let mut asm = Asm::new();
+    let e = asm.here("entry");
+    asm.set_entry(e);
+    let done = asm.new_label();
+    asm.li(Reg::T0, 1);
+    asm.li(Reg::T1, 2);
+    asm.here("here");
+    asm.beq(Reg::Zero, Reg::Zero, done);
+    asm.li(Reg::T1, 9); // skipped
+    asm.bind(done);
+    asm.name_label("done", done);
+    asm.halt(Reg::T1);
+
+    let (rep, prog) = scheduled(asm);
+    assert_eq!(rep.slots_filled, 0);
+    assert_eq!(
+        prog.insns,
+        vec![
+            Insn::Li(Reg::T0, 1),
+            Insn::Li(Reg::T1, 2),
+            br(Cond::Eq, 6, false),
+            Insn::Nop,
+            Insn::Nop,
+            Insn::Li(Reg::T1, 9),
+            Insn::Halt(Reg::T1),
+        ]
+    );
+    assert_eq!(at(&prog, "here"), 2);
+    assert_eq!(at(&prog, "done"), 6);
+    assert_eq!(run_prog(&prog).0, 2);
+}
+
+/// Two branches in a row each fill a slot; every label after them moves by
+/// the fills before it, and the second block starts after the first group.
+#[test]
+fn consecutive_fills_shift_every_later_label() {
+    let mut asm = Asm::new();
+    let e = asm.here("entry");
+    asm.set_entry(e);
+    let l1 = asm.new_label();
+    let l2 = asm.new_label();
+    asm.li(Reg::A0, 1);
+    asm.li(Reg::T0, 10);
+    asm.bne(Reg::Zero, Reg::Zero, l1); // never taken
+    asm.li(Reg::T1, 20);
+    asm.bne(Reg::Zero, Reg::Zero, l2); // never taken
+    asm.bind(l1);
+    asm.name_label("l1", l1);
+    asm.emit(Insn::Add(Reg::A0, Reg::T0, Reg::T1));
+    asm.bind(l2);
+    asm.name_label("l2", l2);
+    asm.halt(Reg::A0);
+    asm.here("end");
+
+    let (rep, prog) = scheduled(asm);
+    assert_eq!(rep.slots_filled, 2);
+    assert_eq!(
+        prog.insns,
+        vec![
+            Insn::Li(Reg::A0, 1),
+            br(Cond::Ne, 7, false),
+            Insn::Li(Reg::T0, 10),
+            Insn::Nop,
+            br(Cond::Ne, 8, false),
+            Insn::Li(Reg::T1, 20),
+            Insn::Nop,
+            Insn::Add(Reg::A0, Reg::T0, Reg::T1),
+            Insn::Halt(Reg::A0),
+        ]
+    );
+    assert_eq!(at(&prog, "l1"), 7);
+    assert_eq!(at(&prog, "l2"), 8);
+    assert_eq!(at(&prog, "end"), 9);
+    assert_eq!(run_prog(&prog).0, 30);
+}
+
+/// A squashing branch keeps its slots as the code generator left them and
+/// ends the block: the fillable branch after it hoists only from its own
+/// block, both slots this time.
+#[test]
+fn squashing_branch_then_fillable_branch() {
+    let mut asm = Asm::new();
+    let e = asm.here("entry");
+    asm.set_entry(e);
+    let t = asm.new_label();
+    asm.li(Reg::T0, 1);
+    asm.li(Reg::T1, 2); // before the squashing branch: stays put
+    asm.br_raw(Cond::Ne, Reg::Zero, Reg::Zero, t, true); // never taken
+    asm.nop();
+    asm.nop();
+    asm.li(Reg::T2, 3);
+    asm.li(Reg::T3, 4);
+    asm.beq(Reg::Zero, Reg::Zero, t);
+    asm.li(Reg::A0, 99); // skipped
+    asm.bind(t);
+    asm.name_label("t", t);
+    asm.emit(Insn::Add(Reg::A0, Reg::T2, Reg::T3));
+    asm.halt(Reg::A0);
+
+    let (rep, prog) = scheduled(asm);
+    assert_eq!(rep.slots_filled, 2);
+    assert_eq!(
+        prog.insns,
+        vec![
+            Insn::Li(Reg::T0, 1),
+            Insn::Li(Reg::T1, 2),
+            br(Cond::Ne, 9, true),
+            Insn::Nop,
+            Insn::Nop,
+            br(Cond::Eq, 9, false),
+            Insn::Li(Reg::T3, 4),
+            Insn::Li(Reg::T2, 3),
+            Insn::Li(Reg::A0, 99),
+            Insn::Add(Reg::A0, Reg::T2, Reg::T3),
+            Insn::Halt(Reg::A0),
+        ]
+    );
+    assert_eq!(at(&prog, "t"), 9);
+    mipsx::verify::verify(&prog).expect("verifies");
+    assert_eq!(run_prog(&prog).0, 7);
 }
