@@ -913,10 +913,7 @@ fn decode_one(pc: usize, insn: Insn, annot: Annot, hw: HwConfig) -> Result<Op, S
             link: Some(link),
         },
     };
-    let mut use_mask = 0u32;
-    for r in insn.uses() {
-        use_mask |= 1 << r.index();
-    }
+    let use_mask = insn.uses().bits();
     Ok(Op {
         kind,
         annot,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::reg::Reg;
+use crate::reg::{Reg, RegSet};
 
 /// Condition codes for compare-and-branch instructions (signed comparisons).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -392,14 +392,8 @@ impl Insn {
     }
 
     /// The registers this instruction reads (up to two), `Reg::Zero` excluded.
-    pub fn uses(self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(2);
-        let mut push = |r: Reg| {
-            if r != Reg::Zero && !v.contains(&r) {
-                v.push(r);
-            }
-        };
-        match self {
+    pub fn uses(self) -> RegSet {
+        let (a, b) = match self {
             Insn::Add(_, a, b)
             | Insn::Sub(_, a, b)
             | Insn::And(_, a, b)
@@ -409,10 +403,7 @@ impl Insn {
             | Insn::Fop(_, _, a, b)
             | Insn::Mul(_, a, b)
             | Insn::Div(_, a, b)
-            | Insn::Rem(_, a, b) => {
-                push(a);
-                push(b);
-            }
+            | Insn::Rem(_, a, b) => (a, b),
             Insn::Addi(_, a, _)
             | Insn::Andi(_, a, _)
             | Insn::Ori(_, a, _)
@@ -421,30 +412,18 @@ impl Insn {
             | Insn::Srl(_, a, _)
             | Insn::Sra(_, a, _)
             | Insn::Mov(_, a)
-            | Insn::Ld(_, a, _) => push(a),
-            Insn::St { src, base, .. } => {
-                push(src);
-                push(base);
-            }
-            Insn::Br { rs, rt, .. } => {
-                push(rs);
-                push(rt);
-            }
-            Insn::Bri { rs, .. } | Insn::TagBr { rs, .. } => push(rs),
-            Insn::Jr(r) | Insn::Jalr(r, _) => push(r),
-            Insn::LdChk { base, .. } => push(base),
-            Insn::StChk { src, base, .. } => {
-                push(src);
-                push(base);
-            }
-            Insn::AddG { rs, rt, .. } | Insn::SubG { rs, rt, .. } => {
-                push(rs);
-                push(rt);
-            }
-            Insn::Write(r, _) | Insn::Halt(r) => push(r),
-            Insn::Li(..) | Insn::J(_) | Insn::Jal(..) | Insn::Nop => {}
-        }
-        v
+            | Insn::Ld(_, a, _) => (a, Reg::Zero),
+            Insn::St { src, base, .. } => (src, base),
+            Insn::Br { rs, rt, .. } => (rs, rt),
+            Insn::Bri { rs, .. } | Insn::TagBr { rs, .. } => (rs, Reg::Zero),
+            Insn::Jr(r) | Insn::Jalr(r, _) => (r, Reg::Zero),
+            Insn::LdChk { base, .. } => (base, Reg::Zero),
+            Insn::StChk { src, base, .. } => (src, base),
+            Insn::AddG { rs, rt, .. } | Insn::SubG { rs, rt, .. } => (rs, rt),
+            Insn::Write(r, _) | Insn::Halt(r) => (r, Reg::Zero),
+            Insn::Li(..) | Insn::J(_) | Insn::Jal(..) | Insn::Nop => (Reg::Zero, Reg::Zero),
+        };
+        [a, b].into_iter().filter(|&r| r != Reg::Zero).collect()
     }
 
     /// Rewrite the branch/jump/trap target through `f` (used by the assembler to
@@ -711,22 +690,26 @@ mod tests {
         assert!(!IntTest::LowBitsZero(2).is_int(9));
     }
 
+    fn set(regs: &[Reg]) -> RegSet {
+        regs.iter().copied().collect()
+    }
+
     #[test]
     fn def_use_basics() {
         let i = Insn::Add(Reg::A0, Reg::A1, Reg::A2);
         assert_eq!(i.def(), Some(Reg::A0));
-        assert_eq!(i.uses(), vec![Reg::A1, Reg::A2]);
+        assert_eq!(i.uses(), set(&[Reg::A1, Reg::A2]));
         let st = Insn::St {
             src: Reg::T0,
             base: Reg::Sp,
             disp: 4,
         };
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![Reg::T0, Reg::Sp]);
+        assert_eq!(st.uses(), set(&[Reg::T0, Reg::Sp]));
         // writes to r0 are discarded
         assert_eq!(Insn::Li(Reg::Zero, 3).def(), None);
         // duplicated sources reported once
-        assert_eq!(Insn::Add(Reg::A0, Reg::T1, Reg::T1).uses(), vec![Reg::T1]);
+        assert_eq!(Insn::Add(Reg::A0, Reg::T1, Reg::T1).uses(), set(&[Reg::T1]));
     }
 
     #[test]

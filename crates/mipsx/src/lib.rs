@@ -95,7 +95,7 @@ pub use mem::Mem;
 pub use profile::{FuncProfile, PcProfile, Profiler};
 pub use program::Program;
 pub use refcpu::{Fault, RefCpu};
-pub use reg::Reg;
+pub use reg::{Reg, RegSet};
 pub use stats::{InsnClass, Stats, ALL_CLASSES};
 pub use symtab::{CallSite, FuncSym, SymbolTable};
 pub use timing::{

@@ -134,6 +134,38 @@ impl fmt::Display for Reg {
     }
 }
 
+/// A set of registers: one bit per register-file index.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct RegSet(u32);
+
+impl RegSet {
+    /// Whether `r` is in the set.
+    pub fn contains(self, r: Reg) -> bool {
+        self.0 & (1 << r.index()) != 0
+    }
+
+    /// The set as a bitmask: bit `i` stands for register index `i`.
+    pub fn bits(self) -> u32 {
+        self.0
+    }
+
+    /// The members, in index order.
+    pub fn iter(self) -> impl Iterator<Item = Reg> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            let i = rest.trailing_zeros();
+            rest &= rest.wrapping_sub(1);
+            ALL_REGS.get(i as usize).copied()
+        })
+    }
+}
+
+impl FromIterator<Reg> for RegSet {
+    fn from_iter<I: IntoIterator<Item = Reg>>(regs: I) -> Self {
+        RegSet(regs.into_iter().fold(0, |m, r| m | 1 << r.index()))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +176,18 @@ mod tests {
             assert_eq!(r.index(), i);
             assert_eq!(Reg::from_index(i), *r);
         }
+    }
+
+    #[test]
+    fn reg_sets_iterate_in_index_order() {
+        let set: RegSet = [Reg::Pt, Reg::Zero, Reg::A0, Reg::A0].into_iter().collect();
+        assert!(set.contains(Reg::A0) && set.contains(Reg::Pt) && !set.contains(Reg::A1));
+        assert_eq!(set.bits(), 1 << 31 | 1 << 8 | 1);
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            [Reg::Zero, Reg::A0, Reg::Pt]
+        );
+        assert_eq!(RegSet::default().iter().count(), 0);
     }
 
     #[test]

@@ -9,11 +9,26 @@
 //! instructions are prime slot filler, so eliminating them (paper §5) claws back
 //! fewer cycles than the raw count suggests — Figure 2's no-op/squash increase.
 //!
+//! Each of the two passes is one forward sweep that copies the stream into a new
+//! vector and remaps the label positions once at the end, so the cost is linear
+//! in the stream apart from the block-local candidate search:
+//!
+//! 1. *Load padding* copies each item and, when it is a load whose original
+//!    successor reads the loaded register, a `nop` after it. Labels move by the
+//!    number of pads inserted before them.
+//! 2. *Slot filling* streams the items into the output, where everything before
+//!    the current basic block is final. A block starts at the latest label or
+//!    control-group end, so only its first position can carry a label. The
+//!    filler for a slot is removed from the block at the output's tail, and each
+//!    label moves back by the number of slots filled by branches before it.
+//!
 //! The pass is deliberately block-local and conservative; [`crate::verify`] checks
 //! the result and the simulator re-checks load delays dynamically.
 
+use crate::annot::Annot;
 use crate::asm::Asm;
 use crate::insn::Insn;
+use crate::reg::Reg;
 
 /// What the scheduler did, for reporting and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,164 +61,230 @@ fn is_mem(insn: Insn) -> bool {
     )
 }
 
+/// The register `insn` loads, if it is a load.
+fn loaded(insn: Insn) -> Option<Reg> {
+    match insn {
+        Insn::Ld(rd, ..) | Insn::LdChk { rd, .. } => Some(rd),
+        _ => None,
+    }
+}
+
 /// Run the scheduler over the assembler's instruction stream.
 ///
 /// Must be called before [`Asm::finish`] (it rewrites positions and label
 /// bindings). Calling it twice is harmless.
 pub fn schedule(asm: &mut Asm) -> ScheduleReport {
-    let mut report = ScheduleReport::default();
-    insert_load_nops(asm, &mut report);
-    fill_branch_slots(asm, &mut report);
-    report
+    ScheduleReport {
+        load_nops_inserted: insert_load_nops(asm),
+        slots_filled: fill_branch_slots(asm),
+    }
 }
 
 /// Pass 1: make every load's successor safe by inserting `nop`s where the next
-/// instruction reads the loaded register.
-fn insert_load_nops(asm: &mut Asm, report: &mut ScheduleReport) {
-    // Positions that are delay slots (we never insert inside a control+slots
-    // group; the code generator keeps loads out of slots).
-    let mut i = 0;
-    while i + 1 < asm.items.len() {
-        let (insn, annot) = asm.items[i];
-        let loaded = match insn {
-            Insn::Ld(rd, ..) => Some(rd),
-            Insn::LdChk { rd, .. } => Some(rd),
-            _ => None,
-        };
-        if let Some(rd) = loaded {
-            let (next, _) = asm.items[i + 1];
-            if next.uses().contains(&rd) {
+/// instruction reads the loaded register. Returns the number inserted.
+fn insert_load_nops(asm: &mut Asm) -> usize {
+    let items = std::mem::take(&mut asm.items);
+    let mut out = Vec::with_capacity(items.len() + items.len() / 16);
+    // pads_before[i]: nops inserted before original position i.
+    let mut pads_before = Vec::with_capacity(items.len() + 1);
+    for (i, &(insn, annot)) in items.iter().enumerate() {
+        pads_before.push(out.len() - i);
+        out.push((insn, annot));
+        let next = items.get(i + 1).map(|&(next, _)| next);
+        if let (Some(rd), Some(next)) = (loaded(insn), next) {
+            if next.uses().contains(rd) {
                 // Inherit the load's annotation: the wasted cycle belongs to
                 // whatever the load was doing (paper: delay-slot waste is charged
                 // to the owning operation).
-                asm.items.insert(i + 1, (Insn::Nop, annot));
-                shift_labels_at_or_after(asm, i + 1, 1);
-                report.load_nops_inserted += 1;
+                out.push((Insn::Nop, annot));
             }
         }
-        i += 1;
     }
-}
-
-fn shift_labels_at_or_after(asm: &mut Asm, pos: usize, by: isize) {
-    for slot in asm.label_pos.iter_mut().flatten() {
-        if *slot >= pos {
-            *slot = (*slot as isize + by) as usize;
-        }
+    let inserted = out.len() - items.len();
+    pads_before.push(inserted);
+    for pos in asm.label_pos.iter_mut().flatten() {
+        *pos += pads_before[*pos];
     }
+    asm.items = out;
+    inserted
 }
 
 /// Pass 2: fill `nop` delay slots of non-squashing branches/jumps with independent
-/// instructions hoisted from earlier in the same basic block.
-fn fill_branch_slots(asm: &mut Asm, report: &mut ScheduleReport) {
-    let mut c = 0;
-    while c < asm.items.len() {
-        let (insn, _) = asm.items[c];
+/// instructions hoisted from earlier in the same basic block. Returns the number
+/// of slots filled.
+fn fill_branch_slots(asm: &mut Asm) -> usize {
+    let items = std::mem::take(&mut asm.items);
+    let n = items.len();
+    let mut labelled = vec![false; n + 1];
+    for &pos in asm.label_pos.iter().flatten() {
+        labelled[pos] = true;
+    }
+    // shift[i + 1]: slots filled by the branch at input position i. A label
+    // bound at input position l moves back by the prefix sum up to l.
+    let mut shift = vec![0; n + 1];
+    let mut out: Vec<(Insn, Annot)> = Vec::with_capacity(n);
+    let mut block = Block::default();
+    let mut i = 0;
+    while i < n {
+        let (insn, _) = items[i];
         let slots = insn.delay_slots();
-        if slots == 0 {
-            c += 1;
+        // The control group: the instruction and its delay slots.
+        let group = (i + 1 + slots).min(n);
+        // Squashing branches are filled explicitly by the code generator from
+        // the taken path; hoisting always-executed code into them would be
+        // wrong.
+        let squash = matches!(
+            insn,
+            Insn::Br { squash: true, .. }
+                | Insn::Bri { squash: true, .. }
+                | Insn::TagBr { squash: true, .. }
+        );
+        if slots == 0 || squash {
+            for k in i..group {
+                block.push(&mut out, items[k], labelled[k]);
+            }
+            i = group;
             continue;
         }
-        if let Insn::Br { squash: true, .. }
-        | Insn::Bri { squash: true, .. }
-        | Insn::TagBr { squash: true, .. } = insn
-        {
-            // Squashing branches are filled explicitly by the code generator from
-            // the taken path; hoisting always-executed code into them would be
-            // wrong.
-            c += slots + 1;
-            continue;
-        }
-        // Block start: just after the previous control group or the closest label.
-        let block_start = block_start(asm, c);
+        let mut c = out.len();
+        let (start, start_labelled) = block.start(c, labelled[i]);
+        out.extend_from_slice(&items[i..group]);
         for s in 0..slots {
             let slot_pos = c + 1 + s;
-            if slot_pos >= asm.items.len() || asm.items[slot_pos].0 != Insn::Nop {
+            if slot_pos >= out.len() || out[slot_pos].0 != Insn::Nop {
                 continue;
             }
-            if let Some(p) = find_candidate(asm, block_start, c, slot_pos) {
-                // Move items[p] into the slot: remove it, then overwrite the nop
-                // (which has shifted down by one).
-                let item = asm.items.remove(p);
-                shift_labels_at_or_after(asm, p + 1, -1);
-                let new_slot = slot_pos - 1;
-                debug_assert_eq!(asm.items[new_slot].0, Insn::Nop);
-                asm.items[new_slot] = item;
-                report.slots_filled += 1;
-                // The branch itself moved down by one.
+            if let Some(p) = find_candidate(&out, start, start_labelled, c, slot_pos) {
+                // Move out[p] into the slot: remove it, then overwrite the nop
+                // (which has shifted down by one), as has the branch.
+                let item = out.remove(p);
+                debug_assert_eq!(out[slot_pos - 1].0, Insn::Nop);
+                out[slot_pos - 1] = item;
                 c -= 1;
+                shift[i + 1] += 1;
             }
         }
-        c += slots + 1;
+        for (k, &labelled) in labelled[i..group].iter().enumerate() {
+            block.note(c + k, out[c + k].0, labelled);
+        }
+        i = group;
     }
+    let mut filled = 0;
+    for s in &mut shift {
+        filled += *s;
+        *s = filled;
+    }
+    for pos in asm.label_pos.iter_mut().flatten() {
+        *pos -= shift[*pos];
+    }
+    asm.items = out;
+    filled
 }
 
-/// The first position of the basic block containing position `c`: after the most
-/// recent label binding or control group end.
-fn block_start(asm: &Asm, c: usize) -> usize {
-    let mut start = 0;
-    // after any earlier control instruction's last delay slot
-    let mut i = 0;
-    while i < c {
-        let slots = asm.items[i].0.delay_slots();
-        if slots > 0 && i + slots < c {
-            start = start.max(i + slots + 1);
+/// Where the basic block around the next branch starts, tracked over the
+/// streamed output. Positions before the block are final: fills only remove
+/// instructions from inside the current block.
+#[derive(Default)]
+struct Block {
+    /// Output position of the latest label.
+    last_label: Option<usize>,
+    /// The latest end of a control group (its instruction and delay slots)
+    /// that lies at or before the current branch.
+    group_end: usize,
+    /// Ends of control groups that reach past the current branch.
+    pending_ends: Vec<usize>,
+}
+
+impl Block {
+    /// Record the item now final at output position `pos`.
+    fn note(&mut self, pos: usize, insn: Insn, labelled: bool) {
+        if labelled {
+            self.last_label = Some(pos);
         }
-        i += 1;
-    }
-    for pos in asm.label_pos.iter().flatten() {
-        if *pos <= c {
-            start = start.max(*pos);
+        let slots = insn.delay_slots();
+        if slots > 0 {
+            self.pending_ends.push(pos + slots + 1);
         }
     }
-    start
+
+    /// Append `item` to `out` and record it (it is not a fillable branch).
+    fn push(&mut self, out: &mut Vec<(Insn, Annot)>, item: (Insn, Annot), labelled: bool) {
+        self.note(out.len(), item.0, labelled);
+        out.push(item);
+    }
+
+    /// The first position of the basic block of the branch at output position
+    /// `c` (after the latest label binding or control-group end), and whether
+    /// a label binds there.
+    fn start(&mut self, c: usize, branch_labelled: bool) -> (usize, bool) {
+        if branch_labelled {
+            self.last_label = Some(c);
+        }
+        let group_end = &mut self.group_end;
+        self.pending_ends.retain(|&end| {
+            let reached = end <= c;
+            if reached {
+                *group_end = (*group_end).max(end);
+            }
+            !reached
+        });
+        let label = self.last_label.unwrap_or(0);
+        let start = self.group_end.max(label);
+        (start, self.last_label == Some(start))
+    }
 }
 
 /// Find the latest movable instruction in `[block_start, c)` that can be hoisted
 /// past everything between it and the slot being filled at `slot_pos` — including
 /// instructions already placed in earlier delay slots of the branch at `c`, which
-/// will execute before the new arrival.
-fn find_candidate(asm: &Asm, block_start: usize, c: usize, slot_pos: usize) -> Option<usize> {
-    let (branch, _) = asm.items[c];
+/// will execute before the new arrival. Only `block_start` can carry a label.
+fn find_candidate(
+    items: &[(Insn, Annot)],
+    block_start: usize,
+    start_labelled: bool,
+    c: usize,
+    slot_pos: usize,
+) -> Option<usize> {
+    let (branch, _) = items[c];
     let branch_uses = branch.uses();
     let branch_def = branch.def(); // link register of jal/jalr
     'outer: for p in (block_start..c).rev() {
-        let (cand, _) = asm.items[p];
+        let (cand, _) = items[p];
         if !movable(cand) {
             continue;
         }
         // No label may bind exactly at p (the jump target would change meaning).
-        if asm.label_pos.iter().flatten().any(|&pos| pos == p) {
+        if p == block_start && start_labelled {
             continue;
         }
         let cd = cand.def();
         let cu = cand.uses();
         // Must not produce a value the branch condition consumes.
         if let Some(d) = cd {
-            if branch_uses.contains(&d) {
+            if branch_uses.contains(d) {
                 continue;
             }
         }
         // Must not touch the branch's own destination (the link register of a
         // call): moving across would reorder the writes or read the new link.
         if let Some(bd) = branch_def {
-            if cd == Some(bd) || cu.contains(&bd) {
+            if cd == Some(bd) || cu.contains(bd) {
                 continue;
             }
         }
         // Must commute with every intervening instruction, including already
         // filled earlier slots (they execute before the new arrival).
         for q in (p + 1..slot_pos).filter(|&q| q != c) {
-            let (mid, _) = asm.items[q];
+            let (mid, _) = items[q];
             let md = mid.def();
             let mu = mid.uses();
             if let Some(d) = cd {
-                if mu.contains(&d) || md == Some(d) {
+                if mu.contains(d) || md == Some(d) {
                     continue 'outer; // RAW or WAW on the candidate's output
                 }
             }
             if let Some(m) = md {
-                if cu.contains(&m) {
+                if cu.contains(m) {
                     continue 'outer; // candidate reads a value redefined in between
                 }
             }
@@ -214,14 +295,8 @@ fn find_candidate(asm: &Asm, block_start: usize, c: usize, slot_pos: usize) -> O
         // Removing the candidate must not create a load-delay hazard between its
         // former neighbours.
         if p > block_start {
-            let (prev, _) = asm.items[p - 1];
-            let prev_loaded = match prev {
-                Insn::Ld(rd, ..) | Insn::LdChk { rd, .. } => Some(rd),
-                _ => None,
-            };
-            if let Some(rd) = prev_loaded {
-                let (next, _) = asm.items[p + 1];
-                if next.uses().contains(&rd) {
+            if let Some(rd) = loaded(items[p - 1].0) {
+                if items[p + 1].0.uses().contains(rd) {
                     continue;
                 }
             }

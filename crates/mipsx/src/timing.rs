@@ -736,7 +736,7 @@ impl Observer for TimingModel {
         let now = self.now(cycle);
         if self.max_load_ready > now {
             let mut ready = 0u64;
-            for r in ev.insn.uses() {
+            for r in ev.insn.uses().iter() {
                 ready = ready.max(self.load_ready[r as usize]);
             }
             if ready > now {

@@ -163,7 +163,7 @@ pub fn verify(prog: &Program) -> Result<(), VerifyError> {
             if is_last_slot {
                 return Err(VerifyError::LoadInLastSlot { pc });
             }
-            if pc + 1 < n && prog.insns[pc + 1].uses().contains(&rd) {
+            if pc + 1 < n && prog.insns[pc + 1].uses().contains(rd) {
                 return Err(VerifyError::LoadDelayHazard { load: pc, reg: rd });
             }
         }

@@ -71,7 +71,7 @@ fn empty_histograms_are_omitted() {
     let counts = vec!["0"; REQUEST_BUCKETS.len() + 1].join(",");
     let snapshot = format!(
         "{{\"counters\":{{}},\"gauges\":{{}},\"histograms\":{{{}:{{\"buckets\":[{buckets}],\
-         \"counts\":[{counts}],\"sum\":0.5,\"count\":1}}}},\"events\":[]}}",
+         \"counts\":[{counts}],\"sum\":0.5,\"count\":1}}}},\"events_dropped\":0,\"events\":[]}}",
         serve_key_json(&key)
     );
     let restored = MetricsRegistry::from_json(&snapshot).expect("parses");
