@@ -141,7 +141,8 @@ fn fill_branch_slots(asm: &mut Asm) -> usize {
         );
         if slots == 0 || squash {
             for k in i..group {
-                block.push(&mut out, items[k], labelled[k]);
+                block.note(out.len(), items[k].0, labelled[k]);
+                out.push(items[k]);
             }
             i = group;
             continue;
@@ -205,12 +206,6 @@ impl Block {
         if slots > 0 {
             self.pending_ends.push(pos + slots + 1);
         }
-    }
-
-    /// Append `item` to `out` and record it (it is not a fillable branch).
-    fn push(&mut self, out: &mut Vec<(Insn, Annot)>, item: (Insn, Annot), labelled: bool) {
-        self.note(out.len(), item.0, labelled);
-        out.push(item);
     }
 
     /// The first position of the basic block of the branch at output position
