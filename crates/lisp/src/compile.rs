@@ -4,6 +4,7 @@ use mipsx::sched::{schedule_and_attribute, ScheduleReport};
 use mipsx::{Asm, Backend, Executor, HwConfig, Outcome, Program, SimError};
 use tagword::TagScheme;
 
+use crate::ast::Unit;
 use crate::codegen::Codegen;
 use crate::error::CompileError;
 use crate::front::{lower_sources, CheckingMode};
@@ -86,7 +87,12 @@ pub struct CompiledProgram {
     pub schedule: ScheduleReport,
 }
 
-/// Compile `source` under `opts`.
+/// Compile `source` under `opts`: [`lower_sources`] on the prelude (unless
+/// `opts.include_prelude` is off) and `source`, then [`compile_unit`].
+///
+/// The lowered [`Unit`] does not depend on `opts`. A caller that compiles one
+/// source under many configurations should lower it once and call
+/// [`compile_unit`] per configuration instead: the object code is the same.
 ///
 /// # Errors
 ///
@@ -94,13 +100,28 @@ pub struct CompiledProgram {
 /// that don't fit the scheme, or (indicating a code-generator bug) assembly and
 /// verification failures.
 pub fn compile(source: &str, opts: &Options) -> Result<CompiledProgram, CompileError> {
-    let sources: Vec<&str> = if opts.include_prelude {
-        vec![PRELUDE, source]
+    let sources: &[&str] = if opts.include_prelude {
+        &[PRELUDE, source]
     } else {
-        vec![source]
+        &[source]
     };
-    let unit = lower_sources(&sources)?;
-    let layout = Layout::build(&unit, opts.scheme, opts.heap_semi_bytes, opts.stack_bytes)?;
+    compile_unit(&lower_sources(sources)?, opts)
+}
+
+/// Generate, schedule, assemble and verify an already-lowered [`Unit`] under
+/// `opts`.
+///
+/// A `Unit` is independent of [`Options`]: the scheme, checking mode and
+/// hardware only enter here, so one `Unit` compiles under every
+/// configuration. `opts.include_prelude` is not read; whether the prelude is
+/// linked in was decided when the `Unit` was lowered.
+///
+/// # Errors
+///
+/// Literals that don't fit the scheme, and (indicating a code-generator bug)
+/// assembly and verification failures.
+pub fn compile_unit(unit: &Unit, opts: &Options) -> Result<CompiledProgram, CompileError> {
+    let layout = Layout::build(unit, opts.scheme, opts.heap_semi_bytes, opts.stack_bytes)?;
 
     let mut asm = Asm::new();
     let rt = RtLabels::create(&mut asm);
@@ -113,7 +134,7 @@ pub fn compile(source: &str, opts: &Options) -> Result<CompiledProgram, CompileE
         int_test_method: opts.int_test_method,
     };
     let cg = Codegen {
-        unit: &unit,
+        unit,
         layout: &layout,
         t,
         rt,

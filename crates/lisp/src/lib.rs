@@ -48,7 +48,8 @@ mod sexp;
 mod tagops;
 
 pub use compile::{
-    compile, run, run_observed, run_observed_with, run_with, CompileStats, CompiledProgram, Options,
+    compile, compile_unit, run, run_observed, run_observed_with, run_with, CompileStats,
+    CompiledProgram, Options,
 };
 pub use error::CompileError;
 pub use front::{lower_sources, CheckingMode};

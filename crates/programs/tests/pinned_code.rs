@@ -7,6 +7,10 @@
 //! FNV-1a digest of the whole `Program` (instructions, annotations, entry,
 //! sorted symbols and data image) against a checked-in expected file.
 //!
+//! A second test compiles one lowered `Unit` per program under all 24
+//! configurations and must reproduce the same file: the front end's output
+//! does not depend on the configuration, so lowering once is safe.
+//!
 //! To regenerate after an *intentional* change to the generated code:
 //!
 //! ```text
@@ -17,7 +21,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use lisp::{CheckingMode, Options};
+use lisp::{CheckingMode, CompiledProgram, Options};
 use mipsx::{HwConfig, Program};
 use tagword::ALL_SCHEMES;
 
@@ -86,30 +90,22 @@ fn configs() -> Vec<(String, Options)> {
     out
 }
 
-#[test]
-fn object_code_is_pinned() {
-    let mut got = String::new();
-    for b in programs::all() {
-        for (label, opts) in configs() {
-            let c = b.compile(&opts).expect("benchmark compiles");
-            writeln!(
-                got,
-                "{}:{label} slots_filled={} load_nops_inserted={} object_words={} digest={:016x}",
-                b.name,
-                c.schedule.slots_filled,
-                c.schedule.load_nops_inserted,
-                c.stats.object_words,
-                digest(&c.program)
-            )
-            .unwrap();
-        }
-    }
+/// One line of the expected file: the scheduler's report, the object size
+/// and the digest of `c` for one benchmark × configuration point.
+fn pinned_line(out: &mut String, name: &str, label: &str, c: &CompiledProgram) {
+    writeln!(
+        out,
+        "{name}:{label} slots_filled={} load_nops_inserted={} object_words={} digest={:016x}",
+        c.schedule.slots_filled,
+        c.schedule.load_nops_inserted,
+        c.stats.object_words,
+        digest(&c.program)
+    )
+    .unwrap();
+}
+
+fn assert_matches_expected(got: &str) {
     let path = expected_path();
-    if std::env::var_os("UPDATE_EXPECTED").is_some() {
-        fs::write(&path, &got).expect("write the expected file");
-        eprintln!("updated {}", path.display());
-        return;
-    }
     let want = fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "cannot read {}: {e}\nseed it with: UPDATE_EXPECTED=1 cargo test -p programs --test pinned_code",
@@ -127,4 +123,39 @@ fn object_code_is_pinned() {
         );
     }
     assert_eq!(got, want, "{} differs in length", path.display());
+}
+
+#[test]
+fn object_code_is_pinned() {
+    let mut got = String::new();
+    for b in programs::all() {
+        for (label, opts) in configs() {
+            let c = b.compile(&opts).expect("benchmark compiles");
+            pinned_line(&mut got, b.name, &label, &c);
+        }
+    }
+    if std::env::var_os("UPDATE_EXPECTED").is_some() {
+        let path = expected_path();
+        fs::write(&path, &got).expect("write the expected file");
+        eprintln!("updated {}", path.display());
+        return;
+    }
+    assert_matches_expected(&got);
+}
+
+#[test]
+fn one_lowered_unit_compiles_to_the_pinned_code_under_every_config() {
+    let mut got = String::new();
+    for b in programs::all() {
+        let unit = lisp::lower_sources(&[lisp::PRELUDE, b.source]).expect("benchmark lowers");
+        for (label, opts) in configs() {
+            let opts = Options {
+                heap_semi_bytes: b.heap_semi_bytes,
+                ..opts
+            };
+            let c = lisp::compile_unit(&unit, &opts).expect("benchmark compiles");
+            pinned_line(&mut got, b.name, &label, &c);
+        }
+    }
+    assert_matches_expected(&got);
 }

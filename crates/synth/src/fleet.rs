@@ -27,7 +27,8 @@ use crate::gen::{self, Program};
 use crate::oracle::{self, MismatchKind, SIM_FUEL};
 use crate::profile::OpMix;
 use crate::shrink;
-use lisp::eval::EvalOutcome;
+use lisp::ast::Unit;
+use lisp::eval::{EvalError, EvalOutcome};
 use lisp::CheckingMode;
 use mipsx::{Backend, Executor as _, Fault, HwConfig, RefCpu, Stats, ALL_BACKENDS};
 use store::fuzz::{CoverageLedger, FuzzStore, Witness};
@@ -224,11 +225,15 @@ pub struct LocalRunner {
 
 impl Runner for LocalRunner {
     fn run(&mut self, source: &str, columns: &[Column]) -> Vec<Result<ColumnOutcome, RunError>> {
+        let unit = oracle::lower(source).map_err(|e| RunError::Compile(e.to_string()));
         columns
             .iter()
             .map(|column| {
                 let started = std::time::Instant::now();
-                let outcome = run_local_column(source, column, self.fault);
+                let outcome = unit
+                    .as_ref()
+                    .map_err(Clone::clone)
+                    .and_then(|unit| run_local_column(unit, column, self.fault));
                 if let Some((tracer, ctx)) = &self.trace {
                     tracer.record(SpanRecord {
                         trace: ctx.trace,
@@ -250,15 +255,15 @@ impl Runner for LocalRunner {
     }
 }
 
-/// Compile and execute `source` under one column, locally. With a fault the
-/// run goes through [`RefCpu`] (the only executor with fault injection);
-/// otherwise through the column's own backend.
+/// Compile and execute a lowered program under one column, locally. With a
+/// fault the run goes through [`RefCpu`] (the only executor with fault
+/// injection); otherwise through the column's own backend.
 fn run_local_column(
-    source: &str,
+    unit: &Unit,
     column: &Column,
     fault: Option<Fault>,
 ) -> Result<ColumnOutcome, RunError> {
-    let compiled = lisp::compile(source, &column.config.to_options())
+    let compiled = lisp::compile_unit(unit, &column.config.to_options())
         .map_err(|e| RunError::Compile(e.to_string()))?;
     let out = match fault {
         Some(fault) => {
@@ -316,11 +321,17 @@ pub fn column_diverges(
     column: &Column,
     fault: Option<Fault>,
 ) -> Option<(MismatchKind, String)> {
-    let expected = match oracle::reference(source) {
-        Ok(e) => e,
-        Err(e) => return Some((MismatchKind::Compile, format!("reference: {e:?}"))),
+    let reference_failed =
+        |e: EvalError| Some((MismatchKind::Compile, format!("reference: {e:?}")));
+    let unit = match oracle::lower(source) {
+        Ok(unit) => unit,
+        Err(e) => return reference_failed(EvalError::Compile(e)),
     };
-    let got = match run_local_column(source, column, fault) {
+    let expected = match oracle::reference_unit(&unit) {
+        Ok(e) => e,
+        Err(e) => return reference_failed(e),
+    };
+    let got = match run_local_column(&unit, column, fault) {
         Ok(got) => got,
         Err(RunError::Compile(d)) => return Some((MismatchKind::Compile, d)),
         Err(RunError::Sim(d)) => return Some((MismatchKind::Sim, d)),

@@ -13,13 +13,17 @@
 //!    [`CYCLES_PER_OP`] cycles per countable op, and an exact-zero rule when
 //!    a category has no ops at all (or when checking is off entirely).
 //!
+//! The front end runs once per program: the evaluator and all 24 compiles
+//! share one lowered [`Unit`], which no configuration changes.
+//!
 //! A fault injected into the reference executor ([`mipsx::Fault`]) models a
 //! codegen/simulator bug; [`caught_by_oracle`] reruns the comparison over the
 //! faulted execution so tests can prove the oracle actually detects it.
 
 use crate::gen;
-use lisp::eval::{eval_source, EvalOptions, EvalOutcome, OpCensus};
-use lisp::{CheckingMode, CompiledProgram};
+use lisp::ast::Unit;
+use lisp::eval::{eval_unit, EvalError, EvalOptions, EvalOutcome, OpCensus};
+use lisp::{CheckingMode, CompileError, CompiledProgram};
 use mipsx::{CheckCat, Executor, Fault, HwConfig, ParallelCheck, RefCpu, Stats};
 use tagstudy::Config;
 use tagword::{TagScheme, ALL_SCHEMES};
@@ -95,18 +99,43 @@ fn config_label(c: &Config) -> String {
     format!("{}/{:?}/{hw}", c.scheme, c.checking)
 }
 
+/// Lower the prelude and `source` into the [`Unit`] that the reference
+/// evaluator and every configuration's compile share.
+///
+/// # Errors
+///
+/// Reader errors, unknown names, malformed forms, arity mismatches.
+pub fn lower(source: &str) -> Result<Unit, CompileError> {
+    lisp::lower_sources(&[lisp::PRELUDE, source])
+}
+
 /// Evaluate `source` with the reference evaluator under the *narrowest*
 /// fixnum range in the sweep (HighTag6's 26 bits), so an overflow that any
 /// scheme could hit is flagged rather than silently scheme-dependent.
-pub fn reference(source: &str) -> Result<EvalOutcome, lisp::eval::EvalError> {
-    eval_source(source, &EvalOptions::for_scheme(TagScheme::HighTag6))
+pub fn reference(source: &str) -> Result<EvalOutcome, EvalError> {
+    reference_unit(&lower(source).map_err(EvalError::Compile)?)
+}
+
+/// [`reference()`] on an already-lowered [`Unit`].
+pub fn reference_unit(unit: &Unit) -> Result<EvalOutcome, EvalError> {
+    eval_unit(unit, &EvalOptions::for_scheme(TagScheme::HighTag6))
 }
 
 /// Check `source` against `expected` under one configuration: result
 /// equality always, census reconciliation too. Returns the mismatch if any.
 pub fn check_config(source: &str, expected: &EvalOutcome, config: &Config) -> Result<(), Mismatch> {
+    let unit = lower(source).map_err(|e| Mismatch {
+        kind: MismatchKind::Compile,
+        config: config_label(config),
+        detail: e.to_string(),
+    })?;
+    check_unit(&unit, expected, config)
+}
+
+/// [`check_config`] on an already-lowered [`Unit`] (see [`lower`]).
+fn check_unit(unit: &Unit, expected: &EvalOutcome, config: &Config) -> Result<(), Mismatch> {
     let label = config_label(config);
-    let compiled = lisp::compile(source, &config.to_options()).map_err(|e| Mismatch {
+    let compiled = lisp::compile_unit(unit, &config.to_options()).map_err(|e| Mismatch {
         kind: MismatchKind::Compile,
         config: label.clone(),
         detail: e.to_string(),
@@ -241,15 +270,18 @@ pub fn check_program(p: &gen::Program) -> Result<EvalOutcome, Mismatch> {
     check_rendered(&gen::render(p))
 }
 
-/// [`check_program`] for already-rendered (or hand-written) source.
+/// [`check_program`] for already-rendered (or hand-written) source. The
+/// source is lowered once; the reference and every configuration share it.
 pub fn check_rendered(source: &str) -> Result<EvalOutcome, Mismatch> {
-    let expected = reference(source).map_err(|e| Mismatch {
+    let reference_failed = |e: EvalError| Mismatch {
         kind: MismatchKind::Compile,
         config: "reference".into(),
         detail: format!("{e:?}"),
-    })?;
+    };
+    let unit = lower(source).map_err(|e| reference_failed(EvalError::Compile(e)))?;
+    let expected = reference_unit(&unit).map_err(reference_failed)?;
     for config in oracle_configs() {
-        check_config(source, &expected, &config)?;
+        check_unit(&unit, &expected, &config)?;
     }
     Ok(expected)
 }
@@ -269,11 +301,13 @@ pub fn run_faulted(compiled: &CompiledProgram, fault: Fault) -> Result<(i32, Str
 /// under `config`? True when the faulted result disagrees with the reference
 /// evaluator (i.e. the differential check would have flagged it).
 pub fn caught_by_oracle(p: &gen::Program, config: &Config, fault: Fault) -> bool {
-    let source = gen::render(p);
-    let Ok(expected) = reference(&source) else {
+    let Ok(unit) = lower(&gen::render(p)) else {
         return false;
     };
-    let Ok(compiled) = lisp::compile(&source, &config.to_options()) else {
+    let Ok(expected) = reference_unit(&unit) else {
+        return false;
+    };
+    let Ok(compiled) = lisp::compile_unit(&unit, &config.to_options()) else {
         return false;
     };
     match run_faulted(&compiled, fault) {
@@ -304,6 +338,43 @@ mod tests {
         let p = gen::generate(11, &OpMix::balanced());
         if let Err(m) = check_program(&p) {
             panic!("seed 11 failed the oracle: {m}\n{}", gen::render(&p));
+        }
+    }
+
+    #[test]
+    fn a_source_that_fails_to_lower_fails_the_reference() {
+        for source in ["(car", "(nosuch 1)"] {
+            let m = check_rendered(source).unwrap_err();
+            assert_eq!(m.kind, MismatchKind::Compile, "{source}");
+            assert_eq!(m.config, "reference", "{source}");
+            // The text the evaluator's own lowering reports for this source.
+            let e = lisp::eval::eval_source(source, &EvalOptions::for_scheme(TagScheme::HighTag6))
+                .unwrap_err();
+            assert!(matches!(e, EvalError::Compile(_)), "{source}: {e:?}");
+            assert_eq!(m.detail, format!("{e:?}"), "{source}");
+        }
+    }
+
+    #[test]
+    fn lowering_once_matches_the_per_config_sweep() {
+        let configs = oracle_configs();
+        for seed in 0..50 {
+            let mix = [OpMix::list_heavy(), OpMix::balanced(), OpMix::arith_heavy()][seed % 3];
+            let source = gen::render(&gen::generate(seed as u64, &mix));
+            let expected = reference(&source).expect("generated programs evaluate");
+            let swept = configs
+                .iter()
+                .try_for_each(|config| check_config(&source, &expected, config));
+            match check_rendered(&source) {
+                Ok(got) => {
+                    assert_eq!(got, expected, "seed {seed}");
+                    assert!(swept.is_ok(), "seed {seed}: {swept:?}");
+                }
+                Err(m) => {
+                    let s = swept.expect_err("the sweep must fail too");
+                    assert_eq!((m.kind, m.config), (s.kind, s.config), "seed {seed}");
+                }
+            }
         }
     }
 
