@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! profile <benchmark> [--scheme high5|high6|low2|low3] [--checking none|full]
-//!                     [--hw plain|tagbr|genarith|maximal|spur]
+//!                     [--hw plain|tagbr|genarith|maximal|spur|FEATURES]
 //!                     [--backend fast|ref]
 //!                     [--timing ideal|classic5|modern]
 //!                     [--folded] [--metrics json|prom]
@@ -21,16 +21,17 @@
 //! the cycle report. `--metrics json|prom` prints the session's metrics
 //! registry after the run, in JSON or Prometheus text.
 //!
-//! Scheme/checking/hardware names are the shared [`bench::spec`] vocabulary —
-//! the same strings `tagctl` and the `tagstudyd` wire protocol accept.
+//! Each flag value is parsed by its own type through
+//! [`tagstudy::ConfigFields`]: the same strings a config name, `tagctl` and
+//! the `tagstudyd` wire protocol accept. `FEATURES` is a `+`-joined hardware
+//! feature list such as `drop5+tagbr`.
 
-use bench::spec;
-use tagstudy::Config;
+use tagstudy::ConfigFields;
 
 fn usage() -> ! {
     eprintln!(
         "usage: profile <benchmark> [--scheme high5|high6|low2|low3] \
-         [--checking none|full] [--hw plain|tagbr|genarith|maximal|spur] \
+         [--checking none|full] [--hw plain|tagbr|genarith|maximal|spur|FEATURES] \
          [--backend fast|ref] [--timing ideal|classic5|modern] \
          [--folded] [--metrics json|prom]\nbenchmarks: {}",
         programs::names().join(" ")
@@ -45,7 +46,7 @@ fn next_arg(args: &mut std::vec::IntoIter<String>, flag: &str) -> String {
     })
 }
 
-/// Unwrap a spec-vocabulary parse, or print its message and the usage text.
+/// Unwrap a flag value's parse, or print its message and the usage text.
 fn parse_or_usage<T>(r: Result<T, String>) -> T {
     r.unwrap_or_else(|message| {
         eprintln!("{message}");
@@ -62,28 +63,19 @@ fn main() {
         eprintln!("unknown benchmark {benchmark:?}");
         usage();
     }
-    let mut scheme = tagword::TagScheme::HighTag5;
-    let mut checking = tagstudy::CheckingMode::Full;
-    let mut hw_name = spec::DEFAULT_HW.to_string();
-    let mut backend = mipsx::Backend::default();
-    let mut timing = mipsx::TimingConfig::ideal();
+    // One value per config flag; `ConfigFields` parses each by its type once
+    // all are known (`maximal` and `spur` take the scheme's tag width, and
+    // `--scheme` may come after `--hw`).
+    const CONFIG_FLAGS: [&str; 5] = ["--scheme", "--checking", "--hw", "--backend", "--timing"];
+    let mut flags: [Option<String>; 5] = Default::default();
     let mut folded = false;
     let mut metrics: Option<String> = None;
     while let Some(arg) = args.next() {
+        if let Some(i) = CONFIG_FLAGS.iter().position(|flag| *flag == arg) {
+            flags[i] = Some(next_arg(&mut args, &arg));
+            continue;
+        }
         match arg.as_str() {
-            "--scheme" => {
-                scheme = parse_or_usage(spec::parse_scheme(&next_arg(&mut args, "--scheme")))
-            }
-            "--checking" => {
-                checking = parse_or_usage(spec::parse_checking(&next_arg(&mut args, "--checking")));
-            }
-            "--hw" => hw_name = next_arg(&mut args, "--hw"),
-            "--backend" => {
-                backend = parse_or_usage(spec::parse_backend(&next_arg(&mut args, "--backend")));
-            }
-            "--timing" => {
-                timing = parse_or_usage(spec::parse_timing(&next_arg(&mut args, "--timing")));
-            }
             "--folded" => folded = true,
             "--metrics" => metrics = Some(next_arg(&mut args, "--metrics")),
             _ => {
@@ -92,13 +84,18 @@ fn main() {
             }
         }
     }
-    // Hardware is parsed after the flag loop: `maximal`/`spur` depend on the
-    // scheme's tag width, and `--scheme` may come after `--hw` on the line.
-    let hw = parse_or_usage(spec::parse_hw(&hw_name, scheme));
-    let config = Config::new(scheme, checking)
-        .with_hw(hw)
-        .with_backend(backend)
-        .with_timing(timing);
+    let [scheme, checking, hw, backend, timing] = flags.each_ref().map(Option::as_deref);
+    let config = parse_or_usage(
+        ConfigFields {
+            scheme,
+            checking,
+            hw,
+            backend,
+            timing,
+            ..ConfigFields::default()
+        }
+        .resolve(),
+    );
 
     let session = bench::session();
     let (measurement, profiler, stalls) =

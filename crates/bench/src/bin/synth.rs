@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! synth [--points N] [--seeds M] [--seed-base K]
-//!       [--scheme high5|high6|low2|low3] [--hw plain|tagbr|genarith|maximal|spur]
+//!       [--scheme high5|high6|low2|low3] [--hw plain|tagbr|genarith|maximal|spur|FEATURES]
 //!       [--out PATH] [--smoke]
 //! ```
 //!
@@ -27,9 +27,8 @@
 //! `--smoke` shrinks the sweep (3 points × 2 seeds) for CI; determinism makes
 //! even the small sweep reproducible bit-for-bit.
 
-use bench::spec;
 use synth::OpMix;
-use tagstudy::{CheckingMode, Config, InlineProgram, Session};
+use tagstudy::{CheckingMode, Config, ConfigFields, InlineProgram, Session};
 
 /// Minimum arith-end : list-end overhead ratio the sweep must exhibit
 /// (the paper's own spread is ~15×: 6% to 88%).
@@ -41,7 +40,7 @@ const MONOTONE_TOLERANCE: f64 = 0.05;
 fn usage() -> ! {
     eprintln!(
         "usage: synth [--points N] [--seeds M] [--seed-base K] \
-         [--scheme high5|high6|low2|low3] [--hw plain|tagbr|genarith|maximal|spur] \
+         [--scheme high5|high6|low2|low3] [--hw plain|tagbr|genarith|maximal|spur|FEATURES] \
          [--out PATH] [--smoke]"
     );
     std::process::exit(2);
@@ -88,8 +87,8 @@ fn main() {
     let mut points = 9usize;
     let mut seeds = 6u64;
     let mut seed_base = 0u64;
-    let mut scheme = tagword::TagScheme::HighTag5;
-    let mut hw_name = spec::DEFAULT_HW.to_string();
+    let mut scheme = None;
+    let mut hw = None;
     let mut out_path = "BENCH_synth_mix_sweep.json".to_string();
 
     let mut args = std::env::args().skip(1).collect::<Vec<_>>().into_iter();
@@ -100,10 +99,8 @@ fn main() {
             "--seed-base" => {
                 seed_base = parse_num(&next_arg(&mut args, "--seed-base"), "--seed-base");
             }
-            "--scheme" => {
-                scheme = parse_or_usage(spec::parse_scheme(&next_arg(&mut args, "--scheme")));
-            }
-            "--hw" => hw_name = next_arg(&mut args, "--hw"),
+            "--scheme" => scheme = Some(next_arg(&mut args, "--scheme")),
+            "--hw" => hw = Some(next_arg(&mut args, "--hw")),
             "--out" => out_path = next_arg(&mut args, "--out"),
             "--smoke" => {
                 points = 3;
@@ -119,9 +116,18 @@ fn main() {
         eprintln!("need at least 2 points and 1 seed");
         usage();
     }
-    let hw = parse_or_usage(spec::parse_hw(&hw_name, scheme));
-    let config_none = Config::new(scheme, CheckingMode::None).with_hw(hw);
-    let config_full = Config::new(scheme, CheckingMode::Full).with_hw(hw);
+    let fields = ConfigFields {
+        scheme: scheme.as_deref(),
+        hw: hw.as_deref(),
+        ..ConfigFields::default()
+    };
+    let config_full = parse_or_usage(fields.resolve());
+    let config_none = Config {
+        checking: CheckingMode::None,
+        ..config_full
+    };
+    let scheme = config_full.scheme;
+    let hw_name = config_full.hw.name(scheme.tag_bits());
 
     let list_end = OpMix::list_heavy();
     let arith_end = OpMix::arith_heavy();
@@ -136,7 +142,7 @@ fn main() {
         let names: Vec<String> = (0..seeds)
             .map(|s| {
                 let source = synth::render(&synth::generate(seed_base + s, &mix));
-                let name = spec::inline_name(&source, None);
+                let name = store::inline_name(&source, None);
                 session.register_source(&name, InlineProgram::new(source));
                 name
             })

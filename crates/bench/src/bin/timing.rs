@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use lisp::CheckingMode;
-use mipsx::{Backend, HwConfig, StallCause, TimingConfig, ALL_STALL_CAUSES};
+use mipsx::{Backend, StallCause, TimingConfig, ALL_STALL_CAUSES};
 use tagstudy::{Config, Measurement};
 use tagword::TagScheme;
 
@@ -48,21 +48,13 @@ fn next_arg(args: &mut std::vec::IntoIter<String>, flag: &str) -> String {
     })
 }
 
-/// The hardware levels of the grid, by spec-grammar name.
-fn hw_levels(scheme: TagScheme) -> [(&'static str, HwConfig); 3] {
-    [
-        ("plain", HwConfig::plain()),
-        ("tagbr", HwConfig::with_tag_branch()),
-        ("maximal", HwConfig::maximal(scheme.tag_bits())),
-    ]
-}
-
 /// One measured grid cell under one preset.
 struct Cell {
     program: String,
     scheme: TagScheme,
     checking: CheckingMode,
-    hw: &'static str,
+    /// The hardware's name (`HwConfig::name`): plain, tagbr or maximal.
+    hw: String,
     preset: &'static str,
     cycles: u64,
     timed_cycles: u64,
@@ -131,7 +123,7 @@ fn rank_schemes(totals: &BTreeMap<&'static str, u64>) -> Vec<&'static str> {
 struct Flip {
     preset: &'static str,
     checking: CheckingMode,
-    hw: &'static str,
+    hw: String,
     ideal_order: Vec<&'static str>,
     timed_order: Vec<&'static str>,
 }
@@ -164,13 +156,10 @@ fn main() {
     }
     let mut presets: Vec<(&'static str, TimingConfig)> = Vec::new();
     for name in preset_list.split(',').map(str::trim) {
-        let Some(config) = TimingConfig::preset(name) else {
-            eprintln!(
-                "unknown timing preset {name:?} (want one of: {})",
-                mipsx::TIMING_PRESETS.join(", ")
-            );
+        let config = TimingConfig::parse(name).unwrap_or_else(|why| {
+            eprintln!("{why}");
             usage()
-        };
+        });
         presets.push((config.preset_name(), config));
     }
     if !presets.iter().any(|(name, _)| *name == "ideal") {
@@ -180,36 +169,23 @@ fn main() {
     }
 
     let session = bench::session();
+    let matrix = Config::matrix();
     let mut cells: Vec<Cell> = Vec::new();
     for &(preset, timing) in &presets {
         // One batch per preset so the session's worker pool sees the whole
         // grid at once.
-        let mut requests: Vec<(&str, Config)> = Vec::new();
-        for &program in &programs {
-            for scheme in tagword::ALL_SCHEMES {
-                for checking in [CheckingMode::None, CheckingMode::Full] {
-                    for (_, hw) in hw_levels(scheme) {
-                        let config = Config::new(scheme, checking)
-                            .with_hw(hw)
-                            .with_timing(timing);
-                        requests.push((program, config));
-                    }
-                }
-            }
-        }
+        let requests: Vec<(&str, Config)> = programs
+            .iter()
+            .flat_map(|&program| matrix.iter().map(move |c| (program, c.with_timing(timing))))
+            .collect();
         let measured = bench::unwrap_study(session.measure_many(&requests));
         for m in measured {
             let (timed_cycles, stalls) = assert_reconciles(&m);
-            let hw = hw_levels(m.config.scheme)
-                .iter()
-                .find(|(_, h)| *h == m.config.hw)
-                .map(|(name, _)| *name)
-                .expect("grid hardware level");
             cells.push(Cell {
                 program: m.program.clone(),
                 scheme: m.config.scheme,
                 checking: m.config.checking,
-                hw,
+                hw: m.config.hw.name(m.config.scheme.tag_bits()),
                 preset,
                 cycles: m.stats.cycles,
                 timed_cycles,
@@ -233,10 +209,10 @@ fn main() {
     }
 
     // Per-preset scheme totals within each (checking, hw) group.
-    type GroupKey = (&'static str, String, &'static str); // (preset, checking, hw)
+    type GroupKey = (&'static str, String, String); // (preset, checking, hw)
     let mut totals: BTreeMap<GroupKey, BTreeMap<&'static str, u64>> = BTreeMap::new();
     for cell in &cells {
-        let key = (cell.preset, format!("{:?}", cell.checking), cell.hw);
+        let key = (cell.preset, format!("{:?}", cell.checking), cell.hw.clone());
         *totals
             .entry(key)
             .or_default()
@@ -249,22 +225,22 @@ fn main() {
         if timing.is_ideal() {
             continue;
         }
-        for checking in [CheckingMode::None, CheckingMode::Full] {
-            for (hw, _) in hw_levels(TagScheme::HighTag5) {
-                let checking_name = format!("{checking:?}");
-                let ideal = &totals[&("ideal", checking_name.clone(), hw)];
-                let timed = &totals[&(preset, checking_name, hw)];
-                let ideal_order = rank_schemes(ideal);
-                let timed_order = rank_schemes(timed);
-                if ideal_order != timed_order {
-                    flips.push(Flip {
-                        preset,
-                        checking,
-                        hw,
-                        ideal_order,
-                        timed_order,
-                    });
-                }
+        // The (checking, hw) groups, in matrix order: one scheme's columns.
+        for c in matrix.iter().filter(|c| c.scheme == TagScheme::HighTag5) {
+            let (checking, hw) = (c.checking, c.hw.name(c.scheme.tag_bits()));
+            let checking_name = format!("{checking:?}");
+            let ideal = &totals[&("ideal", checking_name.clone(), hw.clone())];
+            let timed = &totals[&(preset, checking_name, hw.clone())];
+            let ideal_order = rank_schemes(ideal);
+            let timed_order = rank_schemes(timed);
+            if ideal_order != timed_order {
+                flips.push(Flip {
+                    preset,
+                    checking,
+                    hw,
+                    ideal_order,
+                    timed_order,
+                });
             }
         }
     }

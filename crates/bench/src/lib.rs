@@ -1,8 +1,7 @@
-//! Shared helpers for the table/figure regeneration binaries and Criterion
-//! benches. The binaries (`table1`, `table2`, `table3`, `figure1`, `figure2`,
-//! `generic_arith`, `all_experiments`, `profile`) print the paper's tables
-//! next to the measured values; the Criterion benches time the underlying
-//! simulations.
+//! Shared helpers for the table/figure regeneration binaries. The binaries
+//! (`table1`, `table2`, `table3`, `figure1`, `figure2`, `generic_arith`,
+//! `all_experiments`, `profile`) print the paper's tables next to the
+//! measured values.
 //!
 //! Every binary drives one [`Session`]: [`session`] wires up a live progress
 //! feed on stderr, and [`report_session`] prints the cache/timing summary at
@@ -14,8 +13,6 @@
 //! (`tests/profiler.rs` at the workspace root) so the two cannot drift.
 
 #![deny(missing_docs)]
-
-pub mod spec;
 
 use tagstudy::{Measurement, Progress, Session};
 

@@ -1,7 +1,7 @@
 //! The conformance matrix: `FastCpu` in lockstep against `RefCpu` on every
 //! benchmark workload and on 200 fixed-seed synth programs, under the
 //! 24-point scheme × checking × hardware oracle matrix
-//! ([`synth::oracle_configs`]). Each cell runs exactly once.
+//! ([`tagstudy::Config::matrix`]). Each cell runs exactly once.
 //!
 //! Lockstep compares every retirement record (a squashed slot is a gap in the
 //! pc sequence, so squashes are compared too), the final halt code, output,
@@ -16,7 +16,7 @@
 
 use lisp::CheckingMode;
 use mipsx::HwConfig;
-use synth::{generate, oracle_configs, render, OpMix};
+use synth::{generate, render, OpMix};
 use tagstudy::{Config, Session};
 use tagword::TagScheme;
 
@@ -40,7 +40,7 @@ fn check(label: &str, compiled: &lisp::CompiledProgram, fuel: u64) -> conformanc
 /// to `scheme` (2 checking modes × 3 hardware levels).
 fn benchmark_slice(scheme: TagScheme) {
     let session = Session::serial();
-    let configs: Vec<Config> = oracle_configs()
+    let configs: Vec<Config> = Config::matrix()
         .into_iter()
         .filter(|c| c.scheme == scheme)
         .collect();
@@ -97,7 +97,7 @@ fn synth_slice(lane: u64) {
         OpMix::vector_heavy(),
         OpMix::arith_heavy(),
     ];
-    let configs = oracle_configs();
+    let configs = Config::matrix();
     // Debug builds take every eighth seed of the lane; release takes them all.
     let step: u64 = if cfg!(debug_assertions) { 32 } else { 4 };
     let mut seed = lane;

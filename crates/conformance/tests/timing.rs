@@ -10,7 +10,8 @@
 //! model never perturbs the architectural outcome.
 
 use mipsx::{Backend, Outcome, TimingConfig, TimingModel, ALL_STALL_CAUSES};
-use synth::{generate, oracle_configs, render, OpMix};
+use synth::{generate, render, OpMix};
+use tagstudy::Config;
 
 /// The number of fixed synth seeds the release suite sweeps.
 const SYNTH_SEEDS: u64 = 64;
@@ -39,7 +40,7 @@ fn timing_slice(lane: u64) {
         OpMix::vector_heavy(),
         OpMix::arith_heavy(),
     ];
-    let configs = oracle_configs();
+    let configs = Config::matrix();
     // Debug builds take every eighth seed of the lane; release takes them all.
     let step: u64 = if cfg!(debug_assertions) { 16 } else { 2 };
     let mut seed = lane;

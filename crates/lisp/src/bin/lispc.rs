@@ -1,23 +1,40 @@
 //! `lispc` — compile a Lisp source file and run it on the simulated MIPS-X.
 //!
 //! ```text
-//! lispc FILE [--scheme high5|high6|low2|low3] [--check] [--hw drop|tagbr|chk-lists|chk-all|genarith|max|spur]
+//! lispc FILE [--scheme high5|high6|low2|low3] [--check] [--hw HW] [--int-test signext|tagcmp]
 //!       [--heap KB] [--stats] [--listing]
 //! ```
+//!
+//! `HW` is a hardware name as `HwConfig::parse` reads it: a named level
+//! (`plain`, `tagbr`, `genarith`, `maximal`, `spur`; the last two at the
+//! scheme's tag width) or a `+`-joined feature list such as `drop5+tagbr`.
 
 use std::process::ExitCode;
 
 use lisp::{compile, run, CheckingMode, IntTestMethod, Options};
-use mipsx::{HwConfig, ParallelCheck, TagOpKind};
+use mipsx::{HwConfig, TagOpKind};
 use tagword::TagScheme;
 
 fn usage() -> ! {
     eprintln!(
         "usage: lispc FILE [--scheme high5|high6|low2|low3] [--check] \
-         [--hw drop|tagbr|chk-lists|chk-all|genarith|max|spur] [--int-test signext|tagcmp] \
-         [--heap KB] [--stats] [--listing]"
+         [--hw plain|tagbr|genarith|maximal|spur|drop<N>+tagbr+genarith+chklists|chkall] \
+         [--int-test signext|tagcmp] [--heap KB] [--stats] [--listing]"
     );
     std::process::exit(2)
+}
+
+/// A parsed flag value, or usage: a missing value, or the parser's message
+/// first.
+fn parse_or_usage<T>(parsed: Option<Result<T, String>>) -> T {
+    match parsed {
+        Some(Ok(value)) => value,
+        Some(Err(why)) => {
+            eprintln!("lispc: {why}");
+            usage()
+        }
+        None => usage(),
+    }
 }
 
 fn main() -> ExitCode {
@@ -25,39 +42,20 @@ fn main() -> ExitCode {
     let mut opts = Options::default();
     let mut stats = false;
     let mut listing = false;
+    let mut hw = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scheme" => {
-                opts.scheme = match args.next().as_deref() {
-                    Some("high5") => TagScheme::HighTag5,
-                    Some("high6") => TagScheme::HighTag6,
-                    Some("low2") => TagScheme::LowTag2,
-                    Some("low3") => TagScheme::LowTag3,
-                    _ => usage(),
-                }
+                opts.scheme = parse_or_usage(args.next().as_deref().map(TagScheme::parse))
             }
             "--check" => opts.checking = CheckingMode::Full,
             "--int-test" => {
-                opts.int_test_method = match args.next().as_deref() {
-                    Some("signext") => IntTestMethod::SignExtend,
-                    Some("tagcmp") => IntTestMethod::TagCompare,
-                    _ => usage(),
-                }
+                opts.int_test_method =
+                    parse_or_usage(args.next().as_deref().map(IntTestMethod::parse));
             }
-            "--hw" => {
-                opts.hw = match args.next().as_deref() {
-                    Some("drop") => HwConfig::with_address_drop(5),
-                    Some("tagbr") => HwConfig::with_tag_branch(),
-                    Some("chk-lists") => HwConfig::with_parallel_check(ParallelCheck::Lists),
-                    Some("chk-all") => HwConfig::with_parallel_check(ParallelCheck::All),
-                    Some("genarith") => HwConfig::with_generic_arith(),
-                    Some("max") => HwConfig::maximal(5),
-                    Some("spur") => HwConfig::spur(5),
-                    _ => usage(),
-                }
-            }
+            "--hw" => hw = Some(args.next().unwrap_or_else(|| usage())),
             "--heap" => match args
                 .next()
                 .and_then(|s| s.parse::<u32>().ok())
@@ -73,6 +71,11 @@ fn main() -> ExitCode {
         }
     }
     let Some(file) = file else { usage() };
+    // `maximal` and `spur` take the scheme's tag width, and `--scheme` may
+    // come after `--hw` on the line.
+    if let Some(hw) = hw {
+        opts.hw = parse_or_usage(Some(HwConfig::parse(&hw, opts.scheme.tag_bits())));
+    }
 
     let source = match std::fs::read_to_string(&file) {
         Ok(s) => s,

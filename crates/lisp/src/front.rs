@@ -19,6 +19,28 @@ pub enum CheckingMode {
     Full,
 }
 
+impl CheckingMode {
+    /// The lower-case name: `none` or `full`.
+    pub fn name(self) -> &'static str {
+        match self {
+            CheckingMode::None => "none",
+            CheckingMode::Full => "full",
+        }
+    }
+
+    /// Parse a [`name`](Self::name), ignoring ASCII case.
+    ///
+    /// # Errors
+    ///
+    /// A usage-ready message naming the accepted modes.
+    pub fn parse(text: &str) -> Result<CheckingMode, String> {
+        [CheckingMode::None, CheckingMode::Full]
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(text))
+            .ok_or_else(|| format!("unknown checking mode {text:?} (want none or full)"))
+    }
+}
+
 fn form_err(msg: impl Into<String>) -> CompileError {
     CompileError::Form {
         message: msg.into(),

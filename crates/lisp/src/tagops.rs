@@ -39,6 +39,29 @@ pub enum IntTestMethod {
     TagCompare,
 }
 
+impl IntTestMethod {
+    /// The short name `lispc --int-test` and config names use: `signext` or
+    /// `tagcmp`.
+    pub fn name(self) -> &'static str {
+        match self {
+            IntTestMethod::SignExtend => "signext",
+            IntTestMethod::TagCompare => "tagcmp",
+        }
+    }
+
+    /// Parse a [`name`](Self::name), ignoring ASCII case.
+    ///
+    /// # Errors
+    ///
+    /// A usage-ready message naming the accepted methods.
+    pub fn parse(text: &str) -> Result<IntTestMethod, String> {
+        [IntTestMethod::SignExtend, IntTestMethod::TagCompare]
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(text))
+            .ok_or_else(|| format!("unknown int-test method {text:?} (want signext or tagcmp)"))
+    }
+}
+
 /// Emission context: the knobs that decide which sequence each tag operation gets.
 #[derive(Debug, Clone, Copy)]
 pub struct TagOps {

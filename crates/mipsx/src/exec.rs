@@ -238,13 +238,20 @@ impl Backend {
         }
     }
 
-    /// Parse a backend name (case-insensitive); `None` for unknown names.
-    pub fn from_name(name: &str) -> Option<Backend> {
-        match name.to_ascii_lowercase().as_str() {
-            "fast" => Some(Backend::Fast),
-            "ref" => Some(Backend::Ref),
-            _ => None,
-        }
+    /// Parse a backend [`name`](Self::name), ignoring ASCII case.
+    ///
+    /// # Errors
+    ///
+    /// A usage-ready message listing [`ALL_BACKENDS`] for an unknown name,
+    /// the removed `classic` interpreter included.
+    pub fn parse(text: &str) -> Result<Backend, String> {
+        ALL_BACKENDS
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(text))
+            .ok_or_else(|| {
+                let all = ALL_BACKENDS.map(Backend::name);
+                format!("unknown backend {text:?} (want {})", all.join(" or "))
+            })
     }
 
     /// Build an executor of this kind for `prog` with `hw` support and
@@ -1753,11 +1760,14 @@ mod tests {
     #[test]
     fn backend_names_round_trip() {
         for b in ALL_BACKENDS {
-            assert_eq!(Backend::from_name(b.name()), Some(b));
-            assert_eq!(Backend::from_name(&b.name().to_uppercase()), Some(b));
+            assert_eq!(Backend::parse(b.name()), Ok(b));
+            assert_eq!(Backend::parse(&b.name().to_uppercase()), Ok(b));
         }
-        assert_eq!(Backend::from_name("turbo"), None);
-        assert_eq!(Backend::from_name("classic"), None);
+        assert!(Backend::parse("turbo").is_err());
+        assert_eq!(
+            Backend::parse("classic"),
+            Err("unknown backend \"classic\" (want fast or ref)".to_string())
+        );
         assert_eq!(Backend::default(), Backend::Fast);
         assert_eq!(Backend::Fast.to_string(), "fast");
     }

@@ -121,7 +121,121 @@ impl HwConfig {
         };
         high & !0b11
     }
+
+    /// The named level `name` for a scheme with `tag_bits` tag bits
+    /// (`maximal` and `spur` drop that many address bits), or `None` for a
+    /// name not in [`HW_LEVELS`].
+    fn level(name: &str, tag_bits: u32) -> Option<HwConfig> {
+        match name {
+            "plain" => Some(Self::plain()),
+            "tagbr" => Some(Self::with_tag_branch()),
+            "genarith" => Some(Self::with_generic_arith()),
+            "maximal" => Some(Self::maximal(tag_bits)),
+            "spur" => Some(Self::spur(tag_bits)),
+            _ => None,
+        }
+    }
+
+    /// The hardware's name under a scheme with `tag_bits` tag bits: the
+    /// named level from [`HW_LEVELS`] the hardware equals, if any, and
+    /// otherwise its features joined by `+` in the fixed order
+    /// `drop<N>+tagbr+genarith+chklists|chkall`, e.g. `drop5+tagbr` for
+    /// Table 2's row 3. [`parse`](Self::parse) inverts it.
+    ///
+    /// The cost fields (`trap_penalty`, `mul_cycles`, `div_cycles`,
+    /// `fp_cycles`) are not spelled: the name describes the hardware as if
+    /// they held their [`plain`](Self::plain) values, as they do in every
+    /// configuration the study and its tools build.
+    pub fn name(&self, tag_bits: u32) -> String {
+        let spelled = HwConfig {
+            drop_high_address_bits: self.drop_high_address_bits,
+            tag_branch: self.tag_branch,
+            parallel_check: self.parallel_check,
+            generic_arith: self.generic_arith,
+            ..Self::plain()
+        };
+        HW_LEVELS
+            .into_iter()
+            .find(|l| Self::level(l, tag_bits) == Some(spelled))
+            .map_or_else(|| self.features().join("+"), str::to_string)
+    }
+
+    /// The features present, in name order.
+    fn features(&self) -> Vec<String> {
+        let mut features = Vec::new();
+        if self.drop_high_address_bits != 0 {
+            features.push(format!("drop{}", self.drop_high_address_bits));
+        }
+        for (on, feature) in [
+            (self.tag_branch, "tagbr"),
+            (self.generic_arith, "genarith"),
+            (self.parallel_check == ParallelCheck::Lists, "chklists"),
+            (self.parallel_check == ParallelCheck::All, "chkall"),
+        ] {
+            if on {
+                features.push(feature.to_string());
+            }
+        }
+        features
+    }
+
+    /// Parse a [`name`](Self::name) for a scheme with `tag_bits` tag bits,
+    /// ignoring ASCII case: a named level, or `+`-joined features in any
+    /// order, each at most once. `drop<N>` takes `N` in `1..=31`, the widths
+    /// [`address_mask`](Self::address_mask) can shift by.
+    ///
+    /// # Errors
+    ///
+    /// A usage-ready message for an unknown name or feature, a repeated
+    /// feature, or an address drop out of range.
+    pub fn parse(text: &str, tag_bits: u32) -> Result<HwConfig, String> {
+        let lower = text.to_ascii_lowercase();
+        if let Some(hw) = Self::level(&lower, tag_bits) {
+            return Ok(hw);
+        }
+        let features: Vec<&str> = lower.split('+').collect();
+        let mut hw = Self::plain();
+        for &feature in &features {
+            match feature {
+                "tagbr" => hw.tag_branch = true,
+                "genarith" => hw.generic_arith = true,
+                "chklists" => hw.parallel_check = ParallelCheck::Lists,
+                "chkall" => hw.parallel_check = ParallelCheck::All,
+                _ => {
+                    let digits = feature
+                        .strip_prefix("drop")
+                        .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+                        .ok_or_else(|| {
+                            format!(
+                                "unknown hardware level {text:?} (want one of: {}, \
+                                 or features drop<N>+tagbr+genarith+chklists|chkall)",
+                                HW_LEVELS.join(", ")
+                            )
+                        })?;
+                    hw.drop_high_address_bits = digits
+                        .parse()
+                        .ok()
+                        .filter(|n| (1..32).contains(n))
+                        .ok_or_else(|| {
+                            format!(
+                                "address drop of {digits} bits in hardware {text:?} is out of \
+                                 range (want drop1 to drop31)"
+                            )
+                        })?;
+                }
+            }
+        }
+        // Every feature sets its own field, so a repeated one (or two
+        // parallel-check widths) leaves fewer features than were listed.
+        if hw.features().len() != features.len() {
+            return Err(format!("hardware {text:?} repeats a feature"));
+        }
+        Ok(hw)
+    }
 }
+
+/// The named hardware levels, in the order [`HwConfig::name`] tries them.
+pub const HW_LEVELS: [&str; 5] = ["plain", "tagbr", "genarith", "maximal", "spur"];
 
 impl Default for HwConfig {
     fn default() -> Self {
@@ -155,5 +269,55 @@ mod tests {
         assert_eq!(hw.parallel_check, ParallelCheck::All);
         assert_eq!(hw.drop_high_address_bits, 5);
         assert_eq!(HwConfig::spur(5).parallel_check, ParallelCheck::Lists);
+    }
+
+    #[test]
+    fn names_are_levels_or_feature_lists() {
+        for level in HW_LEVELS {
+            let hw = HwConfig::level(level, 5).unwrap();
+            assert_eq!(hw.name(5), level);
+            assert_eq!(HwConfig::parse(level, 5), Ok(hw));
+        }
+        let row3 = HwConfig {
+            tag_branch: true,
+            ..HwConfig::with_address_drop(5)
+        };
+        assert_eq!(row3.name(5), "drop5+tagbr");
+        assert_eq!(HwConfig::maximal(5).name(2), "drop5+tagbr+genarith+chkall");
+        assert_eq!(HwConfig::maximal(5).name(5), "maximal");
+        assert_eq!(
+            HwConfig::with_parallel_check(ParallelCheck::Lists).name(5),
+            "chklists"
+        );
+        assert_eq!(HwConfig::parse("TagBr+DROP5", 5), Ok(row3));
+        // Costs are not spelled.
+        let slow_traps = HwConfig {
+            trap_penalty: 99,
+            ..HwConfig::plain()
+        };
+        assert_eq!(slow_traps.name(5), "plain");
+    }
+
+    #[test]
+    fn bad_hardware_names_are_described() {
+        for (text, want) in [
+            ("warp", "unknown hardware level \"warp\""),
+            ("tagbr+", "unknown hardware level"),
+            ("drop", "unknown hardware level"),
+            ("drop-1", "unknown hardware level"),
+            ("drop0", "address drop of 0 bits"),
+            ("drop32", "out of range"),
+            ("drop18446744073709551616", "out of range"),
+            ("tagbr+tagbr", "repeats a feature"),
+            ("chklists+chkall", "repeats a feature"),
+            ("drop5+drop6", "repeats a feature"),
+        ] {
+            let err = HwConfig::parse(text, 5).unwrap_err();
+            assert!(err.contains(want), "{text}: {err}");
+        }
+        assert_eq!(
+            HwConfig::parse("drop31", 5),
+            Ok(HwConfig::with_address_drop(31))
+        );
     }
 }

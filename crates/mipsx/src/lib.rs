@@ -89,7 +89,7 @@ pub use asm::{Asm, AsmError, Label};
 pub use exec::{
     AnyExecutor, Backend, DecodedProgram, Executor, FastCpu, Outcome, SimError, ALL_BACKENDS,
 };
-pub use hw::{HwConfig, ParallelCheck};
+pub use hw::{HwConfig, ParallelCheck, HW_LEVELS};
 pub use insn::{Cond, FpOp, Insn, IntTest, TagField, WriteKind};
 pub use mem::Mem;
 pub use profile::{FuncProfile, PcProfile, Profiler};

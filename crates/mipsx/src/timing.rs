@@ -200,6 +200,21 @@ impl TimingConfig {
         }
     }
 
+    /// [`preset`](Self::preset), ignoring ASCII case, with a usage-ready
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the accepted presets.
+    pub fn parse(text: &str) -> Result<TimingConfig, String> {
+        TimingConfig::preset(&text.to_ascii_lowercase()).ok_or_else(|| {
+            format!(
+                "unknown timing preset {text:?} (want one of: {})",
+                TIMING_PRESETS.join(", ")
+            )
+        })
+    }
+
     /// The preset this config equals, if any (`"custom"` otherwise).
     pub fn preset_name(&self) -> &'static str {
         for name in TIMING_PRESETS {

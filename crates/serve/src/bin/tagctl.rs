@@ -54,7 +54,7 @@ fn usage() -> ! {
          \n\
          Default address {DEFAULT_ADDR} (override with --addr or TAGSTUDYD_ADDR).\n\
          {}",
-        bench::spec::spec_grammar()
+        serve::proto::spec_grammar()
     );
     exit(2);
 }

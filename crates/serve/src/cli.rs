@@ -2,8 +2,8 @@
 //!
 //! Every subcommand rejects unknown flags and stray positionals with a
 //! usage-ready message (the binary answers with the usage text and exit 2),
-//! mirroring `bench::reject_args` for the bench binaries: a typo must never
-//! be silently ignored and mistaken for a run that did what was asked.
+//! as the bench binaries' `reject_args` does: a typo must never be silently
+//! ignored and mistaken for a run that did what was asked.
 
 use std::path::PathBuf;
 
@@ -107,7 +107,7 @@ pub fn parse(args: &[String]) -> Result<Invocation, String> {
     Ok(Invocation { addr, command })
 }
 
-/// Bare subcommands take nothing at all (the `bench::reject_args` contract).
+/// Bare subcommands take nothing at all (the bench binaries' `reject_args` contract).
 fn reject_extras(command: &str, rest: &[&str]) -> Result<(), String> {
     match rest.first() {
         None => Ok(()),
@@ -127,7 +127,7 @@ fn parse_submit(rest: &[&str]) -> Result<Command, String> {
             spec => {
                 // Validate client-side: a typo earns a usage message, not a
                 // daemon round-trip ending in a 400.
-                bench::spec::parse_spec(spec).map_err(|why| format!("submit: {why}"))?;
+                crate::proto::parse_spec(spec).map_err(|why| format!("submit: {why}"))?;
                 specs.push(spec.to_string());
             }
         }
@@ -257,9 +257,7 @@ fn parse_fuzz(rest: &[&str]) -> Result<Command, String> {
             "--backends" => {
                 let list = value(&mut it, "--backends")?
                     .split(',')
-                    .map(|name| {
-                        bench::spec::parse_backend(name).map_err(|why| format!("fuzz: {why}"))
-                    })
+                    .map(|name| mipsx::Backend::parse(name).map_err(|why| format!("fuzz: {why}")))
                     .collect::<Result<Vec<_>, _>>()?;
                 backends = Some(list);
             }

@@ -65,13 +65,14 @@ impl DaemonRunner {
     /// batch itself; the daemon derives the `inline:<hash>` name, so every
     /// column of one program shares a single registered source.
     fn spec_json(source: &str, column: &Column) -> String {
+        let c = &column.config;
         format!(
             "{{\"source\":{},\"scheme\":{},\"checking\":{},\"hw\":{},\"backend\":{}}}",
             json_string(source),
-            json_string(&column.scheme),
-            json_string(&column.checking),
-            json_string(&column.hw),
-            json_string(&column.backend),
+            json_string(c.scheme.name()),
+            json_string(c.checking.name()),
+            json_string(&c.hw.name(c.scheme.tag_bits())),
+            json_string(c.backend.name()),
         )
     }
 

@@ -67,13 +67,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use bench::spec::ExperimentSpec;
 use store::{ResultStore, StoreKey};
 use tagstudy::metrics::{labeled, REQUEST_BUCKETS};
 use tagstudy::trace::{chrome_trace_json, SpanId, SpanRecord, TraceContext, TraceId, Tracer};
 use tagstudy::{MetricsRegistry, Session, StudyError};
 
 use http::{Request, Response};
+use proto::ExperimentSpec;
 
 /// Metric names the daemon publishes (alongside the session's and store's).
 pub mod daemon_metrics {

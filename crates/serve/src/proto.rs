@@ -1,13 +1,15 @@
 //! The daemon's JSON wire protocol: batch requests in, deterministic result
-//! documents out.
+//! documents out, and the experiment-spec grammar they share with `tagctl`.
 //!
 //! A batch body is `{"experiments": [ <spec>, ... ]}` where each spec is
-//! either a string in the [`bench::spec`] grammar (`"frl:low2:none:tagbr"`),
+//! either a string in the [`parse_spec`] grammar (`"frl:low2:none:tagbr"`),
 //! an object `{"program": "frl", "scheme": "low2", "checking": "none",
 //! "hw": "tagbr", "timing": "modern"}` with every field but `program`
 //! optional, or an *inline* object `{"source": "(print 1)", "heap": 65536,
 //! ...}` carrying its own Lisp source — measured under the content-derived `inline:<hash>` name, so equal
-//! sources share a cache entry per configuration.
+//! sources share a cache entry per configuration. Both forms build their
+//! [`Config`] through one field path, [`ConfigFields`], so each field value
+//! is parsed alone by its own type whichever form it arrived in.
 //!
 //! The response is `{"results": [ ... ]}` with one entry per request, in
 //! request order; each entry carries the canonical spec string, the content
@@ -17,14 +19,142 @@
 //! byte-identical whether a point was simulated, cached, or warm-loaded from
 //! disk.
 
-use bench::spec::{self, ExperimentSpec};
-use store::{record, StoreKey};
-use tagstudy::{Json, Measurement};
+use mipsx::{Backend, ALL_BACKENDS, HW_LEVELS, TIMING_PRESETS};
+use store::{inline_name, record, StoreKey};
+use tagstudy::{Config, ConfigFields, Json, Measurement};
+use tagword::{TagScheme, ALL_SCHEMES};
 
 use crate::http::json_string;
 
 /// Upper bound on experiments per batch — a guard rail, not a tuning knob.
 pub const MAX_BATCH: usize = 1024;
+
+/// The trailing keys a spec string takes: the backend, which picks the
+/// simulator and never enters the point's identity, and the timing model,
+/// which does.
+const SPEC_KEYS: [&str; 2] = ["backend", "timing"];
+
+/// One validated experiment point: a program and a full [`Config`].
+///
+/// The program is usually one of the ten built-in benchmarks (validated
+/// against [`programs::names`]); an *inline* spec instead carries its own
+/// Lisp source and a content-derived `inline:<hash>` name (see
+/// [`ExperimentSpec::inline`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ExperimentSpec {
+    /// Program name: a built-in benchmark, or `inline:<hash>` for an inline
+    /// source.
+    pub program: String,
+    /// The configuration to measure it under.
+    pub config: Config,
+    /// The Lisp source for an inline spec; `None` for built-in benchmarks.
+    pub source: Option<String>,
+    /// Per-semispace heap override for an inline spec.
+    pub heap_semi_bytes: Option<u32>,
+}
+
+impl ExperimentSpec {
+    /// An inline experiment: measure caller-supplied Lisp source under
+    /// `config`. The program name is derived from the source content via
+    /// [`store::inline_name`].
+    pub fn inline(
+        source: impl Into<String>,
+        config: Config,
+        heap_semi_bytes: Option<u32>,
+    ) -> ExperimentSpec {
+        let source = source.into();
+        ExperimentSpec {
+            program: inline_name(&source, heap_semi_bytes),
+            config,
+            source: Some(source),
+            heap_semi_bytes,
+        }
+    }
+
+    /// The canonical form: the program, `:`, and the config's
+    /// [`name`](Config::name) — e.g. `frl:low2:none:tagbr:timing=modern`.
+    /// (Inline specs render with their `inline:<hash>` name; the result
+    /// identifies the point but is not re-parseable as a string spec, since
+    /// inline sources only travel as objects.)
+    pub fn to_spec_string(&self) -> String {
+        format!("{}:{}", self.program, self.config.name())
+    }
+}
+
+/// The spec grammar's shape, with the backends and timing presets spelled
+/// out from their registries.
+fn spec_shape() -> String {
+    format!(
+        "program[:scheme[:checking[:hw]]][:backend={}][:timing={}]",
+        ALL_BACKENDS.map(Backend::name).join("|"),
+        TIMING_PRESETS.join("|")
+    )
+}
+
+/// The one place every spec error is phrased: the reason, the offending spec,
+/// and the grammar reminder, in that order.
+fn spec_error(text: &str, why: impl std::fmt::Display) -> String {
+    format!("{why} in spec {text:?} (want {})", spec_shape())
+}
+
+/// A named experiment: the benchmark must exist, then every config field is
+/// resolved by its own type.
+fn named(program: &str, fields: &ConfigFields) -> Result<ExperimentSpec, String> {
+    if programs::by_name(program).is_none() {
+        return Err(format!(
+            "unknown benchmark {program:?} (want one of: {})",
+            programs::names().join(", ")
+        ));
+    }
+    Ok(ExperimentSpec {
+        program: program.to_string(),
+        config: fields.resolve()?,
+        source: None,
+        heap_semi_bytes: None,
+    })
+}
+
+/// Parse one `program[:scheme[:checking[:hw]]][:backend=B][:timing=T]` spec,
+/// validating the benchmark name against the registry. After the program,
+/// the fields are a [`Config::name`] with trailing fields optional, and
+/// `backend` and `timing` as its only keys, accepted in either order. Field
+/// values are case-insensitive and whitespace around fields is ignored; the
+/// benchmark name itself is exact.
+///
+/// # Errors
+///
+/// A usage-ready message — always phrased by the same canonical path — for an
+/// empty spec or field, an unknown benchmark, an unknown field value, a
+/// duplicated trailing key, or too many `:`-separated fields.
+pub fn parse_spec(text: &str) -> Result<ExperimentSpec, String> {
+    if text.trim().is_empty() {
+        return Err(spec_error(text, "empty spec"));
+    }
+    let (program, rest) = match text.split_once(':') {
+        Some((program, rest)) => (program.trim(), Some(rest)),
+        None => (text.trim(), None),
+    };
+    let fields = match rest {
+        _ if program.is_empty() => Err("empty benchmark field".to_string()),
+        None => Ok(ConfigFields::default()),
+        Some(rest) => ConfigFields::split(rest, &SPEC_KEYS),
+    };
+    fields
+        .and_then(|fields| named(program, &fields))
+        .map_err(|why| spec_error(text, why))
+}
+
+/// One line describing the spec grammar, for usage messages.
+pub fn spec_grammar() -> String {
+    format!(
+        "spec: {}\n  schemes: {}; checking: none|full; hw: {}, or features \
+         drop<N>+tagbr+genarith+chklists|chkall\n  benchmarks: {}",
+        spec_shape(),
+        ALL_SCHEMES.map(TagScheme::name).join("|"),
+        HW_LEVELS.join("|"),
+        programs::names().join(" ")
+    )
+}
 
 fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -42,23 +172,16 @@ fn spec_from_object(obj: &[(String, Json)]) -> Result<ExperimentSpec, String> {
             ));
         }
     }
-    let field = |name: &str, default: &str| -> Result<String, String> {
-        match get(obj, name) {
-            Some(v) => Ok(v.as_str(name)?.to_string()),
-            None => Ok(default.to_string()),
-        }
-    };
-    // The backend pins which simulator executes the measurement; it never
-    // enters the config's identity or the store's content addresses.
-    let backend = match get(obj, "backend") {
-        Some(v) => spec::parse_backend(v.as_str("backend")?)?,
-        None => mipsx::Backend::default(),
-    };
-    // The timing model, by contrast, IS identity: a timed point is stored
-    // under (and served from) its own content address.
-    let timing = match get(obj, "timing") {
-        Some(v) => spec::parse_timing(v.as_str("timing")?)?,
-        None => mipsx::TimingConfig::ideal(),
+    let text = |name: &str| get(obj, name).map(|v| v.as_str(name)).transpose();
+    // Each field is one value, parsed alone: a `:` inside it is part of
+    // that value, never the start of another field.
+    let fields = ConfigFields {
+        scheme: text("scheme")?,
+        checking: text("checking")?,
+        hw: text("hw")?,
+        timing: text("timing")?,
+        backend: text("backend")?,
+        ..ConfigFields::default()
     };
     // An inline spec carries its own Lisp source (and optionally a heap
     // override); a named spec references a built-in benchmark. Exactly one.
@@ -79,13 +202,7 @@ fn spec_from_object(obj: &[(String, Json)]) -> Result<ExperimentSpec, String> {
             }
             None => None,
         };
-        let scheme = spec::parse_scheme(&field("scheme", spec::DEFAULT_SCHEME)?)?;
-        let checking = spec::parse_checking(&field("checking", spec::DEFAULT_CHECKING)?)?;
-        let hw = spec::parse_hw(&field("hw", spec::DEFAULT_HW)?, scheme)?;
-        let config = tagstudy::Config::new(scheme, checking)
-            .with_hw(hw)
-            .with_backend(backend)
-            .with_timing(timing);
+        let config = fields.resolve()?;
         if let Some(bytes) = heap {
             check_heap_fits(bytes, &config)?;
         }
@@ -97,15 +214,7 @@ fn spec_from_object(obj: &[(String, Json)]) -> Result<ExperimentSpec, String> {
     let program = get(obj, "program")
         .ok_or("experiment object is missing \"program\" (or inline \"source\")")?
         .as_str("program")?;
-    let text = format!(
-        "{program}:{}:{}:{}",
-        field("scheme", spec::DEFAULT_SCHEME)?,
-        field("checking", spec::DEFAULT_CHECKING)?,
-        field("hw", spec::DEFAULT_HW)?
-    );
-    let mut parsed = spec::parse_spec(&text)?;
-    parsed.config = parsed.config.with_backend(backend).with_timing(timing);
-    Ok(parsed)
+    named(program, &fields)
 }
 
 /// Refuse a semispace size whose two semispaces plus the stack cannot fit
@@ -152,7 +261,7 @@ pub fn parse_batch(body: &[u8]) -> Result<Vec<ExperimentSpec>, String> {
         .enumerate()
         .map(|(i, item)| {
             match item {
-                Json::Str(text) => spec::parse_spec(text),
+                Json::Str(text) => parse_spec(text),
                 Json::Obj(obj) => spec_from_object(obj),
                 other => Err(format!("expected a spec string or object, got {other:?}")),
             }
@@ -249,7 +358,7 @@ mod tests {
         );
         assert_eq!(
             specs[1].program,
-            bench::spec::inline_name("(print 1)", None),
+            inline_name("(print 1)", None),
             "no heap: the name hashes the source alone"
         );
         assert_eq!(specs[0].source.as_deref(), Some("(print 1)"));
@@ -328,20 +437,10 @@ mod tests {
         );
     }
 
-    /// Unknown timing presets take the canonical error paths of both shapes.
-    #[test]
-    fn bad_timing_presets_are_rejected() {
-        let err = parse_batch(br#"{"experiments": ["frl:timing=warp"]}"#).unwrap_err();
-        assert!(err.contains("unknown timing preset \"warp\""), "{err}");
-        let err =
-            parse_batch(br#"{"experiments": [{"program": "frl", "timing": "warp"}]}"#).unwrap_err();
-        assert!(err.contains("unknown timing preset \"warp\""), "{err}");
-    }
-
     /// A timed measurement's stall breakdown survives the results document.
     #[test]
     fn timed_results_round_trip() {
-        let spec = bench::spec::parse_spec("frl:high6:none:maximal:timing=modern").unwrap();
+        let spec = parse_spec("frl:high6:none:maximal:timing=modern").unwrap();
         let m = Measurement {
             program: spec.program.clone(),
             config: spec.config,
@@ -370,21 +469,6 @@ mod tests {
         assert_eq!(parsed[0].0, spec.to_spec_string());
         assert_eq!(parsed[0].2.stats, m.stats);
         assert_eq!(parsed[0].2.config, m.config);
-    }
-
-    /// Unknown backend values — including the removed `classic` — take the
-    /// canonical error paths of both shapes.
-    #[test]
-    fn bad_backends_are_rejected() {
-        for name in ["turbo", "classic"] {
-            let want = format!("unknown backend \"{name}\" (want fast or ref)");
-            let body = format!(r#"{{"experiments": ["frl:backend={name}"]}}"#);
-            let err = parse_batch(body.as_bytes()).unwrap_err();
-            assert!(err.contains(&want), "{err}");
-            let body = format!(r#"{{"experiments": [{{"program": "frl", "backend": "{name}"}}]}}"#);
-            let err = parse_batch(body.as_bytes()).unwrap_err();
-            assert!(err.contains(&want), "{err}");
-        }
     }
 
     #[test]
@@ -467,7 +551,7 @@ mod tests {
     /// results_json and parse_results are inverses for the deterministic part.
     #[test]
     fn results_round_trip() {
-        let spec = bench::spec::parse_spec("frl:high6:none:maximal").unwrap();
+        let spec = parse_spec("frl:high6:none:maximal").unwrap();
         let m = Measurement {
             program: spec.program.clone(),
             config: spec.config,
@@ -492,5 +576,221 @@ mod tests {
         assert_eq!(parsed[0].1, key.as_str());
         assert_eq!(parsed[0].2.stats, m.stats);
         assert_eq!(parsed[0].2.config, m.config);
+    }
+
+    /// Specs parse to the canonical `program:` + config-name form: trailing
+    /// fields default, keys come in either order and at any truncation
+    /// point, values ignore case and whitespace, hardware outside the named
+    /// levels is a feature list, and the backend never enters the name.
+    #[test]
+    fn specs_render_canonically() {
+        for (text, canonical) in [
+            ("frl", "frl:high5:full:plain"),
+            ("boyer:low2:none:tagbr", "boyer:low2:none:tagbr"),
+            ("frl:LOW2:None:TagBr", "frl:low2:none:tagbr"),
+            (" frl : LOW2 : None : TagBr ", "frl:low2:none:tagbr"),
+            ("frl:backend=fast", "frl:high5:full:plain"),
+            ("frl:high5:full:plain:backend=ref", "frl:high5:full:plain"),
+            (
+                "frl:timing=classic5",
+                "frl:high5:full:plain:timing=classic5",
+            ),
+            (
+                "frl:high5:full:plain:timing=classic5",
+                "frl:high5:full:plain:timing=classic5",
+            ),
+            ("frl:low2:backend=ref", "frl:low2:full:plain"),
+            ("frl : BACKEND=Fast", "frl:high5:full:plain"),
+            ("frl:timing=ideal", "frl:high5:full:plain"),
+            ("frl : TIMING=Modern", "frl:high5:full:plain:timing=modern"),
+            (
+                "frl:low2:none:tagbr:backend=ref:timing=modern",
+                "frl:low2:none:tagbr:timing=modern",
+            ),
+            (
+                "frl:low2:none:tagbr:timing=modern:backend=ref",
+                "frl:low2:none:tagbr:timing=modern",
+            ),
+            ("frl:high6:full:plain", "frl:high6:full:plain"),
+            ("frl:high6:full:tagbr", "frl:high6:full:tagbr"),
+            ("frl:high6:full:genarith", "frl:high6:full:genarith"),
+            ("frl:high6:full:maximal", "frl:high6:full:maximal"),
+            ("frl:high6:full:spur", "frl:high6:full:spur"),
+            ("frl:high6:full:drop6+tagbr", "frl:high6:full:drop6+tagbr"),
+            ("frl:high6:full:chkall+drop5", "frl:high6:full:drop5+chkall"),
+            (
+                "frl:high6:full:drop6+tagbr+genarith+chkall",
+                "frl:high6:full:maximal",
+            ),
+        ] {
+            let s = parse_spec(text).unwrap();
+            assert_eq!(s.to_spec_string(), canonical, "{text}");
+            assert_eq!(parse_spec(canonical).unwrap(), s, "{text}");
+        }
+        assert_eq!(
+            parse_spec("frl").unwrap().config,
+            Config::baseline(CheckingMode::Full)
+        );
+        assert_eq!(
+            parse_spec("frl:backend=ref").unwrap().config.backend,
+            Backend::Ref
+        );
+        assert_ne!(
+            parse_spec("frl").unwrap(),
+            parse_spec("frl:timing=modern").unwrap()
+        );
+    }
+
+    /// Every malformed spec goes through the one canonical error path: the
+    /// message names the reason, quotes the spec, and restates the grammar.
+    #[test]
+    fn every_error_is_canonically_phrased() {
+        for (text, reason) in [
+            ("", "empty spec"),
+            ("   ", "empty spec"),
+            (":", "empty benchmark field"),
+            (":high5", "empty benchmark field"),
+            ("frl:", "empty scheme field"),
+            ("frl::none", "empty scheme field"),
+            ("frl:high5:", "empty checking field"),
+            ("frl:high5::plain", "empty checking field"),
+            ("frl:high5:full:", "empty hw field"),
+            ("nope", "unknown benchmark"),
+            ("FRL", "unknown benchmark"),
+            ("frl:tag9", "unknown scheme"),
+            ("frl:high5:maybe", "unknown checking mode"),
+            ("frl:high5:full:warp", "unknown hardware level"),
+            ("frl:high5:full:drop32", "out of range"),
+            ("frl:high5:full:plain:x", "trailing field \"x\""),
+            ("frl:high5:full:plain::", "trailing field"),
+            ("frl:high5:full:plain:inttest=tagcmp", "trailing field"),
+            ("frl:backend=turbo", "unknown backend \"turbo\""),
+            ("frl:backend=", "empty backend field"),
+            ("frl:high5:full:plain:backend=x", "unknown backend"),
+            // The removed interpreter is rejected, never aliased: an alias
+            // would report one backend's numbers under another's name.
+            (
+                "frl:backend=classic",
+                "unknown backend \"classic\" (want fast or ref)",
+            ),
+            ("frl:backend=ref:backend=fast", "duplicate backend field"),
+            ("frl:timing=warp", "unknown timing preset \"warp\""),
+            ("frl:timing=", "empty timing field"),
+            ("frl:high5:full:plain:timing=x", "unknown timing preset"),
+            ("frl:timing=ideal:timing=modern", "duplicate timing field"),
+            // A key before a positional field is that field's value.
+            ("frl:backend=fast:low2", "unknown scheme"),
+            ("frl:timing=modern:low2", "unknown scheme"),
+        ] {
+            let err = parse_spec(text).unwrap_err();
+            assert!(err.contains(reason), "{text:?}: {err}");
+            assert!(
+                err.contains(&format!("in spec {text:?}")),
+                "{text:?}: {err}"
+            );
+            assert!(
+                err.contains("want program[:scheme[:checking[:hw]]]"),
+                "{text:?}: {err}"
+            );
+        }
+    }
+
+    /// Inline specs are named by content: the same source and heap share a
+    /// name, a different source or heap gets another, and a heap-less name
+    /// hashes the source alone, as it always has.
+    #[test]
+    fn inline_specs_are_content_addressed() {
+        let cfg = Config::baseline(CheckingMode::Full);
+        let name = |source: &str, heap| ExperimentSpec::inline(source, cfg, heap).program;
+        let a = ExperimentSpec::inline("(print 1)", cfg, None);
+        assert_eq!(a.program, "inline:8508c9d692687518");
+        assert_eq!(a.source.as_deref(), Some("(print 1)"));
+        assert_eq!(
+            a.to_spec_string(),
+            format!("{}:high5:full:plain", a.program)
+        );
+        assert_eq!(
+            name("(print 1)", Some(16 << 10)),
+            name("(print 1)", Some(16 << 10))
+        );
+        for other in [
+            name("(print 2)", None),
+            name("(print 1)", Some(16 << 10)),
+            name("(print 1)", Some(1 << 20)),
+        ] {
+            assert_ne!(a.program, other);
+        }
+        assert_ne!(
+            name("(print 1)", Some(16 << 10)),
+            name("(print 1)", Some(1 << 20))
+        );
+    }
+
+    /// Each object field is one value, parsed by its own type: a `:` inside
+    /// it is part of that value, so it fails as that field instead of
+    /// spilling into the next.
+    #[test]
+    fn object_fields_parse_alone() {
+        for (body, want) in [
+            (
+                r#"{"experiments": [{"program": "frl", "scheme": "low2:none", "checking": "tagbr", "hw": "timing=ideal"}]}"#,
+                "unknown scheme \"low2:none\"",
+            ),
+            (
+                r#"{"experiments": [{"program": "frl", "hw": "plain:timing=modern"}]}"#,
+                "unknown hardware level \"plain:timing=modern\"",
+            ),
+            (
+                r#"{"experiments": [{"source": "(print 1)", "checking": "full:x"}]}"#,
+                "unknown checking mode \"full:x\"",
+            ),
+            (
+                r#"{"experiments": [{"program": "frl", "timing": "warp"}]}"#,
+                "unknown timing preset \"warp\"",
+            ),
+            (
+                r#"{"experiments": [{"program": "frl", "backend": "classic"}]}"#,
+                "unknown backend \"classic\" (want fast or ref)",
+            ),
+        ] {
+            let err = parse_batch(body.as_bytes()).unwrap_err();
+            assert!(err.contains(want), "{body}: {err}");
+        }
+        // The object and string forms agree on what they accept.
+        let object = parse_batch(
+            br#"{"experiments": [{"program": "frl", "scheme": "high6", "hw": "drop6+tagbr", "timing": "modern"}]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            object[0],
+            parse_spec("frl:high6:full:drop6+tagbr:timing=modern").unwrap()
+        );
+    }
+
+    /// The removed `classic` backend is advertised nowhere: not in any spec
+    /// error's list of choices and not in the grammar line. (The `classic5`
+    /// timing preset is a different word.)
+    #[test]
+    fn no_message_advertises_the_removed_backend() {
+        let grammar = spec_grammar();
+        let mut texts = vec![grammar.clone()];
+        for bad in [
+            "",
+            "nope",
+            "frl:tag9",
+            "frl:backend=turbo",
+            "frl:timing=x",
+            "frl:a:b:c:d",
+        ] {
+            texts.push(parse_spec(bad).unwrap_err());
+        }
+        let body = br#"{"experiments": [{"program": "frl", "backend": "turbo"}]}"#;
+        texts.push(parse_batch(body).unwrap_err());
+        for text in &texts {
+            assert!(!text.replace("classic5", "").contains("classic"), "{text}");
+        }
+        for backend in ALL_BACKENDS {
+            assert!(grammar.contains(backend.name()), "{grammar}");
+        }
     }
 }

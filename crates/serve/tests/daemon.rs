@@ -98,7 +98,7 @@ fn batch_matches_direct_session_and_concurrent_clients_agree() {
     assert_eq!(results.len(), 3);
     let direct = Session::serial();
     for (spec_text, key, served) in &results {
-        let spec = bench::spec::parse_spec(spec_text).unwrap();
+        let spec = serve::proto::parse_spec(spec_text).unwrap();
         let reference = direct.measure(&spec.program, spec.config).unwrap();
         assert_eq!(
             record::measurement_to_json(served),
@@ -333,7 +333,7 @@ fn broken_inline_source_is_a_400() {
             let body = format!(r#"{{"experiments": {batch}}}"#);
             let (status, text) = post(&addr, "/v1/experiments", &body);
             assert_eq!(status, 400, "{batch}: {text}");
-            let name = bench::spec::inline_name(source, None);
+            let name = store::inline_name(source, None);
             assert!(text.contains(&name), "{batch}: spec not named: {text}");
             assert!(text.contains(reason), "{batch}: reason missing: {text}");
         }
@@ -418,6 +418,23 @@ fn bad_requests_are_answered_not_fatal() {
 
     let (status, body) = post(&addr, "/v1/experiments", "not json");
     assert_eq!(status, 400, "{body}");
+
+    // An object field is one value: a `:` inside it fails as that field,
+    // never as extra fields of a spec string.
+    for (request, want) in [
+        (
+            r#"{"experiments": [{"program": "frl", "scheme": "low2:none", "checking": "tagbr", "hw": "timing=ideal"}]}"#,
+            r#"unknown scheme \"low2:none\""#,
+        ),
+        (
+            r#"{"experiments": [{"program": "frl", "hw": "plain:timing=modern"}]}"#,
+            r#"unknown hardware level \"plain:timing=modern\""#,
+        ),
+    ] {
+        let (status, body) = post(&addr, "/v1/experiments", request);
+        assert_eq!(status, 400, "{request}: {body}");
+        assert!(body.contains(want), "{request}: {body}");
+    }
 
     let (status, body) = get(&addr, "/v1/results/zzz");
     assert_eq!(status, 400);

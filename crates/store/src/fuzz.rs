@@ -129,8 +129,7 @@ impl Witness {
     /// naming the removed `classic` interpreter. Neither is trusted, and
     /// `classic` is never replayed under another backend's name.
     pub fn config_with_backend(&self) -> Result<Config, String> {
-        let backend = mipsx::Backend::from_name(&self.backend)
-            .ok_or_else(|| format!("unknown backend {:?} (want fast or ref)", self.backend))?;
+        let backend = mipsx::Backend::parse(&self.backend)?;
         Ok(self.config.with_backend(backend))
     }
 }

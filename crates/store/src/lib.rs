@@ -78,6 +78,21 @@ fn fnv1a64_seeded(offset_basis: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The content-derived name of an inline source: `inline:` plus the 64-bit
+/// FNV-1a hash of the source text, and of the heap override when one is
+/// given. Two inline programs with the same source and heap share a name
+/// (and therefore a cache entry per `Config`); the same source under two
+/// heaps gets two names, since the heap changes the measurement. Without a
+/// heap the name hashes the source alone. The `inline:` namespace cannot
+/// collide with benchmark names, which never contain `:`.
+pub fn inline_name(source: &str, heap_semi_bytes: Option<u32>) -> String {
+    let hash = match heap_semi_bytes {
+        None => fnv1a64(source.as_bytes()),
+        Some(heap) => fnv1a64(format!("{source}\0heap={heap}").as_bytes()),
+    };
+    format!("inline:{hash:016x}")
+}
+
 /// A content address: 32 lowercase hex digits (128 bits).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StoreKey(String);

@@ -126,3 +126,20 @@ fn measurement_json_is_pinned() {
     }
     assert_pinned("pinned_measurements.txt", &lines);
 }
+
+/// Every grid point has a lossless name — `maximal(5)` under a scheme of
+/// another tag width is spelled as its feature list — so the config name
+/// identifies exactly the point its content address was computed from.
+#[test]
+fn grid_names_are_lossless() {
+    let grid = grid();
+    let mut names = std::collections::BTreeSet::new();
+    for (label, config) in &grid {
+        let name = config.name();
+        assert_eq!(Config::parse(&name).as_ref(), Ok(config), "{label}: {name}");
+        names.insert(name);
+    }
+    assert_eq!(names.len(), grid.len());
+    assert!(names.contains("low2:full:drop5+tagbr+genarith+chkall"));
+    assert!(names.contains("high5:none:maximal"));
+}

@@ -29,8 +29,7 @@ use crate::profile::OpMix;
 use crate::shrink;
 use lisp::ast::Unit;
 use lisp::eval::{EvalError, EvalOutcome};
-use lisp::CheckingMode;
-use mipsx::{Backend, Executor as _, Fault, HwConfig, RefCpu, Stats, ALL_BACKENDS};
+use mipsx::{Backend, Executor as _, Fault, RefCpu, Stats, ALL_BACKENDS};
 use store::fuzz::{CoverageLedger, FuzzStore, Witness};
 use tagstudy::trace::{SpanId, SpanRecord, TraceContext, Tracer};
 use tagstudy::Config;
@@ -49,57 +48,33 @@ const MAX_DETAIL: usize = 2000;
 // ---------------------------------------------------------------------------
 
 /// One column of the differential matrix: a full oracle configuration with an
-/// execution backend applied, plus its human-readable coordinates.
+/// execution backend applied.
 #[derive(Debug, Clone)]
 pub struct Column {
     /// The configuration (backend applied via [`Config::with_backend`]).
     pub config: Config,
-    /// Tag scheme name, e.g. `high5`.
-    pub scheme: String,
-    /// Checking mode: `none` or `full`.
-    pub checking: String,
-    /// Hardware level: `plain`, `tagbr`, or `maximal`.
-    pub hw: String,
-    /// Simulator backend: `fast` or `ref`.
-    pub backend: String,
 }
 
 impl Column {
     /// Build a column from an oracle configuration and a backend.
     pub fn from_config(config: Config, backend: Backend) -> Column {
-        let hw = if config.hw == HwConfig::plain() {
-            "plain"
-        } else if config.hw == HwConfig::with_tag_branch() {
-            "tagbr"
-        } else {
-            "maximal"
-        };
         Column {
             config: config.with_backend(backend),
-            scheme: config.scheme.to_string(),
-            checking: match config.checking {
-                CheckingMode::None => "none".to_string(),
-                CheckingMode::Full => "full".to_string(),
-            },
-            hw: hw.to_string(),
-            backend: backend.name().to_string(),
         }
     }
 
-    /// The column's coordinate label, e.g. `high5:full:maximal:ref`.
+    /// The column's coordinate label: the config's [`Config::name`] and the
+    /// backend, e.g. `high5:full:maximal:ref`.
     pub fn label(&self) -> String {
-        format!(
-            "{}:{}:{}:{}",
-            self.scheme, self.checking, self.hw, self.backend
-        )
+        format!("{}:{}", self.config.name(), self.config.backend.name())
     }
 }
 
 /// The full differential matrix: every oracle configuration
-/// ([`oracle::oracle_configs`], 24 of them) crossed with `backends`.
+/// ([`Config::matrix`], 24 of them) crossed with `backends`.
 pub fn matrix_columns(backends: &[Backend]) -> Vec<Column> {
     let mut out = Vec::new();
-    for config in oracle::oracle_configs() {
+    for config in Config::matrix() {
         for backend in backends {
             out.push(Column::from_config(config, *backend));
         }
@@ -685,7 +660,7 @@ fn archive_divergence(
         cell: cell.name.clone(),
         column: column.label(),
         config: column.config,
-        backend: column.backend.clone(),
+        backend: column.config.backend.name().to_string(),
         fault: spec.fault.map(|f| fault_to_string(&f)),
         kind: format!("{kind:?}"),
         detail,

@@ -24,9 +24,9 @@ use crate::gen;
 use lisp::ast::Unit;
 use lisp::eval::{eval_unit, EvalError, EvalOptions, EvalOutcome, OpCensus};
 use lisp::{CheckingMode, CompileError, CompiledProgram};
-use mipsx::{CheckCat, Executor, Fault, HwConfig, ParallelCheck, RefCpu, Stats};
+use mipsx::{CheckCat, Executor, Fault, ParallelCheck, RefCpu, Stats};
 use tagstudy::Config;
-use tagword::{TagScheme, ALL_SCHEMES};
+use tagword::TagScheme;
 
 /// Simulator cycle budget per configuration — generated programs finish in
 /// well under a million cycles, so this only guards against harness bugs.
@@ -57,7 +57,8 @@ pub enum MismatchKind {
 pub struct Mismatch {
     /// What went wrong.
     pub kind: MismatchKind,
-    /// The configuration that disagreed, e.g. `high5/Full/hw`.
+    /// The configuration that disagreed, by [`Config::name`], e.g.
+    /// `high5:full:maximal`.
     pub config: String,
     /// Human-readable specifics (expected vs got).
     pub detail: String,
@@ -69,34 +70,10 @@ impl std::fmt::Display for Mismatch {
     }
 }
 
-/// The full scheme × checking × hardware matrix the oracle sweeps: every tag
-/// scheme under no/full checking on plain hardware, tag-branch hardware, and
-/// the maximal (parallel-checked, generic-arithmetic) configuration.
+/// The full scheme × checking × hardware matrix the oracle sweeps:
+/// [`Config::matrix`].
 pub fn oracle_configs() -> Vec<Config> {
-    let mut out = Vec::new();
-    for scheme in ALL_SCHEMES {
-        for checking in [CheckingMode::None, CheckingMode::Full] {
-            for hw in [
-                HwConfig::plain(),
-                HwConfig::with_tag_branch(),
-                HwConfig::maximal(scheme.tag_bits()),
-            ] {
-                out.push(Config::new(scheme, checking).with_hw(hw));
-            }
-        }
-    }
-    out
-}
-
-fn config_label(c: &Config) -> String {
-    let hw = if c.hw == HwConfig::plain() {
-        "plain"
-    } else if c.hw == HwConfig::with_tag_branch() {
-        "tagbr"
-    } else {
-        "maximal"
-    };
-    format!("{}/{:?}/{hw}", c.scheme, c.checking)
+    Config::matrix()
 }
 
 /// Lower the prelude and `source` into the [`Unit`] that the reference
@@ -126,7 +103,7 @@ pub fn reference_unit(unit: &Unit) -> Result<EvalOutcome, EvalError> {
 pub fn check_config(source: &str, expected: &EvalOutcome, config: &Config) -> Result<(), Mismatch> {
     let unit = lower(source).map_err(|e| Mismatch {
         kind: MismatchKind::Compile,
-        config: config_label(config),
+        config: config.name(),
         detail: e.to_string(),
     })?;
     check_unit(&unit, expected, config)
@@ -134,7 +111,7 @@ pub fn check_config(source: &str, expected: &EvalOutcome, config: &Config) -> Re
 
 /// [`check_config`] on an already-lowered [`Unit`] (see [`lower`]).
 fn check_unit(unit: &Unit, expected: &EvalOutcome, config: &Config) -> Result<(), Mismatch> {
-    let label = config_label(config);
+    let label = config.name();
     let compiled = lisp::compile_unit(unit, &config.to_options()).map_err(|e| Mismatch {
         kind: MismatchKind::Compile,
         config: label.clone(),
@@ -321,17 +298,6 @@ pub fn caught_by_oracle(p: &gen::Program, config: &Config, fault: Fault) -> bool
 mod tests {
     use super::*;
     use crate::profile::OpMix;
-
-    #[test]
-    fn config_matrix_is_the_full_sweep() {
-        let configs = oracle_configs();
-        assert_eq!(configs.len(), 4 * 2 * 3);
-        // Labels are unique (so failure reports identify the cell).
-        let mut labels: Vec<String> = configs.iter().map(config_label).collect();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), 24);
-    }
 
     #[test]
     fn a_seeded_program_passes_every_config() {

@@ -70,7 +70,7 @@ mod session;
 pub mod tables;
 pub mod trace;
 
-pub use config::Config;
+pub use config::{Config, ConfigFields};
 pub use lisp::CheckingMode;
 pub use measure::{run_benchmark, run_program, InlineProgram, Measurement, StudyError, Timing};
 pub use metrics::{Event, Histogram, Json, MetricsRegistry};

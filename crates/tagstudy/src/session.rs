@@ -631,9 +631,9 @@ impl Session {
     }
 
     /// Measure without touching the cache or counters: always compiles and
-    /// simulates. This is the right primitive for timing harnesses (criterion
-    /// benches) where serving a memoized result would time the cache instead
-    /// of the toolchain.
+    /// simulates. This is the right primitive for timing harnesses and
+    /// backend comparisons, where serving a memoized result would time (or
+    /// compare) the cache instead of the toolchain.
     ///
     /// # Errors
     ///

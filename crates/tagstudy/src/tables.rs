@@ -734,4 +734,40 @@ mod tests {
         table3_for(&mut s, SMALL).unwrap();
         assert_eq!(s.stats().misses, misses_after_t1, "table3 fully cached");
     }
+
+    /// Every configuration a paper table measures has its own name, and the
+    /// name parses back to it: Table 2's seven rows and SPUR under both
+    /// checking modes, and the §3.1 and §4.1 ablations.
+    #[test]
+    fn paper_configurations_have_lossless_names() {
+        let mut configs = Vec::new();
+        for checking in [CheckingMode::None, CheckingMode::Full] {
+            configs.push(Config::baseline(checking));
+            for (_, hw) in row_hw() {
+                configs.push(Config::baseline(checking).with_hw(hw));
+            }
+            configs.push(Config::baseline(checking).with_hw(HwConfig::spur(5)));
+        }
+        configs.push(Config {
+            preshifted_pair_tag: true,
+            ..Config::baseline(CheckingMode::None)
+        });
+        configs.push(Config {
+            int_test_method: lisp::IntTestMethod::TagCompare,
+            ..Config::baseline(CheckingMode::Full)
+        });
+        let names: Vec<String> = configs.iter().map(Config::name).collect();
+        for (c, name) in configs.iter().zip(&names) {
+            assert_eq!(Config::parse(name).as_ref(), Ok(c), "{name}");
+        }
+        let distinct: std::collections::BTreeSet<&String> = names.iter().collect();
+        assert_eq!(distinct.len(), names.len(), "{names:?}");
+        assert_eq!(
+            names[1..9].join(" "),
+            "high5:none:drop5 high5:none:tagbr high5:none:drop5+tagbr high5:none:genarith \
+             high5:none:chklists high5:none:chkall high5:none:maximal high5:none:spur"
+        );
+        assert_eq!(names[18], "high5:none:plain:pairtag=preshift");
+        assert_eq!(names[19], "high5:full:plain:inttest=tagcmp");
+    }
 }

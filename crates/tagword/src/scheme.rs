@@ -465,6 +465,21 @@ impl TagScheme {
             TagScheme::LowTag3 => "low3",
         }
     }
+
+    /// Parse a [`name`](Self::name), ignoring ASCII case.
+    ///
+    /// # Errors
+    ///
+    /// A usage-ready message naming the accepted schemes.
+    pub fn parse(text: &str) -> Result<TagScheme, String> {
+        ALL_SCHEMES
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(text))
+            .ok_or_else(|| {
+                let all: Vec<&str> = ALL_SCHEMES.iter().map(|s| s.name()).collect();
+                format!("unknown scheme {text:?} (want one of: {})", all.join(", "))
+            })
+    }
 }
 
 impl fmt::Display for TagScheme {
