@@ -143,7 +143,7 @@ fn render_json(report: &synth::fleet::CampaignReport) -> String {
     let _ = writeln!(
         out,
         "  \"campaign\": {},",
-        serve_free_json_string(&report.campaign)
+        tagstudy::json_string(&report.campaign)
     );
     let _ = writeln!(out, "  \"programs\": {},", report.programs);
     let _ = writeln!(out, "  \"columns_run\": {},", report.columns_run);
@@ -167,10 +167,4 @@ fn render_json(report: &synth::fleet::CampaignReport) -> String {
     );
     let _ = writeln!(out, "}}");
     out
-}
-
-/// Minimal JSON string quoting (campaign ids contain no control characters,
-/// but escape the structural two just in case).
-fn serve_free_json_string(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }

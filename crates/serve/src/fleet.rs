@@ -265,7 +265,6 @@ pub fn run_fuzz(addr: &str, args: &FuzzArgs) -> i32 {
     let use_daemon = !args.local && args.spec.fault.is_none();
     let mut local_runner = LocalRunner {
         fault: args.spec.fault,
-        trace: None,
     };
     let mut daemon_runner = DaemonRunner::new(addr);
     if use_daemon {

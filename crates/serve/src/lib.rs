@@ -38,12 +38,14 @@
 //! `queue_wait` child for time spent in the accept queue and, for
 //! `/v1/experiments`, a `session.batch` child under which the session's
 //! `cache.read`/`store.read`/`measure`/`compile`/`simulate` spans and the
-//! store's `store.write` I/O spans attach. A client-supplied `traceparent`
-//! header joins the request to the client's trace — a malformed header is
-//! *never* an error, it just starts a fresh trace. Completed traces land in
-//! a bounded in-memory flight recorder served by the debug endpoints;
-//! per-endpoint latency histograms and p50/p90/p99 quantile gauges ride
-//! `/metrics`.
+//! store's `store.write` I/O spans attach. The root span is the worker
+//! thread's trace context for the whole request, and the session carries it
+//! into its pool workers, so no layer below takes a context argument. A
+//! client-supplied `traceparent` header joins the request to the client's
+//! trace — a malformed header is *never* an error, it just starts a fresh
+//! trace. Completed traces land in a bounded in-memory flight recorder
+//! served by the debug endpoints; per-endpoint latency histograms and
+//! p50/p90/p99 quantile gauges ride `/metrics`.
 //!
 //! ## Overload behavior
 //!
@@ -69,7 +71,7 @@ use std::time::{Duration, Instant};
 
 use store::{ResultStore, StoreKey};
 use tagstudy::metrics::{labeled, REQUEST_BUCKETS};
-use tagstudy::trace::{chrome_trace_json, SpanId, SpanRecord, TraceContext, TraceId, Tracer};
+use tagstudy::trace::{self, chrome_trace_json, TraceContext, TraceId, Tracer};
 use tagstudy::{MetricsRegistry, Session, StudyError};
 
 use http::{Request, Response};
@@ -199,8 +201,8 @@ struct Daemon {
     config: ServerConfig,
     /// Where to self-connect to unblock the acceptor on shutdown.
     wake_addr: SocketAddr,
-    /// The flight recorder every layer's spans land in (also attached to the
-    /// session and the store).
+    /// The flight recorder every layer's spans land in: each request's root
+    /// span enters it on the worker thread serving the request.
     tracer: Tracer,
     /// Requests currently being served (dequeued, response not written).
     in_flight: AtomicUsize,
@@ -259,10 +261,7 @@ impl Server {
         };
 
         let tracer = Tracer::new(config.trace_capacity, config.slow_threshold);
-        let mut session = Session::new().with_tracer(tracer.clone());
-        if let Some(store) = &store {
-            store.set_tracer(tracer.clone());
-        }
+        let mut session = Session::new();
         if let Some(store) = &store {
             let sink = Arc::clone(store);
             session = session.with_writeback(move |m, t| {
@@ -474,27 +473,26 @@ impl Daemon {
             .and_then(|r| r.header(tagstudy::trace::TRACEPARENT_HEADER))
             .and_then(TraceContext::from_traceparent);
         let trace = client_ctx.map_or_else(TraceId::generate, |c| c.trace);
-        let root = SpanId::generate();
         let endpoint = match &parsed {
             Ok(r) => endpoint_of(&r.method, &r.path),
             Err(_) => "unparsed".to_string(),
         };
 
+        // The root span covers enqueue → response written, and is this
+        // thread's trace context until it closes: every span below joins it.
+        let root = self.tracer.root(
+            trace,
+            client_ctx.map(|c| c.parent),
+            &endpoint,
+            "daemon",
+            enqueued,
+        );
         // queue_wait is a real child span: the request's lifetime includes
         // the time it sat in the accept queue before any byte was read.
-        self.tracer.record(SpanRecord {
-            trace,
-            id: SpanId::generate(),
-            parent: Some(root),
-            name: "queue_wait".to_string(),
-            component: "daemon".to_string(),
-            start_us: self.tracer.at_us(enqueued),
-            dur_us: (dequeued - enqueued).as_micros() as u64,
-            labels: Vec::new(),
-        });
+        trace::record("queue_wait", "daemon", enqueued, dequeued, &[]);
 
         let response = match &parsed {
-            Ok(request) => self.route(request, TraceContext::new(trace, root)),
+            Ok(request) => self.route(request),
             Err(why) => Response::error(400, why),
         };
         {
@@ -509,42 +507,33 @@ impl Daemon {
         http::write_response(&mut stream, &response);
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
 
-        // Seal the trace: root span covers enqueue → response written, and
-        // the per-endpoint latency histogram observes the same interval.
-        let total = enqueued.elapsed();
+        // Seal the trace: the per-endpoint latency histogram observes the
+        // root span's interval.
         self.lock_metrics().observe(
             &labeled(daemon_metrics::REQUEST_DURATION, &[("endpoint", &endpoint)]),
             REQUEST_BUCKETS,
-            total.as_secs_f64(),
+            enqueued.elapsed().as_secs_f64(),
         );
-        self.tracer.record(SpanRecord {
-            trace,
-            id: root,
-            parent: client_ctx.map(|c| c.parent),
-            name: endpoint,
-            component: "daemon".to_string(),
-            start_us: self.tracer.at_us(enqueued),
-            dur_us: total.as_micros() as u64,
-            labels: vec![("status".to_string(), response.status.to_string())],
-        });
-        self.tracer.finish(trace, root);
+        let root_id = root.id().expect("a root span is always recorded");
+        drop(root.label("status", response.status));
+        self.tracer.finish(trace, root_id);
     }
 
-    fn route(&self, request: &Request, ctx: TraceContext) -> Response {
+    fn route(&self, request: &Request) -> Response {
         let path = request.path.split('?').next().unwrap_or(&request.path);
         let query = request.path.strip_prefix(path).unwrap_or("");
         match (request.method.as_str(), path) {
             ("GET", "/healthz") => Response::text(200, "ok\n"),
             ("GET", "/metrics") => Response::text(200, self.metrics_prometheus()),
-            ("POST", "/v1/experiments") => self.handle_batch(&request.body, ctx),
-            ("POST", "/v1/fuzz/run") => self.handle_fuzz_run(&request.body, ctx),
+            ("POST", "/v1/experiments") => self.handle_batch(&request.body),
+            ("POST", "/v1/fuzz/run") => self.handle_fuzz_run(&request.body),
             ("POST", "/v1/fuzz/report") => self.handle_fuzz_report(&request.body),
             ("GET", "/v1/debug/trace") => self.handle_debug_trace(query),
             ("GET", p) if p.starts_with("/v1/debug/trace/") => {
                 self.handle_debug_trace_one(&p["/v1/debug/trace/".len()..])
             }
             ("GET", p) if p.starts_with("/v1/results/") => {
-                self.handle_result(&p["/v1/results/".len()..], ctx)
+                self.handle_result(&p["/v1/results/".len()..])
             }
             ("POST", "/v1/shutdown") => {
                 self.shutdown();
@@ -559,7 +548,7 @@ impl Daemon {
         }
     }
 
-    fn handle_batch(&self, body: &[u8], ctx: TraceContext) -> Response {
+    fn handle_batch(&self, body: &[u8]) -> Response {
         let specs = match proto::parse_batch(body) {
             Ok(specs) => specs,
             Err(why) => return Response::error(400, &why),
@@ -570,24 +559,11 @@ impl Daemon {
             .collect();
         // The whole dedup + fan-out + writeback sits under one session.batch
         // span; session spans (cache/store reads, measure/compile/simulate)
-        // and store writeback spans parent under it. The store scope is
-        // thread-keyed and writeback runs on this worker thread.
-        let batch_span = SpanId::generate();
-        let batch_start = Instant::now();
-        let child_ctx = TraceContext::new(ctx.trace, batch_span);
-        let _scope = self.store.as_ref().map(|s| s.trace_scope(child_ctx));
+        // and store writeback spans parent under it.
+        let batch = trace::span("session.batch", "session").label("experiments", specs.len());
         self.register_inline(&specs);
-        let result = self.session.measure_many_traced(&requests, child_ctx);
-        self.tracer.record(SpanRecord {
-            trace: ctx.trace,
-            id: batch_span,
-            parent: Some(ctx.parent),
-            name: "session.batch".to_string(),
-            component: "session".to_string(),
-            start_us: self.tracer.at_us(batch_start),
-            dur_us: batch_start.elapsed().as_micros() as u64,
-            labels: vec![("experiments".to_string(), specs.len().to_string())],
-        });
+        let result = self.session.measure_many(&requests);
+        drop(batch);
         match result {
             Ok(measurements) => {
                 {
@@ -599,15 +575,7 @@ impl Daemon {
                     .into_iter()
                     .zip(measurements)
                     .map(|(spec, m)| {
-                        let source = match &spec.source {
-                            Some(text) => text.as_str(),
-                            None => {
-                                programs::by_name(&spec.program)
-                                    .expect("named spec validated against the registry")
-                                    .source
-                            }
-                        };
-                        let key = StoreKey::compute(source, &spec.config);
+                        let key = store_key(&spec);
                         (spec, key, m)
                     })
                     .collect();
@@ -630,39 +598,21 @@ impl Daemon {
     /// differential fuzzer must not assume), so the cached path would
     /// collapse a fast-vs-ref fan-out into one execution. This route
     /// always compiles and simulates, per spec, on the spec's own backend.
-    fn handle_fuzz_run(&self, body: &[u8], ctx: TraceContext) -> Response {
+    fn handle_fuzz_run(&self, body: &[u8]) -> Response {
         let specs = match proto::parse_batch(body) {
             Ok(specs) => specs,
             Err(why) => return Response::error(400, &why),
         };
-        let _scope = self.store.as_ref().map(|s| s.trace_scope(ctx));
         self.register_inline(&specs);
         let mut entries: Vec<(ExperimentSpec, StoreKey, tagstudy::Measurement)> = Vec::new();
         for spec in specs {
             // One fuzz.column span per matrix column.
-            let column_start = Instant::now();
+            let column = trace::span("fuzz.column", "fleet").label("spec", spec.to_spec_string());
             let measured = self.session.measure_uncached(&spec.program, spec.config);
-            self.tracer.record(SpanRecord {
-                trace: ctx.trace,
-                id: SpanId::generate(),
-                parent: Some(ctx.parent),
-                name: "fuzz.column".to_string(),
-                component: "fleet".to_string(),
-                start_us: self.tracer.at_us(column_start),
-                dur_us: column_start.elapsed().as_micros() as u64,
-                labels: vec![("spec".to_string(), spec.to_spec_string())],
-            });
+            drop(column);
             match measured {
                 Ok(m) => {
-                    let source = match &spec.source {
-                        Some(text) => text.as_str(),
-                        None => {
-                            programs::by_name(&spec.program)
-                                .expect("named spec validated against the registry")
-                                .source
-                        }
-                    };
-                    let key = StoreKey::compute(source, &spec.config);
+                    let key = store_key(&spec);
                     entries.push((spec, key, m));
                 }
                 // One failing spec fails the whole batch: the client retries
@@ -751,7 +701,7 @@ impl Daemon {
         Response::json(200, "{\"status\":\"ok\"}\n")
     }
 
-    fn handle_result(&self, key_text: &str, ctx: TraceContext) -> Response {
+    fn handle_result(&self, key_text: &str) -> Response {
         let key = match StoreKey::from_hex(key_text) {
             Ok(key) => key,
             Err(why) => return Response::error(400, &why),
@@ -759,7 +709,6 @@ impl Daemon {
         let Some(store) = &self.store else {
             return Response::error(404, "daemon is running without a result store");
         };
-        let _scope = store.trace_scope(ctx);
         match store.raw_record(&key) {
             Some(text) => Response::json(200, text),
             None => Response::error(404, &format!("no record for key {key}")),
@@ -836,6 +785,23 @@ impl Daemon {
             )
         });
         format!("{session_text}{daemon_text}{store_text}")
+    }
+}
+
+/// The content address of a measured spec: its source (a benchmark's, or the
+/// inline text) under the heap it ran with.
+fn store_key(spec: &ExperimentSpec) -> StoreKey {
+    match &spec.source {
+        Some(text) => StoreKey::compute(text, spec.heap_semi_bytes, &spec.config),
+        None => {
+            let benchmark = programs::by_name(&spec.program)
+                .expect("named spec validated against the registry");
+            StoreKey::compute(
+                benchmark.source,
+                Some(benchmark.heap_semi_bytes),
+                &spec.config,
+            )
+        }
     }
 }
 

@@ -400,8 +400,8 @@ mod tests {
             );
         }
         // Same store key regardless of backend.
-        let a = StoreKey::compute("src", &specs[1].config);
-        let b = StoreKey::compute("src", &specs[1].config.with_backend(Backend::Fast));
+        let a = StoreKey::compute("src", None, &specs[1].config);
+        let b = StoreKey::compute("src", None, &specs[1].config.with_backend(Backend::Fast));
         assert_eq!(a.as_str(), b.as_str(), "backend must not split addresses");
     }
 
@@ -428,8 +428,12 @@ mod tests {
             specs[1].to_spec_string(),
             "trav:high5:full:plain:timing=modern"
         );
-        let ideal = StoreKey::compute("src", &specs[3].config);
-        let timed = StoreKey::compute("src", &specs[3].config.with_timing(TimingConfig::modern()));
+        let ideal = StoreKey::compute("src", None, &specs[3].config);
+        let timed = StoreKey::compute(
+            "src",
+            None,
+            &specs[3].config.with_timing(TimingConfig::modern()),
+        );
         assert_ne!(
             ideal.as_str(),
             timed.as_str(),
@@ -463,7 +467,7 @@ mod tests {
             halt_code: 0,
             output: "9\n".to_string(),
         };
-        let key = StoreKey::compute("fake source", &spec.config);
+        let key = StoreKey::compute("fake source", None, &spec.config);
         let doc = results_json(&[(spec.clone(), key.clone(), m.clone())]);
         let parsed = parse_results(&doc).unwrap();
         assert_eq!(parsed[0].0, spec.to_spec_string());
@@ -568,7 +572,7 @@ mod tests {
             halt_code: 0,
             output: "9\n".to_string(),
         };
-        let key = StoreKey::compute("fake source", &spec.config);
+        let key = StoreKey::compute("fake source", None, &spec.config);
         let doc = results_json(&[(spec.clone(), key.clone(), m.clone())]);
         let parsed = parse_results(&doc).unwrap();
         assert_eq!(parsed.len(), 1);

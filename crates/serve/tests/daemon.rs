@@ -298,6 +298,37 @@ fn one_source_under_two_heaps_in_one_batch() {
     shutdown(&addr, server);
 }
 
+/// `deduce` and `dedgc` share a source and differ only in heap: one batch of
+/// both gets two content addresses, each record serves its own program's
+/// cycles, and a warm restart seeds both.
+#[test]
+fn deduce_and_dedgc_are_stored_apart() {
+    let scratch = Scratch::new("dedgc");
+    let (server, _, addr) = start(Some(&scratch.0), ServerConfig::default());
+    let batch = r#"{"experiments": ["deduce:high5:none:plain", "dedgc:high5:none:plain"]}"#;
+    let (status, body) = post(&addr, "/v1/experiments", batch);
+    assert_eq!(status, 200, "{body}");
+    let results = proto::parse_results(&body).unwrap();
+    assert_eq!(results.len(), 2);
+    assert_ne!(results[0].1, results[1].1, "one key for two programs");
+    assert_ne!(results[0].2.stats.cycles, results[1].2.stats.cycles);
+    for (_, key, served) in &results {
+        let (status, raw) = get(&addr, &format!("/v1/results/{key}"));
+        assert_eq!(status, 200, "{raw}");
+        let (_, stored, _) = record::record_from_json(&raw).unwrap();
+        assert_eq!(
+            stored.program, served.program,
+            "{key} serves another program"
+        );
+        assert_eq!(stored.stats.cycles, served.stats.cycles);
+    }
+    shutdown(&addr, server);
+
+    let (server, warm, addr) = start(Some(&scratch.0), ServerConfig::default());
+    assert_eq!(warm.seeded, 2, "both records preloaded");
+    shutdown(&addr, server);
+}
+
 /// A heap whose semispaces cannot fit the pointer space is a 400 with the
 /// sizes spelled out — never a 500 or a simulated memory fault.
 #[test]
@@ -442,6 +473,7 @@ fn bad_requests_are_answered_not_fatal() {
 
     let missing = StoreKey::compute(
         "no such source",
+        None,
         &tagstudy::Config::baseline(tagstudy::CheckingMode::Full),
     );
     let (status, body) = get(&addr, &format!("/v1/results/{missing}"));

@@ -21,9 +21,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use tagstudy::{Config, Json};
+use tagstudy::{json_field, json_string, Config, Json};
 
-use crate::record::{config_from_json, config_to_json};
+use crate::record::{config_from_json, config_to_json, get_str, get_u64};
 use crate::{fnv1a64, StoreKey, NAME_SEQ};
 
 /// Version of the witness / ledger on-disk formats (independent of the
@@ -37,39 +37,6 @@ const WITNESS_EXT: &str = "wit";
 
 /// File name of the coverage ledger under the witness root.
 const LEDGER_FILE: &str = "ledger.json";
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    get(obj, key)?.as_u64(key)
-}
-
-fn get_str<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
-    get(obj, key)?.as_str(key)
-}
 
 // ---------------------------------------------------------------------------
 // Witness records
@@ -139,15 +106,15 @@ fn witness_payload_json(w: &Witness) -> String {
         "{{\"seed\":{},\"mix\":{},\"cell\":{},\"column\":{},\"config\":{},\"backend\":{},\
          \"fault\":{},\"kind\":{},\"detail\":{},\"source\":{},\"forms\":{}}}",
         w.seed,
-        json_str(&w.mix),
-        json_str(&w.cell),
-        json_str(&w.column),
+        json_string(&w.mix),
+        json_string(&w.cell),
+        json_string(&w.column),
         config_to_json(&w.config),
-        json_str(&w.backend),
-        w.fault.as_deref().map_or("null".to_string(), json_str),
-        json_str(&w.kind),
-        json_str(&w.detail),
-        json_str(&w.source),
+        json_string(&w.backend),
+        w.fault.as_deref().map_or("null".to_string(), json_string),
+        json_string(&w.kind),
+        json_string(&w.detail),
+        json_string(&w.source),
         w.forms,
     )
 }
@@ -159,14 +126,14 @@ pub fn witness_to_json(w: &Witness) -> String {
     format!(
         "{{\"format_version\":{FUZZ_FORMAT_VERSION},\"key\":{},\"checksum\":\"{:016x}\",\
          \"witness\":{payload}}}\n",
-        json_str(w.key().as_str()),
+        json_string(w.key().as_str()),
         fnv1a64(payload.as_bytes()),
     )
 }
 
 fn witness_payload_from_json(v: &Json) -> Result<Witness, String> {
     let obj = v.as_object("witness")?;
-    let fault = match get(obj, "fault")? {
+    let fault = match json_field(obj, "fault")? {
         Json::Null => None,
         Json::Str(s) => Some(s.clone()),
         other => return Err(format!("fault: expected string or null, got {other:?}")),
@@ -176,7 +143,7 @@ fn witness_payload_from_json(v: &Json) -> Result<Witness, String> {
         mix: get_str(obj, "mix")?.to_string(),
         cell: get_str(obj, "cell")?.to_string(),
         column: get_str(obj, "column")?.to_string(),
-        config: config_from_json(get(obj, "config")?)?,
+        config: config_from_json(json_field(obj, "config")?)?,
         backend: get_str(obj, "backend")?.to_string(),
         fault,
         kind: get_str(obj, "kind")?.to_string(),
@@ -204,7 +171,7 @@ pub fn witness_from_json(text: &str) -> Result<(StoreKey, Witness), String> {
     }
     let key = StoreKey::from_hex(get_str(obj, "key")?)?;
     let stored_checksum = get_str(obj, "checksum")?;
-    let witness = witness_payload_from_json(get(obj, "witness")?)?;
+    let witness = witness_payload_from_json(json_field(obj, "witness")?)?;
     let canonical = witness_payload_json(&witness);
     let computed = format!("{:016x}", fnv1a64(canonical.as_bytes()));
     if computed != stored_checksum {
@@ -320,12 +287,12 @@ impl CoverageLedger {
         let cells = self
             .cells
             .iter()
-            .map(|(k, v)| format!("[{},{v}]", json_str(k)))
+            .map(|(k, v)| format!("[{},{v}]", json_string(k)))
             .collect::<Vec<_>>()
             .join(",");
         format!(
             "{{\"campaign\":{},\"target\":{},\"cells\":[{cells}]}}",
-            json_str(&self.campaign),
+            json_string(&self.campaign),
             self.target,
         )
     }
@@ -356,10 +323,10 @@ impl CoverageLedger {
             ));
         }
         let stored_checksum = get_str(obj, "checksum")?;
-        let payload = get(obj, "ledger")?.as_object("ledger")?;
+        let payload = json_field(obj, "ledger")?.as_object("ledger")?;
         let mut ledger =
             CoverageLedger::new(get_str(payload, "campaign")?, get_u64(payload, "target")?);
-        for entry in get(payload, "cells")?.as_array("cells")? {
+        for entry in json_field(payload, "cells")?.as_array("cells")? {
             let pair = entry.as_array("cell entry")?;
             let [cell, count] = pair else {
                 return Err(format!("cell entry: want [cell, count], got {pair:?}"));

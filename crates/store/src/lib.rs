@@ -9,6 +9,11 @@
 //! `quarantine/` subdirectory for post-mortem, counted, and treated as a miss.
 //! Corruption is never served and never fatal.
 //!
+//! Inside a trace context (see [`tagstudy::trace`]) every [`ResultStore::put`],
+//! [`ResultStore::get`] and [`ResultStore::raw_record`] records a
+//! `store.write` / `store.read` span under the calling thread's current span;
+//! the store itself holds no tracer.
+//!
 //! The intended wiring (what `tagstudyd` does):
 //!
 //! ```no_run
@@ -40,12 +45,9 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::thread::ThreadId;
 use std::time::Instant;
 
-use tagstudy::trace::{SpanId, SpanRecord, TraceContext, Tracer};
-use tagstudy::{Config, Measurement, Timing};
+use tagstudy::{trace, Config, Measurement, Timing};
 
 /// Version of the on-disk record format. Bump on any encoding change; records
 /// carrying any other version are quarantined on read (stale, not corrupt —
@@ -98,16 +100,27 @@ pub fn inline_name(source: &str, heap_semi_bytes: Option<u32>) -> String {
 pub struct StoreKey(String);
 
 impl StoreKey {
-    /// The stable key of a `(program source, Config)` point.
+    /// The stable key of a `(program source, heap, Config)` point, where
+    /// `heap_semi_bytes` is the semispace size the program runs with (`None`:
+    /// [`lisp::Options`]' default, as for an inline source without a heap).
     ///
     /// The key material is a versioned frame of the full source text and the
-    /// canonical config encoding; the address is two independently-seeded
-    /// 64-bit FNV-1a hashes concatenated. Any change to the source, the
-    /// configuration, or the record format yields a different address — which
-    /// is exactly the invalidation the cache wants.
-    pub fn compute(source: &str, config: &Config) -> StoreKey {
+    /// canonical config encoding, plus the heap when it differs from the
+    /// default — so every default-heap address is the one it always was, the
+    /// same rule that leaves an ideal timing model out of the config
+    /// encoding. The address is two independently-seeded 64-bit FNV-1a hashes
+    /// concatenated. Any change to the source, the heap, the configuration,
+    /// or the record format yields a different address — which is exactly the
+    /// invalidation the cache wants.
+    pub fn compute(source: &str, heap_semi_bytes: Option<u32>, config: &Config) -> StoreKey {
+        let heap = match heap_semi_bytes {
+            Some(heap) if heap != lisp::Options::default().heap_semi_bytes => {
+                format!("\0heap={heap}")
+            }
+            _ => String::new(),
+        };
         StoreKey::of_material(&format!(
-            "tagstudy-store/v{FORMAT_VERSION}\0{source}\0{}",
+            "tagstudy-store/v{FORMAT_VERSION}\0{source}\0{}{heap}",
             record::config_to_json(config)
         ))
     }
@@ -172,18 +185,6 @@ pub struct ResultStore {
     gets: AtomicU64,
     hits: AtomicU64,
     quarantined: AtomicU64,
-    /// Optional flight recorder plus per-thread trace contexts (see
-    /// [`ResultStore::trace_scope`]). Store methods take `&self` from many
-    /// threads at once, so "which request am I serving?" is keyed by thread:
-    /// the daemon registers a scope on its HTTP worker thread before calling
-    /// into the session, and every store I/O on that thread spans under it.
-    tracing: Mutex<TracingState>,
-}
-
-#[derive(Debug, Default)]
-struct TracingState {
-    tracer: Option<Tracer>,
-    scopes: std::collections::HashMap<ThreadId, TraceContext>,
 }
 
 impl ResultStore {
@@ -201,61 +202,7 @@ impl ResultStore {
             gets: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
-            tracing: Mutex::new(TracingState::default()),
         })
-    }
-
-    /// Attach a flight recorder. Spans are only recorded on threads that hold
-    /// an active [`ResultStore::trace_scope`]; without one (or without a
-    /// tracer at all) every store operation behaves exactly as before.
-    pub fn set_tracer(&self, tracer: Tracer) {
-        self.lock_tracing().tracer = Some(tracer);
-    }
-
-    /// Register `ctx` as the trace context for the *current thread* until the
-    /// returned guard drops. While the scope is active, every [`put`], [`get`]
-    /// and [`raw_record`] this thread performs records a `store.write` /
-    /// `store.read` span under `ctx.parent`.
-    ///
-    /// [`put`]: ResultStore::put
-    /// [`get`]: ResultStore::get
-    /// [`raw_record`]: ResultStore::raw_record
-    pub fn trace_scope(&self, ctx: TraceContext) -> TraceScope<'_> {
-        let thread = std::thread::current().id();
-        let prev = self.lock_tracing().scopes.insert(thread, ctx);
-        TraceScope {
-            store: self,
-            thread,
-            prev,
-        }
-    }
-
-    fn lock_tracing(&self) -> std::sync::MutexGuard<'_, TracingState> {
-        self.tracing.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Record a span for an operation that began at `started`, if a tracer is
-    /// attached and the current thread is inside a [`ResultStore::trace_scope`].
-    fn record_span(&self, name: &str, started: Instant, labels: &[(&str, &str)]) {
-        let t = self.lock_tracing();
-        let Some(tracer) = &t.tracer else { return };
-        let Some(ctx) = t.scopes.get(&std::thread::current().id()) else {
-            return;
-        };
-        let start_us = tracer.at_us(started);
-        tracer.record(SpanRecord {
-            trace: ctx.trace,
-            id: SpanId::generate(),
-            parent: Some(ctx.parent),
-            name: name.to_string(),
-            component: "store".to_string(),
-            start_us,
-            dur_us: tracer.now_us().saturating_sub(start_us),
-            labels: labels
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-                .collect(),
-        });
     }
 
     /// The store's root directory.
@@ -278,13 +225,17 @@ impl ResultStore {
     }
 
     /// The key under which `measurement` would be stored, derived from the
-    /// current source of its benchmark.
+    /// current source and heap of its benchmark.
     ///
     /// Returns `None` for a program name not in the registry (a measurement
     /// of an unknown program has no stable source to address by).
     pub fn key_of(measurement: &Measurement) -> Option<StoreKey> {
         let benchmark = programs::by_name(&measurement.program)?;
-        Some(StoreKey::compute(benchmark.source, &measurement.config))
+        Some(StoreKey::compute(
+            benchmark.source,
+            Some(benchmark.heap_semi_bytes),
+            &measurement.config,
+        ))
     }
 
     /// Durably store one measurement under its content address: serialize,
@@ -318,9 +269,11 @@ impl ResultStore {
         }
         fs::rename(&temp, self.record_path(&key))?;
         self.puts.fetch_add(1, Ordering::Relaxed);
-        self.record_span(
+        trace::record(
             "store.write",
+            "store",
             started,
+            Instant::now(),
             &[("key", key.as_str()), ("program", &measurement.program)],
         );
         Ok(key)
@@ -350,9 +303,11 @@ impl ResultStore {
                     None
                 }
             });
-        self.record_span(
+        trace::record(
             "store.read",
+            "store",
             started,
+            Instant::now(),
             &[
                 ("key", key.as_str()),
                 ("hit", if result.is_some() { "true" } else { "false" }),
@@ -385,9 +340,11 @@ impl ResultStore {
                         None
                     }
                 });
-        self.record_span(
+        trace::record(
             "store.read",
+            "store",
             started,
+            Instant::now(),
             &[
                 ("key", key.as_str()),
                 ("hit", if result.is_some() { "true" } else { "false" }),
@@ -494,31 +451,6 @@ impl ResultStore {
         if fs::rename(path, &dest).is_ok() {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             eprintln!("[store] quarantined {name}: {why}");
-        }
-    }
-}
-
-/// RAII guard for a per-thread trace context (see
-/// [`ResultStore::trace_scope`]). Restores the thread's previous context (or
-/// clears it) on drop, so scopes nest correctly.
-#[must_use = "the scope is active only while this guard lives"]
-#[derive(Debug)]
-pub struct TraceScope<'a> {
-    store: &'a ResultStore,
-    thread: ThreadId,
-    prev: Option<TraceContext>,
-}
-
-impl Drop for TraceScope<'_> {
-    fn drop(&mut self) {
-        let mut t = self.store.lock_tracing();
-        match self.prev.take() {
-            Some(prev) => {
-                t.scopes.insert(self.thread, prev);
-            }
-            None => {
-                t.scopes.remove(&self.thread);
-            }
         }
     }
 }

@@ -13,31 +13,13 @@ use mipsx::{
     CheckCat, HwConfig, InsnClass, ParallelCheck, Provenance, Stats, TagOpKind, ALL_CHECK_CATS,
     ALL_CLASSES, ALL_TAG_OPS,
 };
-use tagstudy::{CheckingMode, Config, Json, Measurement, Timing};
+use tagstudy::{json_field, json_string, CheckingMode, Config, Json, Measurement, Timing};
 
 use crate::{fnv1a64, StoreKey, FORMAT_VERSION};
 
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// The canonical JSON encoding of a [`Config`] — every field spelled out, so
 /// adding a field to `Config` changes the encoding (and therefore every store
@@ -60,7 +42,7 @@ pub fn config_to_json(c: &Config) -> String {
          \"tag_branch\":{},\"parallel_check\":\"{:?}\",\"generic_arith\":{},\
          \"trap_penalty\":{},\"mul_cycles\":{},\"div_cycles\":{},\"fp_cycles\":{}}},\
          \"preshifted_pair_tag\":{},\"int_test_method\":\"{:?}\"{timing}}}",
-        json_str(c.scheme.name()),
+        json_string(c.scheme.name()),
         c.checking,
         hw.drop_high_address_bits,
         hw.tag_branch,
@@ -124,17 +106,17 @@ fn stats_to_json(s: &Stats) -> String {
 
     let classes = classes
         .iter()
-        .map(|(k, v)| format!("[{},{v}]", json_str(k)))
+        .map(|(k, v)| format!("[{},{v}]", json_string(k)))
         .collect::<Vec<_>>()
         .join(",");
     let tags = tags
         .iter()
-        .map(|(op, prov, v)| format!("[{},{},{v}]", json_str(op), json_str(prov)))
+        .map(|(op, prov, v)| format!("[{},{},{v}]", json_string(op), json_string(prov)))
         .collect::<Vec<_>>()
         .join(",");
     let cats = cats
         .iter()
-        .map(|(k, v)| format!("[{},{v}]", json_str(k)))
+        .map(|(k, v)| format!("[{},{v}]", json_string(k)))
         .collect::<Vec<_>>()
         .join(",");
     let timing = match &s.timing {
@@ -177,14 +159,14 @@ pub fn measurement_to_json(m: &Measurement) -> String {
     format!(
         "{{\"program\":{},\"config\":{},\"stats\":{},\"compile\":{{\"procedures\":{},\
          \"source_lines\":{},\"object_words\":{}}},\"halt_code\":{},\"output\":{}}}",
-        json_str(&m.program),
+        json_string(&m.program),
         config_to_json(&m.config),
         stats_to_json(&m.stats),
         m.compile.procedures,
         m.compile.source_lines,
         m.compile.object_words,
         m.halt_code,
-        json_str(&m.output),
+        json_string(&m.output),
     )
 }
 
@@ -206,7 +188,7 @@ pub fn record_to_json(key: &StoreKey, m: &Measurement, t: &Timing) -> String {
     format!(
         "{{\"format_version\":{FORMAT_VERSION},\"key\":{},\"checksum\":\"{:016x}\",\
          \"payload\":{payload}}}\n",
-        json_str(key.as_str()),
+        json_string(key.as_str()),
         fnv1a64(payload.as_bytes()),
     )
 }
@@ -215,23 +197,16 @@ pub fn record_to_json(key: &StoreKey, m: &Measurement, t: &Timing) -> String {
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key {key:?}"))
+pub(crate) fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
+    json_field(obj, key)?.as_u64(key)
 }
 
-fn get_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    get(obj, key)?.as_u64(key)
-}
-
-fn get_str<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
-    get(obj, key)?.as_str(key)
+pub(crate) fn get_str<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
+    json_field(obj, key)?.as_str(key)
 }
 
 fn get_bool(obj: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match get(obj, key)? {
+    match json_field(obj, key)? {
         Json::Bool(b) => Ok(*b),
         other => Err(format!("{key}: expected bool, got {other:?}")),
     }
@@ -271,7 +246,7 @@ pub fn config_from_json(v: &Json) -> Result<Config, String> {
         &[CheckingMode::None, CheckingMode::Full],
         |c| format!("{c:?}"),
     )?;
-    let hw_obj = get(obj, "hw")?.as_object("hw")?;
+    let hw_obj = json_field(obj, "hw")?.as_object("hw")?;
     let parallel_check = parse_variant(
         "parallel_check",
         get_str(hw_obj, "parallel_check")?,
@@ -357,9 +332,9 @@ fn timing_config_from_json(v: &Json) -> Result<mipsx::TimingConfig, String> {
     Ok(mipsx::TimingConfig {
         // Only non-ideal configs are ever serialized.
         enabled: true,
-        l1i: cache_params_from_json(get(obj, "l1i")?, "timing.l1i")?,
-        l1d: cache_params_from_json(get(obj, "l1d")?, "timing.l1d")?,
-        l2: cache_params_from_json(get(obj, "l2")?, "timing.l2")?,
+        l1i: cache_params_from_json(json_field(obj, "l1i")?, "timing.l1i")?,
+        l1d: cache_params_from_json(json_field(obj, "l1d")?, "timing.l1d")?,
+        l2: cache_params_from_json(json_field(obj, "l2")?, "timing.l2")?,
         l2_latency: as_u32("l2_latency")?,
         mem_latency: as_u32("mem_latency")?,
         predictor,
@@ -398,7 +373,7 @@ fn stats_from_json(v: &Json) -> Result<Stats, String> {
         traps: get_u64(obj, "traps")?,
         ..Stats::default()
     };
-    for entry in get(obj, "class_counts")?.as_array("class_counts")? {
+    for entry in json_field(obj, "class_counts")?.as_array("class_counts")? {
         let pair = entry.as_array("class count entry")?;
         let [name, count] = pair else {
             return Err(format!(
@@ -415,7 +390,7 @@ fn stats_from_json(v: &Json) -> Result<Stats, String> {
             .class_counts
             .insert(class, count.as_u64("class count")?);
     }
-    for entry in get(obj, "tag_cycles")?.as_array("tag_cycles")? {
+    for entry in json_field(obj, "tag_cycles")?.as_array("tag_cycles")? {
         let triple = entry.as_array("tag cycle entry")?;
         let [op, prov, cycles] = triple else {
             return Err(format!(
@@ -435,7 +410,7 @@ fn stats_from_json(v: &Json) -> Result<Stats, String> {
             .tag_cycles
             .insert((op, prov), cycles.as_u64("tag cycles")?);
     }
-    for entry in get(obj, "check_cat_cycles")?.as_array("check_cat_cycles")? {
+    for entry in json_field(obj, "check_cat_cycles")?.as_array("check_cat_cycles")? {
         let pair = entry.as_array("check cat entry")?;
         let [name, cycles] = pair else {
             return Err(format!("check cat entry: want [cat, cycles], got {pair:?}"));
@@ -463,11 +438,11 @@ fn stats_from_json(v: &Json) -> Result<Stats, String> {
 /// A description of the first syntactic or schema violation.
 pub fn measurement_from_json(v: &Json) -> Result<Measurement, String> {
     let obj = v.as_object("measurement")?;
-    let compile_obj = get(obj, "compile")?.as_object("compile")?;
+    let compile_obj = json_field(obj, "compile")?.as_object("compile")?;
     let as_usize = |key: &str| -> Result<usize, String> {
         usize::try_from(get_u64(compile_obj, key)?).map_err(|_| format!("{key}: out of range"))
     };
-    let halt_code = match get(obj, "halt_code")? {
+    let halt_code = match json_field(obj, "halt_code")? {
         Json::Num(n) => n
             .parse::<i32>()
             .map_err(|_| format!("halt_code: not a 32-bit integer: {n:?}"))?,
@@ -475,8 +450,8 @@ pub fn measurement_from_json(v: &Json) -> Result<Measurement, String> {
     };
     Ok(Measurement {
         program: get_str(obj, "program")?.to_string(),
-        config: config_from_json(get(obj, "config")?)?,
-        stats: stats_from_json(get(obj, "stats")?)?,
+        config: config_from_json(json_field(obj, "config")?)?,
+        stats: stats_from_json(json_field(obj, "stats")?)?,
         compile: lisp::CompileStats {
             procedures: as_usize("procedures")?,
             source_lines: as_usize("source_lines")?,
@@ -516,9 +491,9 @@ pub fn record_from_json(text: &str) -> Result<(StoreKey, Measurement, Timing), S
     }
     let key = StoreKey::from_hex(get_str(obj, "key")?)?;
     let stored_checksum = get_str(obj, "checksum")?;
-    let payload = get(obj, "payload")?.as_object("payload")?;
-    let measurement = measurement_from_json(get(payload, "measurement")?)?;
-    let timing = timing_from_json(get(payload, "timing")?)?;
+    let payload = json_field(obj, "payload")?.as_object("payload")?;
+    let measurement = measurement_from_json(json_field(payload, "measurement")?)?;
+    let timing = timing_from_json(json_field(payload, "timing")?)?;
     // Checksum over the canonical re-encoding: exact because the codec is.
     let canonical = payload_to_json(&measurement, &timing);
     let computed = format!("{:016x}", fnv1a64(canonical.as_bytes()));
@@ -566,7 +541,7 @@ mod tests {
             compile: Duration::from_nanos(123_456_789),
             simulate: Duration::from_micros(987_654),
         };
-        let key = StoreKey::compute("(source)", &m.config);
+        let key = StoreKey::compute("(source)", None, &m.config);
         let text = record_to_json(&key, &m, &t);
         let (k2, m2, t2) = record_from_json(&text).expect("decodes");
         assert_eq!(k2, key);
@@ -597,8 +572,8 @@ mod tests {
         assert_eq!(decoded, timed);
         assert_eq!(config_to_json(&decoded), encoded, "canonical re-encoding");
         assert_ne!(
-            StoreKey::compute("(source)", &ideal),
-            StoreKey::compute("(source)", &timed),
+            StoreKey::compute("(source)", None, &ideal),
+            StoreKey::compute("(source)", None, &timed),
             "timing is part of the content address"
         );
 
@@ -619,7 +594,7 @@ mod tests {
             branches: 77,
             mispredicts: 4,
         });
-        let key = StoreKey::compute("(source)", &m.config);
+        let key = StoreKey::compute("(source)", None, &m.config);
         let text = record_to_json(&key, &m, &Timing::default());
         let (_, m2, _) = record_from_json(&text).expect("decodes");
         assert_eq!(m2.config, m.config);
@@ -637,7 +612,7 @@ mod tests {
     fn stale_version_and_bad_checksum_are_rejected() {
         let m = sample_measurement();
         let t = Timing::default();
-        let key = StoreKey::compute("(source)", &m.config);
+        let key = StoreKey::compute("(source)", None, &m.config);
         let good = record_to_json(&key, &m, &t);
 
         let stale = good.replacen(

@@ -1,7 +1,7 @@
 //! Pins the store's content addresses and canonical encodings byte for byte.
 //!
-//! The store's cache identity is `StoreKey::compute(source, config)` over the
-//! canonical config JSON, and a record's payload embeds `stats_to_json` /
+//! The store's cache identity is `StoreKey::compute(source, heap, config)`
+//! over the canonical config JSON, and a record's payload embeds `stats_to_json` /
 //! `config_to_json` verbatim. Any accidental change to those encodings
 //! silently orphans every record on disk (the daemon would re-simulate the
 //! world on restart) — so this test pins, against checked-in expected files:
@@ -85,11 +85,29 @@ fn content_addresses_are_pinned() {
     let mut lines = String::new();
     for b in programs::all() {
         for (label, config) in grid() {
-            let key = StoreKey::compute(b.source, &config);
+            let key = StoreKey::compute(b.source, Some(b.heap_semi_bytes), &config);
             lines.push_str(&format!("{}:{label} {key}\n", b.name));
         }
     }
     assert_pinned("pinned_addresses.txt", &lines);
+}
+
+/// No two distinct `(program, config)` points of the pinned grid share an
+/// address — in particular `dedgc`, which runs `deduce`'s source under a
+/// smaller heap, is addressed apart from `deduce`.
+#[test]
+fn distinct_points_have_distinct_addresses() {
+    let mut seen = std::collections::HashMap::new();
+    for b in programs::all() {
+        for (label, config) in grid() {
+            let key = StoreKey::compute(b.source, Some(b.heap_semi_bytes), &config);
+            let point = format!("{}:{label}", b.name);
+            if let Some(other) = seen.insert(key.clone(), point.clone()) {
+                panic!("{point} and {other} share the address {key}");
+            }
+        }
+    }
+    assert_eq!(seen.len(), programs::all().len() * grid().len());
 }
 
 /// The canonical config encoding the addresses (and payloads) are built from.

@@ -96,6 +96,7 @@ fn put_get_round_trip_and_warm_load() {
     // Distinct configs are distinct addresses.
     let other = StoreKey::compute(
         programs::by_name("frl").unwrap().source,
+        None,
         &Config::baseline(CheckingMode::None),
     );
     assert_ne!(other, key);
@@ -213,10 +214,10 @@ fn concurrent_writers_on_one_cache_dir() {
     assert!(leftovers.is_empty(), "{leftovers:?}");
 }
 
-/// Store I/O spans are recorded only on threads inside a `trace_scope`, carry
-/// the request's trace id, and label reads with hit/miss.
+/// Store I/O spans are recorded only on a thread inside an entered trace
+/// context, carry its trace id, and label reads with hit/miss.
 #[test]
-fn trace_scope_records_store_spans_per_thread() {
+fn entered_context_records_store_spans() {
     use tagstudy::trace::{TraceContext, Tracer};
 
     let scratch = Scratch::new("trace");
@@ -224,25 +225,25 @@ fn trace_scope_records_store_spans_per_thread() {
     let cfg = Config::baseline(CheckingMode::None);
     let m = measurement("frl", cfg, 1234);
 
-    // No tracer, no scope: everything works, nothing recorded anywhere.
+    // No context: everything works, nothing recorded anywhere.
     let key = store.put(&m, &timing(1)).unwrap();
     assert!(store.get(&key).is_some());
 
     let tracer = Tracer::new(8, Duration::from_secs(3600));
-    store.set_tracer(tracer.clone());
-
-    // Tracer attached but no scope on this thread: still nothing recorded.
-    assert!(store.get(&key).is_some());
     let ctx = TraceContext::fresh();
     {
-        let _scope = store.trace_scope(ctx);
+        let _entered = tracer.enter(ctx);
+        // Another thread's I/O stays outside this thread's context.
+        std::thread::scope(|scope| {
+            scope.spawn(|| assert!(store.get(&key).is_some()));
+        });
         store.put(&m, &timing(1)).unwrap();
         assert!(store.get(&key).is_some());
         assert!(store
-            .get(&StoreKey::compute("(no such src)", &cfg))
+            .get(&StoreKey::compute("(no such src)", None, &cfg))
             .is_none());
     }
-    // Scope dropped: subsequent I/O is unrecorded again.
+    // Context left: subsequent I/O is unrecorded again.
     assert!(store.get(&key).is_some());
 
     tracer

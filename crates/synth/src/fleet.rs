@@ -31,7 +31,6 @@ use lisp::ast::Unit;
 use lisp::eval::{EvalError, EvalOutcome};
 use mipsx::{Backend, Executor as _, Fault, RefCpu, Stats, ALL_BACKENDS};
 use store::fuzz::{CoverageLedger, FuzzStore, Witness};
-use tagstudy::trace::{SpanId, SpanRecord, TraceContext, Tracer};
 use tagstudy::Config;
 
 /// Seed offset between adjacent coverage cells, so each cell draws from its
@@ -193,9 +192,6 @@ pub trait Runner {
 pub struct LocalRunner {
     /// Fault injected into every execution, if any.
     pub fault: Option<Fault>,
-    /// When set, every executed column records a `fleet.column` span under
-    /// this context — the in-process mirror of the daemon's fuzz spans.
-    pub trace: Option<(Tracer, TraceContext)>,
 }
 
 impl Runner for LocalRunner {
@@ -204,27 +200,9 @@ impl Runner for LocalRunner {
         columns
             .iter()
             .map(|column| {
-                let started = std::time::Instant::now();
-                let outcome = unit
-                    .as_ref()
+                unit.as_ref()
                     .map_err(Clone::clone)
-                    .and_then(|unit| run_local_column(unit, column, self.fault));
-                if let Some((tracer, ctx)) = &self.trace {
-                    tracer.record(SpanRecord {
-                        trace: ctx.trace,
-                        id: SpanId::generate(),
-                        parent: Some(ctx.parent),
-                        name: "fleet.column".to_string(),
-                        component: "fleet".to_string(),
-                        start_us: tracer.at_us(started),
-                        dur_us: started.elapsed().as_micros() as u64,
-                        labels: vec![
-                            ("column".to_string(), column.label()),
-                            ("ok".to_string(), outcome.is_ok().to_string()),
-                        ],
-                    });
-                }
-                outcome
+                    .and_then(|unit| run_local_column(unit, column, self.fault))
             })
             .collect()
     }

@@ -169,10 +169,7 @@ fn fault_campaign_archives_a_small_replayable_witness() {
     let report = run_campaign(
         &spec,
         &store,
-        &mut LocalRunner {
-            fault: Some(fault),
-            trace: None,
-        },
+        &mut LocalRunner { fault: Some(fault) },
         false,
         &mut |_| {},
     )

@@ -73,7 +73,7 @@ pub mod trace;
 pub use config::{Config, ConfigFields};
 pub use lisp::CheckingMode;
 pub use measure::{run_benchmark, run_program, InlineProgram, Measurement, StudyError, Timing};
-pub use metrics::{Event, Histogram, Json, MetricsRegistry};
+pub use metrics::{json_field, json_string, Event, Histogram, Json, MetricsRegistry};
 pub use mipsx::Backend;
 pub use session::{Progress, Session, SessionStats};
 pub use trace::{SpanId, SpanRecord, TraceContext, TraceId, TraceRecord, Tracer};

@@ -215,7 +215,9 @@ fn simulate(
 }
 
 /// Compile and run program `name` under `config`, validating its output,
-/// and report where the host's wall time went. `compile` builds the program
+/// and report where the host's wall time went. Inside a trace context the
+/// same instants are recorded as `compile` and `simulate` spans (see
+/// [`crate::trace::record`]). `compile` builds the program
 /// from the config's compiler options (a [`Benchmark`] or an
 /// [`InlineProgram`]); `expected_output` is the exact output to assert, or
 /// `None` to validate only the exit code ([`lisp::exit_code::OK`], which is
@@ -236,7 +238,6 @@ pub fn run_timed(
         program: name.to_string(),
         message: e.to_string(),
     })?;
-    let compile_time = compile_start.elapsed();
     let sim_start = Instant::now();
     let outcome = simulate(&compiled, config).map_err(|e| StudyError::Sim {
         program: name.to_string(),
@@ -250,10 +251,14 @@ pub fn run_timed(
             got: format!("halt={} {:?}", outcome.halt_code, outcome.output),
         });
     }
+    let end = Instant::now();
     let timing = Timing {
-        compile: compile_time,
-        simulate: sim_start.elapsed(),
+        compile: sim_start - compile_start,
+        simulate: end - sim_start,
     };
+    let labels = [("program", name), ("config", &config.to_string())];
+    crate::trace::record("compile", "session", compile_start, sim_start, &labels);
+    crate::trace::record("simulate", "session", sim_start, end, &labels);
     Ok((
         Measurement {
             program: name.to_string(),

@@ -265,21 +265,21 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{v}", json_str(k));
+            let _ = write!(out, "{}:{v}", json_string(k));
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", json_str(k), json_f64(*v));
+            let _ = write!(out, "{}:{}", json_string(k), json_f64(*v));
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{{\"buckets\":[", json_str(k));
+            let _ = write!(out, "{}:{{\"buckets\":[", json_string(k));
             for (j, b) in h.buckets.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
@@ -308,13 +308,13 @@ impl MetricsRegistry {
                 out,
                 "{{\"seq\":{},\"name\":{},\"labels\":{{",
                 e.seq,
-                json_str(&e.name)
+                json_string(&e.name)
             );
             for (j, (k, v)) in e.labels.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{}:{}", json_str(k), json_str(v));
+                let _ = write!(out, "{}:{}", json_string(k), json_string(v));
             }
             out.push_str("}}");
         }
@@ -333,20 +333,20 @@ impl MetricsRegistry {
         let root = Json::parse(text)?;
         let obj = root.as_object("top level")?;
         let mut r = MetricsRegistry::new();
-        for (k, v) in get(obj, "counters")?.as_object("counters")? {
+        for (k, v) in json_field(obj, "counters")?.as_object("counters")? {
             r.counters.insert(k.clone(), v.as_u64(k)?);
         }
-        for (k, v) in get(obj, "gauges")?.as_object("gauges")? {
+        for (k, v) in json_field(obj, "gauges")?.as_object("gauges")? {
             r.gauges.insert(k.clone(), v.as_f64(k)?);
         }
-        for (k, v) in get(obj, "histograms")?.as_object("histograms")? {
+        for (k, v) in json_field(obj, "histograms")?.as_object("histograms")? {
             let h = v.as_object(k)?;
-            let buckets = get(h, "buckets")?
+            let buckets = json_field(h, "buckets")?
                 .as_array("buckets")?
                 .iter()
                 .map(|b| b.as_f64("bucket bound"))
                 .collect::<Result<Vec<f64>, String>>()?;
-            let counts = get(h, "counts")?
+            let counts = json_field(h, "counts")?
                 .as_array("counts")?
                 .iter()
                 .map(|c| c.as_u64("bucket count"))
@@ -363,13 +363,13 @@ impl MetricsRegistry {
                 Histogram {
                     buckets,
                     counts,
-                    sum: get(h, "sum")?.as_f64("sum")?,
-                    count: get(h, "count")?.as_u64("count")?,
+                    sum: json_field(h, "sum")?.as_f64("sum")?,
+                    count: json_field(h, "count")?.as_u64("count")?,
                 },
             );
         }
-        r.events_dropped = get(obj, "events_dropped")?.as_u64("events_dropped")?;
-        let events = get(obj, "events")?.as_array("events")?;
+        r.events_dropped = json_field(obj, "events_dropped")?.as_u64("events_dropped")?;
+        let events = json_field(obj, "events")?.as_array("events")?;
         if events.len() > EVENT_LOG_CAPACITY {
             return Err(format!(
                 "{} events exceed the log's capacity of {EVENT_LOG_CAPACITY}",
@@ -378,14 +378,14 @@ impl MetricsRegistry {
         }
         for (i, e) in events.iter().enumerate() {
             let eo = e.as_object("event")?;
-            let seq = get(eo, "seq")?.as_u64("seq")?;
+            let seq = json_field(eo, "seq")?.as_u64("seq")?;
             if seq != r.events_dropped + i as u64 {
                 return Err(format!("event {i}: out-of-order seq {seq}"));
             }
             r.events.push_back(Event {
                 seq,
-                name: get(eo, "name")?.as_str("name")?.to_string(),
-                labels: get(eo, "labels")?
+                name: json_field(eo, "name")?.as_str("name")?.to_string(),
+                labels: json_field(eo, "labels")?
                     .as_object("labels")?
                     .iter()
                     .map(|(k, v)| Ok((k.clone(), v.as_str(k)?.to_string())))
@@ -487,7 +487,10 @@ fn json_f64(v: f64) -> String {
     format!("{v:?}")
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+/// Encode `s` as a JSON string literal: quotes, backslashes and every control
+/// character escaped. The one string encoder of the workspace's hand-rolled
+/// JSON writers.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -507,7 +510,13 @@ pub(crate) fn json_str(s: &str) -> String {
     out
 }
 
-fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
+/// The value of `key` among a parsed [`Json`] object's fields (see
+/// [`Json::as_object`]).
+///
+/// # Errors
+///
+/// `missing key "…"` when the object has no such field.
+pub fn json_field<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
     obj.iter()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v)
@@ -957,13 +966,13 @@ mod tests {
     fn parser_handles_escapes_and_nesting() {
         let v = Json::parse(r#"{"a":[1,-2.5,1e3,true,false,null],"b":"x\u0041\n"}"#).unwrap();
         let obj = v.as_object("top").unwrap();
-        let arr = get(obj, "a").unwrap().as_array("a").unwrap();
+        let arr = json_field(obj, "a").unwrap().as_array("a").unwrap();
         assert_eq!(arr[0].as_u64("n").unwrap(), 1);
         assert_eq!(arr[1].as_f64("n").unwrap(), -2.5);
         assert_eq!(arr[2].as_f64("n").unwrap(), 1000.0);
         assert_eq!(arr[3], Json::Bool(true));
         assert_eq!(arr[5], Json::Null);
-        assert_eq!(get(obj, "b").unwrap().as_str("b").unwrap(), "xA\n");
+        assert_eq!(json_field(obj, "b").unwrap().as_str("b").unwrap(), "xA\n");
     }
 
     #[test]

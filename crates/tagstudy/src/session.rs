@@ -52,7 +52,7 @@ use crate::measure::{run_timed, InlineProgram, Measurement, StudyError, Timing};
 use crate::metrics::{
     names, MetricsRegistry, DURATION_BUCKETS, MCYCLES_PER_SECOND_BUCKETS, OCCUPANCY_BUCKETS,
 };
-use crate::trace::{SpanId, SpanRecord, TraceContext, Tracer};
+use crate::trace;
 
 /// A resolved program name: either one of the ten compiled-in paper
 /// benchmarks, or an [`InlineProgram`] registered on this session.
@@ -232,10 +232,6 @@ pub struct Session {
     metrics: Mutex<MetricsRegistry>,
     /// Measurements currently on a worker (pool-occupancy observations).
     inflight: AtomicUsize,
-    /// Optional flight recorder (see [`crate::trace`]). When attached *and* a
-    /// call passes a trace context, lifecycle events additionally synthesize
-    /// spans; otherwise the tracing path is a single `Option` check.
-    tracer: Option<Tracer>,
 }
 
 impl Default for Session {
@@ -268,7 +264,6 @@ impl Session {
             stats: Mutex::new(SessionStats::default()),
             metrics: Mutex::new(MetricsRegistry::new()),
             inflight: AtomicUsize::new(0),
-            tracer: None,
         }
     }
 
@@ -301,16 +296,6 @@ impl Session {
         f: impl Fn(&Measurement, &Timing) + Send + Sync + 'static,
     ) -> Session {
         self.writeback = Some(Arc::new(f));
-        self
-    }
-
-    /// Attach a flight recorder. Spans are only synthesized for calls that
-    /// pass a trace context (see [`Session::measure_many_traced`]), and never
-    /// alter a measurement: they wrap the same wall-clock split [`Timing`]
-    /// already records, so `Stats` and outputs stay byte-identical
-    /// (test-asserted).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Session {
-        self.tracer = Some(tracer);
         self
     }
 
@@ -458,6 +443,11 @@ impl Session {
     /// another batch is measuring right now is not measured again: this
     /// batch waits for that result (see the [module docs](self)).
     ///
+    /// Inside a trace context (see [`crate::trace`]) every hit records a
+    /// `cache.read` span (`store.read` when the point was seeded from a
+    /// store), and every measurement a `measure` span with `compile` and
+    /// `simulate` children, on whichever worker ran it.
+    ///
     /// # Errors
     ///
     /// If any measurement fails, *all* failures of the batch are collected and
@@ -467,33 +457,11 @@ impl Session {
         &self,
         requests: &[(&str, Config)],
     ) -> Result<Vec<Measurement>, StudyError> {
-        self.measure_batch(requests, None)
-    }
-
-    /// [`Session::measure_many`], with every cache-read / measure / compile /
-    /// simulate span of the batch parented under `ctx` when a tracer is
-    /// attached (see [`Session::with_tracer`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::measure_many`].
-    pub fn measure_many_traced(
-        &self,
-        requests: &[(&str, Config)],
-        ctx: TraceContext,
-    ) -> Result<Vec<Measurement>, StudyError> {
-        self.measure_batch(requests, Some(ctx))
-    }
-
-    fn measure_batch(
-        &self,
-        requests: &[(&str, Config)],
-        ctx: Option<TraceContext>,
-    ) -> Result<Vec<Measurement>, StudyError> {
         /// Where one distinct point of the batch gets its answer.
         #[allow(clippy::large_enum_variant)]
         enum Point {
-            Ready(Measurement),
+            /// Cached; `true` when seeded from a persistent store.
+            Ready(Measurement, bool),
             /// Index into `claims`: this batch measures it.
             Claimed(usize),
             /// Another batch is measuring it.
@@ -503,7 +471,8 @@ impl Session {
         let mut points: Vec<Point> = Vec::new();
         let mut claims: Vec<Claim<'_>> = Vec::new();
         let mut order: Vec<usize> = Vec::with_capacity(requests.len());
-        let mut hits: Vec<Key> = Vec::new();
+        // Each hit with whether its point was seeded from a store.
+        let mut hits: Vec<(Key, bool)> = Vec::new();
         {
             // The map lock covers lookups and claims only — never the work.
             let mut cells = lock(&self.cells);
@@ -514,16 +483,20 @@ impl Session {
                     // the first and counts as a hit (and is reported as one,
                     // so every request produces exactly one event).
                     order.push(i);
-                    hits.push(key);
+                    hits.push((key, matches!(points[i], Point::Ready(_, true))));
                     continue;
                 }
                 let point = match cells.get(&key) {
-                    Some(Cell::Ready { measurement, .. }) => {
-                        hits.push(key.clone());
-                        Point::Ready(measurement.clone())
+                    Some(Cell::Ready {
+                        measurement,
+                        seeded,
+                        ..
+                    }) => {
+                        hits.push((key.clone(), *seeded));
+                        Point::Ready(measurement.clone(), *seeded)
                     }
                     Some(Cell::InFlight(flight)) => {
-                        hits.push(key.clone());
+                        hits.push((key.clone(), false));
                         Point::Waiting(Arc::clone(flight))
                     }
                     None => {
@@ -543,9 +516,17 @@ impl Session {
                 points.push(point);
             }
         }
-        for (program, config) in hits {
+        for ((program, config), seeded) in hits {
             lock(&self.stats).hits += 1;
-            self.emit(&Progress::Hit { program, config }, ctx);
+            let now = std::time::Instant::now();
+            trace::record(
+                if seeded { "store.read" } else { "cache.read" },
+                "session",
+                now,
+                now,
+                &[("program", &program), ("config", &config.to_string())],
+            );
+            self.emit(&Progress::Hit { program, config });
         }
 
         // Publish every claimed point before waiting on anyone else's: two
@@ -554,7 +535,7 @@ impl Session {
         let jobs: Vec<Key> = claims.iter().map(|c| c.key.clone()).collect();
         let measured: Vec<Result<Measurement, StudyError>> = claims
             .iter_mut()
-            .zip(self.run_pool(&jobs, ctx))
+            .zip(self.run_pool(&jobs))
             .map(|(claim, result)| self.settle(claim, result))
             .collect();
 
@@ -563,7 +544,7 @@ impl Session {
             .into_iter()
             .map(|point| {
                 let result = match point {
-                    Point::Ready(measurement) => Ok(measurement),
+                    Point::Ready(measurement, _) => Ok(measurement),
                     Point::Claimed(i) => measured[i].clone(),
                     Point::Waiting(flight) => flight.wait().clone(),
                 };
@@ -768,13 +749,10 @@ impl Session {
         config: Config,
         fuel: u64,
     ) -> Result<(Measurement, mipsx::Profiler, Option<Vec<mipsx::FuncStalls>>), StudyError> {
-        self.emit(
-            &Progress::Started {
-                program: program.to_string(),
-                config,
-            },
-            None,
-        );
+        self.emit(&Progress::Started {
+            program: program.to_string(),
+            config,
+        });
         let t0 = std::time::Instant::now();
         let compiled = self.compile_program(program, config)?;
         let compile = t0.elapsed();
@@ -801,18 +779,15 @@ impl Session {
             let stalls = model.by_function(&compiled.program.symtab);
             (measurement, profiler, Some(stalls))
         };
-        self.emit(
-            &Progress::Finished {
-                program: program.to_string(),
-                config,
-                timing: Timing {
-                    compile,
-                    simulate: t1.elapsed(),
-                },
-                cycles: measurement.stats.cycles,
+        self.emit(&Progress::Finished {
+            program: program.to_string(),
+            config,
+            timing: Timing {
+                compile,
+                simulate: t1.elapsed(),
             },
-            None,
-        );
+            cycles: measurement.stats.cycles,
+        });
         Ok((measurement, profiler, stalls))
     }
 
@@ -859,136 +834,40 @@ impl Session {
         lock(&self.metrics)
     }
 
+    /// Run `f` on the live registry under its lock, with the point-in-time
+    /// gauges (configured workers, cache size) brought up to date first.
+    fn with_metrics<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> R {
+        // Count the cache before taking the metrics lock: no path holds both.
+        let cached = self.cached_measurements() as f64;
+        let mut m = self.lock_metrics();
+        m.set_gauge(names::WORKERS_CONFIGURED, self.parallelism.get() as f64);
+        m.set_gauge(names::CACHED_MEASUREMENTS, cached);
+        f(&m)
+    }
+
     /// A snapshot of the session's metrics registry: every counter, histogram
     /// and event recorded so far, plus point-in-time gauges (configured
     /// workers, peak occupancy, cache size).
     pub fn metrics(&self) -> MetricsRegistry {
-        let mut m = self.lock_metrics().clone();
-        m.set_gauge(names::WORKERS_CONFIGURED, self.parallelism.get() as f64);
-        m.set_gauge(
-            names::CACHED_MEASUREMENTS,
-            self.cached_measurements() as f64,
-        );
-        m
+        self.with_metrics(MetricsRegistry::clone)
     }
 
     /// The metrics snapshot serialized as JSON (see
     /// [`MetricsRegistry::to_json`]).
     pub fn metrics_json(&self) -> String {
-        self.metrics().to_json()
+        self.with_metrics(MetricsRegistry::to_json)
     }
 
     /// The metrics snapshot in Prometheus text-exposition format (see
-    /// [`MetricsRegistry::to_prometheus`]).
+    /// [`MetricsRegistry::to_prometheus`]), rendered under the registry's lock
+    /// without copying it.
     pub fn metrics_prometheus(&self) -> String {
-        self.metrics().to_prometheus()
-    }
-
-    /// Synthesize trace spans for one lifecycle event, when a tracer is
-    /// attached and the call carries a trace context. A cache hit becomes a point
-    /// `store.read` (seeded from the persistent store) or `cache.read`
-    /// (measured earlier in-process) span; a finished measurement becomes a
-    /// `measure` span with `compile` and `simulate` children cut from the
-    /// same [`Timing`] split the metrics already record. Returns the spans
-    /// recorded so [`Session::emit`] can mirror them onto the event spine.
-    fn record_spans(&self, event: &Progress, ctx: Option<TraceContext>) -> Vec<SpanRecord> {
-        let (Some(tracer), Some(ctx)) = (&self.tracer, ctx) else {
-            return Vec::new();
-        };
-        let mut spans = Vec::new();
-        let mut push = |tracer: &Tracer, span: SpanRecord| {
-            tracer.record(span.clone());
-            spans.push(span);
-        };
-        match event {
-            Progress::Hit { program, config } => {
-                let seeded = matches!(
-                    lock(&self.cells).get(&(program.clone(), *config)),
-                    Some(Cell::Ready { seeded: true, .. })
-                );
-                push(
-                    tracer,
-                    SpanRecord {
-                        trace: ctx.trace,
-                        id: SpanId::generate(),
-                        parent: Some(ctx.parent),
-                        name: if seeded { "store.read" } else { "cache.read" }.to_string(),
-                        component: "session".to_string(),
-                        start_us: tracer.now_us(),
-                        dur_us: 0,
-                        labels: vec![
-                            ("program".to_string(), program.clone()),
-                            ("config".to_string(), config.to_string()),
-                        ],
-                    },
-                );
-            }
-            // Started carries no duration; the whole measurement spans at
-            // Finished, back-dated from the recorded wall-time split.
-            Progress::Started { .. } => {}
-            Progress::Finished {
-                program,
-                config,
-                timing,
-                ..
-            } => {
-                let end = tracer.now_us();
-                let compile_us = timing.compile.as_micros() as u64;
-                let simulate_us = timing.simulate.as_micros() as u64;
-                let start = end.saturating_sub(compile_us + simulate_us);
-                let measure_id = SpanId::generate();
-                let labels = vec![
-                    ("program".to_string(), program.clone()),
-                    ("config".to_string(), config.to_string()),
-                ];
-                push(
-                    tracer,
-                    SpanRecord {
-                        trace: ctx.trace,
-                        id: measure_id,
-                        parent: Some(ctx.parent),
-                        name: "measure".to_string(),
-                        component: "session".to_string(),
-                        start_us: start,
-                        dur_us: compile_us + simulate_us,
-                        labels: labels.clone(),
-                    },
-                );
-                push(
-                    tracer,
-                    SpanRecord {
-                        trace: ctx.trace,
-                        id: SpanId::generate(),
-                        parent: Some(measure_id),
-                        name: "compile".to_string(),
-                        component: "session".to_string(),
-                        start_us: start,
-                        dur_us: compile_us,
-                        labels: labels.clone(),
-                    },
-                );
-                push(
-                    tracer,
-                    SpanRecord {
-                        trace: ctx.trace,
-                        id: SpanId::generate(),
-                        parent: Some(measure_id),
-                        name: "simulate".to_string(),
-                        component: "session".to_string(),
-                        start_us: start + compile_us,
-                        dur_us: simulate_us,
-                        labels,
-                    },
-                );
-            }
-        }
-        spans
+        self.with_metrics(MetricsRegistry::to_prometheus)
     }
 
     /// The instrumentation spine: record the event in the metrics registry,
     /// then hand it to the optional [`Progress`] adapter.
-    fn emit(&self, event: &Progress, ctx: Option<TraceContext>) {
-        let spans = self.record_spans(event, ctx);
+    fn emit(&self, event: &Progress) {
         {
             let mut m = self.lock_metrics();
             match event {
@@ -1036,26 +915,6 @@ impl Session {
                     );
                 }
             }
-            // Mirror synthesized spans onto the event spine, so the machine-
-            // readable log carries the same trace/span ids as the recorder.
-            for s in &spans {
-                let program = s
-                    .labels
-                    .iter()
-                    .find(|(k, _)| k == "program")
-                    .map_or("", |(_, v)| v.as_str());
-                m.event(
-                    "span_end",
-                    &[
-                        ("program", program),
-                        ("span_name", &s.name),
-                        ("component", &s.component),
-                        ("trace", &s.trace.to_string()),
-                        ("span", &s.id.to_string()),
-                        ("dur_us", &s.dur_us.to_string()),
-                    ],
-                );
-            }
         }
         if let Some(f) = &self.progress {
             f(event);
@@ -1063,21 +922,27 @@ impl Session {
     }
 
     /// Run `jobs` on at most `self.parallelism` workers, returning results in
-    /// job order. Worker panics are converted into per-program errors.
-    fn run_pool(&self, jobs: &[Key], ctx: Option<TraceContext>) -> Vec<MeasureResult> {
+    /// job order. Worker panics are converted into per-program errors. Each
+    /// worker enters the caller's trace context, so its spans parent where
+    /// the caller's would.
+    fn run_pool(&self, jobs: &[Key]) -> Vec<MeasureResult> {
         let workers = jobs.len().min(self.parallelism.get());
         if workers <= 1 {
-            return jobs.iter().map(|job| self.run_one(job, ctx)).collect();
+            return jobs.iter().map(|job| self.run_one(job)).collect();
         }
+        let ctx = trace::current();
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<MeasureResult>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    *slots[i].lock().expect("result slot") = Some(self.run_one(job, ctx));
+                scope.spawn(|| {
+                    let _entered = ctx.as_ref().map(|(tracer, ctx)| tracer.enter(*ctx));
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(i) else { break };
+                        *slots[i].lock().expect("result slot") = Some(self.run_one(job));
+                    }
                 });
             }
         });
@@ -1091,7 +956,7 @@ impl Session {
             .collect()
     }
 
-    fn run_one(&self, (name, config): &Key, ctx: Option<TraceContext>) -> MeasureResult {
+    fn run_one(&self, (name, config): &Key) -> MeasureResult {
         let source = self.resolve(name)?;
         let depth = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         {
@@ -1099,29 +964,25 @@ impl Session {
             m.observe(names::POOL_OCCUPANCY, OCCUPANCY_BUCKETS, depth as f64);
             m.gauge_max(names::POOL_PEAK_OCCUPANCY, depth as f64);
         }
-        let result = self.run_one_inner(name, config, source, ctx);
+        let result = self.run_one_inner(name, config, source);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
         result
     }
 
-    fn run_one_inner(
-        &self,
-        name: &str,
-        config: &Config,
-        source: Source,
-        ctx: Option<TraceContext>,
-    ) -> MeasureResult {
+    fn run_one_inner(&self, name: &str, config: &Config, source: Source) -> MeasureResult {
+        // The measurement's span; `run_timed` records its compile and
+        // simulate children.
+        let _measure = trace::span("measure", "session")
+            .label("program", name)
+            .label("config", config);
         // The Started emit runs inside the panic guard too: a misbehaving
         // progress callback surfaces as this measurement's error, not as a
         // harness abort.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            self.emit(
-                &Progress::Started {
-                    program: name.to_owned(),
-                    config: *config,
-                },
-                ctx,
-            );
+            self.emit(&Progress::Started {
+                program: name.to_owned(),
+                config: *config,
+            });
             source.run_timed(name, config)
         }))
         .unwrap_or_else(|payload| {
@@ -1131,15 +992,12 @@ impl Session {
             })
         });
         if let Ok((measurement, timing)) = &result {
-            self.emit(
-                &Progress::Finished {
-                    program: name.to_owned(),
-                    config: *config,
-                    timing: *timing,
-                    cycles: measurement.stats.cycles,
-                },
-                ctx,
-            );
+            self.emit(&Progress::Finished {
+                program: name.to_owned(),
+                config: *config,
+                timing: *timing,
+                cycles: measurement.stats.cycles,
+            });
         }
         result
     }
@@ -1412,21 +1270,23 @@ mod tests {
         assert!(matches!(err, StudyError::UnknownProgram(_)), "{err}");
     }
 
-    /// With a tracer attached and a context passed, a batch synthesizes
-    /// session spans (cache.read for hits, measure/compile/simulate for
-    /// misses, store.read for seeded hits) that share the request's trace id
-    /// and ride the event spine; without a context, nothing is recorded.
+    /// Inside a trace context, a batch records session spans (cache.read for
+    /// hits, measure/compile/simulate for misses, store.read for seeded hits)
+    /// that share the context's trace id; outside one, nothing is recorded.
     #[test]
     fn traced_batch_records_session_spans() {
         use crate::trace::{TraceContext, Tracer};
         let tracer = Tracer::new(8, Duration::from_secs(3600));
-        let s = Session::serial().with_tracer(tracer.clone());
+        let s = Session::serial();
         let cfg = Config::baseline(CheckingMode::None);
         s.measure("frl", cfg).unwrap(); // no context: no spans
 
         let ctx = TraceContext::fresh();
-        s.measure_many_traced(&[("frl", cfg)], ctx).unwrap(); // hit → cache.read
-        s.measure_many_traced(&[("trav", cfg)], ctx).unwrap(); // miss → measure + compile + simulate
+        {
+            let _entered = tracer.enter(ctx);
+            s.measure("frl", cfg).unwrap(); // hit → cache.read
+            s.measure("trav", cfg).unwrap(); // miss → measure + compile + simulate
+        }
         s.measure("boyer", cfg).unwrap(); // no context: no spans
 
         tracer
@@ -1434,7 +1294,9 @@ mod tests {
             .expect("trace recorded");
         let rec = tracer.lookup(ctx.trace).unwrap();
         let names: Vec<&str> = rec.spans.iter().map(|sp| sp.name.as_str()).collect();
-        assert_eq!(names, ["cache.read", "measure", "compile", "simulate"]);
+        // Record order: the measure guard records when it closes, after the
+        // compile and simulate intervals inside it.
+        assert_eq!(names, ["cache.read", "compile", "simulate", "measure"]);
         assert!(rec.spans.iter().all(|sp| sp.trace == ctx.trace));
         let measure = rec.spans.iter().find(|sp| sp.name == "measure").unwrap();
         assert_eq!(measure.parent, Some(ctx.parent));
@@ -1442,15 +1304,12 @@ mod tests {
             let sp = rec.spans.iter().find(|sp| sp.name == leaf).unwrap();
             assert_eq!(sp.parent, Some(measure.id), "{leaf} nests under measure");
         }
-
-        // The spans were mirrored onto the event spine, program-labeled.
-        let m = s.metrics();
-        let span_events: Vec<_> = m.events().filter(|e| e.name == "span_end").collect();
-        assert_eq!(span_events.len(), 4);
-        assert!(span_events.iter().all(|e| e
-            .labels
-            .iter()
-            .any(|(k, v)| k == "program" && !v.is_empty())));
+        // Every session span carries the same program/config labels as before.
+        for sp in &rec.spans {
+            assert_eq!(sp.component, "session");
+            let keys: Vec<&str> = sp.labels.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["program", "config"], "{}", sp.name);
+        }
     }
 
     /// A hit on a seeded entry spans as `store.read` — the provenance that
@@ -1464,17 +1323,31 @@ mod tests {
         let t = Timing::default();
 
         let tracer = Tracer::new(8, Duration::from_secs(3600));
-        let warm = Session::serial().with_tracer(tracer.clone());
+        let warm = Session::serial();
         warm.seed(m, t);
         let ctx = TraceContext::fresh();
-        warm.measure_many_traced(&[("frl", cfg)], ctx).unwrap();
+        let _entered = tracer.enter(ctx);
+        warm.measure_many(&[("frl", cfg), ("frl", cfg)]).unwrap();
         tracer
             .finish(ctx.trace, ctx.parent)
             .expect("trace recorded");
         let rec = tracer.lookup(ctx.trace).unwrap();
-        assert_eq!(rec.spans.len(), 1);
-        assert_eq!(rec.spans[0].name, "store.read");
+        let names: Vec<&str> = rec.spans.iter().map(|sp| sp.name.as_str()).collect();
+        assert_eq!(names, ["store.read", "store.read"], "a duplicate too");
         assert!(!rec.spans.iter().any(|sp| sp.name == "simulate"));
+    }
+
+    /// The text and JSON renderings, made under the lock, match rendering a
+    /// snapshot — gauges included.
+    #[test]
+    fn renderings_match_the_snapshot() {
+        let s = Session::serial();
+        s.measure("frl", Config::baseline(CheckingMode::None))
+            .unwrap();
+        let snapshot = s.metrics();
+        assert_eq!(snapshot.gauge(names::CACHED_MEASUREMENTS), Some(1.0));
+        assert_eq!(s.metrics_prometheus(), snapshot.to_prometheus());
+        assert_eq!(s.metrics_json(), snapshot.to_json());
     }
 
     #[test]

@@ -3,35 +3,54 @@
 //!
 //! One experiment request produces one *trace* — a tree of timed *spans*
 //! rooted at the daemon's request span, with children for queue wait, session
-//! batch execution, per-measurement compile/simulate (reusing the wall-time
-//! split [`crate::Timing`] already records), and store read/write I/O. The
-//! client (`tagctl`) mints the [`TraceId`] and carries it to the daemon in a
-//! `traceparent` header; every layer below attaches its spans to the same id,
-//! so the whole request is reconstructable from a single lookup.
+//! batch execution, per-measurement compile/simulate, and store read/write
+//! I/O. The client (`tagctl`) mints the [`TraceId`] and carries it to the
+//! daemon in a `traceparent` header; every layer below attaches its spans to
+//! the same id, so the whole request is reconstructable from a single lookup.
+//!
+//! ## How spans are recorded
+//!
+//! A trace context is per thread. [`Tracer::enter`] makes a recorder and a
+//! [`TraceContext`] current until its guard drops (the daemon enters each
+//! request once, through its root span, [`Tracer::root`]). Below that, no
+//! layer takes a tracer or a context as an argument:
+//!
+//! - [`span`] opens a guard that is the thread's parent while it lives and
+//!   records itself when dropped (`session.batch`, `measure`, `fuzz.column`);
+//! - [`record`] records an interval whose bounds were taken before a guard
+//!   could open (`queue_wait`, the `compile`/`simulate` children cut from
+//!   the same instants as [`crate::Timing`], the store's I/O, cache hits);
+//! - [`crate::Session`]'s worker pool enters the caller's context on each of
+//!   its threads.
+//!
+//! Outside a context both are inert, so untraced callers (the offline
+//! binaries, most tests) pay one thread-local check per span.
 //!
 //! The [`Tracer`] is the flight recorder: a ring buffer of the last N
 //! completed traces plus a separate slow-request log (root span duration over
 //! a configurable threshold). Everything is bounded — a daemon under
 //! production traffic records forever in constant memory. Like every observer
-//! in this codebase (the retirement trace of PR 2, the profiler of PR 3), the
-//! recorder is provably zero-cost on *measurements*: spans time wall-clock
-//! I/O and scheduling around the simulator, never the simulation itself, and
-//! the zero-overhead proof test asserts byte-identical reports and `Stats`
-//! with the recorder attached vs detached.
+//! in this codebase (the retirement trace, the profiler), the recorder is
+//! provably zero-cost on *measurements*: spans time wall-clock I/O and
+//! scheduling around the simulator, never the simulation itself, and the
+//! zero-overhead proof test asserts byte-identical reports and `Stats` with
+//! the recorder attached vs detached.
 //!
 //! Export formats: a hand-rolled JSON document (parsed back by `tagctl
 //! trace` via [`RecorderSnapshot::from_json`]), the Chrome `chrome://tracing`
 //! trace-event format ([`chrome_trace_json`]), and a plain-text span tree
 //! ([`TraceRecord::render_tree`]).
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::metrics::Json;
+use crate::metrics::{json_field, json_string, Json};
 
 /// The HTTP header that carries a [`TraceContext`] between processes
 /// (`00-<32 hex trace>-<16 hex span>-01`, the W3C Trace Context shape).
@@ -326,14 +345,9 @@ impl Tracer {
         }
     }
 
-    /// Microseconds elapsed since this tracer was created.
-    pub fn now_us(&self) -> u64 {
-        self.at_us(Instant::now())
-    }
-
     /// `at` as microseconds since the tracer epoch (0 for instants before
     /// the epoch — e.g. a connection accepted while the tracer was built).
-    pub fn at_us(&self, at: Instant) -> u64 {
+    fn at_us(&self, at: Instant) -> u64 {
         at.checked_duration_since(self.inner.epoch)
             .map_or(0, |d| d.as_micros() as u64)
     }
@@ -351,8 +365,9 @@ impl Tracer {
     /// span for a brand-new trace is dropped when [`MAX_ACTIVE_TRACES`]
     /// traces are already in flight, and a trace stops accumulating at
     /// [`MAX_SPANS_PER_TRACE`] spans — both counted in
-    /// [`RecorderStats::dropped_spans`].
-    pub fn record(&self, span: SpanRecord) {
+    /// [`RecorderStats::dropped_spans`]. Spans reach it through [`span`]
+    /// and [`record`].
+    fn record(&self, span: SpanRecord) {
         let mut s = self.lock();
         if !s.active.contains_key(&span.trace.0) && s.active.len() >= MAX_ACTIVE_TRACES {
             s.stats.dropped_spans += 1;
@@ -452,6 +467,192 @@ fn seal(trace: TraceId, root: SpanId, spans: Vec<SpanRecord>) -> TraceRecord {
 }
 
 // ---------------------------------------------------------------------------
+// The thread's trace context and span guards
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// The recorder and context new spans on this thread attach to, if any.
+    static CURRENT: RefCell<Option<(Tracer, TraceContext)>> = const { RefCell::new(None) };
+}
+
+fn swap_current(next: Option<(Tracer, TraceContext)>) -> Option<(Tracer, TraceContext)> {
+    CURRENT.with(|c| c.replace(next))
+}
+
+/// The current thread's recorder and context, to carry into another thread
+/// (enter it there with [`Tracer::enter`]). `None` outside any context.
+pub(crate) fn current() -> Option<(Tracer, TraceContext)> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Guard returned by [`Tracer::enter`]: restores the thread's previous
+/// context when dropped. Tied to the thread it was made on.
+#[must_use = "the context is current only while this guard lives"]
+pub struct Entered {
+    prev: Option<(Tracer, TraceContext)>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl Drop for Entered {
+    fn drop(&mut self) {
+        swap_current(self.prev.take());
+    }
+}
+
+impl Tracer {
+    /// Make `(self, ctx)` the current thread's trace context until the guard
+    /// drops: [`span`] and [`record`] on this thread then record into this
+    /// recorder, under `ctx.parent`. Entering nests; dropping the guard
+    /// restores whatever was current before.
+    pub fn enter(&self, ctx: TraceContext) -> Entered {
+        Entered {
+            prev: swap_current(Some((self.clone(), ctx))),
+            _thread: PhantomData,
+        }
+    }
+
+    /// Open a request's root span in `trace`: it began at `start`, parents
+    /// under the caller's span `parent` (none for a trace started here), and
+    /// is the thread's context while it lives — every [`span`] and [`record`]
+    /// on this thread hangs under it.
+    pub fn root(
+        &self,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        name: &str,
+        component: &str,
+        start: Instant,
+    ) -> Span {
+        Span::open(self.clone(), trace, parent, name, component, start)
+    }
+}
+
+/// A span guard (see [`span`] and [`Tracer::root`]). While it lives it is the
+/// thread's parent for new spans; when dropped it records itself, ending
+/// then, and restores the previous context. Outside a context it is inert.
+#[must_use = "a span ends when its guard drops"]
+pub struct Span {
+    open: Option<OpenSpan>,
+    _thread: PhantomData<*const ()>,
+}
+
+struct OpenSpan {
+    tracer: Tracer,
+    record: SpanRecord,
+    start: Instant,
+    prev: Option<(Tracer, TraceContext)>,
+}
+
+impl Span {
+    fn open(
+        tracer: Tracer,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        name: &str,
+        component: &str,
+        start: Instant,
+    ) -> Span {
+        let id = SpanId::generate();
+        let record = SpanRecord {
+            trace,
+            id,
+            parent,
+            name: name.to_string(),
+            component: component.to_string(),
+            start_us: tracer.at_us(start),
+            dur_us: 0,
+            labels: Vec::new(),
+        };
+        let prev = swap_current(Some((tracer.clone(), TraceContext::new(trace, id))));
+        Span {
+            open: Some(OpenSpan {
+                tracer,
+                record,
+                start,
+                prev,
+            }),
+            _thread: PhantomData,
+        }
+    }
+
+    /// Add the label `key=value` (nothing, not even formatting `value`,
+    /// outside a context).
+    pub fn label(mut self, key: &str, value: impl fmt::Display) -> Span {
+        if let Some(open) = &mut self.open {
+            open.record
+                .labels
+                .push((key.to_string(), value.to_string()));
+        }
+        self
+    }
+
+    /// This span's id; `None` outside a context.
+    pub fn id(&self) -> Option<SpanId> {
+        self.open.as_ref().map(|open| open.record.id)
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if let Some(OpenSpan {
+            tracer,
+            mut record,
+            start,
+            prev,
+        }) = self.open.take()
+        {
+            swap_current(prev);
+            record.dur_us = start.elapsed().as_micros() as u64;
+            tracer.record(record);
+        }
+    }
+}
+
+/// Open a span named `name` under the current thread's context, starting
+/// now. Outside a context this does nothing.
+pub fn span(name: &str, component: &str) -> Span {
+    match current() {
+        Some((tracer, ctx)) => Span::open(
+            tracer,
+            ctx.trace,
+            Some(ctx.parent),
+            name,
+            component,
+            Instant::now(),
+        ),
+        None => Span {
+            open: None,
+            _thread: PhantomData,
+        },
+    }
+}
+
+/// Record a finished interval `start..end` under the current thread's
+/// context: for work that began before a guard could open, or whose bounds
+/// were already taken by other bookkeeping. Outside a context this does
+/// nothing.
+pub fn record(name: &str, component: &str, start: Instant, end: Instant, labels: &[(&str, &str)]) {
+    CURRENT.with(|c| {
+        let Some((tracer, ctx)) = &*c.borrow() else {
+            return;
+        };
+        tracer.record(SpanRecord {
+            trace: ctx.trace,
+            id: SpanId::generate(),
+            parent: Some(ctx.parent),
+            name: name.to_string(),
+            component: component.to_string(),
+            start_us: tracer.at_us(start),
+            dur_us: end.saturating_duration_since(start).as_micros() as u64,
+            labels: labels
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
+                .collect(),
+        });
+    });
+}
+
+// ---------------------------------------------------------------------------
 // JSON export / import
 // ---------------------------------------------------------------------------
 
@@ -464,8 +665,8 @@ fn span_to_json(out: &mut String, s: &SpanRecord) {
         s.id,
         s.parent
             .map_or_else(|| "null".to_string(), |p| format!("\"{p}\"")),
-        crate::metrics::json_str(&s.name),
-        crate::metrics::json_str(&s.component),
+        json_string(&s.name),
+        json_string(&s.component),
         s.start_us,
         s.dur_us,
     );
@@ -473,12 +674,7 @@ fn span_to_json(out: &mut String, s: &SpanRecord) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{}:{}",
-            crate::metrics::json_str(k),
-            crate::metrics::json_str(v)
-        );
+        let _ = write!(out, "{}:{}", json_string(k), json_string(v));
     }
     out.push_str("}}");
 }
@@ -491,7 +687,7 @@ impl TraceRecord {
             out,
             "{{\"trace\":\"{}\",\"root\":{},\"start_us\":{},\"dur_us\":{},\"spans\":[",
             self.trace,
-            crate::metrics::json_str(&self.root),
+            json_string(&self.root),
             self.start_us,
             self.dur_us,
         );
@@ -513,26 +709,29 @@ impl TraceRecord {
     pub fn from_json(v: &Json) -> Result<TraceRecord, String> {
         let obj = v.as_object("trace record")?;
         let trace =
-            TraceId::from_hex(json_get(obj, "trace")?.as_str("trace")?).ok_or("bad trace id")?;
+            TraceId::from_hex(json_field(obj, "trace")?.as_str("trace")?).ok_or("bad trace id")?;
         let mut spans = Vec::new();
-        for s in json_get(obj, "spans")?.as_array("spans")? {
+        for s in json_field(obj, "spans")?.as_array("spans")? {
             let so = s.as_object("span")?;
-            let parent = match json_get(so, "parent")? {
+            let parent = match json_field(so, "parent")? {
                 Json::Null => None,
                 other => {
                     Some(SpanId::from_hex(other.as_str("parent")?).ok_or("bad parent span id")?)
                 }
             };
             spans.push(SpanRecord {
-                trace: TraceId::from_hex(json_get(so, "trace")?.as_str("trace")?)
+                trace: TraceId::from_hex(json_field(so, "trace")?.as_str("trace")?)
                     .ok_or("bad span trace id")?,
-                id: SpanId::from_hex(json_get(so, "span")?.as_str("span")?).ok_or("bad span id")?,
+                id: SpanId::from_hex(json_field(so, "span")?.as_str("span")?)
+                    .ok_or("bad span id")?,
                 parent,
-                name: json_get(so, "name")?.as_str("name")?.to_string(),
-                component: json_get(so, "component")?.as_str("component")?.to_string(),
-                start_us: json_get(so, "start_us")?.as_u64("start_us")?,
-                dur_us: json_get(so, "dur_us")?.as_u64("dur_us")?,
-                labels: json_get(so, "labels")?
+                name: json_field(so, "name")?.as_str("name")?.to_string(),
+                component: json_field(so, "component")?
+                    .as_str("component")?
+                    .to_string(),
+                start_us: json_field(so, "start_us")?.as_u64("start_us")?,
+                dur_us: json_field(so, "dur_us")?.as_u64("dur_us")?,
+                labels: json_field(so, "labels")?
                     .as_object("labels")?
                     .iter()
                     .map(|(k, v)| Ok((k.clone(), v.as_str(k)?.to_string())))
@@ -541,9 +740,9 @@ impl TraceRecord {
         }
         Ok(TraceRecord {
             trace,
-            root: json_get(obj, "root")?.as_str("root")?.to_string(),
-            start_us: json_get(obj, "start_us")?.as_u64("start_us")?,
-            dur_us: json_get(obj, "dur_us")?.as_u64("dur_us")?,
+            root: json_field(obj, "root")?.as_str("root")?.to_string(),
+            start_us: json_field(obj, "start_us")?.as_u64("start_us")?,
+            dur_us: json_field(obj, "dur_us")?.as_u64("dur_us")?,
             spans,
         })
     }
@@ -651,7 +850,7 @@ impl RecorderSnapshot {
         let root = Json::parse(text)?;
         let obj = root.as_object("snapshot")?;
         let traces = |key: &str| -> Result<Vec<TraceRecord>, String> {
-            json_get(obj, key)?
+            json_field(obj, key)?
                 .as_array(key)?
                 .iter()
                 .map(TraceRecord::from_json)
@@ -661,21 +860,14 @@ impl RecorderSnapshot {
             recent: traces("traces")?,
             slow: traces("slow")?,
             stats: RecorderStats {
-                completed: json_get(obj, "completed")?.as_u64("completed")?,
-                evicted: json_get(obj, "evicted")?.as_u64("evicted")?,
-                dropped_spans: json_get(obj, "dropped_spans")?.as_u64("dropped_spans")?,
-                slow: json_get(obj, "slow_total")?.as_u64("slow_total")?,
+                completed: json_field(obj, "completed")?.as_u64("completed")?,
+                evicted: json_field(obj, "evicted")?.as_u64("evicted")?,
+                dropped_spans: json_field(obj, "dropped_spans")?.as_u64("dropped_spans")?,
+                slow: json_field(obj, "slow_total")?.as_u64("slow_total")?,
             },
-            slow_threshold_us: json_get(obj, "slow_threshold_us")?.as_u64("slow_threshold_us")?,
+            slow_threshold_us: json_field(obj, "slow_threshold_us")?.as_u64("slow_threshold_us")?,
         })
     }
-}
-
-fn json_get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing key {key:?}"))
 }
 
 /// Render `traces` in the Chrome `chrome://tracing` / Perfetto trace-event
@@ -695,8 +887,8 @@ pub fn chrome_trace_json(traces: &[TraceRecord]) -> String {
                 out,
                 "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":{},\"tid\":1,\"args\":{{\"trace\":\"{}\",\"span\":\"{}\"",
-                crate::metrics::json_str(&s.name),
-                crate::metrics::json_str(&s.component),
+                json_string(&s.name),
+                json_string(&s.component),
                 s.start_us,
                 s.dur_us.max(1),
                 row + 1,
@@ -704,12 +896,7 @@ pub fn chrome_trace_json(traces: &[TraceRecord]) -> String {
                 s.id,
             );
             for (k, v) in &s.labels {
-                let _ = write!(
-                    out,
-                    ",{}:{}",
-                    crate::metrics::json_str(k),
-                    crate::metrics::json_str(v)
-                );
+                let _ = write!(out, ",{}:{}", json_string(k), json_string(v));
             }
             out.push_str("}}");
         }
@@ -886,15 +1073,15 @@ mod tests {
         tracer.finish(trace, SpanId(1));
         let text = chrome_trace_json(&tracer.snapshot().recent);
         let root = Json::parse(&text).expect("chrome export parses");
-        let events = json_get(root.as_object("doc").unwrap(), "traceEvents")
+        let events = json_field(root.as_object("doc").unwrap(), "traceEvents")
             .unwrap()
             .as_array("traceEvents")
             .unwrap();
         assert_eq!(events.len(), 2);
         for e in events {
             let obj = e.as_object("event").unwrap();
-            assert_eq!(json_get(obj, "ph").unwrap().as_str("ph").unwrap(), "X");
-            assert!(json_get(obj, "dur").unwrap().as_u64("dur").unwrap() >= 1);
+            assert_eq!(json_field(obj, "ph").unwrap().as_str("ph").unwrap(), "X");
+            assert!(json_field(obj, "dur").unwrap().as_u64("dur").unwrap() >= 1);
         }
     }
 
@@ -920,6 +1107,142 @@ mod tests {
         assert!(tree.contains("   └─ session.batch"), "{tree}");
         assert!(tree.contains("      └─ simulate"), "{tree}");
         assert!(tree.contains("├─ queue_wait"), "{tree}");
+    }
+
+    /// Seal `ctx`'s trace and return its spans, in record order.
+    fn sealed(tracer: &Tracer, ctx: TraceContext) -> Vec<SpanRecord> {
+        tracer.finish(ctx.trace, ctx.parent);
+        tracer.lookup(ctx.trace).map_or_else(Vec::new, |t| t.spans)
+    }
+
+    #[test]
+    fn no_context_means_no_spans() {
+        let tracer = Tracer::new(8, Duration::from_secs(3600));
+        let now = Instant::now();
+        let guard = super::span("outside", "test").label("k", "v");
+        assert_eq!(guard.id(), None, "a span outside a context is inert");
+        record("outside", "test", now, now, &[]);
+        drop(guard);
+        assert!(current().is_none());
+
+        let ctx = TraceContext::fresh();
+        {
+            let _entered = tracer.enter(ctx);
+            assert_eq!(current().map(|(_, c)| c), Some(ctx));
+            record("inside", "test", now, now, &[("k", "v")]);
+        }
+        assert!(current().is_none(), "dropping the guard leaves the context");
+        record("after", "test", now, now, &[]);
+        let spans = sealed(&tracer, ctx);
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["inside"]);
+        assert_eq!(spans[0].parent, Some(ctx.parent));
+        assert_eq!(spans[0].labels, [("k".to_string(), "v".to_string())]);
+        assert_eq!(tracer.stats().completed, 1, "nothing else was recorded");
+    }
+
+    #[test]
+    fn guards_nest_and_restore_the_parent() {
+        let tracer = Tracer::new(8, Duration::from_secs(3600));
+        let ctx = TraceContext::fresh();
+        let _entered = tracer.enter(ctx);
+        let outer = super::span("outer", "test");
+        let outer_id = outer.id().expect("inside a context");
+        {
+            let _inner = super::span("inner", "test");
+            let now = Instant::now();
+            record("leaf", "test", now, now, &[]);
+        }
+        let now = Instant::now();
+        record("sibling", "test", now, now, &[]);
+        drop(outer);
+        record("top", "test", now, now, &[]);
+
+        let spans = sealed(&tracer, ctx);
+        let parent_of = |name: &str| spans.iter().find(|s| s.name == name).unwrap().parent;
+        let id_of = |name: &str| spans.iter().find(|s| s.name == name).unwrap().id;
+        assert_eq!(parent_of("outer"), Some(ctx.parent));
+        assert_eq!(id_of("outer"), outer_id);
+        assert_eq!(parent_of("inner"), Some(outer_id));
+        assert_eq!(parent_of("leaf"), Some(id_of("inner")));
+        assert_eq!(parent_of("sibling"), Some(outer_id));
+        assert_eq!(parent_of("top"), Some(ctx.parent));
+    }
+
+    #[test]
+    fn a_root_span_parents_under_its_caller_and_carries_the_trace() {
+        let tracer = Tracer::new(8, Duration::from_secs(3600));
+        let trace = TraceId::generate();
+        let start = Instant::now();
+        let root = tracer.root(trace, None, "GET /x", "daemon", start);
+        let root_id = root.id().expect("a root is always open");
+        record("queue_wait", "daemon", start, Instant::now(), &[]);
+        drop(root.label("status", "200"));
+        assert!(current().is_none(), "the root's context ends with it");
+        tracer.finish(trace, root_id).expect("sealed");
+        let rec = tracer.lookup(trace).unwrap();
+        assert_eq!(rec.root, "GET /x");
+        let root = rec.spans.iter().find(|s| s.id == root_id).unwrap();
+        assert_eq!(root.parent, None);
+        assert_eq!(root.labels, [("status".to_string(), "200".to_string())]);
+        let wait = rec.spans.iter().find(|s| s.name == "queue_wait").unwrap();
+        assert_eq!(wait.parent, Some(root_id));
+    }
+
+    #[test]
+    fn a_context_on_one_thread_is_invisible_to_another() {
+        let tracer = Tracer::new(8, Duration::from_secs(3600));
+        let ctx = TraceContext::fresh();
+        let _entered = tracer.enter(ctx);
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    assert!(current().is_none());
+                    let now = Instant::now();
+                    record("elsewhere", "test", now, now, &[]);
+                    assert_eq!(super::span("elsewhere", "test").id(), None);
+                })
+                .join()
+                .unwrap();
+        });
+        assert_eq!(tracer.finish(ctx.trace, ctx.parent), None, "no spans");
+    }
+
+    /// A session's worker pool enters the caller's context on every worker,
+    /// so measurements on other threads parent under the caller's span.
+    #[test]
+    fn pool_workers_inherit_the_callers_context() {
+        use crate::{CheckingMode, Config, Session};
+        use std::num::NonZeroUsize;
+
+        let tracer = Tracer::new(8, Duration::from_secs(3600));
+        let session = Session::new().with_parallelism(NonZeroUsize::new(2).unwrap());
+        let cfg = Config::baseline(CheckingMode::None);
+        let ctx = TraceContext::fresh();
+        let batch_id = {
+            let _entered = tracer.enter(ctx);
+            let batch = super::span("session.batch", "session");
+            session
+                .measure_many(&[("frl", cfg), ("trav", cfg)])
+                .unwrap();
+            batch.id().unwrap()
+        };
+        let spans = sealed(&tracer, ctx);
+        let measures: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "measure").collect();
+        assert_eq!(measures.len(), 2, "{spans:?}");
+        for m in &measures {
+            assert_eq!(m.parent, Some(batch_id));
+            for leaf in ["compile", "simulate"] {
+                assert_eq!(
+                    spans
+                        .iter()
+                        .filter(|s| s.name == leaf && s.parent == Some(m.id))
+                        .count(),
+                    1,
+                    "{leaf} under {m:?}"
+                );
+            }
+        }
     }
 
     #[test]
