@@ -8,7 +8,9 @@
 //!
 //! - the content address of every benchmark × scheme × checking × hw point,
 //! - the canonical config JSON for a representative config set,
-//! - the full stats JSON for a handful of actually-simulated cells.
+//! - the full stats JSON for a handful of actually-simulated cells,
+//! - the full file text the stores write for a measurement record, two
+//!   witnesses and a coverage ledger.
 //!
 //! To regenerate after an *intentional* format change (which should also bump
 //! `FORMAT_VERSION`):
@@ -22,9 +24,11 @@ use std::path::PathBuf;
 
 use lisp::CheckingMode;
 use mipsx::HwConfig;
+use mipsx::{Annot, CheckCat, InsnClass, TagOpKind};
+use store::fuzz::{CoverageLedger, FuzzStore, Witness};
 use store::record::{config_to_json, measurement_to_json};
-use store::StoreKey;
-use tagstudy::Config;
+use store::{ResultStore, StoreKey};
+use tagstudy::{Config, Measurement, Timing};
 
 fn expected_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/expected/{name}"))
@@ -160,4 +164,108 @@ fn grid_names_are_lossless() {
     assert_eq!(names.len(), grid.len());
     assert!(names.contains("low2:full:drop5+tagbr+genarith+chkall"));
     assert!(names.contains("high5:none:maximal"));
+}
+
+/// The full text of the files the stores write: a measurement record (a
+/// non-ideal timing model, and `dedgc`'s non-default heap in its address),
+/// a witness with an injected fault, an organic witness, and a coverage
+/// ledger. Each is written through its store and read back from disk, so
+/// the envelope, the payload codec and the write path are pinned together.
+#[test]
+fn envelopes_are_pinned() {
+    let dir =
+        std::env::temp_dir().join(format!("tagstudy-pinned-envelopes-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+
+    let mut stats = mipsx::Stats {
+        cycles: 5_000,
+        committed: 4_000,
+        squashed: 17,
+        ..Default::default()
+    };
+    stats.record(InsnClass::Alu, Annot::NONE, 1);
+    stats.record(
+        InsnClass::And,
+        Annot::checking(TagOpKind::Check, CheckCat::List),
+        2,
+    );
+    stats.record_squashed(Annot::checking(TagOpKind::Check, CheckCat::Vector));
+    stats.record_trap(Annot::base(TagOpKind::Generic), 20);
+    stats.timing = Some(mipsx::TimingStats {
+        stall_icache: 10,
+        stall_dcache: 20,
+        stall_mispredict: 30,
+        stall_load_use: 5,
+        icache_accesses: 1000,
+        icache_misses: 3,
+        dcache_accesses: 200,
+        dcache_misses: 2,
+        l2_accesses: 5,
+        l2_misses: 1,
+        branches: 77,
+        mispredicts: 4,
+    });
+    let m = Measurement {
+        program: "dedgc".to_string(),
+        config: Config::new(tagword::TagScheme::LowTag2, CheckingMode::Full)
+            .with_timing(mipsx::TimingConfig::modern()),
+        stats,
+        compile: lisp::CompileStats {
+            procedures: 42,
+            source_lines: 314,
+            object_words: 2718,
+        },
+        halt_code: 0,
+        output: "(a \"b\")\n".to_string(),
+    };
+    let t = Timing {
+        compile: std::time::Duration::from_nanos(123_456_789),
+        simulate: std::time::Duration::from_micros(987_654),
+    };
+    let results = ResultStore::open(dir.join("results")).unwrap();
+    let key = results.put(&m, &t).unwrap();
+    let record = fs::read_to_string(dir.join(format!("results/{key}.rec"))).unwrap();
+
+    let fuzz = FuzzStore::open(dir.join("witnesses")).unwrap();
+    let faulted = Witness {
+        seed: 7,
+        mix: "list=4,vector=1,arith=2,branch=2,call=1".to_string(),
+        cell: "list@2".to_string(),
+        column: "high5:full:maximal:ref".to_string(),
+        config: Config::baseline(CheckingMode::Full).with_hw(HwConfig::maximal(5)),
+        backend: "ref".to_string(),
+        fault: Some("branch-invert:1".to_string()),
+        kind: "Halt".to_string(),
+        detail: "halt: want 0, got 3".to_string(),
+        source: "(defun drive () 7)\n(drive)\n".to_string(),
+        forms: 2,
+    };
+    let organic = Witness {
+        seed: 8,
+        column: "low2:none:plain:fast".to_string(),
+        config: Config::new(tagword::TagScheme::LowTag2, CheckingMode::None),
+        backend: "fast".to_string(),
+        fault: None,
+        kind: "Output".to_string(),
+        detail: "output: want \"1\", got \"2\"".to_string(),
+        ..faulted.clone()
+    };
+    let mut ledger = CoverageLedger::new("campaign-abc", 3);
+    for cell in ["list@0|a", "list@0|b", "arith@1|a"] {
+        ledger.register(cell);
+    }
+    ledger.bump("list@0|a");
+    ledger.bump("list@0|a");
+    fuzz.store_ledger(&ledger).unwrap();
+    let ledger_text = fs::read_to_string(fuzz.ledger_path()).unwrap();
+
+    let mut lines = format!("== record {key}\n{record}");
+    for w in [&faulted, &organic] {
+        let key = fuzz.put_witness(w).unwrap();
+        let text = fs::read_to_string(dir.join(format!("witnesses/{key}.wit"))).unwrap();
+        lines.push_str(&format!("== witness {key}\n{text}"));
+    }
+    lines.push_str(&format!("== ledger\n{ledger_text}"));
+    let _ = fs::remove_dir_all(&dir);
+    assert_pinned("pinned_envelopes.txt", &lines);
 }
