@@ -606,8 +606,15 @@ impl Daemon {
         self.register_inline(&specs);
         let mut entries: Vec<(ExperimentSpec, StoreKey, tagstudy::Measurement)> = Vec::new();
         for spec in specs {
-            // One fuzz.column span per matrix column.
-            let column = trace::span("fuzz.column", "fleet").label("spec", spec.to_spec_string());
+            // One fuzz.column span per matrix column. The label names the
+            // backend, which the spec string leaves out for store identity:
+            // a fast and a ref column of one point are different columns.
+            let label = format!(
+                "{}:backend={}",
+                spec.to_spec_string(),
+                spec.config.backend.name()
+            );
+            let column = trace::span("fuzz.column", "fleet").label("spec", &label);
             let measured = self.session.measure_uncached(&spec.program, spec.config);
             drop(column);
             match measured {
@@ -620,10 +627,7 @@ impl Daemon {
                 // *is* a differential signal — e.g. a halt-code mismatch the
                 // measurement validator catches before the client could).
                 Err(e) => {
-                    return Response::error(
-                        500,
-                        &format!("fuzz run failed: {}: {e}", spec.to_spec_string()),
-                    );
+                    return Response::error(500, &format!("fuzz run failed: {label}: {e}"));
                 }
             }
         }

@@ -215,6 +215,36 @@ fn corrupted_record_is_quarantined_and_recomputed() {
     shutdown(&addr, server);
 }
 
+/// A temp file a crashed writer left behind (named as older versions named
+/// them, with the record extension) is not a record: the warm start neither
+/// seeds it nor counts it as a skipped record, and `/metrics` does not count
+/// it either.
+#[test]
+fn stray_temp_file_is_not_counted_as_a_record() {
+    let scratch = Scratch::new("stray-temp");
+    let batch = r#"{"experiments": ["trav:high5:none:plain"]}"#;
+
+    let (server, _, addr) = start(Some(&scratch.0), ServerConfig::default());
+    let (status, body) = post(&addr, "/v1/experiments", batch);
+    assert_eq!(status, 200, "{body}");
+    shutdown(&addr, server);
+
+    let rec = fs::read_dir(&scratch.0)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|e| e == "rec"))
+        .expect("one record on disk");
+    fs::copy(&rec, scratch.0.join("tmp-999-0.rec")).unwrap();
+
+    let (server, warm, addr) = start(Some(&scratch.0), ServerConfig::default());
+    assert_eq!((warm.seeded, warm.skipped), (1, 0));
+    let (_, metrics) = get(&addr, "/metrics");
+    assert_eq!(metric(&metrics, "store_records"), 1, "{metrics}");
+    assert_eq!(metric(&metrics, "store_quarantined_total"), 0, "{metrics}");
+    shutdown(&addr, server);
+}
+
 /// Inline sources measure like named benchmarks — deterministic bytes, cache
 /// hits on repeat — but are never persisted to the on-disk store (the store is
 /// keyed by the benchmark registry, which can't name them).

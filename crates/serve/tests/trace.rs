@@ -231,6 +231,61 @@ fn warm_restart_trace_reads_store_instead_of_simulating() {
     shutdown(&addr, server);
 }
 
+/// A fuzz run's `fuzz.column` spans name each column's backend, so a fast
+/// and a ref column of one point tell apart in a trace, while the results'
+/// `spec` field (the store identity) leaves the backend out.
+#[test]
+fn fuzz_column_spans_name_the_backend() {
+    let scratch = Scratch::new("fuzz-backend");
+    let (server, _, addr) = start(&scratch.0);
+
+    let ctx = TraceContext::fresh();
+    let body = r#"{"experiments": ["trav:high5:none:plain:backend=fast", "trav:high5:none:plain:backend=ref"]}"#;
+    let (status, bytes) = http::fetch_headers(
+        &addr,
+        "POST",
+        "/v1/fuzz/run",
+        body.as_bytes(),
+        TIMEOUT,
+        &[(TRACEPARENT_HEADER, &ctx.to_traceparent())],
+    )
+    .unwrap();
+    let text = String::from_utf8(bytes).expect("UTF-8 response");
+    assert_eq!(status, 200, "{text}");
+    assert_eq!(
+        text.matches(r#""spec":"trav:high5:none:plain""#).count(),
+        2,
+        "{text}"
+    );
+
+    let snap = snapshot(&addr);
+    let record = snap
+        .recent
+        .iter()
+        .find(|t| t.trace == ctx.trace)
+        .expect("fuzz trace recorded");
+    let specs: Vec<&str> = record
+        .spans
+        .iter()
+        .filter(|s| s.name == "fuzz.column")
+        .map(|s| {
+            s.labels
+                .iter()
+                .find(|(k, _)| k == "spec")
+                .map(|(_, v)| v.as_str())
+                .expect("spec label")
+        })
+        .collect();
+    assert_eq!(
+        specs,
+        [
+            "trav:high5:none:plain:backend=fast",
+            "trav:high5:none:plain:backend=ref"
+        ]
+    );
+    shutdown(&addr, server);
+}
+
 /// A malformed (or missing) `traceparent` never fails the request: it is
 /// served normally under a fresh trace id.
 #[test]

@@ -3,11 +3,10 @@
 //!
 //! A witness is a shrunk, replayable counterexample: the exact source, the
 //! configuration column (scheme × checking × hw × backend), the injected
-//! fault (if any), and what diverged. Witnesses live in a `witnesses/` area
-//! beside the measurement records and get the same durability discipline:
-//! versioned envelopes, checksums over a canonical re-encoding,
-//! write-to-temp + atomic rename, and quarantine (never trust, never crash)
-//! on any validation failure.
+//! fault (if any), and what diverged. Witnesses (`<key>.wit`, which must
+//! carry the key their content addresses to) and the ledger (`ledger.json`)
+//! live in a `witnesses/` area beside the measurement records, under the
+//! store's one disk discipline (see the crate docs).
 //!
 //! The coverage ledger makes campaigns cumulative: it counts completed
 //! program runs per `(op-mix cell | config column)` coverage cell, persisted
@@ -17,20 +16,22 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use tagstudy::{json_field, json_string, Config, Json};
 
+use crate::disk::{Dir, Envelope};
 use crate::record::{config_from_json, config_to_json, get_str, get_u64};
-use crate::{fnv1a64, StoreKey, NAME_SEQ};
+use crate::StoreKey;
 
 /// Version of the witness / ledger on-disk formats (independent of the
 /// measurement-record [`crate::FORMAT_VERSION`] — the two kinds evolve
 /// separately). Bump on any encoding change; files carrying any other
 /// version are quarantined on read.
 pub const FUZZ_FORMAT_VERSION: u64 = 1;
+
+const WITNESS: Envelope = Envelope(FUZZ_FORMAT_VERSION, "witness");
+const LEDGER: Envelope = Envelope(FUZZ_FORMAT_VERSION, "ledger");
 
 /// Extension of witness files under the witness root.
 const WITNESS_EXT: &str = "wit";
@@ -122,13 +123,7 @@ fn witness_payload_json(w: &Witness) -> String {
 /// The full on-disk witness record: versioned envelope, content key, payload
 /// checksum, payload.
 pub fn witness_to_json(w: &Witness) -> String {
-    let payload = witness_payload_json(w);
-    format!(
-        "{{\"format_version\":{FUZZ_FORMAT_VERSION},\"key\":{},\"checksum\":\"{:016x}\",\
-         \"witness\":{payload}}}\n",
-        json_string(w.key().as_str()),
-        fnv1a64(payload.as_bytes()),
-    )
+    WITNESS.seal(Some(&w.key()), &witness_payload_json(w))
 }
 
 fn witness_payload_from_json(v: &Json) -> Result<Witness, String> {
@@ -161,31 +156,19 @@ fn witness_payload_from_json(v: &Json) -> Result<Witness, String> {
 /// A description of why the record cannot be trusted; callers quarantine on
 /// any error.
 pub fn witness_from_json(text: &str) -> Result<(StoreKey, Witness), String> {
-    let root = Json::parse(text)?;
-    let obj = root.as_object("witness record")?;
-    let version = get_u64(obj, "format_version")?;
-    if version != FUZZ_FORMAT_VERSION {
-        return Err(format!(
-            "stale witness format version {version} (current is {FUZZ_FORMAT_VERSION})"
-        ));
+    open_witness(text, None)
+}
+
+/// [`witness_from_json`], also requiring the envelope to carry `key` when
+/// given (the key the witness is filed under).
+fn open_witness(text: &str, key: Option<&StoreKey>) -> Result<(StoreKey, Witness), String> {
+    let (key, witness) =
+        WITNESS.unseal(text, key, witness_payload_from_json, witness_payload_json)?;
+    let content = witness.key();
+    if key.as_ref() != Some(&content) {
+        return Err(format!("key mismatch: content addresses to {content}"));
     }
-    let key = StoreKey::from_hex(get_str(obj, "key")?)?;
-    let stored_checksum = get_str(obj, "checksum")?;
-    let witness = witness_payload_from_json(json_field(obj, "witness")?)?;
-    let canonical = witness_payload_json(&witness);
-    let computed = format!("{:016x}", fnv1a64(canonical.as_bytes()));
-    if computed != stored_checksum {
-        return Err(format!(
-            "checksum mismatch: stored {stored_checksum}, computed {computed}"
-        ));
-    }
-    if witness.key() != key {
-        return Err(format!(
-            "key mismatch: envelope says {key}, content addresses to {}",
-            witness.key()
-        ));
-    }
-    Ok((key, witness))
+    Ok((content, witness))
 }
 
 // ---------------------------------------------------------------------------
@@ -297,14 +280,24 @@ impl CoverageLedger {
         )
     }
 
+    fn payload_from_json(v: &Json) -> Result<CoverageLedger, String> {
+        let obj = v.as_object("ledger")?;
+        let mut ledger = CoverageLedger::new(get_str(obj, "campaign")?, get_u64(obj, "target")?);
+        for entry in json_field(obj, "cells")?.as_array("cells")? {
+            let pair = entry.as_array("cell entry")?;
+            let [cell, count] = pair else {
+                return Err(format!("cell entry: want [cell, count], got {pair:?}"));
+            };
+            ledger
+                .cells
+                .insert(cell.as_str("cell")?.to_string(), count.as_u64("count")?);
+        }
+        Ok(ledger)
+    }
+
     /// The full on-disk ledger document: versioned, checksummed.
     pub fn to_json(&self) -> String {
-        let payload = self.payload_json();
-        format!(
-            "{{\"format_version\":{FUZZ_FORMAT_VERSION},\"checksum\":\"{:016x}\",\
-             \"ledger\":{payload}}}\n",
-            fnv1a64(payload.as_bytes()),
-        )
+        LEDGER.seal(None, &self.payload_json())
     }
 
     /// Decode and validate a ledger document.
@@ -314,34 +307,7 @@ impl CoverageLedger {
     /// A description of why the ledger cannot be trusted; callers quarantine
     /// on any error.
     pub fn from_json(text: &str) -> Result<CoverageLedger, String> {
-        let root = Json::parse(text)?;
-        let obj = root.as_object("ledger record")?;
-        let version = get_u64(obj, "format_version")?;
-        if version != FUZZ_FORMAT_VERSION {
-            return Err(format!(
-                "stale ledger format version {version} (current is {FUZZ_FORMAT_VERSION})"
-            ));
-        }
-        let stored_checksum = get_str(obj, "checksum")?;
-        let payload = json_field(obj, "ledger")?.as_object("ledger")?;
-        let mut ledger =
-            CoverageLedger::new(get_str(payload, "campaign")?, get_u64(payload, "target")?);
-        for entry in json_field(payload, "cells")?.as_array("cells")? {
-            let pair = entry.as_array("cell entry")?;
-            let [cell, count] = pair else {
-                return Err(format!("cell entry: want [cell, count], got {pair:?}"));
-            };
-            ledger
-                .cells
-                .insert(cell.as_str("cell")?.to_string(), count.as_u64("count")?);
-        }
-        let canonical = ledger.payload_json();
-        let computed = format!("{:016x}", fnv1a64(canonical.as_bytes()));
-        if computed != stored_checksum {
-            return Err(format!(
-                "checksum mismatch: stored {stored_checksum}, computed {computed}"
-            ));
-        }
+        let (_, ledger) = LEDGER.unseal(text, None, Self::payload_from_json, Self::payload_json)?;
         Ok(ledger)
     }
 }
@@ -351,12 +317,12 @@ impl CoverageLedger {
 // ---------------------------------------------------------------------------
 
 /// The persistent witness corpus plus coverage ledger, rooted at a
-/// `witnesses/`-style directory. Same discipline as [`crate::ResultStore`]:
-/// atomic writes, quarantine on any validation failure, never fatal.
+/// `witnesses/`-style directory. Same disk discipline as
+/// [`crate::ResultStore`]: atomic writes, quarantine on any validation
+/// failure, never fatal.
 #[derive(Debug)]
 pub struct FuzzStore {
-    root: PathBuf,
-    quarantined: AtomicU64,
+    dir: Dir,
 }
 
 impl FuzzStore {
@@ -366,40 +332,19 @@ impl FuzzStore {
     ///
     /// Directory creation failures.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<FuzzStore> {
-        let root = dir.into();
-        fs::create_dir_all(root.join("quarantine"))?;
         Ok(FuzzStore {
-            root,
-            quarantined: AtomicU64::new(0),
+            dir: Dir::open(dir.into(), "fuzz-store")?,
         })
     }
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
-        &self.root
+        self.dir.root()
     }
 
     /// Path of the coverage ledger (what CI uploads as an artifact).
     pub fn ledger_path(&self) -> PathBuf {
-        self.root.join(LEDGER_FILE)
-    }
-
-    fn witness_path(&self, key: &StoreKey) -> PathBuf {
-        self.root.join(format!("{key}.{WITNESS_EXT}"))
-    }
-
-    fn write_atomic(&self, dest: &Path, text: &str) -> std::io::Result<()> {
-        let temp = self.root.join(format!(
-            "tmp-{}-{}",
-            std::process::id(),
-            NAME_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut f = fs::File::create(&temp)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&temp, dest)
+        self.dir.path(LEDGER_FILE)
     }
 
     /// Durably archive one witness under its content address. Re-archiving
@@ -411,81 +356,34 @@ impl FuzzStore {
     /// I/O failures.
     pub fn put_witness(&self, w: &Witness) -> std::io::Result<StoreKey> {
         let key = w.key();
-        self.write_atomic(&self.witness_path(&key), &witness_to_json(w))?;
+        self.dir
+            .write(&format!("{key}.{WITNESS_EXT}"), &witness_to_json(w))?;
         Ok(key)
     }
 
     /// Look up a witness by key; an invalid record is quarantined and `None`.
     pub fn get_witness(&self, key: &StoreKey) -> Option<Witness> {
-        let path = self.witness_path(key);
-        let text = fs::read_to_string(&path).ok()?;
-        match witness_from_json(&text) {
-            Ok((stored_key, w)) if stored_key == *key => Some(w),
-            Ok((stored_key, _)) => {
-                self.quarantine(&path, &format!("key mismatch: record says {stored_key}"));
-                None
-            }
-            Err(why) => {
-                self.quarantine(&path, &why);
-                None
-            }
-        }
+        let name = format!("{key}.{WITNESS_EXT}");
+        let found = self.dir.read(&name, |text| open_witness(text, Some(key)));
+        found.map(|(_, (_, w))| w)
     }
 
     /// Validate and load every witness, quarantining the invalid ones.
     /// Sorted by key for deterministic iteration.
     pub fn load_witnesses(&self) -> Vec<(StoreKey, Witness)> {
-        let mut out = Vec::new();
-        let Ok(entries) = fs::read_dir(&self.root) else {
-            return out;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(WITNESS_EXT) || !path.is_file() {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            if stem.starts_with("tmp-") {
-                continue;
-            }
-            let Ok(key) = StoreKey::from_hex(stem) else {
-                self.quarantine(&path, "malformed witness file name");
-                continue;
-            };
-            match fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| witness_from_json(&text))
-            {
-                Ok((stored_key, w)) if stored_key == key => out.push((key, w)),
-                Ok((stored_key, _)) => {
-                    self.quarantine(&path, &format!("key mismatch: record says {stored_key}"))
-                }
-                Err(why) => self.quarantine(&path, &why),
-            }
-        }
-        out.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-        out
+        self.dir.scan(WITNESS_EXT, |key, text| {
+            open_witness(text, Some(key)).map(|(_, w)| w)
+        })
     }
 
     /// Number of (untrusted, unparsed) witness files on disk.
     pub fn witness_count(&self) -> usize {
-        fs::read_dir(&self.root)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some(WITNESS_EXT))
-                    .count()
-            })
-            .unwrap_or(0)
+        self.dir.count(WITNESS_EXT)
     }
 
     /// Number of files in `quarantine/`.
     pub fn quarantine_count(&self) -> usize {
-        fs::read_dir(self.root.join("quarantine"))
-            .map(|entries| entries.flatten().count())
-            .unwrap_or(0)
+        self.dir.quarantine_count()
     }
 
     /// Durably persist the coverage ledger (atomic replace).
@@ -494,43 +392,21 @@ impl FuzzStore {
     ///
     /// I/O failures.
     pub fn store_ledger(&self, ledger: &CoverageLedger) -> std::io::Result<()> {
-        self.write_atomic(&self.ledger_path(), &ledger.to_json())
+        self.dir.write(LEDGER_FILE, &ledger.to_json())
     }
 
     /// Load the coverage ledger; a missing ledger is `None`, an invalid one
     /// is quarantined and also `None` (the campaign restarts from zero —
     /// wasteful, never wrong).
     pub fn load_ledger(&self) -> Option<CoverageLedger> {
-        let path = self.ledger_path();
-        let text = fs::read_to_string(&path).ok()?;
-        match CoverageLedger::from_json(&text) {
-            Ok(ledger) => Some(ledger),
-            Err(why) => {
-                self.quarantine(&path, &why);
-                None
-            }
-        }
+        self.dir
+            .read(LEDGER_FILE, CoverageLedger::from_json)
+            .map(|(_, ledger)| ledger)
     }
 
     /// Remove the coverage ledger if present (a fresh, non-resumed campaign
     /// starts its books from zero).
     pub fn reset_ledger(&self) {
         let _ = fs::remove_file(self.ledger_path());
-    }
-
-    fn quarantine(&self, path: &Path, why: &str) {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("record");
-        let dest = self.root.join("quarantine").join(format!(
-            "{name}.{}-{}",
-            std::process::id(),
-            NAME_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        if fs::rename(path, &dest).is_ok() {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-            eprintln!("[fuzz-store] quarantined {name}: {why}");
-        }
     }
 }

@@ -1,13 +1,24 @@
 //! A persistent, content-addressed store for tagstudy measurements.
 //!
 //! Results are keyed by a stable 128-bit hash of `(program source, Config)`
-//! ([`StoreKey::compute`]) and written as versioned, checksummed JSON records
-//! under a cache directory — one file per key, created with write-to-temp +
-//! atomic rename so readers and concurrent writers never observe a partial
-//! record. A record that fails validation on read — syntax error, truncation,
-//! bit flip, stale [`FORMAT_VERSION`] — is *quarantined*: moved into a
-//! `quarantine/` subdirectory for post-mortem, counted, and treated as a miss.
-//! Corruption is never served and never fatal.
+//! ([`StoreKey::compute`]), one `<key>.rec` file per key under a cache
+//! directory.
+//!
+//! # One disk discipline
+//!
+//! Measurement records and the fuzzing fleet's witnesses and coverage ledger
+//! ([`fuzz`]) share one envelope and one directory protocol:
+//!
+//! - **Envelope:** one JSON line of `format_version` ([`FORMAT_VERSION`] or
+//!   [`fuzz::FUZZ_FORMAT_VERSION`]), the content `key` (records and
+//!   witnesses), an FNV-1a `checksum` of the payload, and the payload.
+//! - **Write:** a `tmp-<pid>-<n>` file, fsynced, then renamed into place.
+//! - **Read:** a file that fails validation (syntax, truncation, a bit flip
+//!   the checksum catches, a stale version, a key other than the one it is
+//!   filed under) is moved into `quarantine/`, counted, and read as missing.
+//!   Corruption is never served and never fatal.
+//! - **Scan and count:** `<32 hex>.<ext>` files only, sorted by key; temp
+//!   files are skipped and malformed names quarantined.
 //!
 //! Inside a trace context (see [`tagstudy::trace`]) every [`ResultStore::put`],
 //! [`ResultStore::get`] and [`ResultStore::raw_record`] records a
@@ -37,17 +48,18 @@
 
 #![deny(missing_docs)]
 
+mod disk;
 pub mod fuzz;
 pub mod record;
 
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use tagstudy::{trace, Config, Measurement, Timing};
+
+use disk::Dir;
 
 /// Version of the on-disk record format. Bump on any encoding change; records
 /// carrying any other version are quarantined on read (stale, not corrupt —
@@ -57,12 +69,6 @@ pub const FORMAT_VERSION: u64 = 2;
 
 /// Extension of record files under the store root.
 const RECORD_EXT: &str = "rec";
-
-/// Process-wide uniquifier for temp-file and quarantine names. Global, not
-/// per-handle: several `ResultStore` handles on one directory (one per daemon
-/// thread, or tests) must never generate the same temp name, or a concurrent
-/// writer's rename source can be snatched from under it.
-pub(crate) static NAME_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The 64-bit FNV-1a hash — the store's checksum, and (applied twice with
 /// different offset bases) its content-address hash. Self-contained so the
@@ -180,11 +186,10 @@ pub struct StoreStats {
 /// be used from any number of threads.
 #[derive(Debug)]
 pub struct ResultStore {
-    root: PathBuf,
+    dir: Dir,
     puts: AtomicU64,
     gets: AtomicU64,
     hits: AtomicU64,
-    quarantined: AtomicU64,
 }
 
 impl ResultStore {
@@ -194,20 +199,17 @@ impl ResultStore {
     ///
     /// Directory creation failures.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<ResultStore> {
-        let root = dir.into();
-        fs::create_dir_all(root.join("quarantine"))?;
         Ok(ResultStore {
-            root,
+            dir: Dir::open(dir.into(), "store")?,
             puts: AtomicU64::new(0),
             gets: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
         })
     }
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
-        &self.root
+        self.dir.root()
     }
 
     /// Activity counters since open.
@@ -216,12 +218,8 @@ impl ResultStore {
             puts: self.puts.load(Ordering::Relaxed),
             gets: self.gets.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
+            quarantined: self.dir.quarantined(),
         }
-    }
-
-    fn record_path(&self, key: &StoreKey) -> PathBuf {
-        self.root.join(format!("{key}.{RECORD_EXT}"))
     }
 
     /// The key under which `measurement` would be stored, derived from the
@@ -238,11 +236,10 @@ impl ResultStore {
         ))
     }
 
-    /// Durably store one measurement under its content address: serialize,
-    /// write to a uniquely-named temp file in the store directory, then
-    /// atomically rename over the final name. Concurrent writers of the same
-    /// key are safe — both write the same canonical bytes, and rename is
-    /// atomic, so readers always see one complete record.
+    /// Durably store one measurement under its content address (an atomic
+    /// replace, see the crate docs). Concurrent writers of the same key are
+    /// safe: both write the same canonical bytes, and readers always see one
+    /// complete record.
     ///
     /// # Errors
     ///
@@ -256,18 +253,10 @@ impl ResultStore {
             )
         })?;
         let started = Instant::now();
-        let text = record::record_to_json(&key, measurement, timing);
-        let temp = self.root.join(format!(
-            "tmp-{}-{}.{RECORD_EXT}",
-            std::process::id(),
-            NAME_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut f = fs::File::create(&temp)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&temp, self.record_path(&key))?;
+        self.dir.write(
+            &format!("{key}.{RECORD_EXT}"),
+            &record::record_to_json(&key, measurement, timing),
+        )?;
         self.puts.fetch_add(1, Ordering::Relaxed);
         trace::record(
             "store.write",
@@ -283,63 +272,28 @@ impl ResultStore {
     /// fails validation is quarantined and also `None` — corruption is
     /// indistinguishable from a miss to callers, by design.
     pub fn get(&self, key: &StoreKey) -> Option<(Measurement, Timing)> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let path = self.record_path(key);
-        let text = fs::read_to_string(&path).ok();
-        let result = text
-            .as_deref()
-            .and_then(|text| match record::record_from_json(text) {
-                Ok((stored_key, m, t)) if stored_key == *key => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some((m, t))
-                }
-                Ok((stored_key, ..)) => {
-                    self.quarantine(&path, &format!("key mismatch: record says {stored_key}"));
-                    None
-                }
-                Err(why) => {
-                    self.quarantine(&path, &why);
-                    None
-                }
-            });
-        trace::record(
-            "store.read",
-            "store",
-            started,
-            Instant::now(),
-            &[
-                ("key", key.as_str()),
-                ("hit", if result.is_some() { "true" } else { "false" }),
-            ],
-        );
-        result
+        self.read(key).map(|(_, (_, m, t))| (m, t))
     }
 
     /// The raw record text for `key`, *after* validating it — what the daemon
     /// serves on `GET /v1/results/{key}`. Invalid records are quarantined and
     /// reported as missing, exactly like [`ResultStore::get`].
     pub fn raw_record(&self, key: &StoreKey) -> Option<String> {
+        self.read(key).map(|(text, _)| text)
+    }
+
+    /// The one validated lookup behind [`ResultStore::get`] and
+    /// [`ResultStore::raw_record`], recorded as a `store.read` span.
+    fn read(&self, key: &StoreKey) -> Option<(String, (StoreKey, Measurement, Timing))> {
         self.gets.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let path = self.record_path(key);
-        let result =
-            fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| match record::record_from_json(&text) {
-                    Ok((stored_key, ..)) if stored_key == *key => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        Some(text)
-                    }
-                    Ok((stored_key, ..)) => {
-                        self.quarantine(&path, &format!("key mismatch: record says {stored_key}"));
-                        None
-                    }
-                    Err(why) => {
-                        self.quarantine(&path, &why);
-                        None
-                    }
-                });
+        let name = format!("{key}.{RECORD_EXT}");
+        let result = self
+            .dir
+            .read(&name, |text| record::open_record(text, Some(key)));
+        if result.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
         trace::record(
             "store.read",
             "store",
@@ -357,40 +311,11 @@ impl ResultStore {
     /// ones. Returned entries are sorted by key so the load order (and any
     /// seeding built on it) is deterministic.
     pub fn load_all(&self) -> Vec<(StoreKey, Measurement, Timing)> {
-        let mut out = Vec::new();
-        let Ok(entries) = fs::read_dir(&self.root) else {
-            return out;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some(RECORD_EXT) || !path.is_file() {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            // Leftover temp files from a crashed writer are not records; a
-            // malformed *name* is suspicious enough to quarantine.
-            if stem.starts_with("tmp-") {
-                continue;
-            }
-            let Ok(key) = StoreKey::from_hex(stem) else {
-                self.quarantine(&path, "malformed record file name");
-                continue;
-            };
-            match fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|text| record::record_from_json(&text))
-            {
-                Ok((stored_key, m, t)) if stored_key == key => out.push((key, m, t)),
-                Ok((stored_key, ..)) => {
-                    self.quarantine(&path, &format!("key mismatch: record says {stored_key}"))
-                }
-                Err(why) => self.quarantine(&path, &why),
-            }
-        }
-        out.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-        out
+        self.dir
+            .scan(RECORD_EXT, |key, text| record::open_record(text, Some(key)))
+            .into_iter()
+            .map(|(key, (_, m, t))| (key, m, t))
+            .collect()
     }
 
     /// [`ResultStore::load_all`], restricted to records whose address still
@@ -407,21 +332,12 @@ impl ResultStore {
 
     /// Number of (untrusted, unparsed) records currently on disk.
     pub fn record_count(&self) -> usize {
-        fs::read_dir(&self.root)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some(RECORD_EXT))
-                    .count()
-            })
-            .unwrap_or(0)
+        self.dir.count(RECORD_EXT)
     }
 
     /// Number of files in `quarantine/`.
     pub fn quarantine_count(&self) -> usize {
-        fs::read_dir(self.root.join("quarantine"))
-            .map(|entries| entries.flatten().count())
-            .unwrap_or(0)
+        self.dir.quarantine_count()
     }
 
     /// Durability barrier: fsync the store directory so all completed renames
@@ -431,26 +347,6 @@ impl ResultStore {
     ///
     /// I/O failures opening or syncing the directory.
     pub fn flush(&self) -> std::io::Result<()> {
-        fs::File::open(&self.root)?.sync_all()
-    }
-
-    /// Move a bad record out of the addressable namespace, never failing: if
-    /// the rename itself fails (e.g. the file vanished), the record is simply
-    /// left to the next reader. The reason is logged to stderr — the store has
-    /// no other channel — and the quarantine counter feeds `/metrics`.
-    fn quarantine(&self, path: &Path, why: &str) {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("record");
-        let dest = self.root.join("quarantine").join(format!(
-            "{name}.{}-{}",
-            std::process::id(),
-            NAME_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        if fs::rename(path, &dest).is_ok() {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
-            eprintln!("[store] quarantined {name}: {why}");
-        }
+        self.dir.sync()
     }
 }

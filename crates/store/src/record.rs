@@ -1,5 +1,6 @@
 //! The on-disk record codec: deterministic JSON for a [`Measurement`] plus its
-//! [`Timing`], wrapped in a versioned, checksummed envelope.
+//! [`Timing`], wrapped in the store's one versioned, checksummed envelope
+//! (see the crate docs).
 //!
 //! Everything here is exact: all numeric fields are `u64`/`usize` counters or
 //! `Duration` nanoseconds, map-shaped statistics are emitted as arrays sorted
@@ -15,7 +16,8 @@ use mipsx::{
 };
 use tagstudy::{json_field, json_string, CheckingMode, Config, Json, Measurement, Timing};
 
-use crate::{fnv1a64, StoreKey, FORMAT_VERSION};
+use crate::disk::Envelope;
+use crate::{StoreKey, FORMAT_VERSION};
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -182,15 +184,11 @@ pub fn payload_to_json(m: &Measurement, t: &Timing) -> String {
     )
 }
 
+const RECORD: Envelope = Envelope(FORMAT_VERSION, "payload");
+
 /// A full on-disk record: versioned envelope, key, payload checksum, payload.
 pub fn record_to_json(key: &StoreKey, m: &Measurement, t: &Timing) -> String {
-    let payload = payload_to_json(m, t);
-    format!(
-        "{{\"format_version\":{FORMAT_VERSION},\"key\":{},\"checksum\":\"{:016x}\",\
-         \"payload\":{payload}}}\n",
-        json_string(key.as_str()),
-        fnv1a64(payload.as_bytes()),
-    )
+    RECORD.seal(Some(key), &payload_to_json(m, t))
 }
 
 // ---------------------------------------------------------------------------
@@ -470,39 +468,36 @@ fn timing_from_json(v: &Json) -> Result<Timing, String> {
     })
 }
 
+fn payload_from_json(v: &Json) -> Result<(Measurement, Timing), String> {
+    let obj = v.as_object("payload")?;
+    Ok((
+        measurement_from_json(json_field(obj, "measurement")?)?,
+        timing_from_json(json_field(obj, "timing")?)?,
+    ))
+}
+
 /// Decode and *validate* one on-disk record: the envelope must parse, carry
-/// the current [`FORMAT_VERSION`], and the checksum must match the payload as
-/// written (the payload is re-encoded canonically and must reproduce the
-/// checksummed bytes, so any tampering — even semantically neutral
-/// reformatting — is rejected).
+/// the current [`FORMAT_VERSION`], and its payload, re-encoded canonically,
+/// must reproduce the checksum (so even semantically neutral reformatting is
+/// rejected).
 ///
 /// # Errors
 ///
 /// A description of why the record cannot be trusted; callers quarantine on
 /// any error.
 pub fn record_from_json(text: &str) -> Result<(StoreKey, Measurement, Timing), String> {
-    let root = Json::parse(text)?;
-    let obj = root.as_object("record")?;
-    let version = get_u64(obj, "format_version")?;
-    if version != FORMAT_VERSION {
-        return Err(format!(
-            "stale format version {version} (current is {FORMAT_VERSION})"
-        ));
-    }
-    let key = StoreKey::from_hex(get_str(obj, "key")?)?;
-    let stored_checksum = get_str(obj, "checksum")?;
-    let payload = json_field(obj, "payload")?.as_object("payload")?;
-    let measurement = measurement_from_json(json_field(payload, "measurement")?)?;
-    let timing = timing_from_json(json_field(payload, "timing")?)?;
-    // Checksum over the canonical re-encoding: exact because the codec is.
-    let canonical = payload_to_json(&measurement, &timing);
-    let computed = format!("{:016x}", fnv1a64(canonical.as_bytes()));
-    if computed != stored_checksum {
-        return Err(format!(
-            "checksum mismatch: stored {stored_checksum}, computed {computed}"
-        ));
-    }
-    Ok((key, measurement, timing))
+    open_record(text, None)
+}
+
+/// [`record_from_json`], also requiring the envelope to carry `key` when
+/// given (the key the record is filed under).
+pub(crate) fn open_record(
+    text: &str,
+    key: Option<&StoreKey>,
+) -> Result<(StoreKey, Measurement, Timing), String> {
+    let encode = |(m, t): &(Measurement, Timing)| payload_to_json(m, t);
+    let (key, (m, t)) = RECORD.unseal(text, key, payload_from_json, encode)?;
+    Ok((key.ok_or("record carries no key")?, m, t))
 }
 
 #[cfg(test)]

@@ -214,6 +214,22 @@ fn concurrent_writers_on_one_cache_dir() {
     assert!(leftovers.is_empty(), "{leftovers:?}");
 }
 
+/// A temp file a crashed writer left behind (named as older versions named
+/// them, with the record extension) is neither a record nor corrupt: it is
+/// not counted, not loaded and not quarantined.
+#[test]
+fn stray_temp_file_is_not_a_record() {
+    let scratch = Scratch::new("stray-temp");
+    let store = ResultStore::open(&scratch.0).unwrap();
+    let m = measurement("frl", Config::baseline(CheckingMode::Full), 1_000_000);
+    store.put(&m, &timing(1)).unwrap();
+    fs::copy(only_record(&scratch.0), scratch.0.join("tmp-999-0.rec")).unwrap();
+
+    assert_eq!(store.record_count(), 1);
+    assert_eq!(store.load_all().len(), 1);
+    assert_eq!(store.quarantine_count(), 0);
+}
+
 /// Store I/O spans are recorded only on a thread inside an entered trace
 /// context, carry its trace id, and label reads with hit/miss.
 #[test]

@@ -789,10 +789,12 @@ impl TraceRecord {
                 .iter()
                 .map(|(k, v)| format!(" {k}={v}"))
                 .collect::<String>();
+            // Tree prefix and name are padded together, so the duration
+            // column stays put at every depth.
             let _ = writeln!(
                 out,
-                "{prefix}{branch}{:<28} {:>10}  [{}]{labels}",
-                span.name,
+                "{:<40} {:>10}  [{}]{labels}",
+                format!("{prefix}{branch}{}", span.name),
                 fmt_us(span.dur_us),
                 span.component
             );
@@ -1107,6 +1109,14 @@ mod tests {
         assert!(tree.contains("   └─ session.batch"), "{tree}");
         assert!(tree.contains("      └─ simulate"), "{tree}");
         assert!(tree.contains("├─ queue_wait"), "{tree}");
+        // Every span's duration ends in the same character column, whatever
+        // its depth.
+        let ends: std::collections::BTreeSet<usize> = tree
+            .lines()
+            .skip(1)
+            .map(|line| line[..line.find("  [").expect("component")].chars().count())
+            .collect();
+        assert_eq!(ends.len(), 1, "{tree}");
     }
 
     /// Seal `ctx`'s trace and return its spans, in record order.
