@@ -1,5 +1,8 @@
 //! Hardware-support configuration (the rows of the paper's Table 2).
 
+use crate::insn::Insn;
+use crate::program::Program;
+
 /// Which memory accesses get parallel tag checking (paper §6.2.1, Table 2 rows 5–6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ParallelCheck {
@@ -120,6 +123,38 @@ impl HwConfig {
             u32::MAX >> self.drop_high_address_bits
         };
         high & !0b11
+    }
+
+    /// The hardware as `prog` can observe it: each feature gate whose
+    /// instructions appear nowhere in the code, dead code included, is
+    /// cleared — [`tag_branch`](Self::tag_branch) without a
+    /// [`Insn::TagBr`], [`parallel_check`](Self::parallel_check) without an
+    /// [`Insn::LdChk`] or [`Insn::StChk`], [`generic_arith`](Self::generic_arith)
+    /// without an [`Insn::AddG`] or [`Insn::SubG`]. Every other field is
+    /// kept. A gate is only ever consulted at an instruction that needs it,
+    /// so both executors give the same outcome, or the same
+    /// [`SimError::MissingHardware`](crate::SimError::MissingHardware), under
+    /// `self` and under the result.
+    pub fn as_seen_by(&self, prog: &Program) -> HwConfig {
+        let (mut tag_branch, mut checked, mut generic) = (false, false, false);
+        for insn in &prog.insns {
+            match insn {
+                Insn::TagBr { .. } => tag_branch = true,
+                Insn::LdChk { .. } | Insn::StChk { .. } => checked = true,
+                Insn::AddG { .. } | Insn::SubG { .. } => generic = true,
+                _ => {}
+            }
+        }
+        HwConfig {
+            tag_branch: self.tag_branch && tag_branch,
+            parallel_check: if checked {
+                self.parallel_check
+            } else {
+                ParallelCheck::None
+            },
+            generic_arith: self.generic_arith && generic,
+            ..*self
+        }
     }
 
     /// The named level `name` for a scheme with `tag_bits` tag bits
@@ -318,6 +353,61 @@ mod tests {
         assert_eq!(
             HwConfig::parse("drop31", 5),
             Ok(HwConfig::with_address_drop(31))
+        );
+    }
+
+    /// A `TagBr` that only dead code holds still keeps the `tag_branch`
+    /// gate: predecode rejects it under hardware without the gate, so
+    /// clearing the gate would turn a run into an error. A gate the code
+    /// never names is cleared.
+    #[test]
+    fn as_seen_by_keeps_gates_dead_code_names() {
+        use crate::asm::Asm;
+        use crate::exec::{DecodedProgram, SimError};
+        use crate::insn::TagField;
+        use crate::reg::Reg;
+
+        let mut asm = Asm::new();
+        let e = asm.here("entry");
+        asm.set_entry(e);
+        asm.halt(Reg::Zero);
+        asm.emit(Insn::TagBr {
+            rs: Reg::A0,
+            field: TagField {
+                shift: 27,
+                mask: 0x1F,
+            },
+            value: 0,
+            neq: false,
+            target: e.id(),
+            squash: false,
+        });
+        asm.nop();
+        asm.nop();
+        let prog = asm.finish().unwrap();
+
+        let seen = HwConfig::maximal(5).as_seen_by(&prog);
+        assert_eq!(
+            seen,
+            HwConfig {
+                generic_arith: false,
+                parallel_check: ParallelCheck::None,
+                ..HwConfig::maximal(5)
+            },
+            "the unnamed gates are cleared, the address drop is kept"
+        );
+        assert!(DecodedProgram::decode(&prog, seen).is_ok());
+
+        let plain = HwConfig::plain();
+        assert_eq!(plain.as_seen_by(&prog), plain);
+        let missing = SimError::MissingHardware {
+            pc: 1,
+            feature: "tag branch",
+        };
+        assert_eq!(DecodedProgram::decode(&prog, plain).unwrap_err(), missing);
+        assert_eq!(
+            DecodedProgram::decode(&prog, plain.as_seen_by(&prog)).unwrap_err(),
+            missing
         );
     }
 }

@@ -37,8 +37,10 @@
 //! span is the request itself (named by normalized endpoint), with a
 //! `queue_wait` child for time spent in the accept queue and, for
 //! `/v1/experiments`, a `session.batch` child under which the session's
-//! `cache.read`/`store.read`/`measure`/`compile`/`simulate` spans and the
-//! store's `store.write` I/O spans attach. The root span is the worker
+//! `cache.read`/`measure`/`compile`/`simulate`/`run.shared` spans and the
+//! store's `store.write` I/O spans attach. A hit on an entry seeded from the
+//! store at start-up is a `cache.read` labelled `seeded=true`; `store.read`
+//! names only a real read of the store's disk. The root span is the worker
 //! thread's trace context for the whole request, and the session carries it
 //! into its pool workers, so no layer below takes a context argument. A
 //! client-supplied `traceparent` header joins the request to the client's
@@ -558,8 +560,8 @@ impl Daemon {
             .map(|s| (s.program.as_str(), s.config))
             .collect();
         // The whole dedup + fan-out + writeback sits under one session.batch
-        // span; session spans (cache/store reads, measure/compile/simulate)
-        // and store writeback spans parent under it.
+        // span; session spans (cache reads, measure/compile/simulate or
+        // run.shared) and store writeback spans parent under it.
         let batch = trace::span("session.batch", "session").label("experiments", specs.len());
         self.register_inline(&specs);
         let result = self.session.measure_many(&requests);

@@ -1,6 +1,6 @@
 //! End-to-end tracing tests: a client-originated trace id shows up on
 //! daemon, session, and store spans of the same request; warm restarts trace
-//! store reads instead of simulations; malformed `traceparent` headers never
+//! hits on seeded entries instead of simulations; malformed `traceparent` headers never
 //! fail a request; and the flight recorder speaks valid Chrome trace-event
 //! JSON.
 
@@ -185,10 +185,13 @@ fn client_trace_id_spans_daemon_session_and_store() {
 }
 
 /// A cold request's trace shows compilation and simulation; after a restart
-/// on the same cache dir, the same batch's trace shows a store read and **no**
-/// simulate span — the flight recorder proves where the answer came from.
+/// on the same cache dir, the same batch's trace shows a hit on the seeded
+/// entry (a `cache.read` labelled `seeded=true`) and **no** simulate span —
+/// the flight recorder proves where the answer came from. The hit is not
+/// passed off as a disk read: the store was read at start-up, not by the
+/// request.
 #[test]
-fn warm_restart_trace_reads_store_instead_of_simulating() {
+fn warm_restart_trace_reads_seeded_entry_instead_of_simulating() {
     let scratch = Scratch::new("warm");
 
     let (server, _, addr) = start(&scratch.0);
@@ -219,10 +222,11 @@ fn warm_restart_trace_reads_store_instead_of_simulating() {
         .expect("warm trace recorded");
     let warm_names = span_names(warm_trace);
     assert!(
-        warm_names.contains(&"store.read"),
-        "warm hit must trace as a store read: {warm_names:?}"
+        warm_trace.spans.iter().any(|s| s.name == "cache.read"
+            && s.labels.iter().any(|(k, v)| k == "seeded" && v == "true")),
+        "warm hit must trace as a seeded cache read: {warm_names:?}"
     );
-    for absent in ["simulate", "compile", "store.write"] {
+    for absent in ["simulate", "compile", "store.write", "store.read"] {
         assert!(
             !warm_names.contains(&absent),
             "warm request must not {absent}: {warm_names:?}"

@@ -7,6 +7,7 @@
 //! `(program, Config)` and runs batches on a bounded worker pool.
 
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::time::{Duration, Instant};
 
 use lisp::CompileStats;
@@ -199,7 +200,7 @@ impl Timing {
 /// lands in `outcome.stats.timing`; every architectural result (cycles,
 /// output, halt code, the rest of `Stats`) is identical either way, which is
 /// why the ideal path skips the observer entirely.
-fn simulate(
+pub(crate) fn simulate(
     compiled: &lisp::CompiledProgram,
     config: &Config,
 ) -> Result<lisp::Outcome, lisp::SimError> {
@@ -214,24 +215,181 @@ fn simulate(
     }
 }
 
-/// Compile and run program `name` under `config`, validating its output,
-/// and report where the host's wall time went. Inside a trace context the
-/// same instants are recorded as `compile` and `simulate` spans (see
-/// [`crate::trace::record`]). `compile` builds the program
+/// Everything [`simulate`] can observe of a compiled point, so two points
+/// with equal keys have bit-identical runs: the same `Stats`, output and
+/// halt code. The hardware is kept only as far as the code can observe it
+/// ([`mipsx::HwConfig::as_seen_by`]); the code, its annotations and the data
+/// image enter through a 128-bit digest keyed by [`RunSeeds`]. The key lives
+/// in memory only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct RunKey {
+    backend: mipsx::Backend,
+    timing: mipsx::TimingConfig,
+    fuel: u64,
+    mem_bytes: usize,
+    entry: usize,
+    code_len: usize,
+    data_len: usize,
+    hw: mipsx::HwConfig,
+    digest: [u64; 2],
+}
+
+/// The secret seeds of one session's run digests, drawn at random with the
+/// session. The digest is a fast keyed hash, not a cryptographic one: with
+/// seeds nobody outside the process knows, a program sent to the daemon
+/// cannot be crafted to collide with another program's run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunSeeds([u64; 3]);
+
+impl RunSeeds {
+    pub(crate) fn random() -> RunSeeds {
+        let state = std::collections::hash_map::RandomState::new();
+        RunSeeds([0u8, 1, 2].map(|lane| state.hash_one(lane)))
+    }
+}
+
+impl RunKey {
+    /// The key of `compiled`'s run under `config`, digested with `seeds`.
+    pub(crate) fn of(
+        compiled: &lisp::CompiledProgram,
+        config: &Config,
+        seeds: &RunSeeds,
+    ) -> RunKey {
+        let program = &compiled.program;
+        RunKey {
+            backend: config.backend,
+            timing: config.timing,
+            fuel: programs::FUEL,
+            mem_bytes: compiled.mem_bytes,
+            entry: program.entry,
+            code_len: program.insns.len(),
+            data_len: program.data.len(),
+            hw: compiled.hw.as_seen_by(program),
+            digest: digest(program, seeds),
+        }
+    }
+}
+
+/// The 128-bit digest of a program's code, annotations and data image: two
+/// independently seeded 64-bit lanes, fed one word per instruction and its
+/// annotation (the instruction's `derive(Hash)` encoding folded by [`Word`])
+/// and one per data word.
+fn digest(program: &mipsx::Program, seeds: &RunSeeds) -> [u64; 2] {
+    let RunSeeds([mut lo, mut hi, word_seed]) = *seeds;
+    let mut mix = |word: u64| {
+        lo = folded_multiply(lo ^ word, 0xa076_1d64_78bd_642f);
+        hi = folded_multiply(hi ^ word, 0xe703_7ed1_a0b4_28db);
+    };
+    mix(program.annots.len() as u64);
+    for (insn, annot) in program.insns.iter().zip(&program.annots) {
+        // Each instruction folds on its own, so the folds of neighbouring
+        // instructions overlap and only one multiply per lane is serial.
+        let mut word = Word(word_seed);
+        insn.hash(&mut word);
+        // One write for the annotation. The destructuring names every
+        // field, so a new one cannot be left out of the digest unnoticed.
+        let mipsx::Annot { tag_op, cat, prov } = *annot;
+        word.write_u64(
+            tag_op.map_or(0, |op| op as u64 + 1) | (cat as u64) << 8 | (prov as u64) << 16,
+        );
+        mix(word.0);
+    }
+    for &(addr, value) in &program.data {
+        mix(u64::from(addr) << 32 | u64::from(value));
+    }
+    [lo, hi]
+}
+
+/// The high and low halves of `a × b`, xor-ed together.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    (wide as u64) ^ ((wide >> 64) as u64)
+}
+
+/// A 64-bit fold of one value's `Hash` encoding: every integer written is
+/// widened to 64 bits and folded in with [`folded_multiply`]. The fold
+/// starts from a random seed, not zero: from zero, a leading zero write
+/// (variant 0's discriminant) would leave the state as it was, and
+/// `Add(r5, ..)` could fold like variant 5.
+struct Word(u64);
+
+impl Hasher for Word {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = folded_multiply(self.0 ^ n, 0x8ebc_6af0_9c88_c6e3);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`simulate`] as a [`Run`] of its own, with the simulator's error as a
+/// message.
+pub(crate) fn simulate_run(
+    compiled: &lisp::CompiledProgram,
+    config: &Config,
+) -> Result<Run, String> {
+    simulate(compiled, config)
+        .map(Run::Simulated)
+        .map_err(|e| e.to_string())
+}
+
+/// Where a compiled point's run came from.
+pub(crate) enum Run {
+    /// Simulated for this point.
+    Simulated(lisp::Outcome),
+    /// Taken from the point `owner` (`program:config`), which simulated
+    /// the identical run.
+    Shared {
+        /// The owner's outcome.
+        outcome: lisp::Outcome,
+        /// The owning point, as `program:config`.
+        owner: String,
+    },
+}
+
+/// Compile program `name` under `config`, get its run from `run`, validate
+/// its output, and report where the host's wall time went. Inside a trace
+/// context the same instants are recorded as `compile` and `simulate` spans
+/// (see [`crate::trace::record`]); a run shared from another point is a
+/// `run.shared` span labelled with its `owner` in place of `simulate`, and
+/// [`Timing::simulate`] holds the wait for it. `compile` builds the program
 /// from the config's compiler options (a [`Benchmark`] or an
-/// [`InlineProgram`]); `expected_output` is the exact output to assert, or
-/// `None` to validate only the exit code ([`lisp::exit_code::OK`], which is
-/// always required).
+/// [`InlineProgram`]); `run` is [`simulate_run`] or the session's run
+/// index, an error being the simulator's message; `expected_output` is the
+/// exact output to assert, or `None` to validate only the exit code
+/// ([`lisp::exit_code::OK`], which is always required).
 ///
 /// # Errors
 ///
 /// [`StudyError`] on compile/run failure, a non-zero exit, or (when pinned)
 /// an output mismatch.
-pub fn run_timed(
+pub(crate) fn run_timed(
     name: &str,
     compile: impl FnOnce(&lisp::Options) -> Result<lisp::CompiledProgram, lisp::CompileError>,
     expected_output: Option<&str>,
     config: &Config,
+    run: impl FnOnce(&lisp::CompiledProgram) -> Result<Run, String>,
 ) -> Result<(Measurement, Timing), StudyError> {
     let compile_start = Instant::now();
     let compiled = compile(&config.to_options()).map_err(|e| StudyError::Compile {
@@ -239,10 +397,14 @@ pub fn run_timed(
         message: e.to_string(),
     })?;
     let sim_start = Instant::now();
-    let outcome = simulate(&compiled, config).map_err(|e| StudyError::Sim {
+    let run = run(&compiled).map_err(|message| StudyError::Sim {
         program: name.to_string(),
-        message: e.to_string(),
+        message,
     })?;
+    let (outcome, owner) = match run {
+        Run::Simulated(outcome) => (outcome, None),
+        Run::Shared { outcome, owner } => (outcome, Some(owner)),
+    };
     let output_ok = expected_output.is_none_or(|want| outcome.output == want);
     if outcome.halt_code != lisp::exit_code::OK || !output_ok {
         return Err(StudyError::WrongOutput {
@@ -256,9 +418,17 @@ pub fn run_timed(
         compile: sim_start - compile_start,
         simulate: end - sim_start,
     };
-    let labels = [("program", name), ("config", &config.to_string())];
-    crate::trace::record("compile", "session", compile_start, sim_start, &labels);
-    crate::trace::record("simulate", "session", sim_start, end, &labels);
+    let config_name = config.to_string();
+    let labels = [
+        ("program", name),
+        ("config", &config_name),
+        ("owner", owner.as_deref().unwrap_or_default()),
+    ];
+    crate::trace::record("compile", "session", compile_start, sim_start, &labels[..2]);
+    match owner {
+        None => crate::trace::record("simulate", "session", sim_start, end, &labels[..2]),
+        Some(_) => crate::trace::record("run.shared", "session", sim_start, end, &labels),
+    }
     Ok((
         Measurement {
             program: name.to_string(),
@@ -278,7 +448,15 @@ pub fn run_timed(
 ///
 /// [`StudyError`] on compile/run failure or output mismatch.
 pub fn run_benchmark(b: &Benchmark, config: &Config) -> Result<Measurement, StudyError> {
-    run_timed(b.name, |o| b.compile(o), Some(b.expected_output), config).map(|(m, _)| m)
+    let expected = Some(b.expected_output);
+    run_timed(
+        b.name,
+        |o| b.compile(o),
+        expected,
+        config,
+        |c| simulate_run(c, config),
+    )
+    .map(|(m, _)| m)
 }
 
 /// Run a named benchmark under `config`.
@@ -314,7 +492,15 @@ mod tests {
     fn timed_runs_attribute_wall_time() {
         let b = programs::by_name("frl").unwrap();
         let config = Config::baseline(CheckingMode::None);
-        let (_, t) = run_timed(b.name, |o| b.compile(o), Some(b.expected_output), &config).unwrap();
+        let expected = Some(b.expected_output);
+        let (_, t) = run_timed(
+            b.name,
+            |o| b.compile(o),
+            expected,
+            &config,
+            |c| simulate_run(c, &config),
+        )
+        .unwrap();
         assert!(t.compile > Duration::ZERO);
         assert!(t.simulate > Duration::ZERO);
         assert_eq!(t.total(), t.compile + t.simulate);
@@ -331,5 +517,51 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("2 measurements failed"));
         assert!(text.contains('x') && text.contains('y'));
+    }
+
+    /// Over real compiled programs, two run keys are equal exactly when
+    /// everything the simulator reads is equal: the digest neither merges
+    /// different programs nor splits identical ones.
+    #[test]
+    fn run_keys_are_equal_exactly_when_the_runs_are() {
+        let hws = [
+            "plain",
+            "tagbr",
+            "genarith",
+            "chklists",
+            "chkall",
+            "drop5+tagbr",
+            "maximal",
+            "spur",
+        ];
+        let seeds = RunSeeds::random();
+        let mut points = Vec::new();
+        for program in ["rat", "frl"] {
+            let b = programs::by_name(program).unwrap();
+            for scheme in tagword::ALL_SCHEMES {
+                for checking in ["none", "full"] {
+                    for hw in hws {
+                        let name = format!("{}:{checking}:{hw}", scheme.name());
+                        let config = Config::parse(&name).unwrap();
+                        let compiled = b.compile(&config.to_options()).unwrap();
+                        points.push((RunKey::of(&compiled, &config, &seeds), compiled));
+                    }
+                }
+            }
+        }
+        let mut shared = 0;
+        for (i, (key_a, a)) in points.iter().enumerate() {
+            for (key_b, b) in &points[i + 1..] {
+                let same_run = a.program.insns == b.program.insns
+                    && a.program.annots == b.program.annots
+                    && a.program.data == b.program.data
+                    && a.program.entry == b.program.entry
+                    && a.mem_bytes == b.mem_bytes
+                    && a.hw.as_seen_by(&a.program) == b.hw.as_seen_by(&b.program);
+                assert_eq!(key_a == key_b, same_run);
+                shared += usize::from(same_run);
+            }
+        }
+        assert!(shared > 0, "some configurations coincide");
     }
 }

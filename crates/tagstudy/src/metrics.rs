@@ -46,14 +46,17 @@ pub mod names {
     pub const CACHE_HITS: &str = "session_cache_hits_total";
     /// Counter: measurements started on a worker (incl. ones that later fail).
     pub const CACHE_MISSES: &str = "session_cache_misses_total";
+    /// Counter: measurements whose run was taken from another point of the
+    /// session that simulated the identical run, instead of simulated.
+    pub const SHARED_RUNS: &str = "session_shared_runs_total";
     /// Counter: measurements that failed (error or worker panic).
     pub const FAILURES: &str = "session_failures_total";
     /// Histogram: compile wall time per measurement, seconds.
     pub const COMPILE_SECONDS: &str = "session_compile_seconds";
     /// Histogram: simulate wall time per measurement, seconds.
     pub const SIMULATE_SECONDS: &str = "session_simulate_seconds";
-    /// Histogram: simulated throughput per measurement — its simulated
-    /// cycles over its simulate wall time, in Mcycles/s.
+    /// Histogram: simulated throughput per measurement that simulated its
+    /// run — its simulated cycles over its simulate wall time, in Mcycles/s.
     pub const SIMULATE_MCYCLES_PER_SECOND: &str = "session_simulate_mcycles_per_second";
     /// Histogram: in-flight measurements observed at each measurement start.
     pub const POOL_OCCUPANCY: &str = "session_pool_occupancy";

@@ -39,6 +39,30 @@
 //!
 //! The worker-pool bound applies per batch; concurrent batches each run
 //! their own pool.
+//!
+//! ## One simulation per distinct run
+//!
+//! Several points of the design space compile to the same machine run: with
+//! no run-time checking, the generic-arithmetic and parallel-check hardware
+//! of Table 2 rows 4–6 has nothing to do, so those rows run the plain code.
+//! Once a point has compiled, the session keys its run by everything the
+//! simulator can observe: the backend, the timing model, the fuel, the
+//! memory size, the entry point, a digest of the code, annotations and data
+//! image, and the hardware as far as the code can observe it
+//! ([`mipsx::HwConfig::as_seen_by`]). A point whose run another point of the
+//! session has simulated, or is simulating, takes that run's `Stats`, output
+//! and halt code instead of simulating again. It is still compiled, checked
+//! against its own expected output, cached and reported under its own
+//! `(program, Config)`; [`SessionStats::shared_runs`] counts it, and its
+//! trace has a `run.shared` span naming the owning point in place of
+//! `simulate`.
+//!
+//! The run index is single-flight like the cells: the first worker to
+//! register a run simulates it and publishes it from the worker itself, so a
+//! point of the same batch can wait for it. A failed or abandoned run
+//! reaches its waiters as an error and is forgotten. A finished entry only
+//! names the point whose ready cell holds the run, so the index never holds
+//! more entries than the cache holds points.
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -48,7 +72,10 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use crate::config::Config;
-use crate::measure::{run_timed, InlineProgram, Measurement, StudyError, Timing};
+use crate::measure::{
+    run_timed, simulate, simulate_run, InlineProgram, Measurement, Run, RunKey, RunSeeds,
+    StudyError, Timing,
+};
 use crate::metrics::{
     names, MetricsRegistry, DURATION_BUCKETS, MCYCLES_PER_SECOND_BUCKETS, OCCUPANCY_BUCKETS,
 };
@@ -63,16 +90,30 @@ enum Source {
 }
 
 impl Source {
-    /// Measure this program as `name` under `config`: a benchmark always
-    /// pins its output, an inline program may.
-    fn run_timed(&self, name: &str, config: &Config) -> Result<(Measurement, Timing), StudyError> {
+    /// Measure this program as `name` under `config`, getting the compiled
+    /// program's run from `run`: a benchmark always pins its output, an
+    /// inline program may.
+    fn run_timed(
+        &self,
+        name: &str,
+        config: &Config,
+        run: impl FnOnce(&lisp::CompiledProgram) -> Result<Run, String>,
+    ) -> Result<(Measurement, Timing), StudyError> {
         match self {
-            Source::Builtin(b) => {
-                run_timed(b.name, |o| b.compile(o), Some(b.expected_output), config)
-            }
-            Source::Inline(p) => {
-                run_timed(name, |o| p.compile(o), p.expected_output.as_deref(), config)
-            }
+            Source::Builtin(b) => run_timed(
+                b.name,
+                |o| b.compile(o),
+                Some(b.expected_output),
+                config,
+                run,
+            ),
+            Source::Inline(p) => run_timed(
+                name,
+                |o| p.compile(o),
+                p.expected_output.as_deref(),
+                config,
+                run,
+            ),
         }
     }
 }
@@ -115,15 +156,25 @@ pub struct SessionStats {
     /// Requests served from the cache (including duplicates within one batch
     /// and requests that waited on another batch measuring the same point).
     pub hits: u64,
-    /// Measurements actually compiled and simulated.
+    /// Measurements actually compiled (and simulated, unless the run was
+    /// shared).
     pub misses: u64,
+    /// Measurements whose run was taken from another point of the session
+    /// that simulated the identical run, instead of simulated (see the
+    /// [module docs](self)). `misses - shared_runs` runs were simulated.
+    pub shared_runs: u64,
     /// Total wall time spent compiling.
     pub compile_time: Duration,
-    /// Total wall time spent simulating.
+    /// Total wall time spent simulating, or waiting for a shared run.
     pub sim_time: Duration,
 }
 
 impl SessionStats {
+    /// Measurements that simulated their own run.
+    pub fn simulated(&self) -> u64 {
+        self.misses - self.shared_runs
+    }
+
     /// Total requests the session has answered.
     pub fn requests(&self) -> u64 {
         self.hits + self.misses
@@ -145,12 +196,14 @@ type Key = (String, Config);
 /// ready, so boxing the large variant would only add an allocation.
 #[allow(clippy::large_enum_variant)]
 enum Cell {
-    /// Measured in this process, or seeded from a persistent store — hits on
-    /// seeded cells span as `store.read`, on measured ones as `cache.read`.
+    /// Measured in this process, or seeded from a persistent store — hits
+    /// span as `cache.read`, labelled `seeded=true` on seeded cells.
     Ready {
         measurement: Measurement,
         timing: Timing,
         seeded: bool,
+        /// The key of the run the measurement holds (`None` when seeded).
+        run: Option<RunKey>,
     },
     /// Claimed by one batch that is measuring it now.
     InFlight(Arc<Flight>),
@@ -160,11 +213,82 @@ enum Cell {
 /// it: set once, by that batch.
 type Flight = OnceLock<Result<Measurement, StudyError>>;
 
+/// One distinct machine run in the run index (see the [module docs](self)).
+enum RunEntry {
+    /// Registered by the point `owner`, whose worker simulates it and sets
+    /// `flight` when the run ends. The entry stays until `owner` settles.
+    Running { owner: Key, flight: Arc<RunFlight> },
+    /// Simulated by `owner`, whose ready cell holds the run's results.
+    Done { owner: Key },
+}
+
+impl RunEntry {
+    fn owner(&self) -> &Key {
+        match self {
+            RunEntry::Running { owner, .. } | RunEntry::Done { owner } => owner,
+        }
+    }
+
+    /// Whether this is the running entry whose flight is `mine`.
+    fn runs(&self, mine: &Arc<RunFlight>) -> bool {
+        matches!(self, RunEntry::Running { flight, .. } if Arc::ptr_eq(flight, mine))
+    }
+}
+
+/// The hand-off from the worker simulating a run to the points waiting for
+/// it: the outcome, or the simulator's error message. Set once.
+type RunFlight = OnceLock<Result<lisp::Outcome, String>>;
+
+type RunIndex = Mutex<HashMap<RunKey, RunEntry>>;
+
+/// One claimed point's part in the run index, filled in by its worker.
+#[derive(Default)]
+struct Ticket {
+    /// The key of the point's run, once the point has compiled.
+    run: Option<RunKey>,
+    /// The flight of the entry the point registered, when it simulated.
+    owned: Option<Arc<RunFlight>>,
+    /// Whether the run was taken from another point.
+    shared: bool,
+}
+
+/// A run one worker has registered. Publishing sets its flight; an error is
+/// never kept, so it also drops the entry. A guard dropped unpublished (its
+/// worker unwound) publishes an error, so waiters never hang.
+struct RunGuard<'s> {
+    runs: &'s RunIndex,
+    key: RunKey,
+    flight: Arc<RunFlight>,
+}
+
+impl RunGuard<'_> {
+    fn publish(&self, result: Result<lisp::Outcome, String>) {
+        if result.is_err() {
+            let mut runs = lock(self.runs);
+            if runs.get(&self.key).is_some_and(|e| e.runs(&self.flight)) {
+                runs.remove(&self.key);
+            }
+        }
+        let _ = self.flight.set(result);
+    }
+}
+
+impl Drop for RunGuard<'_> {
+    fn drop(&mut self) {
+        if self.flight.get().is_none() {
+            self.publish(Err(
+                "run abandoned: the worker simulating it unwound".to_string()
+            ));
+        }
+    }
+}
+
 /// A point one batch has claimed. Publishing settles it; a claim dropped
 /// unpublished (its batch unwound) publishes an error, so waiters never hang
 /// on a measurement nobody will finish.
 struct Claim<'s> {
     cells: &'s Mutex<HashMap<Key, Cell>>,
+    runs: &'s RunIndex,
     key: Key,
     flight: Arc<Flight>,
     published: bool,
@@ -173,11 +297,14 @@ struct Claim<'s> {
 impl Claim<'_> {
     /// Replace the in-flight cell with the outcome — a ready cell, or no
     /// cell for a failure — and wake the waiters. A cell evicted meanwhile
-    /// (its source was replaced) stays evicted.
-    fn publish(&mut self, result: &MeasureResult) {
+    /// (its source was replaced) stays evicted. The run the point simulated
+    /// becomes a finished entry naming the ready cell; a point that leaves
+    /// no ready cell leaves no entry.
+    fn publish(&mut self, result: &MeasureResult, ticket: &Ticket) {
         let mut cells = lock(self.cells);
         let ours =
             matches!(cells.get(&self.key), Some(Cell::InFlight(f)) if Arc::ptr_eq(f, &self.flight));
+        let ready = ours && result.is_ok();
         if ours {
             match result {
                 Ok((measurement, timing)) => {
@@ -185,6 +312,7 @@ impl Claim<'_> {
                         measurement: measurement.clone(),
                         timing: *timing,
                         seeded: false,
+                        run: ticket.run,
                     };
                     cells.insert(self.key.clone(), ready);
                 }
@@ -194,6 +322,16 @@ impl Claim<'_> {
             }
         }
         drop(cells);
+        let mut runs = lock(self.runs);
+        if !ready {
+            runs.retain(|_, entry| *entry.owner() != self.key);
+        } else if let (Some(run), Some(owned)) = (ticket.run, &ticket.owned) {
+            if runs.get(&run).is_some_and(|e| e.runs(owned)) {
+                let owner = self.key.clone();
+                runs.insert(run, RunEntry::Done { owner });
+            }
+        }
+        drop(runs);
         let _ = self.flight.set(result.clone().map(|(m, _)| m));
         self.published = true;
     }
@@ -202,10 +340,11 @@ impl Claim<'_> {
 impl Drop for Claim<'_> {
     fn drop(&mut self) {
         if !self.published {
-            self.publish(&Err(StudyError::Sim {
+            let abandoned = Err(StudyError::Sim {
                 program: self.key.0.clone(),
                 message: "measurement abandoned: its batch unwound before finishing".to_string(),
-            }));
+            });
+            self.publish(&abandoned, &Ticket::default());
         }
     }
 }
@@ -219,6 +358,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The memoizing, parallel experiment engine. See the [module docs](self).
 pub struct Session {
     cells: Mutex<HashMap<Key, Cell>>,
+    /// The run index: each distinct machine run a point of this session has
+    /// simulated, or is simulating (see the [module docs](self)).
+    runs: RunIndex,
+    /// The seeds of this session's run digests.
+    run_seeds: RunSeeds,
     /// Caller-registered inline programs, consulted before the built-in
     /// benchmark registry when a name is resolved.
     sources: Mutex<HashMap<String, Arc<InlineProgram>>>,
@@ -257,6 +401,8 @@ impl Session {
             std::thread::available_parallelism().unwrap_or(NonZeroUsize::new(4).expect("non-zero"));
         Session {
             cells: Mutex::new(HashMap::new()),
+            runs: Mutex::new(HashMap::new()),
+            run_seeds: RunSeeds::random(),
             sources: Mutex::new(HashMap::new()),
             parallelism,
             progress: None,
@@ -345,6 +491,7 @@ impl Session {
                 measurement,
                 timing,
                 seeded: true,
+                run: None,
             };
             cells.insert(key.clone(), ready);
         }
@@ -378,8 +525,9 @@ impl Session {
             if replaced {
                 // Evict before releasing the sources lock: a request that
                 // resolves the new source can never find a cell measured
-                // from the old one.
+                // from the old one. The runs those cells owned go with them.
                 lock(&self.cells).retain(|(cached, _), _| *cached != name);
+                lock(&self.runs).retain(|_, entry| entry.owner().0 != name);
             }
             replaced
         };
@@ -444,9 +592,11 @@ impl Session {
     /// batch waits for that result (see the [module docs](self)).
     ///
     /// Inside a trace context (see [`crate::trace`]) every hit records a
-    /// `cache.read` span (`store.read` when the point was seeded from a
-    /// store), and every measurement a `measure` span with `compile` and
-    /// `simulate` children, on whichever worker ran it.
+    /// `cache.read` span (labelled `seeded=true` when the point was seeded
+    /// from a store), and every measurement a `measure` span with `compile`
+    /// and `simulate` children, on whichever worker ran it; a measurement
+    /// whose run was shared has a `run.shared` child in place of
+    /// `simulate`.
     ///
     /// # Errors
     ///
@@ -504,6 +654,7 @@ impl Session {
                         cells.insert(key.clone(), Cell::InFlight(Arc::clone(&flight)));
                         claims.push(Claim {
                             cells: &self.cells,
+                            runs: &self.runs,
                             key: key.clone(),
                             flight,
                             published: false,
@@ -519,13 +670,14 @@ impl Session {
         for ((program, config), seeded) in hits {
             lock(&self.stats).hits += 1;
             let now = std::time::Instant::now();
-            trace::record(
-                if seeded { "store.read" } else { "cache.read" },
-                "session",
-                now,
-                now,
-                &[("program", &program), ("config", &config.to_string())],
-            );
+            let config_name = config.to_string();
+            let labels = [
+                ("program", program.as_str()),
+                ("config", &config_name),
+                ("seeded", "true"),
+            ];
+            let labelled = if seeded { &labels[..] } else { &labels[..2] };
+            trace::record("cache.read", "session", now, now, labelled);
             self.emit(&Progress::Hit { program, config });
         }
 
@@ -536,7 +688,7 @@ impl Session {
         let measured: Vec<Result<Measurement, StudyError>> = claims
             .iter_mut()
             .zip(self.run_pool(&jobs))
-            .map(|(claim, result)| self.settle(claim, result))
+            .map(|(claim, (result, ticket))| self.settle(claim, result, &ticket))
             .collect();
 
         let mut errors: Vec<StudyError> = Vec::new();
@@ -566,14 +718,19 @@ impl Session {
         &self,
         claim: &mut Claim<'_>,
         result: MeasureResult,
+        ticket: &Ticket,
     ) -> Result<Measurement, StudyError> {
         match &result {
             Ok((measurement, timing)) => {
                 {
                     let mut stats = lock(&self.stats);
                     stats.misses += 1;
+                    stats.shared_runs += u64::from(ticket.shared);
                     stats.compile_time += timing.compile;
                     stats.sim_time += timing.simulate;
+                }
+                if ticket.shared {
+                    self.lock_metrics().inc(names::SHARED_RUNS);
                 }
                 if let Some(wb) = &self.writeback {
                     wb(measurement, timing);
@@ -593,7 +750,7 @@ impl Session {
                 );
             }
         }
-        claim.publish(&result);
+        claim.publish(&result, ticket);
         result.map(|(m, _)| m)
     }
 
@@ -611,10 +768,10 @@ impl Session {
         self.measure_many(&requests)
     }
 
-    /// Measure without touching the cache or counters: always compiles and
-    /// simulates. This is the right primitive for timing harnesses and
-    /// backend comparisons, where serving a memoized result would time (or
-    /// compare) the cache instead of the toolchain.
+    /// Measure without touching the cache, the run index or the counters:
+    /// always compiles and simulates. This is the right primitive for timing
+    /// harnesses and backend comparisons, where serving a memoized result
+    /// would time (or compare) the cache instead of the toolchain.
     ///
     /// # Errors
     ///
@@ -625,7 +782,7 @@ impl Session {
         config: Config,
     ) -> Result<Measurement, StudyError> {
         self.resolve(program)?
-            .run_timed(program, &config)
+            .run_timed(program, &config, |compiled| simulate_run(compiled, &config))
             .map(|(m, _)| m)
     }
 
@@ -779,21 +936,23 @@ impl Session {
             let stalls = model.by_function(&compiled.program.symtab);
             (measurement, profiler, Some(stalls))
         };
-        self.emit(&Progress::Finished {
-            program: program.to_string(),
+        self.finished(
+            program,
             config,
-            timing: Timing {
+            Timing {
                 compile,
                 simulate: t1.elapsed(),
             },
-            cycles: measurement.stats.cycles,
-        });
+            measurement.stats.cycles,
+            true,
+        );
         Ok((measurement, profiler, stalls))
     }
 
     /// Render the observability surface as a short plain-text summary: cache
-    /// counters, the compile/simulate wall-time split, and the slowest
-    /// measured points.
+    /// counters, how many compiled points simulated and how many shared a
+    /// run, the compile/simulate wall-time split, and the slowest measured
+    /// points.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -806,6 +965,13 @@ impl Session {
             s.misses,
             s.requests(),
             self.parallelism
+        );
+        let _ = writeln!(
+            out,
+            "  {} compiled, {} simulated, {} runs shared",
+            s.misses,
+            s.simulated(),
+            s.shared_runs
         );
         let _ = writeln!(
             out,
@@ -891,19 +1057,12 @@ impl Session {
                     program,
                     config,
                     timing,
-                    cycles,
+                    ..
                 } => {
                     let compile = timing.compile.as_secs_f64();
                     let simulate = timing.simulate.as_secs_f64();
                     m.observe(names::COMPILE_SECONDS, DURATION_BUCKETS, compile);
                     m.observe(names::SIMULATE_SECONDS, DURATION_BUCKETS, simulate);
-                    if simulate > 0.0 {
-                        m.observe(
-                            names::SIMULATE_MCYCLES_PER_SECOND,
-                            MCYCLES_PER_SECOND_BUCKETS,
-                            *cycles as f64 / simulate / 1e6,
-                        );
-                    }
                     m.event(
                         "measure_finished",
                         &[
@@ -921,18 +1080,45 @@ impl Session {
         }
     }
 
+    /// Emit [`Progress::Finished`] for a measurement. Its simulated rate is
+    /// observed only when it `simulated` its run: the wait for a shared run
+    /// says nothing about the simulator's speed.
+    fn finished(
+        &self,
+        program: &str,
+        config: Config,
+        timing: Timing,
+        cycles: u64,
+        simulated: bool,
+    ) {
+        let simulate = timing.simulate.as_secs_f64();
+        if simulated && simulate > 0.0 {
+            self.lock_metrics().observe(
+                names::SIMULATE_MCYCLES_PER_SECOND,
+                MCYCLES_PER_SECOND_BUCKETS,
+                cycles as f64 / simulate / 1e6,
+            );
+        }
+        self.emit(&Progress::Finished {
+            program: program.to_owned(),
+            config,
+            timing,
+            cycles,
+        });
+    }
+
     /// Run `jobs` on at most `self.parallelism` workers, returning results in
-    /// job order. Worker panics are converted into per-program errors. Each
-    /// worker enters the caller's trace context, so its spans parent where
-    /// the caller's would.
-    fn run_pool(&self, jobs: &[Key]) -> Vec<MeasureResult> {
+    /// job order, each with its part in the run index. Worker panics are
+    /// converted into per-program errors. Each worker enters the caller's
+    /// trace context, so its spans parent where the caller's would.
+    fn run_pool(&self, jobs: &[Key]) -> Vec<(MeasureResult, Ticket)> {
         let workers = jobs.len().min(self.parallelism.get());
         if workers <= 1 {
             return jobs.iter().map(|job| self.run_one(job)).collect();
         }
         let ctx = trace::current();
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<MeasureResult>>> =
+        let slots: Vec<Mutex<Option<(MeasureResult, Ticket)>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -956,20 +1142,25 @@ impl Session {
             .collect()
     }
 
-    fn run_one(&self, (name, config): &Key) -> MeasureResult {
-        let source = self.resolve(name)?;
+    fn run_one(&self, point: &Key) -> (MeasureResult, Ticket) {
+        let mut ticket = Ticket::default();
+        let source = match self.resolve(&point.0) {
+            Ok(source) => source,
+            Err(e) => return (Err(e), ticket),
+        };
         let depth = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
         {
             let mut m = self.lock_metrics();
             m.observe(names::POOL_OCCUPANCY, OCCUPANCY_BUCKETS, depth as f64);
             m.gauge_max(names::POOL_PEAK_OCCUPANCY, depth as f64);
         }
-        let result = self.run_one_inner(name, config, source);
+        let result = self.run_one_inner(point, source, &mut ticket);
         self.inflight.fetch_sub(1, Ordering::Relaxed);
-        result
+        (result, ticket)
     }
 
-    fn run_one_inner(&self, name: &str, config: &Config, source: Source) -> MeasureResult {
+    fn run_one_inner(&self, point: &Key, source: Source, ticket: &mut Ticket) -> MeasureResult {
+        let (name, config) = (point.0.as_str(), &point.1);
         // The measurement's span; `run_timed` records its compile and
         // simulate children.
         let _measure = trace::span("measure", "session")
@@ -983,7 +1174,9 @@ impl Session {
                 program: name.to_owned(),
                 config: *config,
             });
-            source.run_timed(name, config)
+            source.run_timed(name, config, |compiled| {
+                self.take_run(point, compiled, ticket)
+            })
         }))
         .unwrap_or_else(|payload| {
             Err(StudyError::Sim {
@@ -992,14 +1185,89 @@ impl Session {
             })
         });
         if let Ok((measurement, timing)) = &result {
-            self.emit(&Progress::Finished {
-                program: name.to_owned(),
-                config: *config,
-                timing: *timing,
-                cycles: measurement.stats.cycles,
-            });
+            let simulated = !ticket.shared;
+            self.finished(name, *config, *timing, measurement.stats.cycles, simulated);
         }
         result
+    }
+
+    /// The run of `point`, compiled to `compiled`: taken from the point
+    /// that simulated or is simulating the identical run, or else
+    /// registered in the run index and simulated here. `ticket` records
+    /// which.
+    fn take_run(
+        &self,
+        point: &Key,
+        compiled: &lisp::CompiledProgram,
+        ticket: &mut Ticket,
+    ) -> Result<Run, String> {
+        let key = RunKey::of(compiled, &point.1, &self.run_seeds);
+        ticket.run = Some(key);
+        let (outcome, owner) = loop {
+            let mut runs = lock(&self.runs);
+            let owner = match runs.get(&key) {
+                None => {
+                    let flight = Arc::new(RunFlight::default());
+                    let entry = RunEntry::Running {
+                        owner: point.clone(),
+                        flight: Arc::clone(&flight),
+                    };
+                    runs.insert(key, entry);
+                    drop(runs);
+                    ticket.owned = Some(Arc::clone(&flight));
+                    // Publish from this worker, not through the point's
+                    // claim: claims publish only after the whole batch
+                    // returns, and a point of this batch may be waiting.
+                    let guard = RunGuard {
+                        runs: &self.runs,
+                        key,
+                        flight,
+                    };
+                    let result = simulate(compiled, &point.1).map_err(|e| e.to_string());
+                    guard.publish(result.clone());
+                    return result.map(Run::Simulated);
+                }
+                Some(RunEntry::Running { owner, flight }) => {
+                    let (owner, flight) = (owner.clone(), Arc::clone(flight));
+                    drop(runs);
+                    break (flight.wait().clone()?, owner);
+                }
+                Some(RunEntry::Done { owner }) => owner.clone(),
+            };
+            drop(runs);
+            if let Some(outcome) = self.ready_run(&owner, &key) {
+                break (outcome, owner);
+            }
+            // The owner's cell no longer holds the run (its source was
+            // replaced): forget the entry, unless it changed meanwhile, and
+            // look again.
+            let mut runs = lock(&self.runs);
+            if matches!(runs.get(&key), Some(RunEntry::Done { owner: o }) if *o == owner) {
+                runs.remove(&key);
+            }
+        };
+        ticket.shared = true;
+        Ok(Run::Shared {
+            outcome,
+            owner: format!("{}:{}", owner.0, owner.1),
+        })
+    }
+
+    /// The outcome of run `key` from `owner`'s ready cell, if that cell holds
+    /// it.
+    fn ready_run(&self, owner: &Key, key: &RunKey) -> Option<lisp::Outcome> {
+        match lock(&self.cells).get(owner) {
+            Some(Cell::Ready {
+                measurement,
+                run: Some(run),
+                ..
+            }) if run == key => Some(lisp::Outcome {
+                halt_code: measurement.halt_code,
+                output: measurement.output.clone(),
+                stats: measurement.stats.clone(),
+            }),
+            _ => None,
+        }
     }
 }
 
@@ -1271,8 +1539,8 @@ mod tests {
     }
 
     /// Inside a trace context, a batch records session spans (cache.read for
-    /// hits, measure/compile/simulate for misses, store.read for seeded hits)
-    /// that share the context's trace id; outside one, nothing is recorded.
+    /// hits, measure/compile/simulate for misses) that share the context's
+    /// trace id; outside one, nothing is recorded.
     #[test]
     fn traced_batch_records_session_spans() {
         use crate::trace::{TraceContext, Tracer};
@@ -1312,10 +1580,11 @@ mod tests {
         }
     }
 
-    /// A hit on a seeded entry spans as `store.read` — the provenance that
-    /// lets a warm-restart trace prove "no simulation happened".
+    /// A hit on a seeded entry spans as `cache.read` labelled `seeded=true` —
+    /// the provenance that lets a warm-restart trace prove "no simulation
+    /// happened" without passing the hit off as a disk read.
     #[test]
-    fn seeded_hit_spans_as_store_read() {
+    fn seeded_hit_spans_as_seeded_cache_read() {
         use crate::trace::{TraceContext, Tracer};
         let cfg = Config::baseline(CheckingMode::None);
         let cold = Session::serial();
@@ -1333,8 +1602,119 @@ mod tests {
             .expect("trace recorded");
         let rec = tracer.lookup(ctx.trace).unwrap();
         let names: Vec<&str> = rec.spans.iter().map(|sp| sp.name.as_str()).collect();
-        assert_eq!(names, ["store.read", "store.read"], "a duplicate too");
-        assert!(!rec.spans.iter().any(|sp| sp.name == "simulate"));
+        assert_eq!(names, ["cache.read", "cache.read"], "a duplicate too");
+        for sp in &rec.spans {
+            assert_eq!(sp.component, "session");
+            let labels: Vec<(&str, &str)> = sp
+                .labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            assert_eq!(
+                labels,
+                [
+                    ("program", "frl"),
+                    ("config", cfg.to_string().as_str()),
+                    ("seeded", "true")
+                ]
+            );
+        }
+        assert!(!rec
+            .spans
+            .iter()
+            .any(|sp| sp.name == "simulate" || sp.name == "store.read"));
+    }
+
+    /// A point whose run another point simulated records `run.shared`,
+    /// labelled with the owning point, in place of `simulate`; its
+    /// measurement and the owner's agree.
+    #[test]
+    fn shared_run_spans_name_the_owner() {
+        use crate::trace::{TraceContext, Tracer};
+        let plain = Config::baseline(CheckingMode::None);
+        let genarith = plain.with_hw(mipsx::HwConfig::with_generic_arith());
+        let tracer = Tracer::new(8, Duration::from_secs(3600));
+        let s = Session::serial();
+        let ctx = TraceContext::fresh();
+        let (owner, shared) = {
+            let _entered = tracer.enter(ctx);
+            let owner = s.measure("frl", plain).unwrap();
+            (owner, s.measure("frl", genarith).unwrap())
+        };
+        assert_eq!(shared.stats, owner.stats);
+        assert_eq!(shared.output, owner.output);
+        assert_eq!((s.stats().misses, s.stats().shared_runs), (2, 1));
+        assert_eq!(s.metrics().counter(names::SHARED_RUNS), 1);
+        let rate = s
+            .metrics()
+            .histogram(names::SIMULATE_MCYCLES_PER_SECOND)
+            .map(|h| h.counts.iter().sum::<u64>());
+        assert_eq!(rate, Some(1), "only the simulating point has a rate");
+
+        tracer
+            .finish(ctx.trace, ctx.parent)
+            .expect("trace recorded");
+        let rec = tracer.lookup(ctx.trace).unwrap();
+        let names: Vec<&str> = rec.spans.iter().map(|sp| sp.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "compile",
+                "simulate",
+                "measure",
+                "compile",
+                "run.shared",
+                "measure"
+            ]
+        );
+        let run = rec.spans.iter().find(|sp| sp.name == "run.shared").unwrap();
+        let owner_label = format!("frl:{plain}");
+        let labels: Vec<(&str, &str)> = run
+            .labels
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                ("program", "frl"),
+                ("config", genarith.to_string().as_str()),
+                ("owner", owner_label.as_str())
+            ]
+        );
+    }
+
+    /// Errors are never kept in the run index: a point that fails its own
+    /// validation leaves no entry, so the next point with the same run
+    /// simulates it, and a later one shares that.
+    #[test]
+    fn a_failed_point_leaves_no_run_behind() {
+        let cfg = Config::baseline(CheckingMode::Full);
+        let s = Session::serial();
+        let source = "(print (plus 1 2))";
+        s.register_source(
+            "claims-four",
+            InlineProgram::new(source).with_expected_output("4\n"),
+        );
+        s.register_source("first", InlineProgram::new(source));
+        s.register_source("second", InlineProgram::new(source));
+        assert!(s.measure("claims-four", cfg).is_err());
+        assert!(
+            lock(&s.runs).is_empty(),
+            "the failed owner's run is dropped"
+        );
+        s.measure("first", cfg).unwrap();
+        assert_eq!(s.stats().shared_runs, 0, "simulated again");
+        s.measure("second", cfg).unwrap();
+        assert_eq!(s.stats().shared_runs, 1);
+        assert_eq!(lock(&s.runs).len(), 1, "one run for the two points");
+
+        // Replacing the owner's source drops its run with its cells.
+        s.register_source("first", InlineProgram::new("(print 7)"));
+        assert!(lock(&s.runs).is_empty());
+        s.register_source("third", InlineProgram::new(source));
+        s.measure("third", cfg).unwrap();
+        assert_eq!(s.stats().shared_runs, 1, "no owner left to share from");
     }
 
     /// The text and JSON renderings, made under the lock, match rendering a
