@@ -230,6 +230,33 @@ pub struct Unit {
     pub top: Vec<Expr>,
     /// Source lines (comments and blanks excluded), for Table 3.
     pub source_lines: usize,
+    /// What the system prelude contributed, when it was lowered first.
+    pub(crate) prelude: Option<PreludePrefix>,
+}
+
+impl Unit {
+    /// What the system prelude ([`crate::PRELUDE`]) contributed to this unit,
+    /// or `None` when the unit was lowered without it.
+    ///
+    /// Functions, globals and constants are numbered in lowering order, so
+    /// the prelude's are the first of each table, and [`crate::lower_sources`]
+    /// refuses a program that redefines one of its functions. Compiling links
+    /// such a unit against a prebuilt image of those functions.
+    pub fn prelude(&self) -> Option<PreludePrefix> {
+        self.prelude
+    }
+}
+
+/// The lengths of the prefixes of a [`Unit`]'s tables that the system
+/// prelude contributed (see [`Unit::prelude`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PreludePrefix {
+    /// Functions.
+    pub fns: usize,
+    /// Global variables.
+    pub globals: usize,
+    /// Constants.
+    pub consts: usize,
 }
 
 #[cfg(test)]

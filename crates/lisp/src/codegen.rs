@@ -34,7 +34,7 @@ use tagword::{Tag, TagScheme};
 use crate::ast::{Expr, FnDef, Prim, Unit};
 use crate::error::CompileError;
 use crate::front::CheckingMode;
-use crate::layout::{Layout, HDR_LEN_SHIFT, SYM_FNCODE, SYM_PLIST, VEC_CODE};
+use crate::layout::{Layout, Reloc, HDR_LEN_SHIFT, SYM_FNCODE, SYM_PLIST, VEC_CODE};
 use crate::runtime::RtLabels;
 use crate::tagops::TagOps;
 
@@ -142,10 +142,6 @@ impl<'a> Codegen<'a> {
         self.full() && self.t.hw.parallel_check == ParallelCheck::All
     }
 
-    fn const_word(&self, i: usize) -> i32 {
-        self.layout.const_words[i] as i32
-    }
-
     fn make_int(&self, v: i32) -> Result<i32, CompileError> {
         self.t
             .scheme
@@ -186,7 +182,9 @@ impl<'a> Codegen<'a> {
                 let w = self.make_int(*v)?;
                 asm.li(dst, w);
             }
-            Expr::Const(i) => asm.li(dst, self.const_word(*i)),
+            Expr::Const(i) => {
+                Reloc::Const(*i as u32).emit(asm, self.layout, |a, w| a.li(dst, w));
+            }
             Expr::Local(s) => asm.ld(dst, Reg::Sp, ctx.slot_off(*s)),
             Expr::Global(g) => asm.ld(dst, Reg::Gp, 4 * *g as i32),
             _ => unreachable!("eval_simple on a non-simple expression"),
@@ -1465,12 +1463,9 @@ impl<'a> Codegen<'a> {
         asm.emit(Insn::Addi(Reg::Sp, Reg::Sp, -frame_bytes));
         // Stack-overflow check: one compare-and-branch per call, uniform across
         // every configuration so relative measurements are unaffected.
-        asm.bri(
-            Cond::Lt,
-            Reg::Sp,
-            self.layout.stack_low as i32,
-            self.rt.err_stack,
-        );
+        Reloc::StackLow.emit(asm, self.layout, |a, low| {
+            a.bri(Cond::Lt, Reg::Sp, low, self.rt.err_stack);
+        });
         // Save the return address as a fixnum-looking word so the GC can scan
         // frames blindly.
         asm.emit(Insn::Sll(Reg::X0, Reg::Link, 2));

@@ -1,17 +1,20 @@
 //! Top-level compilation pipeline and execution helpers.
 
+use std::collections::HashMap;
+
 use mipsx::sched::{schedule_and_attribute, ScheduleReport};
-use mipsx::{Asm, Backend, Executor, HwConfig, Outcome, Program, SimError};
+use mipsx::{Asm, Backend, Executor, HwConfig, Outcome, Program, SimError, SymbolTable};
 use tagword::TagScheme;
 
 use crate::ast::Unit;
 use crate::codegen::Codegen;
 use crate::error::CompileError;
 use crate::front::{lower_sources, CheckingMode};
+use crate::image::{image, labels, Key};
 use crate::layout::{Layout, SYM_FNCODE};
 use crate::prelude::PRELUDE;
-use crate::runtime::{emit_runtime, RtLabels};
-use crate::tagops::{IntTestMethod, TagOps};
+use crate::runtime::emit_runtime;
+use crate::tagops::IntTestMethod;
 
 /// Compilation options: everything the paper varies, plus sizing.
 #[derive(Debug, Clone, Copy)]
@@ -116,27 +119,106 @@ pub fn compile(source: &str, opts: &Options) -> Result<CompiledProgram, CompileE
 /// configuration. `opts.include_prelude` is not read; whether the prelude is
 /// linked in was decided when the `Unit` was lowered.
 ///
+/// Only `main` and the unit's own functions are generated here. The
+/// prelude's functions and the runtime come from a system image, built once
+/// per process for each code-shaping configuration and linked in (DESIGN.md
+/// §4a). The object code is the one [`compile_unit_reference`] generates in
+/// one piece.
+///
 /// # Errors
 ///
 /// Literals that don't fit the scheme, and (indicating a code-generator bug)
 /// assembly and verification failures.
 pub fn compile_unit(unit: &Unit, opts: &Options) -> Result<CompiledProgram, CompileError> {
-    let layout = Layout::build(unit, opts.scheme, opts.heap_semi_bytes, opts.stack_bytes)?;
+    let mut layout = Layout::build(unit, opts.scheme, opts.heap_semi_bytes, opts.stack_bytes)?;
+    let key = Key::new(opts, unit.prelude().is_some());
 
     let mut asm = Asm::new();
-    let rt = RtLabels::create(&mut asm);
-    let fn_labels: Vec<_> = unit.fns.iter().map(|_| asm.new_label()).collect();
-    let t = TagOps {
-        scheme: opts.scheme,
-        hw: opts.hw,
-        checking: opts.checking,
-        preshifted_pair_tag: opts.preshifted_pair_tag,
-        int_test_method: opts.int_test_method,
-    };
+    let (rt, fn_labels) = labels(&mut asm, unit.fns.len());
     let cg = Codegen {
         unit,
         layout: &layout,
-        t,
+        t: key.tag_ops(),
+        rt,
+        fn_labels,
+    };
+    // Errors surface in the reference's order: main, the prelude, the rest.
+    let entry = cg.emit_main(&mut asm)?;
+    asm.set_entry(entry);
+    let image = image(key)?;
+    assert_eq!(
+        image.prefix,
+        unit.prelude(),
+        "the image was built from the prelude this unit was lowered with"
+    );
+    let shared = unit.prelude().map_or(0, |p| p.fns);
+    for (f, label) in unit.fns.iter().zip(&cg.fn_labels).skip(shared) {
+        cg.emit_fn(&mut asm, f, *label)?;
+    }
+    let fn_labels = cg.fn_labels;
+    let own_schedule = schedule_and_attribute(&mut asm);
+
+    let main_len = fn_labels
+        .get(shared)
+        .map_or(asm.len(), |&l| asm.position(l).expect("emitted above"));
+    let at = image.placement(main_len, asm.len());
+    let part = asm
+        .finish_part(|pos| at.own(pos), |l| image.import(at, l))
+        .map_err(|e| CompileError::Asm(e.to_string()))?;
+    let (insns, annots) = image.link(at, &part.insns, &part.annots, &layout);
+    let mut symbols: HashMap<String, usize> = part.symbols.into_iter().collect();
+    symbols.extend(image.symbols(at));
+    let symtab = SymbolTable::build(&symbols, &insns);
+
+    // Patch each symbol's function cell with the function's code index
+    // (funcall dispatches through these).
+    let mut data = std::mem::take(&mut layout.data);
+    for (f, label) in unit.fns.iter().zip(&fn_labels) {
+        let idx = part.labels[label.id() as usize]
+            .or_else(|| image.import(at, *label))
+            .expect("every function is placed");
+        let sym = &layout.symbols[layout.sym_ids[&f.name]];
+        data.push(((sym.addr as i32 + SYM_FNCODE) as u32, idx as u32));
+    }
+
+    let program = Program {
+        insns,
+        annots,
+        entry: part.entry.expect("the entry is set above"),
+        data,
+        symbols,
+        symtab,
+    };
+    let schedule = ScheduleReport {
+        slots_filled: own_schedule.slots_filled + image.schedule.slots_filled,
+        load_nops_inserted: own_schedule.load_nops_inserted + image.schedule.load_nops_inserted,
+    };
+    verified(unit, opts, program, layout.mem_bytes, schedule)
+}
+
+/// [`compile_unit`] in one piece, without the system image: generate,
+/// schedule and assemble `main`, every function and the runtime together.
+///
+/// This is the reference the linked compile is held to, as
+/// [`mipsx::RefCpu`] is for the predecoded executor: it produces the same
+/// [`CompiledProgram`], field by field, only slower. Nothing selects it at
+/// run time; tests and the `compile` study call it.
+///
+/// # Errors
+///
+/// As [`compile_unit`].
+pub fn compile_unit_reference(
+    unit: &Unit,
+    opts: &Options,
+) -> Result<CompiledProgram, CompileError> {
+    let layout = Layout::build(unit, opts.scheme, opts.heap_semi_bytes, opts.stack_bytes)?;
+
+    let mut asm = Asm::new();
+    let (rt, fn_labels) = labels(&mut asm, unit.fns.len());
+    let cg = Codegen {
+        unit,
+        layout: &layout,
+        t: Key::new(opts, false).tag_ops(),
         rt,
         fn_labels,
     };
@@ -146,7 +228,7 @@ pub fn compile_unit(unit: &Unit, opts: &Options) -> Result<CompiledProgram, Comp
     for (f, label) in unit.fns.iter().zip(cg.fn_labels.iter()) {
         cg.emit_fn(&mut asm, f, *label)?;
     }
-    emit_runtime(&mut asm, &t, &layout, &rt);
+    emit_runtime(&mut asm, &cg.t, &layout, &rt);
 
     for &(a, w) in &layout.data {
         asm.data(a, w);
@@ -168,8 +250,18 @@ pub fn compile_unit(unit: &Unit, opts: &Options) -> Result<CompiledProgram, Comp
             .push(((sym.addr as i32 + SYM_FNCODE) as u32, idx as u32));
     }
 
-    mipsx::verify::verify(&program).map_err(|e| CompileError::Verify(e.to_string()))?;
+    verified(unit, opts, program, layout.mem_bytes, schedule)
+}
 
+/// Verify `program` and wrap it with its Table 3 statistics.
+fn verified(
+    unit: &Unit,
+    opts: &Options,
+    program: Program,
+    mem_bytes: usize,
+    schedule: ScheduleReport,
+) -> Result<CompiledProgram, CompileError> {
+    mipsx::verify::verify(&program).map_err(|e| CompileError::Verify(e.to_string()))?;
     let stats = CompileStats {
         procedures: unit.fns.len(),
         source_lines: unit.source_lines,
@@ -177,7 +269,7 @@ pub fn compile_unit(unit: &Unit, opts: &Options) -> Result<CompiledProgram, Comp
     };
     Ok(CompiledProgram {
         program,
-        mem_bytes: layout.mem_bytes,
+        mem_bytes,
         hw: opts.hw,
         stats,
         schedule,

@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 
-use crate::ast::{Expr, FnDef, Prim, Unit};
+use crate::ast::{Expr, FnDef, PreludePrefix, Prim, Unit};
 use crate::error::CompileError;
+use crate::prelude::PRELUDE;
 use crate::sexp::{count_code_lines, parse_all, Sexp};
 
 /// How much run-time checking the compiler emits — the paper's two extremes.
@@ -405,33 +406,10 @@ fn is_cxr(name: &str) -> bool {
             .all(|c| c == b'a' || c == b'd')
 }
 
-/// Parse and lower a set of sources (prelude first, then the program) into a
-/// [`Unit`].
-///
-/// # Errors
-///
-/// Reader errors, unknown variables/functions, malformed forms, arity mismatches.
-pub fn lower_sources(sources: &[&str]) -> Result<Unit, CompileError> {
-    let mut all_forms = Vec::new();
-    let mut lines = 0;
-    for src in sources {
-        lines += count_code_lines(src);
-        all_forms.extend(parse_all(src)?);
-    }
-
-    let mut lo = Lower {
-        unit: Unit {
-            source_lines: lines,
-            ..Unit::default()
-        },
-        fn_ids: HashMap::new(),
-        fn_arity: Vec::new(),
-        global_ids: HashMap::new(),
-        const_ids: HashMap::new(),
-    };
-
-    // Pass 1: function signatures and globals (so forward references work).
-    for form in &all_forms {
+impl Lower {
+    /// Pass 1 over one top-level form: declare a function signature or a
+    /// global, so forward references work.
+    fn declare(&mut self, form: &Sexp) -> Result<(), CompileError> {
         if let Some(items) = form.as_list() {
             match items.first().and_then(Sexp::as_sym) {
                 Some("defun" | "de") => {
@@ -455,14 +433,14 @@ pub fn lower_sources(sources: &[&str]) -> Result<Unit, CompileError> {
                             name: name.to_string(),
                         });
                     }
-                    if lo.fn_ids.contains_key(name) {
+                    if self.fn_ids.contains_key(name) {
                         return Err(form_err(format!("duplicate defun: {name}")));
                     }
-                    let id = lo.unit.fns.len();
-                    lo.fn_ids.insert(name.to_string(), id);
-                    lo.fn_arity.push(params.len());
+                    let id = self.unit.fns.len();
+                    self.fn_ids.insert(name.to_string(), id);
+                    self.fn_arity.push(params.len());
                     // Placeholder; body filled in pass 2.
-                    lo.unit.fns.push(FnDef {
+                    self.unit.fns.push(FnDef {
                         name: name.to_string(),
                         params: params.len(),
                         nslots: params.len(),
@@ -474,23 +452,25 @@ pub fn lower_sources(sources: &[&str]) -> Result<Unit, CompileError> {
                         .get(1)
                         .and_then(Sexp::as_sym)
                         .ok_or_else(|| form_err(format!("bad defvar: {form}")))?;
-                    lo.global(name);
+                    self.global(name);
                 }
                 _ => {}
             }
         }
+        Ok(())
     }
 
-    // Pass 2: lower bodies and top-level forms.
-    for form in &all_forms {
+    /// Pass 2 over one top-level form: lower a function body, a global's
+    /// initialiser or a top-level form.
+    fn define(&mut self, form: &Sexp) -> Result<(), CompileError> {
         let items = match form.as_list() {
             Some(i) => i,
             None => {
                 // A bare top-level atom evaluates for effect; lower it.
                 let mut sc = Scope::new();
-                let e = lo.lower(form, &mut sc)?;
-                lo.unit.top.push(e);
-                continue;
+                let e = self.lower(form, &mut sc)?;
+                self.unit.top.push(e);
+                return Ok(());
             }
         };
         match items.first().and_then(Sexp::as_sym) {
@@ -514,35 +494,89 @@ pub fn lower_sources(sources: &[&str]) -> Result<Unit, CompileError> {
                 for p in &params {
                     sc.bind(p);
                 }
-                let body = lo.lower_body(&items[3..], &mut sc)?;
-                let id = lo.fn_ids[&name];
-                lo.unit.fns[id].body = body;
-                lo.unit.fns[id].nslots = sc.max_slots;
+                let body = self.lower_body(&items[3..], &mut sc)?;
+                let id = self.fn_ids[&name];
+                self.unit.fns[id].body = body;
+                self.unit.fns[id].nslots = sc.max_slots;
             }
             Some("defvar" | "global") => {
                 let name = items[1].as_sym().expect("checked in pass 1");
-                let g = lo.global_ids[name];
+                let g = self.global_ids[name];
                 let init = if let Some(e) = items.get(2) {
                     let mut sc = Scope::new();
-                    lo.lower(e, &mut sc)?
+                    self.lower(e, &mut sc)?
                 } else {
                     Expr::Nil
                 };
-                lo.unit.top.push(Expr::SetGlobal(g, Box::new(init)));
+                self.unit.top.push(Expr::SetGlobal(g, Box::new(init)));
             }
             _ => {
                 let mut sc = Scope::new();
-                let e = lo.lower(form, &mut sc)?;
+                let e = self.lower(form, &mut sc)?;
                 if sc.max_slots > 0 {
                     return Err(form_err(format!(
                         "top-level form binds locals (wrap it in a defun): {form}"
                     )));
                 }
-                lo.unit.top.push(e);
+                self.unit.top.push(e);
             }
         }
+        Ok(())
+    }
+}
+
+/// Parse and lower a set of sources (prelude first, then the program) into a
+/// [`Unit`].
+///
+/// # Errors
+///
+/// Reader errors, unknown variables/functions, malformed forms, arity mismatches.
+pub fn lower_sources(sources: &[&str]) -> Result<Unit, CompileError> {
+    let mut parsed = Vec::with_capacity(sources.len());
+    let mut lines = 0;
+    for src in sources {
+        lines += count_code_lines(src);
+        parsed.push(parse_all(src)?);
     }
 
+    let mut lo = Lower {
+        unit: Unit {
+            source_lines: lines,
+            ..Unit::default()
+        },
+        fn_ids: HashMap::new(),
+        fn_arity: Vec::new(),
+        global_ids: HashMap::new(),
+        const_ids: HashMap::new(),
+    };
+
+    // Pass 1 declares every function and global, pass 2 lowers the bodies.
+    // The prelude's functions, globals and constants are the first of each
+    // table when it is lowered first: record where they end.
+    let with_prelude = sources.first() == Some(&PRELUDE);
+    let mut prelude = PreludePrefix {
+        fns: 0,
+        globals: 0,
+        consts: 0,
+    };
+    for (s, forms) in parsed.iter().enumerate() {
+        for form in forms {
+            lo.declare(form)?;
+        }
+        if s == 0 {
+            prelude.fns = lo.unit.fns.len();
+            prelude.globals = lo.unit.globals.len();
+        }
+    }
+    for (s, forms) in parsed.iter().enumerate() {
+        for form in forms {
+            lo.define(form)?;
+        }
+        if s == 0 {
+            prelude.consts = lo.unit.consts.len();
+        }
+    }
+    lo.unit.prelude = with_prelude.then_some(prelude);
     Ok(lo.unit)
 }
 

@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 
+use mipsx::{Asm, Insn};
 use tagword::{Tag, TagScheme};
 
 use crate::ast::Unit;
@@ -298,6 +299,112 @@ impl Layout {
     }
 }
 
+/// An operand of generated code that the layout decides: where a constant,
+/// a runtime cell or a memory region landed, or how big a region is. Code
+/// that emits such an operand tags it (see [`Reloc::emit`]), so that the
+/// system image (`crate::image`), generated once under a reference layout,
+/// can be patched for each program's own layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reloc {
+    /// The tagged word of constant `i`: a symbol's word or a pointer into
+    /// the constant area, both of which move with the symbol table.
+    Const(u32),
+    /// The address of reserved runtime cell `i`, which follows the globals.
+    RtCell(u32),
+    /// [`Layout::roots_base`].
+    RootsBase,
+    /// [`Layout::stack_low`].
+    StackLow,
+    /// [`Layout::stack_top`].
+    StackTop,
+    /// [`Layout::heap_a`].
+    HeapA,
+    /// [`Layout::heap_b`].
+    HeapB,
+    /// [`Layout::semi_bytes`].
+    SemiBytes,
+}
+
+impl Reloc {
+    /// The operand's value under `layout`.
+    pub fn value(self, layout: &Layout) -> i32 {
+        (match self {
+            Reloc::Const(i) => layout.const_words[i as usize],
+            Reloc::RtCell(i) => layout.rt_cell_addr(i),
+            Reloc::RootsBase => layout.roots_base,
+            Reloc::StackLow => layout.stack_low,
+            Reloc::StackTop => layout.stack_top,
+            Reloc::HeapA => layout.heap_a,
+            Reloc::HeapB => layout.heap_b,
+            Reloc::SemiBytes => layout.semi_bytes,
+        }) as i32
+    }
+
+    /// Emit the instruction `emit` builds from the operand's value under
+    /// `layout` (its first instruction carries the operand) and tag it.
+    pub fn emit(self, asm: &mut Asm, layout: &Layout, emit: impl FnOnce(&mut Asm, i32)) {
+        let at = asm.len();
+        emit(asm, self.value(layout));
+        asm.reloc(at, self.tag());
+    }
+
+    /// `insn` with its immediate operand recomputed under `layout`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `insn` carries no immediate a relocation can name.
+    pub fn patch(self, insn: Insn, layout: &Layout) -> Insn {
+        let v = self.value(layout);
+        match insn {
+            Insn::Li(rd, _) => Insn::Li(rd, v),
+            Insn::Addi(rd, rs, _) => Insn::Addi(rd, rs, v),
+            Insn::Bri {
+                cond,
+                rs,
+                target,
+                squash,
+                ..
+            } => Insn::Bri {
+                cond,
+                rs,
+                imm: v,
+                target,
+                squash,
+            },
+            other => panic!("{self:?} tags {other}, which has no relocatable immediate"),
+        }
+    }
+
+    /// The tag [`Asm::reloc`] carries: the kind in the low three bits, the
+    /// index above them.
+    pub fn tag(self) -> u32 {
+        match self {
+            Reloc::Const(i) => i << 3,
+            Reloc::RtCell(i) => (i << 3) | 1,
+            Reloc::RootsBase => 2,
+            Reloc::StackLow => 3,
+            Reloc::StackTop => 4,
+            Reloc::HeapA => 5,
+            Reloc::HeapB => 6,
+            Reloc::SemiBytes => 7,
+        }
+    }
+
+    /// Inverse of [`Reloc::tag`].
+    pub fn from_tag(tag: u32) -> Reloc {
+        match tag & 7 {
+            0 => Reloc::Const(tag >> 3),
+            1 => Reloc::RtCell(tag >> 3),
+            2 => Reloc::RootsBase,
+            3 => Reloc::StackLow,
+            4 => Reloc::StackTop,
+            5 => Reloc::HeapA,
+            6 => Reloc::HeapB,
+            _ => Reloc::SemiBytes,
+        }
+    }
+}
+
 /// Recursively build one quoted constant into the constant area, returning its
 /// tagged word.
 #[allow(clippy::too_many_arguments)]
@@ -482,6 +589,23 @@ mod tests {
         let term_addr = l.roots_base + 4 * n_roots;
         let t = l.data.iter().find(|(a, _)| *a == term_addr).unwrap().1;
         assert_eq!(t, 0);
+    }
+
+    #[test]
+    fn relocation_tags_round_trip() {
+        for r in [
+            Reloc::Const(0),
+            Reloc::Const(12_345),
+            Reloc::RtCell(3),
+            Reloc::RootsBase,
+            Reloc::StackLow,
+            Reloc::StackTop,
+            Reloc::HeapA,
+            Reloc::HeapB,
+            Reloc::SemiBytes,
+        ] {
+            assert_eq!(Reloc::from_tag(r.tag()), r);
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@ mod compile;
 mod error;
 pub mod eval;
 mod front;
+mod image;
 mod layout;
 mod prelude;
 mod runtime;
@@ -48,8 +49,8 @@ mod sexp;
 mod tagops;
 
 pub use compile::{
-    compile, compile_unit, run, run_observed, run_observed_with, run_with, CompileStats,
-    CompiledProgram, Options,
+    compile, compile_unit, compile_unit_reference, run, run_observed, run_observed_with, run_with,
+    CompileStats, CompiledProgram, Options,
 };
 pub use error::CompileError;
 pub use front::{lower_sources, CheckingMode};

@@ -28,7 +28,7 @@
 use mipsx::{Annot, Asm, CheckCat, Cond, FpOp, Insn, Label, Provenance, Reg, TagOpKind, WriteKind};
 use tagword::Tag;
 
-use crate::layout::{Layout, FLOAT_CODE, HDR_LEN_SHIFT, SYM_NAME, SYM_NAMELEN};
+use crate::layout::{Layout, Reloc, FLOAT_CODE, HDR_LEN_SHIFT, SYM_NAME, SYM_NAMELEN};
 use crate::tagops::TagOps;
 
 /// Exit codes used by runtime error stops.
@@ -188,8 +188,13 @@ fn emit_errors(asm: &mut Asm, rt: &RtLabels) {
 /// `T5` cursor, `T6` cell/limit, `T7` size scratch, `T8` forward arg/result,
 /// `T9`/`X0` scratch, `X1` forward's link.
 fn emit_gc(asm: &mut Asm, t: &TagOps, layout: &Layout, rt: &RtLabels) {
-    let flag_addr = layout.rt_cell_addr(0);
-    let semi = layout.semi_bytes as i32;
+    // The GC space flag is runtime cell 0. Every layout-derived operand is
+    // tagged, so the system image can be linked under any program's layout.
+    let flag_addr = Reloc::RtCell(0);
+    let li = |asm: &mut Asm, rd: Reg, r: Reloc| r.emit(asm, layout, |a, v| a.li(rd, v));
+    let add_semi = |asm: &mut Asm, rd: Reg, rs: Reg| {
+        Reloc::SemiBytes.emit(asm, layout, |a, semi| a.emit(Insn::Addi(rd, rs, semi)));
+    };
 
     let forward = asm.new_label();
 
@@ -204,27 +209,27 @@ fn emit_gc(asm: &mut Asm, t: &TagOps, layout: &Layout, rt: &RtLabels) {
     // Pick spaces from the flag.
     let use_b = asm.new_label();
     let spaces_done = asm.new_label();
-    asm.li(Reg::X0, flag_addr as i32);
+    li(asm, Reg::X0, flag_addr);
     asm.ld(Reg::X0, Reg::X0, 0);
     asm.nop(); // load delay
     asm.bne(Reg::X0, Reg::Zero, use_b);
     // flag == 0: from = A, to = B
-    asm.li(Reg::T2, layout.heap_a as i32);
-    asm.li(Reg::T4, layout.heap_b as i32);
+    li(asm, Reg::T2, Reloc::HeapA);
+    li(asm, Reg::T4, Reloc::HeapB);
     asm.j(spaces_done);
     asm.bind(use_b);
     // flag == 1: from = B, to = A
-    asm.li(Reg::T2, layout.heap_b as i32);
-    asm.li(Reg::T4, layout.heap_a as i32);
+    li(asm, Reg::T2, Reloc::HeapB);
+    li(asm, Reg::T4, Reloc::HeapA);
     asm.bind(spaces_done);
-    asm.emit(Insn::Addi(Reg::T3, Reg::T2, semi));
+    add_semi(asm, Reg::T3, Reg::T2);
     asm.mov(Reg::T0, Reg::T4);
     asm.mov(Reg::T1, Reg::T4);
 
     // --- root table --------------------------------------------------------
     let root_loop = asm.new_label();
     let root_done = asm.new_label();
-    asm.li(Reg::T5, layout.roots_base as i32);
+    li(asm, Reg::T5, Reloc::RootsBase);
     asm.bind(root_loop);
     asm.ld(Reg::T6, Reg::T5, 0);
     asm.nop();
@@ -240,7 +245,7 @@ fn emit_gc(asm: &mut Asm, t: &TagOps, layout: &Layout, rt: &RtLabels) {
     let stack_loop = asm.new_label();
     let stack_done = asm.new_label();
     asm.mov(Reg::T5, Reg::Sp);
-    asm.li(Reg::T6, layout.stack_top as i32);
+    li(asm, Reg::T6, Reloc::StackTop);
     asm.bind(stack_loop);
     asm.br(Cond::Ge, Reg::T5, Reg::T6, stack_done);
     asm.ld(Reg::T8, Reg::T5, 0);
@@ -264,8 +269,8 @@ fn emit_gc(asm: &mut Asm, t: &TagOps, layout: &Layout, rt: &RtLabels) {
 
     // --- flip ----------------------------------------------------------------
     asm.mov(Reg::Hp, Reg::T1);
-    asm.emit(Insn::Addi(Reg::Hl, Reg::T4, semi));
-    asm.li(Reg::X0, flag_addr as i32);
+    add_semi(asm, Reg::Hl, Reg::T4);
+    li(asm, Reg::X0, flag_addr);
     asm.ld(Reg::T9, Reg::X0, 0);
     asm.nop();
     asm.emit(Insn::Xori(Reg::T9, Reg::T9, 1));
@@ -332,7 +337,7 @@ fn emit_gc(asm: &mut Asm, t: &TagOps, layout: &Layout, rt: &RtLabels) {
     asm.br(Cond::Lt, Reg::T7, Reg::T4, not_forwarded);
     // S0/S1 are forward's scratch: the outer loops own T5/T6 as cursors, and
     // compiled Lisp code never keeps values in the callee-saved registers.
-    asm.emit(Insn::Addi(Reg::S0, Reg::T4, semi));
+    add_semi(asm, Reg::S0, Reg::T4);
     asm.br(Cond::Ge, Reg::T7, Reg::S0, not_forwarded);
     // Forwarded: the stored word is the new tagged pointer.
     asm.mov(Reg::T8, Reg::X0);

@@ -60,6 +60,33 @@ pub struct Asm {
     entry: Option<Label>,
     symbols: HashMap<String, Label>,
     data: Vec<(u32, u32)>,
+    /// `(item position, tag)`: relocation tags that follow their instruction
+    /// through scheduling (see [`Asm::reloc`]).
+    pub(crate) relocs: Vec<(usize, u32)>,
+}
+
+/// One assembled part of a program that a linker splices together with other
+/// parts: [`Asm::finish_part`]'s output.
+///
+/// Instructions keep this stream's order; their code targets, the entry,
+/// the symbols and the label positions are already positions of the final
+/// program.
+#[derive(Debug, Clone, Default)]
+pub struct Part {
+    /// Instructions, targets resolved to final positions.
+    pub insns: Vec<Insn>,
+    /// Parallel annotation per instruction.
+    pub annots: Vec<Annot>,
+    /// The entry's final position, if an entry was set.
+    pub entry: Option<usize>,
+    /// Named code positions (final).
+    pub symbols: Vec<(String, usize)>,
+    /// Final position of every label bound in this stream, by label id.
+    pub labels: Vec<Option<usize>>,
+    /// Initial data words.
+    pub data: Vec<(u32, u32)>,
+    /// `(position in this part, tag)` for every [`Asm::reloc`] mark.
+    pub relocs: Vec<(usize, u32)>,
 }
 
 impl Asm {
@@ -126,6 +153,24 @@ impl Asm {
     /// Emit one instruction with an explicit annotation.
     pub fn emit_annot(&mut self, insn: Insn, annot: Annot) {
         self.items.push((insn, annot));
+    }
+
+    /// Tag the instruction at position `pos` with a caller-defined relocation
+    /// `tag`. The scheduler moves the tag with the instruction, and
+    /// [`Asm::finish_part`] reports where it ended up, so a linker can patch
+    /// an operand that depends on where the program's data lands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing has been emitted at `pos`.
+    pub fn reloc(&mut self, pos: usize, tag: u32) {
+        assert!(pos < self.items.len(), "reloc tags an emitted instruction");
+        self.relocs.push((pos, tag));
+    }
+
+    /// The position `label` is bound at, if it is bound.
+    pub fn position(&self, label: Label) -> Option<usize> {
+        self.label_pos[label.0 as usize]
     }
 
     /// Number of instructions emitted so far.
@@ -273,48 +318,83 @@ impl Asm {
     ///
     /// [`AsmError::UnboundLabel`] if any referenced label was never bound;
     /// [`AsmError::NoEntry`] if no entry point was set on a non-empty program.
-    pub fn finish(mut self) -> Result<Program, AsmError> {
-        // Labels bound at the very end point one past the last instruction; allow
-        // that only if nothing branches there (checked implicitly by use).
-        let mut err = None;
-        let label_pos = &self.label_pos;
-        let resolve = |l: u32, err: &mut Option<AsmError>| -> u32 {
-            match label_pos.get(l as usize).copied().flatten() {
-                Some(p) => p as u32,
-                None => {
-                    err.get_or_insert(AsmError::UnboundLabel(l));
-                    0
-                }
-            }
+    pub fn finish(self) -> Result<Program, AsmError> {
+        let empty = self.items.is_empty();
+        let part = self.finish_part(|pos| pos, |_| None)?;
+        let entry = match part.entry {
+            Some(entry) => entry,
+            None if empty => 0,
+            None => return Err(AsmError::NoEntry),
         };
+        let symbols: HashMap<String, usize> = part.symbols.into_iter().collect();
+        let symtab = crate::symtab::SymbolTable::build(&symbols, &part.insns);
+        Ok(Program {
+            insns: part.insns,
+            annots: part.annots,
+            entry,
+            data: part.data,
+            symbols,
+            symtab,
+        })
+    }
+
+    /// Resolve labels for a stream that is one part of a larger program.
+    ///
+    /// The item at position `i` of this stream lands at `place(i)` of the
+    /// final program, and a label this stream never bound resolves to
+    /// `import(label)`. [`Asm::finish`] is this with both identities.
+    ///
+    /// # Errors
+    ///
+    /// [`AsmError::UnboundLabel`] if a referenced label (or the entry) is
+    /// neither bound here nor imported.
+    pub fn finish_part(
+        mut self,
+        place: impl Fn(usize) -> usize,
+        import: impl Fn(Label) -> Option<usize>,
+    ) -> Result<Part, AsmError> {
+        // Labels bound at the very end point one past the last instruction;
+        // that is allowed only if nothing branches there (checked by use).
+        let labels: Vec<Option<usize>> = self.label_pos.iter().map(|p| p.map(&place)).collect();
+        let resolve = |l: u32| -> Result<usize, AsmError> {
+            labels
+                .get(l as usize)
+                .copied()
+                .flatten()
+                .or_else(|| import(Label(l)))
+                .ok_or(AsmError::UnboundLabel(l))
+        };
+        let mut err = None;
         let insns: Vec<Insn> = self
             .items
             .iter()
-            .map(|(i, _)| i.map_target(&mut |l| resolve(l, &mut err)))
+            .map(|(i, _)| {
+                i.map_target(&mut |l| match resolve(l) {
+                    Ok(p) => p as u32,
+                    Err(e) => {
+                        err.get_or_insert(e);
+                        0
+                    }
+                })
+            })
             .collect();
         if let Some(e) = err {
             return Err(e);
         }
         let annots = self.items.iter().map(|(_, a)| *a).collect();
-        let entry = match self.entry {
-            Some(l) => self.label_pos[l.0 as usize].ok_or(AsmError::UnboundLabel(l.0))?,
-            None if self.items.is_empty() => 0,
-            None => return Err(AsmError::NoEntry),
-        };
-        let mut symbols = HashMap::new();
-        for (name, l) in std::mem::take(&mut self.symbols) {
-            if let Some(p) = self.label_pos[l.0 as usize] {
-                symbols.insert(name, p);
-            }
-        }
-        let symtab = crate::symtab::SymbolTable::build(&symbols, &insns);
-        Ok(Program {
+        let entry = self.entry.map(|l| resolve(l.0)).transpose()?;
+        let symbols = std::mem::take(&mut self.symbols)
+            .into_iter()
+            .filter_map(|(name, l)| Some((name, labels[l.0 as usize]?)))
+            .collect();
+        Ok(Part {
             insns,
             annots,
             entry,
-            data: std::mem::take(&mut self.data),
             symbols,
-            symtab,
+            labels,
+            data: std::mem::take(&mut self.data),
+            relocs: std::mem::take(&mut self.relocs),
         })
     }
 }

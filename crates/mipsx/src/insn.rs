@@ -427,8 +427,9 @@ impl Insn {
     }
 
     /// Rewrite the branch/jump/trap target through `f` (used by the assembler to
-    /// resolve labels to instruction indices).
-    pub(crate) fn map_target(self, f: &mut impl FnMut(u32) -> u32) -> Insn {
+    /// resolve labels to instruction indices, and by linkers to move code).
+    /// Instructions without a code target come back unchanged.
+    pub fn map_target(self, f: &mut impl FnMut(u32) -> u32) -> Insn {
         match self {
             Insn::Br {
                 cond,

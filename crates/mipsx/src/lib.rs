@@ -85,7 +85,7 @@ pub mod trace;
 pub mod verify;
 
 pub use annot::{Annot, CheckCat, Provenance, TagOpKind, ALL_CHECK_CATS, ALL_TAG_OPS};
-pub use asm::{Asm, AsmError, Label};
+pub use asm::{Asm, AsmError, Label, Part};
 pub use exec::{
     AnyExecutor, Backend, DecodedProgram, Executor, FastCpu, Outcome, SimError, ALL_BACKENDS,
 };

@@ -105,6 +105,9 @@ fn insert_load_nops(asm: &mut Asm) -> usize {
     for pos in asm.label_pos.iter_mut().flatten() {
         *pos += pads_before[*pos];
     }
+    for (pos, _) in &mut asm.relocs {
+        *pos += pads_before[*pos];
+    }
     asm.items = out;
     inserted
 }
@@ -123,6 +126,10 @@ fn fill_branch_slots(asm: &mut Asm) -> usize {
     // bound at input position l moves back by the prefix sum up to l.
     let mut shift = vec![0; n + 1];
     let mut out: Vec<(Insn, Annot)> = Vec::with_capacity(n);
+    // origin[k]: the input position of out[k], kept only to move relocation
+    // tags (see `Asm::reloc`) with their instructions.
+    let track = !asm.relocs.is_empty();
+    let mut origin: Vec<usize> = Vec::with_capacity(if track { n } else { 0 });
     let mut block = Block::default();
     let mut i = 0;
     while i < n {
@@ -139,6 +146,9 @@ fn fill_branch_slots(asm: &mut Asm) -> usize {
                 | Insn::Bri { squash: true, .. }
                 | Insn::TagBr { squash: true, .. }
         );
+        if track {
+            origin.extend(i..group);
+        }
         if slots == 0 || squash {
             for k in i..group {
                 block.note(out.len(), items[k].0, labelled[k]);
@@ -161,6 +171,10 @@ fn fill_branch_slots(asm: &mut Asm) -> usize {
                 let item = out.remove(p);
                 debug_assert_eq!(out[slot_pos - 1].0, Insn::Nop);
                 out[slot_pos - 1] = item;
+                if track {
+                    let from = origin.remove(p);
+                    origin[slot_pos - 1] = from;
+                }
                 c -= 1;
                 shift[i + 1] += 1;
             }
@@ -177,6 +191,16 @@ fn fill_branch_slots(asm: &mut Asm) -> usize {
     }
     for pos in asm.label_pos.iter_mut().flatten() {
         *pos -= shift[*pos];
+    }
+    if track {
+        let mut moved_to = vec![usize::MAX; n];
+        for (k, &from) in origin.iter().enumerate() {
+            moved_to[from] = k;
+        }
+        for (pos, _) in &mut asm.relocs {
+            *pos = moved_to[*pos];
+            debug_assert_ne!(*pos, usize::MAX, "a relocated instruction was dropped");
+        }
     }
     asm.items = out;
     filled
@@ -378,6 +402,31 @@ mod tests {
         let after = run_code(scheduled);
         assert_eq!(baseline.0, after.0, "same result");
         assert!(after.1 < baseline.1, "fewer cycles after filling");
+    }
+
+    #[test]
+    fn relocation_tags_move_with_their_instruction() {
+        // Tag the independent add, which moves into a slot, and the
+        // load-immediate before it, which stays.
+        let mut tagged = sample();
+        let add = tagged
+            .items
+            .iter()
+            .position(|(i, _)| matches!(i, Insn::Add(..)))
+            .unwrap();
+        tagged.relocs.push((add, 7));
+        tagged.relocs.push((add - 1, 9));
+        let rep = schedule(&mut tagged);
+        assert!(rep.slots_filled >= 1, "the add moves into a slot");
+        let part = tagged.finish_part(|p| p, |_| None).unwrap();
+        for (pos, tag) in part.relocs {
+            let want = if tag == 7 {
+                Insn::Add(Reg::T2, Reg::T0, Reg::T1)
+            } else {
+                Insn::Li(Reg::A0, 1)
+            };
+            assert_eq!(part.insns[pos], want, "tag {tag}");
+        }
     }
 
     #[test]

@@ -906,10 +906,8 @@ impl Session {
         config: Config,
         fuel: u64,
     ) -> Result<(Measurement, mipsx::Profiler, Option<Vec<mipsx::FuncStalls>>), StudyError> {
-        self.emit(&Progress::Started {
-            program: program.to_string(),
-            config,
-        });
+        // A profiled run is neither a request to the cache nor a miss: it is
+        // never cached, so only its finish is reported.
         let t0 = std::time::Instant::now();
         let compiled = self.compile_program(program, config)?;
         let compile = t0.elapsed();

@@ -165,3 +165,41 @@ fn prometheus_matches_json_counters() {
     assert!(prom.contains("# TYPE session_compile_seconds histogram"));
     assert!(prom.contains("session_compile_seconds_bucket{le=\"+Inf\"} 2"));
 }
+
+/// A profiled run is never cached, so it is neither a request nor a cache
+/// miss: after profiles the miss and request counters still equal the
+/// session's own `SessionStats`, and no measurement is cached.
+#[test]
+fn profiles_count_no_requests_or_misses() {
+    use tagstudy::metrics::names;
+
+    let s = Session::serial();
+    let none = Config::baseline(CheckingMode::None);
+    s.profile("frl", none, programs::FUEL)
+        .expect("frl profiles");
+    s.profile_with_stalls("frl", none, programs::FUEL)
+        .expect("frl profiles with stalls");
+    let check = |s: &Session, what: &str| {
+        let m = s.metrics();
+        let stats = s.stats();
+        assert_eq!(
+            m.counter(names::CACHE_MISSES),
+            stats.misses,
+            "{what}: misses"
+        );
+        assert_eq!(
+            m.counter(names::REQUESTS),
+            stats.requests(),
+            "{what}: requests"
+        );
+        assert_eq!(m.counter(names::CACHE_HITS), stats.hits, "{what}: hits");
+    };
+    check(&s, "after two profiles");
+    assert_eq!(s.stats().requests(), 0);
+    assert_eq!(s.metrics().gauge(names::CACHED_MEASUREMENTS), Some(0.0));
+
+    // A real miss afterwards is counted once, beside the profiles.
+    s.measure("frl", none).expect("frl measures");
+    check(&s, "after a measurement");
+    assert_eq!(s.stats().misses, 1);
+}
