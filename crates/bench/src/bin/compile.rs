@@ -5,23 +5,22 @@
 //! everything on every call), measured as compile wall time.
 //!
 //! ```text
-//! compile [--programs a,b,c] [--synth N] [--seed S] [--reps N]
-//!         [--min-speedup X] [--out PATH] [--smoke]
+//! compile [--smoke] [--out PATH]
 //! ```
 //!
 //! Each workload is lowered once, then compiled under all 24 oracle
-//! configurations (`tagstudy::Config::matrix`) by both compilers, `--reps`
-//! times each with the two interleaved; the best (minimum) wall time per
+//! configurations (`tagstudy::Config::matrix`) by both compilers, five times
+//! each with the two interleaved; the best (minimum) wall time per
 //! configuration and compiler is kept and summed over the configurations.
 //! Before timing, each configuration is compiled once both ways: that builds
 //! the configuration's image, as the first compile of a process does, and
 //! checks that the two programs are identical field by field.
 //!
-//! Workloads are the paper's ten programs plus `--synth` generated programs
-//! from a fixed-seed stream spread across the list-heavy to arith-heavy
-//! op-mix axis. The run fails (exit 1) unless the geometric-mean speed-up
-//! over the workloads reaches `--min-speedup` (default 1.5), and records the
-//! measurement as JSON.
+//! Workloads are the paper's ten programs plus 24 generated programs from a
+//! fixed-seed stream spread across the list-heavy to arith-heavy op-mix
+//! axis. The run fails (exit 1) unless the geometric-mean speed-up over the
+//! workloads reaches 1.5x, and records the measurement as JSON
+//! (`BENCH_compile_image.json` unless `--out` says otherwise).
 //!
 //! `--smoke` runs two reps over eight generated programs, for CI.
 
@@ -32,37 +31,18 @@ use lisp::{CompiledProgram, Options};
 use synth::OpMix;
 use tagstudy::Config;
 
-/// Default per-configuration repetitions (best-of is kept).
-const DEFAULT_REPS: u32 = 5;
-/// Default geometric-mean speed-up gate.
-const DEFAULT_MIN_SPEEDUP: f64 = 1.5;
-/// Default number of generated programs.
-const DEFAULT_SYNTH: usize = 24;
-/// Default seed of the generated-program stream.
-const DEFAULT_SEED: u64 = 21;
-/// Default paper workloads: all ten.
-const DEFAULT_PROGRAMS: &str = "inter,deduce,dedgc,rat,comp,opt,frl,boyer,brow,trav";
+/// Per-configuration repetitions (best-of is kept): full run, `--smoke`.
+const REPS: [u32; 2] = [5, 2];
+/// Generated programs: full run, `--smoke`.
+const SYNTH: [usize; 2] = [24, 8];
+/// Seed of the generated-program stream.
+const SEED: u64 = 21;
+/// The geometric-mean speed-up the linked compile must reach.
+const MIN_SPEEDUP: f64 = 1.5;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: compile [--programs a,b,c] [--synth N] [--seed S] [--reps N] \
-         [--min-speedup X] [--out PATH] [--smoke]"
-    );
+    eprintln!("usage: compile [--smoke] [--out PATH]");
     std::process::exit(2);
-}
-
-fn next_arg(args: &mut std::vec::IntoIter<String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        usage()
-    })
-}
-
-fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("{flag}: not a number: {text:?}");
-        usage()
-    })
 }
 
 /// One workload to compile: its lowered unit and per-configuration options.
@@ -152,61 +132,35 @@ fn measure(w: &Workload, reps: u32) -> Row {
 }
 
 fn main() {
-    let mut reps = DEFAULT_REPS;
-    let mut min_speedup = DEFAULT_MIN_SPEEDUP;
-    let mut synth_count = DEFAULT_SYNTH;
-    let mut seed = DEFAULT_SEED;
-    let mut program_list = DEFAULT_PROGRAMS.to_string();
+    let mut smoke = false;
     let mut out_path = "BENCH_compile_image.json".to_string();
-
-    let mut args = std::env::args().skip(1).collect::<Vec<_>>().into_iter();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--programs" => program_list = next_arg(&mut args, "--programs"),
-            "--synth" => synth_count = parse_num(&next_arg(&mut args, "--synth"), "--synth"),
-            "--seed" => seed = parse_num(&next_arg(&mut args, "--seed"), "--seed"),
-            "--reps" => reps = parse_num(&next_arg(&mut args, "--reps"), "--reps"),
-            "--min-speedup" => {
-                min_speedup = parse_num(&next_arg(&mut args, "--min-speedup"), "--min-speedup");
-            }
-            "--out" => out_path = next_arg(&mut args, "--out"),
-            "--smoke" => {
-                reps = 2;
-                synth_count = 8;
-            }
+            "--smoke" => smoke = true,
+            "--out" => out_path = args.next().unwrap_or_else(|| usage()),
             _ => {
                 eprintln!("unknown argument {arg:?}");
                 usage()
             }
         }
     }
-    if reps == 0 {
-        eprintln!("need at least 1 rep");
-        usage();
-    }
+    let reps = REPS[usize::from(smoke)];
 
     let mut workloads = Vec::new();
-    for name in program_list
-        .split(',')
-        .map(str::trim)
-        .filter(|n| !n.is_empty())
-    {
-        let b = programs::by_name(name).unwrap_or_else(|| {
-            eprintln!("unknown benchmark {name:?}");
-            usage()
-        });
+    for b in programs::all() {
         workloads.push(Workload {
             name: b.name.to_string(),
             kind: "paper",
             unit: lisp::lower_sources(&[lisp::PRELUDE, b.source])
-                .unwrap_or_else(|e| panic!("{name}: lowering failed: {e}")),
+                .unwrap_or_else(|e| panic!("{}: lowering failed: {e}", b.name)),
             heap_semi_bytes: b.heap_semi_bytes,
         });
     }
-    for i in 0..synth_count {
+    for i in 0..SYNTH[usize::from(smoke)] {
         let t = (i % 8) as f64 / 7.0;
         let mix = OpMix::lerp(&OpMix::list_heavy(), &OpMix::arith_heavy(), t);
-        let program_seed = seed.wrapping_mul(1_000_003).wrapping_add(i as u64);
+        let program_seed = SEED.wrapping_mul(1_000_003).wrapping_add(i as u64);
         let source = synth::render(&synth::generate(program_seed, &mix));
         workloads.push(Workload {
             name: format!("synth-{program_seed}"),
@@ -215,10 +169,6 @@ fn main() {
                 .unwrap_or_else(|e| panic!("synth program {program_seed}: lowering failed: {e}")),
             heap_semi_bytes: Options::default().heap_semi_bytes,
         });
-    }
-    if workloads.is_empty() {
-        eprintln!("no workloads to measure");
-        usage();
     }
 
     let mut rows = Vec::with_capacity(workloads.len());
@@ -248,8 +198,6 @@ fn main() {
     let json = render_json(
         &rows,
         reps,
-        seed,
-        min_speedup,
         geomean,
         geomean_of(Some("paper")),
         geomean_of(Some("synth")),
@@ -261,14 +209,14 @@ fn main() {
 
     println!(
         "compile speed-up: {} workloads x 24 configs x best-of-{reps}, geomean {geomean:.2}x \
-         (gate {min_speedup}x)",
+         (gate {MIN_SPEEDUP}x)",
         rows.len()
     );
     println!("wrote {out_path}");
 
-    if geomean < min_speedup {
+    if geomean < MIN_SPEEDUP {
         eprintln!(
-            "FAIL: expected linking against the system image to compile >= {min_speedup}x \
+            "FAIL: expected linking against the system image to compile >= {MIN_SPEEDUP}x \
              faster than the monolithic reference (got {geomean:.2}x)"
         );
         std::process::exit(1);
@@ -276,15 +224,7 @@ fn main() {
 }
 
 /// Hand-rendered JSON document for the study (the workspace is std-only).
-fn render_json(
-    rows: &[Row],
-    reps: u32,
-    seed: u64,
-    min_speedup: f64,
-    geomean: f64,
-    paper: f64,
-    synth: f64,
-) -> String {
+fn render_json(rows: &[Row], reps: u32, geomean: f64, paper: f64, synth: f64) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "{{");
@@ -299,8 +239,8 @@ fn render_json(
     );
     let _ = writeln!(out, "  \"configs\": 24,");
     let _ = writeln!(out, "  \"reps\": {reps},");
-    let _ = writeln!(out, "  \"synth_seed\": {seed},");
-    let _ = writeln!(out, "  \"min_speedup\": {min_speedup},");
+    let _ = writeln!(out, "  \"synth_seed\": {SEED},");
+    let _ = writeln!(out, "  \"min_speedup\": {MIN_SPEEDUP},");
     let _ = writeln!(out, "  \"geomean_speedup\": {geomean:.4},");
     let _ = writeln!(out, "  \"paper_geomean_speedup\": {paper:.4},");
     let _ = writeln!(out, "  \"synth_geomean_speedup\": {synth:.4},");

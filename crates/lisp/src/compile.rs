@@ -10,11 +10,11 @@ use crate::ast::Unit;
 use crate::codegen::Codegen;
 use crate::error::CompileError;
 use crate::front::{lower_sources, CheckingMode};
-use crate::image::{image, labels, Key};
+use crate::image::{image, labels};
 use crate::layout::{Layout, SYM_FNCODE};
 use crate::prelude::PRELUDE;
 use crate::runtime::emit_runtime;
-use crate::tagops::IntTestMethod;
+use crate::tagops::{IntTestMethod, TagOps};
 
 /// Compilation options: everything the paper varies, plus sizing.
 #[derive(Debug, Clone, Copy)]
@@ -60,6 +60,17 @@ impl Options {
             scheme,
             checking,
             ..Options::default()
+        }
+    }
+
+    /// The tag-operation emitter these options select.
+    pub(crate) fn tag_ops(&self) -> TagOps {
+        TagOps {
+            scheme: self.scheme,
+            hw: self.hw,
+            checking: self.checking,
+            preshifted_pair_tag: self.preshifted_pair_tag,
+            int_test_method: self.int_test_method,
         }
     }
 }
@@ -131,21 +142,19 @@ pub fn compile(source: &str, opts: &Options) -> Result<CompiledProgram, CompileE
 /// assembly and verification failures.
 pub fn compile_unit(unit: &Unit, opts: &Options) -> Result<CompiledProgram, CompileError> {
     let mut layout = Layout::build(unit, opts.scheme, opts.heap_semi_bytes, opts.stack_bytes)?;
-    let key = Key::new(opts, unit.prelude().is_some());
-
     let mut asm = Asm::new();
     let (rt, fn_labels) = labels(&mut asm, unit.fns.len());
     let cg = Codegen {
         unit,
         layout: &layout,
-        t: key.tag_ops(),
+        t: opts.tag_ops(),
         rt,
         fn_labels,
     };
     // Errors surface in the reference's order: main, the prelude, the rest.
     let entry = cg.emit_main(&mut asm)?;
     asm.set_entry(entry);
-    let image = image(key)?;
+    let image = image(cg.t, unit.prelude().is_some())?;
     assert_eq!(
         image.prefix,
         unit.prelude(),
@@ -218,7 +227,7 @@ pub fn compile_unit_reference(
     let cg = Codegen {
         unit,
         layout: &layout,
-        t: Key::new(opts, false).tag_ops(),
+        t: opts.tag_ops(),
         rt,
         fn_labels,
     };

@@ -13,8 +13,8 @@
 //! pieces starts at a bound label and ends in a `halt` or in a jump's delay
 //! slot, so no basic block, delay-slot group or load delay spans two pieces.
 //! The delay-slot scheduler works inside basic blocks, so scheduling the
-//! pieces apart gives what scheduling them together does. What the prelude's and the runtime's code does depend on
-//! is where things landed:
+//! pieces apart gives what scheduling them together does. What the prelude's
+//! and the runtime's code does depend on is where things landed:
 //!
 //! - **code targets**: every instruction with a code target in the image
 //!   moves with the two pieces it is split into;
@@ -23,67 +23,32 @@
 //!   generation tags each of them with a [`Reloc`] when it emits it, and the
 //!   linker recomputes it from the program's own layout.
 //!
-//! So the key of an image holds only what shapes code (scheme, hardware,
-//! checking, the two code-generation ablations, and whether the prelude is
-//! in); the heap and stack sizes are relocations. The keys come from a finite
-//! vocabulary, so the memo needs no cap. A program cannot redefine a prelude
-//! function ([`crate::lower_sources`] refuses a duplicate `defun`), so every
-//! unit lowered with the prelude links against it and no fallback exists.
-//! The pre-image monolithic compile survives as [`crate::compile_unit_reference`],
-//! the oracle the tests hold the linked output to.
+//! So the key of an image holds only what shapes code: the emitter's
+//! [`TagOps::code_shape`] (scheme, hardware feature gates, checking, the two
+//! code-generation ablations) and whether the prelude is in. Cycle costs and
+//! heap and stack sizes are not in it. That bounds the memo at 1,536 images
+//! of at most about 80 KB each (DESIGN.md §4a). A program cannot redefine a
+//! prelude function ([`crate::lower_sources`] refuses a duplicate `defun`),
+//! so every unit lowered with the prelude links against it and no fallback
+//! exists. The pre-image monolithic compile survives as
+//! [`crate::compile_unit_reference`], the oracle the tests hold the linked
+//! output to.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mipsx::sched::{schedule_and_attribute, ScheduleReport};
-use mipsx::{Annot, Asm, HwConfig, Insn, Label};
-use tagword::TagScheme;
+use mipsx::{Annot, Asm, Insn, Label};
 
 use crate::ast::{PreludePrefix, Unit};
 use crate::codegen::Codegen;
 use crate::compile::Options;
 use crate::error::CompileError;
-use crate::front::{lower_sources, CheckingMode};
+use crate::front::lower_sources;
 use crate::layout::{Layout, Reloc};
 use crate::prelude::PRELUDE;
 use crate::runtime::{emit_runtime, RtLabels};
-use crate::tagops::{IntTestMethod, TagOps};
-
-/// Everything that shapes the image's code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Key {
-    scheme: TagScheme,
-    hw: HwConfig,
-    checking: CheckingMode,
-    preshifted_pair_tag: bool,
-    int_test_method: IntTestMethod,
-    prelude: bool,
-}
-
-impl Key {
-    /// The image a unit compiled under `opts` links against.
-    pub(crate) fn new(opts: &Options, prelude: bool) -> Key {
-        Key {
-            scheme: opts.scheme,
-            hw: opts.hw,
-            checking: opts.checking,
-            preshifted_pair_tag: opts.preshifted_pair_tag,
-            int_test_method: opts.int_test_method,
-            prelude,
-        }
-    }
-
-    /// The tag-operation emitter for this key.
-    pub(crate) fn tag_ops(self) -> TagOps {
-        TagOps {
-            scheme: self.scheme,
-            hw: self.hw,
-            checking: self.checking,
-            preshifted_pair_tag: self.preshifted_pair_tag,
-            int_test_method: self.int_test_method,
-        }
-    }
-}
+use crate::tagops::TagOps;
 
 /// The runtime's labels, then one label per function of a unit with `fns`
 /// functions. Both the image and the programs linked against it create their
@@ -118,30 +83,35 @@ pub(crate) struct Image {
     pub(crate) schedule: ScheduleReport,
 }
 
-/// The image for `key`, built on first use and shared by every later compile
-/// in the process. A thread asking while another builds the same image
-/// waits for it rather than building a second one.
-pub(crate) fn image(key: Key) -> Result<Arc<Image>, CompileError> {
+/// The image a unit emitted by `t` links against, with or without the
+/// prelude's functions, built on first use and shared by every later compile
+/// in the process. The memo is keyed by `t`'s [`TagOps::code_shape`], so
+/// emitters that differ only in what does not shape code share one image. A
+/// thread asking while another builds the same image waits for it rather
+/// than building a second one.
+pub(crate) fn image(t: TagOps, prelude: bool) -> Result<Arc<Image>, CompileError> {
     type Slot = Arc<OnceLock<Result<Arc<Image>, CompileError>>>;
-    static IMAGES: OnceLock<Mutex<HashMap<Key, Slot>>> = OnceLock::new();
+    static IMAGES: OnceLock<Mutex<HashMap<(TagOps, bool), Slot>>> = OnceLock::new();
+    let t = t.code_shape();
     let slot = IMAGES
         .get_or_init(Mutex::default)
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .entry(key)
+        .entry((t, prelude))
         .or_default()
         .clone();
-    slot.get_or_init(|| Image::build(key).map(Arc::new)).clone()
+    slot.get_or_init(|| Image::build(t, prelude).map(Arc::new))
+        .clone()
 }
 
 impl Image {
-    /// Generate, schedule and assemble the image for `key` under a reference
-    /// layout of the prelude alone.
-    fn build(key: Key) -> Result<Image, CompileError> {
+    /// Generate, schedule and assemble the image under a reference layout of
+    /// the prelude alone.
+    fn build(t: TagOps, prelude: bool) -> Result<Image, CompileError> {
         // The prelude lowered alone: every configuration's image shares it.
         static PRELUDE_UNIT: OnceLock<Result<Unit, CompileError>> = OnceLock::new();
         let runtime_only = Unit::default();
-        let unit = if key.prelude {
+        let unit = if prelude {
             PRELUDE_UNIT
                 .get_or_init(|| lower_sources(&[PRELUDE]))
                 .as_ref()
@@ -150,7 +120,7 @@ impl Image {
             &runtime_only
         };
         let sizing = Options::default();
-        let layout = Layout::build(unit, key.scheme, sizing.heap_semi_bytes, sizing.stack_bytes)?;
+        let layout = Layout::build(unit, t.scheme, sizing.heap_semi_bytes, sizing.stack_bytes)?;
         let mut asm = Asm::new();
         let (rt, fn_labels) = labels(&mut asm, unit.fns.len());
         // Created right after the exported labels, so its id counts them.
@@ -158,7 +128,7 @@ impl Image {
         let cg = Codegen {
             unit,
             layout: &layout,
-            t: key.tag_ops(),
+            t,
             rt,
             fn_labels,
         };
@@ -301,7 +271,9 @@ impl Image {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_unit;
+    use crate::compile::{compile_unit, compile_unit_reference};
+    use mipsx::HwConfig;
+    use tagword::TagScheme;
 
     /// Heap and stack sizes are relocations, not key fields: programs
     /// compiled under any sizes share one image, so untrusted sizes cannot
@@ -310,7 +282,7 @@ mod tests {
     fn heap_and_stack_sizes_share_one_image() {
         let unit = lower_sources(&[PRELUDE, "(print 1)"]).expect("lowers");
         let base = Options::default();
-        let shared = image(Key::new(&base, true)).expect("builds");
+        let shared = image(base.tag_ops(), true).expect("builds");
         for (heap_semi_bytes, stack_bytes) in
             [(0, 4 << 10), (40 << 10, 8 << 10), (4 << 20, 1 << 20)]
         {
@@ -320,11 +292,56 @@ mod tests {
                 ..base
             };
             compile_unit(&unit, &opts).expect("compiles");
-            let again = image(Key::new(&opts, true)).expect("memoised");
+            let again = image(opts.tag_ops(), true).expect("memoised");
             assert!(
                 Arc::ptr_eq(&shared, &again),
                 "{heap_semi_bytes}/{stack_bytes}"
             );
+        }
+    }
+
+    /// Hardware spellings that differ only in cycle costs, or in address-drop
+    /// widths on the same side of the tag width, share one image, and the
+    /// programs linked against it are still the reference's.
+    #[test]
+    fn hardware_that_does_not_shape_code_shares_one_image() {
+        let unit = lower_sources(&[PRELUDE, "(print (car (list 1 2)))"]).expect("lowers");
+        let scheme = TagScheme::HighTag5;
+        for (a, b) in [
+            (
+                HwConfig::plain(),
+                HwConfig::with_address_drop(scheme.tag_bits() - 1),
+            ),
+            (
+                HwConfig::with_address_drop(scheme.tag_bits()),
+                HwConfig::with_address_drop(31),
+            ),
+            (
+                HwConfig::with_tag_branch(),
+                HwConfig {
+                    trap_penalty: 3,
+                    mul_cycles: 1,
+                    div_cycles: 2,
+                    fp_cycles: 9,
+                    ..HwConfig::with_tag_branch()
+                },
+            ),
+        ] {
+            let [a, b] = [a, b].map(|hw| Options {
+                hw,
+                ..Options::new(scheme, crate::CheckingMode::Full)
+            });
+            let shared = image(a.tag_ops(), true).expect("builds");
+            assert!(
+                Arc::ptr_eq(&shared, &image(b.tag_ops(), true).expect("memoised")),
+                "{:?} / {:?}",
+                a.hw,
+                b.hw
+            );
+            let linked = compile_unit(&unit, &b).expect("compiles");
+            let reference = compile_unit_reference(&unit, &b).expect("compiles");
+            assert_eq!(linked.program.insns, reference.program.insns, "{:?}", b.hw);
+            assert_eq!(linked.program.data, reference.program.data, "{:?}", b.hw);
         }
     }
 }

@@ -63,7 +63,7 @@ impl IntTestMethod {
 }
 
 /// Emission context: the knobs that decide which sequence each tag operation gets.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TagOps {
     /// The tag scheme.
     pub scheme: TagScheme,
@@ -78,6 +78,32 @@ pub struct TagOps {
 }
 
 impl TagOps {
+    /// This emitter with the hardware fields that do not shape code cleared:
+    /// the cycle costs, and the address-drop width beyond whether it covers
+    /// the tag. Two emitters with the same shape emit the same code.
+    pub(crate) fn code_shape(self) -> TagOps {
+        let drop = if self.drops_tag() {
+            self.scheme.tag_bits()
+        } else {
+            0
+        };
+        TagOps {
+            hw: HwConfig {
+                drop_high_address_bits: drop,
+                tag_branch: self.hw.tag_branch,
+                parallel_check: self.hw.parallel_check,
+                generic_arith: self.hw.generic_arith,
+                ..HwConfig::plain()
+            },
+            ..self
+        }
+    }
+
+    /// Whether the memory system blanks every tag bit of an address.
+    fn drops_tag(&self) -> bool {
+        self.hw.drop_high_address_bits >= self.scheme.tag_bits()
+    }
+
     /// Where the tag field lives, for [`Insn::TagBr`] and checked memory ops.
     pub fn field(&self) -> TagField {
         let bits = self.scheme.tag_bits();
@@ -135,8 +161,7 @@ impl TagOps {
     /// schemes with address-drop hardware.
     #[allow(dead_code)] // exposed for analysis tooling and asserted in tests
     pub fn avoid_masking(&self) -> bool {
-        self.scheme.free_address_masking()
-            || self.hw.drop_high_address_bits >= self.scheme.tag_bits()
+        self.scheme.free_address_masking() || self.drops_tag()
     }
 
     /// The pointer mask kept in [`Reg::Mask`].
@@ -189,7 +214,7 @@ impl TagOps {
                 .fold_displacement(tag)
                 .expect("low-tag pointer types always fold");
             (src, fold)
-        } else if self.hw.drop_high_address_bits >= self.scheme.tag_bits() {
+        } else if self.drops_tag() {
             // The memory system blanks the tag bits; use the tagged word directly.
             (src, 0)
         } else {

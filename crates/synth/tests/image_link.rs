@@ -134,17 +134,16 @@ fn print_one_links_and_runs() {
 }
 
 /// Two threads that compile under the same options at once, while the image
-/// for them does not exist yet, get the same program. The trap penalty does
-/// not shape code but is part of the image's key, so no other test builds
-/// this image first.
+/// for them does not exist yet, get the same program. No other test here
+/// compiles with the preshifted pair tag, so no other test builds this image
+/// first.
 #[test]
 fn concurrent_first_compiles_agree() {
     let unit = synth::oracle::lower("(defun sq (x) (times x x)) (print (sq 12))").expect("lowers");
     let opts = Options {
-        hw: mipsx::HwConfig {
-            trap_penalty: 97,
-            ..mipsx::HwConfig::with_tag_branch()
-        },
+        hw: mipsx::HwConfig::with_tag_branch(),
+        preshifted_pair_tag: true,
+        int_test_method: lisp::IntTestMethod::TagCompare,
         ..Options::default()
     };
     let barrier = Barrier::new(2);
