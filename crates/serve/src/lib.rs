@@ -687,22 +687,40 @@ impl Daemon {
             ("coverage_percent", daemon_metrics::FUZZ_COVERAGE),
             ("columns_per_second", daemon_metrics::FUZZ_RATE),
         ];
-        let mut m = self.lock_metrics();
-        for (field, metric) in counters {
-            if let Some((_, v)) = obj.iter().find(|(k, _)| k == field) {
-                match v.as_u64(field) {
-                    Ok(n) => m.add(metric, n),
+        // Check the whole report before applying any of it: a rejected report
+        // changes nothing.
+        let field = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        let mut deltas = Vec::new();
+        for (name, metric) in counters {
+            if let Some(v) = field(name) {
+                match v.as_u64(name) {
+                    Ok(n) => deltas.push((name, metric, n)),
                     Err(why) => return Response::error(400, &why),
                 }
             }
         }
-        for (field, metric) in gauges {
-            if let Some((_, v)) = obj.iter().find(|(k, _)| k == field) {
-                match v.as_f64(field) {
-                    Ok(x) => m.set_gauge(metric, x),
+        let mut readings = Vec::new();
+        for (name, metric) in gauges {
+            if let Some(v) = field(name) {
+                match v.as_f64(name) {
+                    Ok(x) if x.is_finite() => readings.push((metric, x)),
+                    Ok(x) => return Response::error(400, &format!("{name}: {x} is not finite")),
                     Err(why) => return Response::error(400, &why),
                 }
             }
+        }
+        let mut m = self.lock_metrics();
+        for &(name, metric, n) in &deltas {
+            if m.counter(metric).checked_add(n).is_none() {
+                let why = format!("{name}: adding {n} overflows the daemon's total");
+                return Response::error(400, &why);
+            }
+        }
+        for (_, metric, n) in deltas {
+            m.add(metric, n);
+        }
+        for (metric, x) in readings {
+            m.set_gauge(metric, x);
         }
         Response::json(200, "{\"status\":\"ok\"}\n")
     }

@@ -254,6 +254,34 @@ fn fuzz_endpoints_validate_inputs() {
         "{metrics}"
     );
 
+    // A rejected report applies none of its fields: not the valid ones
+    // before the bad one, not a delta that would overflow a total, not an
+    // infinite gauge.
+    for (report, field) in [
+        (r#"{"programs": 2, "divergences": "x"}"#, "divergences"),
+        (r#"{"programs": 18446744073709551615}"#, "programs"),
+        (
+            r#"{"programs": 1, "coverage_percent": 1e400}"#,
+            "coverage_percent",
+        ),
+    ] {
+        let (status, body) = post(&addr, "/v1/fuzz/report", report);
+        assert_eq!(status, 400, "{report}: {body}");
+        assert!(body.contains(field), "{report}: {body}");
+    }
+    let after = server.handle().metrics_prometheus();
+    for name in [
+        "daemon_fuzz_programs_total",
+        "daemon_fuzz_divergences_total",
+        "daemon_fuzz_coverage_percent",
+    ] {
+        assert_eq!(
+            metric(&after, name),
+            metric(&metrics, name),
+            "{name}: {after}"
+        );
+    }
+
     // A well-executed run batch works end-to-end through raw HTTP, too.
     let (status, body) = post(
         &addr,

@@ -2,9 +2,10 @@
 //! histograms and a machine-readable event log, exportable as JSON and as
 //! Prometheus text-exposition format.
 //!
-//! [`crate::Session`] owns a [`MetricsRegistry`] and routes every lifecycle
-//! event through it (the [`crate::Progress`] callback is a thin adapter fed
-//! from the same spine). The registry is deliberately self-contained — plain
+//! [`crate::Session`] writes its registry only by folding lifecycle facts,
+//! the fold that also keeps [`crate::SessionStats`] and feeds the
+//! [`crate::Progress`] callback (see the session's *One ledger* docs for its
+//! three rules). The registry is deliberately self-contained — plain
 //! maps, no external dependencies — with a hand-rolled JSON emitter *and*
 //! parser ([`Json`]) so round-tripping can be asserted in tests and CI can
 //! validate the schema without any tooling beyond `cargo test`.
@@ -38,25 +39,31 @@ pub const MCYCLES_PER_SECOND_BUCKETS: &[f64] =
 /// rest are dropped and counted.
 pub const EVENT_LOG_CAPACITY: usize = 4096;
 
-/// Metric names the [`crate::Session`] publishes.
+/// Metric names the [`crate::Session`] publishes, each once first touched.
 pub mod names {
-    /// Counter: requests answered (cache hits + measurements started).
+    /// Counter: requests to `measure_many`, each a hit or a miss, so
+    /// `requests == hits + misses`. A profile is no request.
     pub const REQUESTS: &str = "session_requests_total";
     /// Counter: requests served from the cache (incl. in-batch duplicates).
     pub const CACHE_HITS: &str = "session_cache_hits_total";
-    /// Counter: measurements started on a worker (incl. ones that later fail).
+    /// Counter: requests the cache could not answer, failed ones included
+    /// (an unknown program is a miss and a failure).
     pub const CACHE_MISSES: &str = "session_cache_misses_total";
     /// Counter: measurements whose run was taken from another point of the
     /// session that simulated the identical run, instead of simulated.
     pub const SHARED_RUNS: &str = "session_shared_runs_total";
-    /// Counter: measurements that failed (error or worker panic).
+    /// Counter: misses that produced no result (error or worker panic), so
+    /// `failures <= misses`.
     pub const FAILURES: &str = "session_failures_total";
-    /// Histogram: compile wall time per measurement, seconds.
+    /// Histogram: compile wall time per finished measurement or profile,
+    /// seconds.
     pub const COMPILE_SECONDS: &str = "session_compile_seconds";
-    /// Histogram: simulate wall time per measurement, seconds.
+    /// Histogram: simulate wall time per finished measurement or profile,
+    /// seconds.
     pub const SIMULATE_SECONDS: &str = "session_simulate_seconds";
     /// Histogram: simulated throughput per measurement that simulated its
     /// run — its simulated cycles over its simulate wall time, in Mcycles/s.
+    /// Shared runs and profiles add no sample.
     pub const SIMULATE_MCYCLES_PER_SECOND: &str = "session_simulate_mcycles_per_second";
     /// Histogram: in-flight measurements observed at each measurement start.
     pub const POOL_OCCUPANCY: &str = "session_pool_occupancy";

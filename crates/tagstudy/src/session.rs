@@ -63,6 +63,24 @@
 //! reaches its waiters as an error and is forgotten. A finished entry only
 //! names the point whose ready cell holds the run, so the index never holds
 //! more entries than the cache holds points.
+//!
+//! ## One ledger
+//!
+//! Each lifecycle fact — a hit, a miss started, a measurement finished or
+//! failed, a profile finished, a seed, a source registered — is recorded once,
+//! where it happens. One fold under one lock turns it into the
+//! [`SessionStats`], the `session_*` series of [`Session::metrics`] and the
+//! event log; the [`Progress`] callback then sees it, outside the lock.
+//!
+//! 1. Every request to [`Session::measure_many`] counts once, as a hit or a
+//!    miss. A miss with no result, an unknown program included, is also a
+//!    failure: `requests == hits + misses`, `failures <= misses`, and
+//!    [`SessionStats::misses`] is `misses - failures`.
+//! 2. A profile is no request. It observes its compile and simulate times and
+//!    reports [`Progress::Finished`], but adds no Mc/s sample (that histogram
+//!    is the simulator's own speed, one sample per simulated run) and nothing
+//!    to [`SessionStats`].
+//! 3. A series appears only once first touched.
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -73,8 +91,7 @@ use std::time::Duration;
 
 use crate::config::Config;
 use crate::measure::{
-    run_timed, simulate, simulate_run, InlineProgram, Measurement, Run, RunKey, RunSeeds,
-    StudyError, Timing,
+    run_timed, simulate, InlineProgram, Measurement, Run, RunKey, RunSeeds, StudyError, Timing,
 };
 use crate::metrics::{
     names, MetricsRegistry, DURATION_BUCKETS, MCYCLES_PER_SECOND_BUCKETS, OCCUPANCY_BUCKETS,
@@ -90,30 +107,19 @@ enum Source {
 }
 
 impl Source {
-    /// Measure this program as `name` under `config`, getting the compiled
-    /// program's run from `run`: a benchmark always pins its output, an
-    /// inline program may.
-    fn run_timed(
-        &self,
-        name: &str,
-        config: &Config,
-        run: impl FnOnce(&lisp::CompiledProgram) -> Result<Run, String>,
-    ) -> Result<(Measurement, Timing), StudyError> {
+    fn compile(&self, opts: &lisp::Options) -> Result<lisp::CompiledProgram, lisp::CompileError> {
         match self {
-            Source::Builtin(b) => run_timed(
-                b.name,
-                |o| b.compile(o),
-                Some(b.expected_output),
-                config,
-                run,
-            ),
-            Source::Inline(p) => run_timed(
-                name,
-                |o| p.compile(o),
-                p.expected_output.as_deref(),
-                config,
-                run,
-            ),
+            Source::Builtin(b) => b.compile(opts),
+            Source::Inline(p) => p.compile(opts),
+        }
+    }
+
+    /// The output a run must print: a benchmark always pins it, an inline
+    /// program may.
+    fn expected_output(&self) -> Option<&str> {
+        match self {
+            Source::Builtin(b) => Some(b.expected_output),
+            Source::Inline(p) => p.expected_output.as_deref(),
         }
     }
 }
@@ -150,22 +156,24 @@ pub enum Progress {
     },
 }
 
-/// Aggregate counters for one [`Session`].
+/// Aggregate counters for one [`Session`]; profiles add nothing (see
+/// [One ledger](self#one-ledger)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Requests served from the cache (including duplicates within one batch
     /// and requests that waited on another batch measuring the same point).
     pub hits: u64,
-    /// Measurements actually compiled (and simulated, unless the run was
-    /// shared).
+    /// Measurements that finished: compiled, and simulated unless the run was
+    /// shared. Misses that failed are not counted.
     pub misses: u64,
     /// Measurements whose run was taken from another point of the session
     /// that simulated the identical run, instead of simulated (see the
     /// [module docs](self)). `misses - shared_runs` runs were simulated.
     pub shared_runs: u64,
-    /// Total wall time spent compiling.
+    /// Total wall time finished measurements spent compiling.
     pub compile_time: Duration,
-    /// Total wall time spent simulating, or waiting for a shared run.
+    /// Total wall time finished measurements spent simulating, or waiting
+    /// for a shared run.
     pub sim_time: Duration,
 }
 
@@ -175,7 +183,7 @@ impl SessionStats {
         self.misses - self.shared_runs
     }
 
-    /// Total requests the session has answered.
+    /// Requests answered, less the misses that failed.
     pub fn requests(&self) -> u64 {
         self.hits + self.misses
     }
@@ -185,6 +193,137 @@ impl SessionStats {
     pub fn work_time(&self) -> Duration {
         self.compile_time + self.sim_time
     }
+}
+
+/// One lifecycle fact of a session, recorded once where it happens (see
+/// [One ledger](self#one-ledger)).
+enum Fact<'a> {
+    /// A request answered from the cache or joined to a measurement in
+    /// flight.
+    Hit(&'a Key),
+    /// A claimed point started on a worker, with this many measurements on
+    /// workers counting itself.
+    Started(&'a Key, usize),
+    /// A claimed point measured: its timing, its simulated cycles, and
+    /// whether its run was another point's.
+    Finished(&'a Key, Timing, u64, bool),
+    /// A claimed point produced no result, and whether it had started (an
+    /// unknown program never does).
+    Failed(&'a Key, &'a StudyError, bool),
+    /// A profiled run finished: its timing and its simulated cycles.
+    Profiled(&'a Key, Timing, u64),
+    /// A measurement was preloaded from a store.
+    Seeded(&'a Key),
+    /// An inline program was registered, and whether it replaced one.
+    Registered(&'a str, bool),
+    /// The registry is read: the configured workers and the cached points.
+    Read(usize, usize),
+}
+
+/// Everything a session reports, behind one lock.
+#[derive(Default)]
+struct Ledger {
+    stats: SessionStats,
+    metrics: MetricsRegistry,
+}
+
+impl Ledger {
+    /// Fold one fact into the counters, histograms, gauges, event log and
+    /// [`SessionStats`], keeping the rules of [One ledger](self#one-ledger).
+    /// Returns the fact's [`Progress`] view, if the callback sees it.
+    fn fold(&mut self, fact: &Fact<'_>) -> Option<Progress> {
+        let (stats, m) = (&mut self.stats, &mut self.metrics);
+        match *fact {
+            Fact::Hit(point) => {
+                stats.hits += 1;
+                m.inc(names::REQUESTS);
+                m.inc(names::CACHE_HITS);
+                event(m, "cache_hit", point, &[]);
+                let (program, config) = point.clone();
+                Some(Progress::Hit { program, config })
+            }
+            Fact::Started(point, occupancy) => {
+                m.observe(names::POOL_OCCUPANCY, OCCUPANCY_BUCKETS, occupancy as f64);
+                m.gauge_max(names::POOL_PEAK_OCCUPANCY, occupancy as f64);
+                m.inc(names::REQUESTS);
+                m.inc(names::CACHE_MISSES);
+                event(m, "measure_started", point, &[]);
+                let (program, config) = point.clone();
+                Some(Progress::Started { program, config })
+            }
+            Fact::Finished(point, timing, cycles, _) | Fact::Profiled(point, timing, cycles) => {
+                let compile = timing.compile.as_secs_f64();
+                let simulate = timing.simulate.as_secs_f64();
+                if let Fact::Finished(.., shared) = *fact {
+                    stats.misses += 1;
+                    stats.shared_runs += u64::from(shared);
+                    stats.compile_time += timing.compile;
+                    stats.sim_time += timing.simulate;
+                    if shared {
+                        m.inc(names::SHARED_RUNS);
+                    } else if simulate > 0.0 {
+                        // Only a run simulated here, with no observer, times
+                        // the simulator: not a wait for a shared run, and
+                        // not a profile.
+                        let rate = cycles as f64 / simulate / 1e6;
+                        m.observe(
+                            names::SIMULATE_MCYCLES_PER_SECOND,
+                            MCYCLES_PER_SECOND_BUCKETS,
+                            rate,
+                        );
+                    }
+                }
+                m.observe(names::COMPILE_SECONDS, DURATION_BUCKETS, compile);
+                m.observe(names::SIMULATE_SECONDS, DURATION_BUCKETS, simulate);
+                let (compile, simulate) = (compile.to_string(), simulate.to_string());
+                let labels = [("compile_s", compile.as_str()), ("simulate_s", &simulate)];
+                event(m, "measure_finished", point, &labels);
+                let (program, config) = point.clone();
+                Some(Progress::Finished {
+                    program,
+                    config,
+                    timing,
+                    cycles,
+                })
+            }
+            Fact::Failed(point, error, started) => {
+                if !started {
+                    m.inc(names::REQUESTS);
+                    m.inc(names::CACHE_MISSES);
+                }
+                m.inc(names::FAILURES);
+                event(m, "measure_failed", point, &[("error", &error.to_string())]);
+                None
+            }
+            Fact::Seeded(point) => {
+                m.inc(names::SEEDED);
+                event(m, "cache_seeded", point, &[]);
+                None
+            }
+            Fact::Registered(program, replaced) => {
+                m.inc(names::SOURCES_REGISTERED);
+                let replaced = replaced.to_string();
+                m.event(
+                    "source_registered",
+                    &[("program", program), ("replaced", &replaced)],
+                );
+                None
+            }
+            Fact::Read(workers, cached) => {
+                m.set_gauge(names::WORKERS_CONFIGURED, workers as f64);
+                m.set_gauge(names::CACHED_MEASUREMENTS, cached as f64);
+                None
+            }
+        }
+    }
+}
+
+/// Log event `name` for `point`, with `more` labels after its program and
+/// configuration.
+fn event(m: &mut MetricsRegistry, name: &str, (program, config): &Key, more: &[(&str, &str)]) {
+    let config = config.to_string();
+    let labels = [("program", program.as_str()), ("config", &config)];
+    m.event(name, &[&labels[..], more].concat());
 }
 
 type ProgressFn = Arc<dyn Fn(&Progress) + Send + Sync>;
@@ -369,11 +508,9 @@ pub struct Session {
     parallelism: NonZeroUsize,
     progress: Option<ProgressFn>,
     writeback: Option<WritebackFn>,
-    stats: Mutex<SessionStats>,
-    /// The structured metrics/event registry every lifecycle event flows
-    /// through (see [`crate::metrics`]); `Progress` is an adapter fed from
-    /// the same spine.
-    metrics: Mutex<MetricsRegistry>,
+    /// Every report the session keeps, written only by [`Session::record`]
+    /// (see [One ledger](self#one-ledger)).
+    ledger: Mutex<Ledger>,
     /// Measurements currently on a worker (pool-occupancy observations).
     inflight: AtomicUsize,
 }
@@ -407,8 +544,7 @@ impl Session {
             parallelism,
             progress: None,
             writeback: None,
-            stats: Mutex::new(SessionStats::default()),
-            metrics: Mutex::new(MetricsRegistry::new()),
+            ledger: Mutex::default(),
             inflight: AtomicUsize::new(0),
         }
     }
@@ -447,7 +583,7 @@ impl Session {
 
     /// The session's counters so far.
     pub fn stats(&self) -> SessionStats {
-        *lock(&self.stats)
+        lock(&self.ledger).stats
     }
 
     /// The configured worker-pool bound.
@@ -495,12 +631,7 @@ impl Session {
             };
             cells.insert(key.clone(), ready);
         }
-        let mut m = self.lock_metrics();
-        m.inc(names::SEEDED);
-        m.event(
-            "cache_seeded",
-            &[("program", &key.0), ("config", &key.1.to_string())],
-        );
+        self.record(Fact::Seeded(&key));
         true
     }
 
@@ -531,12 +662,7 @@ impl Session {
             }
             replaced
         };
-        let mut m = self.lock_metrics();
-        m.inc(names::SOURCES_REGISTERED);
-        m.event(
-            "source_registered",
-            &[("program", &name), ("replaced", &replaced.to_string())],
-        );
+        self.record(Fact::Registered(&name, replaced));
         true
     }
 
@@ -667,18 +793,17 @@ impl Session {
                 points.push(point);
             }
         }
-        for ((program, config), seeded) in hits {
-            lock(&self.stats).hits += 1;
+        for (point, seeded) in &hits {
             let now = std::time::Instant::now();
-            let config_name = config.to_string();
+            let config_name = point.1.to_string();
             let labels = [
-                ("program", program.as_str()),
+                ("program", point.0.as_str()),
                 ("config", &config_name),
                 ("seeded", "true"),
             ];
-            let labelled = if seeded { &labels[..] } else { &labels[..2] };
+            let labelled = if *seeded { &labels[..] } else { &labels[..2] };
             trace::record("cache.read", "session", now, now, labelled);
-            self.emit(&Progress::Hit { program, config });
+            self.record(Fact::Hit(point));
         }
 
         // Publish every claimed point before waiting on anyone else's: two
@@ -688,7 +813,13 @@ impl Session {
         let measured: Vec<Result<Measurement, StudyError>> = claims
             .iter_mut()
             .zip(self.run_pool(&jobs))
-            .map(|(claim, (result, ticket))| self.settle(claim, result, &ticket))
+            .map(|(claim, (result, ticket))| {
+                if let (Ok((measurement, timing)), Some(wb)) = (&result, &self.writeback) {
+                    wb(measurement, timing);
+                }
+                claim.publish(&result, &ticket);
+                result.map(|(m, _)| m)
+            })
             .collect();
 
         let mut errors: Vec<StudyError> = Vec::new();
@@ -710,48 +841,6 @@ impl Session {
             .into_iter()
             .map(|i| answers[i].clone().expect("every point succeeded"))
             .collect())
-    }
-
-    /// Account for one claimed point's outcome — counters, writeback, or the
-    /// failure event — then publish it to the cache and its waiters.
-    fn settle(
-        &self,
-        claim: &mut Claim<'_>,
-        result: MeasureResult,
-        ticket: &Ticket,
-    ) -> Result<Measurement, StudyError> {
-        match &result {
-            Ok((measurement, timing)) => {
-                {
-                    let mut stats = lock(&self.stats);
-                    stats.misses += 1;
-                    stats.shared_runs += u64::from(ticket.shared);
-                    stats.compile_time += timing.compile;
-                    stats.sim_time += timing.simulate;
-                }
-                if ticket.shared {
-                    self.lock_metrics().inc(names::SHARED_RUNS);
-                }
-                if let Some(wb) = &self.writeback {
-                    wb(measurement, timing);
-                }
-            }
-            Err(e) => {
-                let (program, config) = &claim.key;
-                let mut m = self.lock_metrics();
-                m.inc(names::FAILURES);
-                m.event(
-                    "measure_failed",
-                    &[
-                        ("program", program),
-                        ("config", &config.to_string()),
-                        ("error", &e.to_string()),
-                    ],
-                );
-            }
-        }
-        claim.publish(&result, ticket);
-        result.map(|(m, _)| m)
     }
 
     /// Measure every program of `names` under one `config`, in `names` order.
@@ -781,9 +870,29 @@ impl Session {
         program: &str,
         config: Config,
     ) -> Result<Measurement, StudyError> {
-        self.resolve(program)?
-            .run_timed(program, &config, |compiled| simulate_run(compiled, &config))
+        self.run_unrecorded(program, config, |compiled| simulate(compiled, &config))
             .map(|(m, _)| m)
+    }
+
+    /// Compile `program` under `config`, run it with `run` and validate it
+    /// like any measurement, recording nothing in the cache, the run index
+    /// or the ledger (inside a trace context it still has `compile` and
+    /// `simulate` spans).
+    fn run_unrecorded<E: ToString>(
+        &self,
+        program: &str,
+        config: Config,
+        run: impl FnOnce(&lisp::CompiledProgram) -> Result<lisp::Outcome, E>,
+    ) -> MeasureResult {
+        let source = self.resolve(program)?;
+        let run = |compiled: &_| run(compiled).map(Run::Simulated).map_err(|e| e.to_string());
+        run_timed(
+            program,
+            |o| source.compile(o),
+            source.expected_output(),
+            &config,
+            run,
+        )
     }
 
     /// Compile a named program (built-in benchmark or registered inline
@@ -799,15 +908,12 @@ impl Session {
         program: &str,
         config: Config,
     ) -> Result<lisp::CompiledProgram, StudyError> {
-        let opts = config.to_options();
-        match self.resolve(program)? {
-            Source::Builtin(b) => b.compile(&opts),
-            Source::Inline(p) => p.compile(&opts),
-        }
-        .map_err(|e| StudyError::Compile {
-            program: program.to_string(),
-            message: e.to_string(),
-        })
+        self.resolve(program)?
+            .compile(&config.to_options())
+            .map_err(|e| StudyError::Compile {
+                program: program.to_string(),
+                message: e.to_string(),
+            })
     }
 
     /// Run a named benchmark with the retired-instruction trace enabled (see
@@ -827,46 +933,10 @@ impl Session {
         fuel: u64,
         obs: &mut O,
     ) -> Result<Measurement, StudyError> {
-        let compiled = self.compile_program(program, config)?;
-        self.run_compiled_observed(program, config, &compiled, fuel, obs)
-    }
-
-    fn run_compiled_observed<O: mipsx::trace::Observer>(
-        &self,
-        program: &str,
-        config: Config,
-        compiled: &lisp::CompiledProgram,
-        fuel: u64,
-        obs: &mut O,
-    ) -> Result<Measurement, StudyError> {
-        let outcome =
-            lisp::run_observed_with(compiled, config.backend, fuel, obs).map_err(|e| {
-                StudyError::Sim {
-                    program: program.to_string(),
-                    message: e.to_string(),
-                }
-            })?;
-        let source = self.resolve(program)?;
-        let expected: Option<&str> = match &source {
-            Source::Builtin(b) => Some(b.expected_output),
-            Source::Inline(p) => p.expected_output.as_deref(),
-        };
-        let output_ok = expected.is_none_or(|want| outcome.output == want);
-        if outcome.halt_code != lisp::exit_code::OK || !output_ok {
-            return Err(StudyError::WrongOutput {
-                program: program.to_string(),
-                config: config.to_string(),
-                got: format!("halt={} {:?}", outcome.halt_code, outcome.output),
-            });
-        }
-        Ok(Measurement {
-            program: program.to_string(),
-            config,
-            stats: outcome.stats,
-            compile: compiled.stats,
-            halt_code: outcome.halt_code,
-            output: outcome.output,
+        self.run_unrecorded(program, config, |compiled| {
+            lisp::run_observed_with(compiled, config.backend, fuel, obs)
         })
+        .map(|(m, _)| m)
     }
 
     /// Compile `program` under `config` and run it with a cycle-attribution
@@ -906,44 +976,34 @@ impl Session {
         config: Config,
         fuel: u64,
     ) -> Result<(Measurement, mipsx::Profiler, Option<Vec<mipsx::FuncStalls>>), StudyError> {
-        // A profiled run is neither a request to the cache nor a miss: it is
-        // never cached, so only its finish is reported.
-        let t0 = std::time::Instant::now();
-        let compiled = self.compile_program(program, config)?;
-        let compile = t0.elapsed();
-        let profiler = mipsx::Profiler::new(&compiled.program);
-        let t1 = std::time::Instant::now();
-        let (measurement, profiler, stalls) = if config.timing.is_ideal() {
-            let mut profiler = profiler;
-            let measurement =
-                self.run_compiled_observed(program, config, &compiled, fuel, &mut profiler)?;
-            (measurement, profiler, None)
-        } else {
+        let mut attributed = None;
+        let (measurement, timing) = self.run_unrecorded(program, config, |compiled| {
+            let mut profiler = mipsx::Profiler::new(&compiled.program);
+            if config.timing.is_ideal() {
+                let outcome =
+                    lisp::run_observed_with(compiled, config.backend, fuel, &mut profiler);
+                attributed = Some((profiler, None));
+                return outcome;
+            }
             // Both observers ride one run: the profiler attributes
             // architectural cycles, the timing model attributes stalls, and
             // they see the identical retirement stream.
-            let mut obs =
-                mipsx::trace::Chain::new(profiler, mipsx::TimingModel::new(config.timing));
-            let mut measurement =
-                self.run_compiled_observed(program, config, &compiled, fuel, &mut obs)?;
+            let model = mipsx::TimingModel::new(config.timing);
+            let mut obs = mipsx::trace::Chain::new(profiler, model);
+            let mut outcome = lisp::run_observed_with(compiled, config.backend, fuel, &mut obs);
             let mipsx::trace::Chain {
                 first: profiler,
                 second: model,
             } = obs;
-            measurement.stats.timing = Some(model.finish());
-            let stalls = model.by_function(&compiled.program.symtab);
-            (measurement, profiler, Some(stalls))
-        };
-        self.finished(
-            program,
-            config,
-            Timing {
-                compile,
-                simulate: t1.elapsed(),
-            },
-            measurement.stats.cycles,
-            true,
-        );
+            if let Ok(outcome) = &mut outcome {
+                outcome.stats.timing = Some(model.finish());
+            }
+            attributed = Some((profiler, Some(model.by_function(&compiled.program.symtab))));
+            outcome
+        })?;
+        let point = (program.to_string(), config);
+        self.record(Fact::Profiled(&point, timing, measurement.stats.cycles));
+        let (profiler, stalls) = attributed.expect("a measured program was run");
         Ok((measurement, profiler, stalls))
     }
 
@@ -994,19 +1054,14 @@ impl Session {
         out
     }
 
-    fn lock_metrics(&self) -> MutexGuard<'_, MetricsRegistry> {
-        lock(&self.metrics)
-    }
-
     /// Run `f` on the live registry under its lock, with the point-in-time
     /// gauges (configured workers, cache size) brought up to date first.
     fn with_metrics<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> R {
-        // Count the cache before taking the metrics lock: no path holds both.
-        let cached = self.cached_measurements() as f64;
-        let mut m = self.lock_metrics();
-        m.set_gauge(names::WORKERS_CONFIGURED, self.parallelism.get() as f64);
-        m.set_gauge(names::CACHED_MEASUREMENTS, cached);
-        f(&m)
+        // Count the cache before taking the ledger lock: no path holds both.
+        let cached = self.cached_measurements();
+        let mut ledger = lock(&self.ledger);
+        ledger.fold(&Fact::Read(self.parallelism.get(), cached));
+        f(&ledger.metrics)
     }
 
     /// A snapshot of the session's metrics registry: every counter, histogram
@@ -1029,80 +1084,13 @@ impl Session {
         self.with_metrics(MetricsRegistry::to_prometheus)
     }
 
-    /// The instrumentation spine: record the event in the metrics registry,
-    /// then hand it to the optional [`Progress`] adapter.
-    fn emit(&self, event: &Progress) {
-        {
-            let mut m = self.lock_metrics();
-            match event {
-                Progress::Hit { program, config } => {
-                    m.inc(names::REQUESTS);
-                    m.inc(names::CACHE_HITS);
-                    m.event(
-                        "cache_hit",
-                        &[("program", program), ("config", &config.to_string())],
-                    );
-                }
-                Progress::Started { program, config } => {
-                    m.inc(names::REQUESTS);
-                    m.inc(names::CACHE_MISSES);
-                    m.event(
-                        "measure_started",
-                        &[("program", program), ("config", &config.to_string())],
-                    );
-                }
-                Progress::Finished {
-                    program,
-                    config,
-                    timing,
-                    ..
-                } => {
-                    let compile = timing.compile.as_secs_f64();
-                    let simulate = timing.simulate.as_secs_f64();
-                    m.observe(names::COMPILE_SECONDS, DURATION_BUCKETS, compile);
-                    m.observe(names::SIMULATE_SECONDS, DURATION_BUCKETS, simulate);
-                    m.event(
-                        "measure_finished",
-                        &[
-                            ("program", program),
-                            ("config", &config.to_string()),
-                            ("compile_s", &compile.to_string()),
-                            ("simulate_s", &simulate.to_string()),
-                        ],
-                    );
-                }
-            }
+    /// Fold `fact` into the ledger, then show it to the progress callback
+    /// outside the lock.
+    fn record(&self, fact: Fact<'_>) {
+        let view = lock(&self.ledger).fold(&fact);
+        if let (Some(f), Some(view)) = (&self.progress, view) {
+            f(&view);
         }
-        if let Some(f) = &self.progress {
-            f(event);
-        }
-    }
-
-    /// Emit [`Progress::Finished`] for a measurement. Its simulated rate is
-    /// observed only when it `simulated` its run: the wait for a shared run
-    /// says nothing about the simulator's speed.
-    fn finished(
-        &self,
-        program: &str,
-        config: Config,
-        timing: Timing,
-        cycles: u64,
-        simulated: bool,
-    ) {
-        let simulate = timing.simulate.as_secs_f64();
-        if simulated && simulate > 0.0 {
-            self.lock_metrics().observe(
-                names::SIMULATE_MCYCLES_PER_SECOND,
-                MCYCLES_PER_SECOND_BUCKETS,
-                cycles as f64 / simulate / 1e6,
-            );
-        }
-        self.emit(&Progress::Finished {
-            program: program.to_owned(),
-            config,
-            timing,
-            cycles,
-        });
     }
 
     /// Run `jobs` on at most `self.parallelism` workers, returning results in
@@ -1144,37 +1132,31 @@ impl Session {
         let mut ticket = Ticket::default();
         let source = match self.resolve(&point.0) {
             Ok(source) => source,
-            Err(e) => return (Err(e), ticket),
+            Err(error) => {
+                self.record(Fact::Failed(point, &error, false));
+                return (Err(error), ticket);
+            }
         };
-        let depth = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        {
-            let mut m = self.lock_metrics();
-            m.observe(names::POOL_OCCUPANCY, OCCUPANCY_BUCKETS, depth as f64);
-            m.gauge_max(names::POOL_PEAK_OCCUPANCY, depth as f64);
-        }
-        let result = self.run_one_inner(point, source, &mut ticket);
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-        (result, ticket)
-    }
-
-    fn run_one_inner(&self, point: &Key, source: Source, ticket: &mut Ticket) -> MeasureResult {
         let (name, config) = (point.0.as_str(), &point.1);
         // The measurement's span; `run_timed` records its compile and
         // simulate children.
         let _measure = trace::span("measure", "session")
             .label("program", name)
             .label("config", config);
-        // The Started emit runs inside the panic guard too: a misbehaving
+        let occupancy = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+        // The Started record runs inside the panic guard too: a misbehaving
         // progress callback surfaces as this measurement's error, not as a
         // harness abort.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            self.emit(&Progress::Started {
-                program: name.to_owned(),
-                config: *config,
-            });
-            source.run_timed(name, config, |compiled| {
-                self.take_run(point, compiled, ticket)
-            })
+            self.record(Fact::Started(point, occupancy));
+            let expected = source.expected_output();
+            run_timed(
+                name,
+                |o| source.compile(o),
+                expected,
+                config,
+                |compiled| self.take_run(point, compiled, &mut ticket),
+            )
         }))
         .unwrap_or_else(|payload| {
             Err(StudyError::Sim {
@@ -1182,11 +1164,12 @@ impl Session {
                 message: format!("measurement worker panicked: {}", panic_text(&payload)),
             })
         });
-        if let Ok((measurement, timing)) = &result {
-            let simulated = !ticket.shared;
-            self.finished(name, *config, *timing, measurement.stats.cycles, simulated);
-        }
-        result
+        self.inflight.fetch_sub(1, Ordering::Relaxed);
+        self.record(match &result {
+            Ok((m, timing)) => Fact::Finished(point, *timing, m.stats.cycles, ticket.shared),
+            Err(error) => Fact::Failed(point, error, true),
+        });
+        (result, ticket)
     }
 
     /// The run of `point`, compiled to `compiled`: taken from the point

@@ -166,40 +166,96 @@ fn prometheus_matches_json_counters() {
     assert!(prom.contains("session_compile_seconds_bucket{le=\"+Inf\"} 2"));
 }
 
-/// A profiled run is never cached, so it is neither a request nor a cache
-/// miss: after profiles the miss and request counters still equal the
-/// session's own `SessionStats`, and no measurement is cached.
+/// Every lifecycle fact is folded once, so after each step of a mixed
+/// session the counters keep rule 1 (`requests == hits + misses`, `failures
+/// <= misses`, `SessionStats::misses == misses - failures`), `SessionStats`
+/// agrees with the series, and a profile (rule 2) observes its compile and
+/// simulate times but is no request, no miss and no simulated-rate sample.
 #[test]
 fn profiles_count_no_requests_or_misses() {
     use tagstudy::metrics::names;
+    use tagstudy::{InlineProgram, Progress};
 
-    let s = Session::serial();
     let none = Config::baseline(CheckingMode::None);
-    s.profile("frl", none, programs::FUEL)
-        .expect("frl profiles");
-    s.profile_with_stalls("frl", none, programs::FUEL)
-        .expect("frl profiles with stalls");
-    let check = |s: &Session, what: &str| {
+    let full = Config::baseline(CheckingMode::Full);
+    let s = Session::serial().with_progress(|p| {
+        if let Progress::Started { program, .. } = p {
+            assert!(program != "trav", "callback rejects trav");
+        }
+    });
+    let check = |s: &Session, profiles: u64, what: &str| {
         let m = s.metrics();
         let stats = s.stats();
+        let requests = m.counter(names::REQUESTS);
+        let (hits, misses) = (m.counter(names::CACHE_HITS), m.counter(names::CACHE_MISSES));
+        let failures = m.counter(names::FAILURES);
+        assert_eq!(requests, hits + misses, "{what}: requests");
+        assert!(failures <= misses, "{what}: {failures} failures");
+        assert_eq!(stats.misses, misses - failures, "{what}: finished misses");
+        assert_eq!(stats.hits, hits, "{what}: hits");
         assert_eq!(
-            m.counter(names::CACHE_MISSES),
-            stats.misses,
-            "{what}: misses"
+            stats.shared_runs,
+            m.counter(names::SHARED_RUNS),
+            "{what}: shared runs"
         );
+        let count = |name| m.histogram(name).map_or(0, |h| h.count);
         assert_eq!(
-            m.counter(names::REQUESTS),
-            stats.requests(),
-            "{what}: requests"
+            stats.simulated(),
+            count(names::SIMULATE_MCYCLES_PER_SECOND),
+            "{what}: one rate sample per simulated run"
         );
-        assert_eq!(m.counter(names::CACHE_HITS), stats.hits, "{what}: hits");
+        for name in [names::COMPILE_SECONDS, names::SIMULATE_SECONDS] {
+            assert_eq!(count(name), stats.misses + profiles, "{what}: {name}");
+        }
     };
-    check(&s, "after two profiles");
-    assert_eq!(s.stats().requests(), 0);
-    assert_eq!(s.metrics().gauge(names::CACHED_MEASUREMENTS), Some(0.0));
+    check(&s, 0, "a fresh session");
 
-    // A real miss afterwards is counted once, beside the profiles.
-    s.measure("frl", none).expect("frl measures");
-    check(&s, "after a measurement");
-    assert_eq!(s.stats().misses, 1);
+    // A miss, its in-batch duplicate, a warm hit, then a seeded hit.
+    s.measure_many(&[("frl", none), ("frl", none)])
+        .expect("frl measures");
+    s.measure("frl", none).expect("warm hit");
+    let cold = Session::serial();
+    cold.measure("frl", full).expect("frl measures");
+    let (measurement, timing) = cold.measurements().next().expect("one cached point");
+    assert!(s.seed(measurement, timing));
+    s.measure("frl", full).expect("seeded hit");
+    check(&s, 0, "after hits");
+    assert_eq!((s.stats().hits, s.stats().misses), (3, 1));
+
+    // A point that shares the run of `frl` with no checking.
+    let genarith = none.with_hw(mipsx::HwConfig::with_generic_arith());
+    s.measure("frl", genarith).expect("frl measures");
+    check(&s, 0, "after a shared run");
+    assert_eq!(s.stats().shared_runs, 1);
+
+    // Misses with no result: wrong output, a compile error, an unknown
+    // program, and a progress callback that panics on Started.
+    s.register_source(
+        "claims-four",
+        InlineProgram::new("(print (plus 1 2))").with_expected_output("4\n"),
+    );
+    s.register_source("broken", InlineProgram::new("(print (no-such-fn 1))"));
+    s.measure_many(&[("claims-four", full), ("broken", full), ("nope", full)])
+        .expect_err("every point fails");
+    check(&s, 0, "after failed misses");
+    s.measure("trav", none).expect_err("the callback panics");
+    check(&s, 0, "after a panicking callback");
+    assert_eq!(s.metrics().counter(names::FAILURES), 4);
+    assert_eq!(s.metrics().counter(names::CACHE_MISSES), 6);
+
+    // Profiles and uncached runs are no requests.
+    let requests = s.metrics().counter(names::REQUESTS);
+    s.profile("frl", none, programs::FUEL)
+        .expect("frl profiles");
+    check(&s, 1, "after a profile");
+    let timed = none.with_timing(mipsx::TimingConfig::classic5());
+    let (measured, _, stalls) = s
+        .profile_with_stalls("frl", timed, programs::FUEL)
+        .expect("frl profiles with stalls");
+    assert!(stalls.is_some() && measured.stats.timing.is_some());
+    check(&s, 2, "after a profile with stalls");
+    s.measure_uncached("frl", none).expect("frl measures");
+    check(&s, 2, "after an uncached run");
+    assert_eq!(s.metrics().counter(names::REQUESTS), requests);
+    assert_eq!(s.metrics().gauge(names::CACHED_MEASUREMENTS), Some(3.0));
 }
