@@ -156,8 +156,9 @@ pub enum Progress {
     },
 }
 
-/// Aggregate counters for one [`Session`]; profiles add nothing (see
-/// [One ledger](self#one-ledger)).
+/// Aggregate counters for one [`Session`], kept by the fold of its lifecycle
+/// facts (the *One ledger* section of the session module); profiles add
+/// nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Requests served from the cache (including duplicates within one batch
