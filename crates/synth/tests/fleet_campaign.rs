@@ -1,7 +1,14 @@
 //! Fleet campaign integration: a clean local campaign saturates its coverage
 //! ledger with zero divergences, a killed campaign resumes without repeating
 //! covered columns, and a fault-injected campaign archives a small witness
-//! that replays from the store.
+//! that replays from the store, byte for byte the pinned one.
+//!
+//! After an intentional change to the planted-fault witness, regenerate
+//! the pin with:
+//!
+//! ```sh
+//! UPDATE_EXPECTED=1 cargo test -p synth --test fleet_campaign
+//! ```
 
 use std::fs;
 use std::path::PathBuf;
@@ -197,6 +204,30 @@ fn fault_campaign_archives_a_small_replayable_witness() {
         replay_witness(w).expect("witness replays"),
         "replayed witness no longer diverges:\n{}",
         w.source
+    );
+
+    // The whole archived file is pinned: kind, detail (with its lockstep
+    // suffix), shrunk source, form count and content key.
+    let got = fs::read_to_string(scratch.0.join(format!("{key}.wit"))).expect("witness file");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/expected/fault_witness.txt");
+    if std::env::var_os("UPDATE_EXPECTED").is_some() {
+        fs::write(&path, &got).expect("write the expected file");
+        eprintln!("updated {}", path.display());
+        return;
+    }
+    let want = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {}: {e}\nseed it with: \
+             UPDATE_EXPECTED=1 cargo test -p synth --test fleet_campaign",
+            path.display()
+        )
+    });
+    assert_eq!(
+        got,
+        want,
+        "the planted-fault witness drifted from {}; \
+         if intentional, regenerate with UPDATE_EXPECTED=1",
+        path.display()
     );
 }
 
