@@ -54,8 +54,6 @@ pub struct EvalOptions {
     /// compiled system traps on stack overflow at a configuration-dependent
     /// depth, so the two limits are deliberately not conflated.
     pub max_depth: usize,
-    /// Prepend the standard prelude (as [`crate::compile`] does by default).
-    pub include_prelude: bool,
 }
 
 impl Default for EvalOptions {
@@ -64,7 +62,6 @@ impl Default for EvalOptions {
             int_bits: 27,
             fuel: 2_000_000_000,
             max_depth: 100_000,
-            include_prelude: true,
         }
     }
 }
@@ -169,20 +166,15 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluate `source` (with the prelude unless disabled) and return its
-/// observable behaviour plus op census.
+/// Evaluate the prelude followed by `source` and return its observable
+/// behaviour plus op census.
 ///
 /// # Errors
 ///
 /// [`EvalError::Compile`] when lowering fails, and the harness-level limits
 /// described on [`EvalError`].
 pub fn eval_source(source: &str, opts: &EvalOptions) -> Result<EvalOutcome, EvalError> {
-    let sources: Vec<&str> = if opts.include_prelude {
-        vec![PRELUDE, source]
-    } else {
-        vec![source]
-    };
-    let unit = front::lower_sources(&sources).map_err(EvalError::Compile)?;
+    let unit = front::lower_sources(&[PRELUDE, source]).map_err(EvalError::Compile)?;
     eval_unit(&unit, opts)
 }
 

@@ -5,21 +5,22 @@
 //! The daemon path exists to fuzz the *service*, not just the simulators: a
 //! campaign driven through [`DaemonRunner`] exercises the wire protocol, the
 //! session engine, and the uncached `/v1/fuzz/run` execution path with the
-//! same oracle that checks the simulators themselves. Campaign telemetry is
+//! same oracle that checks the simulators themselves. The runner only turns
+//! each column's result into a `mipsx::Outcome` (or a `Sim` mismatch); the
+//! campaign diffs it through `synth::oracle`. Campaign telemetry is
 //! pushed back to the daemon (`/v1/fuzz/report`) so `/metrics` shows
 //! throughput, divergences, and coverage while a fleet is running.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use mipsx::Outcome;
 use store::fuzz::FuzzStore;
 use store::StoreKey;
-use synth::fleet::{
-    replay_witness, run_campaign, CampaignSpec, Column, ColumnOutcome, LocalRunner, Progress,
-    RunError, Runner,
-};
-
+use synth::fleet::{replay_witness, run_campaign, CampaignSpec, LocalRunner, Progress, Runner};
+use synth::{Mismatch, MismatchKind};
 use tagstudy::trace::{TraceContext, TRACEPARENT_HEADER};
+use tagstudy::Config;
 
 use crate::http::{fetch, fetch_headers, json_string};
 use crate::proto;
@@ -64,8 +65,7 @@ impl DaemonRunner {
     /// One column as an inline experiment object. The source rides in the
     /// batch itself; the daemon derives the `inline:<hash>` name, so every
     /// column of one program shares a single registered source.
-    fn spec_json(source: &str, column: &Column) -> String {
-        let c = &column.config;
+    fn spec_json(source: &str, c: &Config) -> String {
         format!(
             "{{\"source\":{},\"scheme\":{},\"checking\":{},\"hw\":{},\"backend\":{}}}",
             json_string(source),
@@ -76,54 +76,51 @@ impl DaemonRunner {
         )
     }
 
-    fn batch_body(source: &str, columns: &[Column]) -> String {
+    /// Run `columns` as one `/v1/fuzz/run` batch: one outcome per column, in
+    /// order, or why the daemon produced none.
+    fn post(&self, source: &str, columns: &[Config]) -> Result<Vec<Outcome>, String> {
         let specs: Vec<String> = columns
             .iter()
             .map(|c| DaemonRunner::spec_json(source, c))
             .collect();
-        format!("{{\"experiments\":[{}]}}", specs.join(","))
-    }
-
-    /// Run one column in its own request — the fallback that pins a batch
-    /// failure to the column(s) that refused.
-    fn run_one(&self, source: &str, column: &Column) -> Result<ColumnOutcome, RunError> {
-        let body = DaemonRunner::batch_body(source, std::slice::from_ref(column));
-        match fetch_headers(
+        let body = format!("{{\"experiments\":[{}]}}", specs.join(","));
+        let (status, bytes) = fetch_headers(
             &self.addr,
             "POST",
             "/v1/fuzz/run",
             body.as_bytes(),
             RUN_TIMEOUT,
             &[(TRACEPARENT_HEADER, &self.ctx.to_traceparent())],
-        ) {
-            Ok((200, bytes)) => {
-                let text = std::str::from_utf8(&bytes)
-                    .map_err(|_| RunError::Sim("daemon response is not UTF-8".to_string()))?;
-                let mut results = proto::parse_results(text).map_err(RunError::Sim)?;
-                if results.len() != 1 {
-                    return Err(RunError::Sim(format!(
-                        "daemon returned {} results for one spec",
-                        results.len()
-                    )));
-                }
-                let (_, _, m) = results.remove(0);
-                Ok(ColumnOutcome {
-                    halt_code: m.halt_code,
-                    output: m.output,
-                    stats: m.stats,
-                })
-            }
-            Ok((status, bytes)) => Err(RunError::Sim(format!(
+        )?;
+        if status != 200 {
+            return Err(format!(
                 "daemon answered {status}: {}",
                 String::from_utf8_lossy(&bytes).trim_end()
-            ))),
-            Err(why) => Err(RunError::Sim(why)),
+            ));
         }
+        let text =
+            std::str::from_utf8(&bytes).map_err(|_| "daemon response is not UTF-8".to_string())?;
+        let results = proto::parse_results(text)?;
+        if results.len() != columns.len() {
+            return Err(format!(
+                "daemon returned {} results for {} specs",
+                results.len(),
+                columns.len()
+            ));
+        }
+        Ok(results
+            .into_iter()
+            .map(|(_, _, m)| Outcome {
+                halt_code: m.halt_code,
+                output: m.output,
+                stats: m.stats,
+            })
+            .collect())
     }
 }
 
 impl Runner for DaemonRunner {
-    fn run(&mut self, source: &str, columns: &[Column]) -> Vec<Result<ColumnOutcome, RunError>> {
+    fn run(&mut self, source: &str, columns: &[Config]) -> Vec<Result<Outcome, Mismatch>> {
         if columns.is_empty() {
             return Vec::new();
         }
@@ -131,35 +128,20 @@ impl Runner for DaemonRunner {
         // (a refused column — e.g. an unexpected halt code — 500s everything),
         // so on any failure fall back to one request per column; the columns
         // that still refuse become their own differential signal.
-        let body = DaemonRunner::batch_body(source, columns);
-        if let Ok((200, bytes)) = fetch_headers(
-            &self.addr,
-            "POST",
-            "/v1/fuzz/run",
-            body.as_bytes(),
-            RUN_TIMEOUT,
-            &[(TRACEPARENT_HEADER, &self.ctx.to_traceparent())],
-        ) {
-            if let Some(outcomes) = std::str::from_utf8(&bytes)
-                .ok()
-                .and_then(|text| proto::parse_results(text).ok())
-                .filter(|results| results.len() == columns.len())
-            {
-                return outcomes
-                    .into_iter()
-                    .map(|(_, _, m)| {
-                        Ok(ColumnOutcome {
-                            halt_code: m.halt_code,
-                            output: m.output,
-                            stats: m.stats,
-                        })
-                    })
-                    .collect();
-            }
+        if let Ok(outcomes) = self.post(source, columns) {
+            return outcomes.into_iter().map(Ok).collect();
         }
         columns
             .iter()
-            .map(|column| self.run_one(source, column))
+            .map(|column| {
+                self.post(source, std::slice::from_ref(column))
+                    .map(|mut one| one.remove(0))
+                    .map_err(|detail| Mismatch {
+                        kind: MismatchKind::Sim,
+                        config: column.name(),
+                        detail,
+                    })
+            })
             .collect()
     }
 }

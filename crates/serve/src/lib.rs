@@ -658,11 +658,15 @@ impl Daemon {
         }
     }
 
-    /// Campaign telemetry sink: the fuzz driver posts per-batch deltas and
+    /// Campaign telemetry sink: the fuzz driver posts per-program deltas and
     /// the current coverage/throughput gauges, and `/metrics` republishes
-    /// them. Body: `{"programs":Δ,"columns":Δ,"skipped":Δ,"divergences":Δ,
-    /// "witnesses":Δ,"coverage_percent":x,"columns_per_second":x}` — every
-    /// field optional.
+    /// them. Body: `{"programs":Δ,"skipped":Δ,"divergences":Δ,"witnesses":Δ,
+    /// "coverage_percent":x,"columns_per_second":x}`, every field optional.
+    /// Column totals are not reported: `/v1/fuzz/run` counts them itself.
+    /// A report with an unknown or repeated key, a coverage outside
+    /// [0, 100], a negative or non-finite gauge, or a delta that would
+    /// overflow its total is refused with a 400 naming the field, and
+    /// changes nothing.
     fn handle_fuzz_report(&self, body: &[u8]) -> Response {
         let text = match std::str::from_utf8(body) {
             Ok(text) => text,
@@ -678,35 +682,47 @@ impl Daemon {
         };
         let counters = [
             ("programs", daemon_metrics::FUZZ_PROGRAMS),
-            ("columns", daemon_metrics::FUZZ_COLUMNS),
             ("skipped", daemon_metrics::FUZZ_SKIPPED),
             ("divergences", daemon_metrics::FUZZ_DIVERGENCES),
             ("witnesses", daemon_metrics::FUZZ_WITNESSES),
         ];
+        // (field, gauge, largest meaningful reading)
         let gauges = [
-            ("coverage_percent", daemon_metrics::FUZZ_COVERAGE),
-            ("columns_per_second", daemon_metrics::FUZZ_RATE),
+            ("coverage_percent", daemon_metrics::FUZZ_COVERAGE, 100.0),
+            (
+                "columns_per_second",
+                daemon_metrics::FUZZ_RATE,
+                f64::INFINITY,
+            ),
         ];
         // Check the whole report before applying any of it: a rejected report
-        // changes nothing.
-        let field = |name: &str| obj.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        // changes nothing. Every accepted key is known and not yet seen, so
+        // the repeat check looks back over at most six keys.
         let mut deltas = Vec::new();
-        for (name, metric) in counters {
-            if let Some(v) = field(name) {
+        let mut readings = Vec::new();
+        for (i, (name, v)) in obj.iter().enumerate() {
+            if obj[..i].iter().any(|(seen, _)| seen == name) {
+                return Response::error(400, &format!("{name}: repeated key"));
+            }
+            if let Some(&(_, metric)) = counters.iter().find(|(field, _)| field == name) {
                 match v.as_u64(name) {
                     Ok(n) => deltas.push((name, metric, n)),
                     Err(why) => return Response::error(400, &why),
                 }
-            }
-        }
-        let mut readings = Vec::new();
-        for (name, metric) in gauges {
-            if let Some(v) = field(name) {
-                match v.as_f64(name) {
-                    Ok(x) if x.is_finite() => readings.push((metric, x)),
-                    Ok(x) => return Response::error(400, &format!("{name}: {x} is not finite")),
-                    Err(why) => return Response::error(400, &why),
-                }
+            } else if let Some(&(_, metric, max)) = gauges.iter().find(|(f, ..)| f == name) {
+                let why = match v.as_f64(name) {
+                    Ok(x) if !x.is_finite() => format!("{name}: {x} is not finite"),
+                    Ok(x) if x < 0.0 => format!("{name}: {x} is negative"),
+                    Ok(x) if x > max => format!("{name}: {x} exceeds {max}"),
+                    Ok(x) => {
+                        readings.push((metric, x));
+                        continue;
+                    }
+                    Err(why) => why,
+                };
+                return Response::error(400, &why);
+            } else {
+                return Response::error(400, &format!("{name}: unknown fuzz report field"));
             }
         }
         let mut m = self.lock_metrics();

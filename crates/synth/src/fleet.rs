@@ -2,9 +2,12 @@
 //!
 //! [`run_campaign`] streams seeded generated programs ([`crate::gen`]) across
 //! the full scheme × checking × hardware × backend matrix and diffs every
-//! column against the tree-walking reference evaluator ([`crate::oracle`]).
-//! Execution is abstracted behind [`Runner`], so the same engine drives both
-//! an in-process sweep ([`LocalRunner`]) and a live `tagstudyd` daemon (the
+//! column against the tree-walking reference evaluator. A column is a
+//! [`Config`] with its backend applied. The fleet has no differential check
+//! of its own: it compiles, runs and diffs each column through
+//! [`crate::oracle`], the same code the oracle's sweep uses. Execution is
+//! abstracted behind [`Runner`], so the same engine drives both an
+//! in-process sweep ([`LocalRunner`]) and a live `tagstudyd` daemon (the
 //! `serve` crate's `DaemonRunner`).
 //!
 //! Two persistent artifacts (both in [`store::fuzz`]) make campaigns
@@ -24,12 +27,11 @@
 //! small witness for it.
 
 use crate::gen::{self, Program};
-use crate::oracle::{self, MismatchKind, SIM_FUEL};
+use crate::oracle::{self, Mismatch, MismatchKind, SIM_FUEL};
 use crate::profile::OpMix;
 use crate::shrink;
-use lisp::ast::Unit;
-use lisp::eval::{EvalError, EvalOutcome};
-use mipsx::{Backend, Executor as _, Fault, RefCpu, Stats, ALL_BACKENDS};
+use lisp::eval::EvalError;
+use mipsx::{Backend, Fault, Outcome, ALL_BACKENDS};
 use store::fuzz::{CoverageLedger, FuzzStore, Witness};
 use tagstudy::Config;
 
@@ -46,39 +48,20 @@ const MAX_DETAIL: usize = 2000;
 // The matrix
 // ---------------------------------------------------------------------------
 
-/// One column of the differential matrix: a full oracle configuration with an
-/// execution backend applied.
-#[derive(Debug, Clone)]
-pub struct Column {
-    /// The configuration (backend applied via [`Config::with_backend`]).
-    pub config: Config,
-}
-
-impl Column {
-    /// Build a column from an oracle configuration and a backend.
-    pub fn from_config(config: Config, backend: Backend) -> Column {
-        Column {
-            config: config.with_backend(backend),
-        }
-    }
-
-    /// The column's coordinate label: the config's [`Config::name`] and the
-    /// backend, e.g. `high5:full:maximal:ref`.
-    pub fn label(&self) -> String {
-        format!("{}:{}", self.config.name(), self.config.backend.name())
-    }
+/// A column's coordinate label: the config's [`Config::name`] and its
+/// backend, e.g. `high5:full:maximal:ref`. Ledger keys and witnesses persist
+/// it.
+pub fn column_label(config: &Config) -> String {
+    format!("{}:{}", config.name(), config.backend.name())
 }
 
 /// The full differential matrix: every oracle configuration
 /// ([`Config::matrix`], 24 of them) crossed with `backends`.
-pub fn matrix_columns(backends: &[Backend]) -> Vec<Column> {
-    let mut out = Vec::new();
-    for config in Config::matrix() {
-        for backend in backends {
-            out.push(Column::from_config(config, *backend));
-        }
-    }
-    out
+pub fn matrix_columns(backends: &[Backend]) -> Vec<Config> {
+    Config::matrix()
+        .into_iter()
+        .flat_map(|config| backends.iter().map(move |b| config.with_backend(*b)))
+        .collect()
 }
 
 /// One op-mix coverage cell: a named point on an axis sweep from a heavy
@@ -157,37 +140,18 @@ pub fn fault_from_string(text: &str) -> Result<Fault, String> {
 // Runners
 // ---------------------------------------------------------------------------
 
-/// What one column's execution produced — the facts the oracle diffs.
-#[derive(Debug, Clone)]
-pub struct ColumnOutcome {
-    /// Simulated halt code.
-    pub halt_code: i32,
-    /// Everything the simulated run printed.
-    pub output: String,
-    /// Execution statistics (checking-cycle attribution feeds the census
-    /// reconciliation).
-    pub stats: Stats,
-}
-
-/// Why a column failed to produce an outcome at all.
-#[derive(Debug, Clone)]
-pub enum RunError {
-    /// The program did not compile under the column's configuration.
-    Compile(String),
-    /// The simulator (or the daemon standing in for it) failed.
-    Sim(String),
-}
-
 /// Executes one program across a set of matrix columns. The returned vector
-/// must have one entry per requested column, in order.
+/// must have one entry per requested column, in order; a column that
+/// produced no outcome is a [`MismatchKind::Compile`] or
+/// [`MismatchKind::Sim`] mismatch.
 pub trait Runner {
     /// Run `source` under every column in `columns`.
-    fn run(&mut self, source: &str, columns: &[Column]) -> Vec<Result<ColumnOutcome, RunError>>;
+    fn run(&mut self, source: &str, columns: &[Config]) -> Vec<Result<Outcome, Mismatch>>;
 }
 
-/// The in-process runner: compiles and simulates every column directly,
-/// optionally with a fault injected into the reference executor (the fleet's
-/// self-test mode).
+/// The in-process runner: lowers the program once and runs every column
+/// through [`oracle`], optionally with a fault injected into the reference
+/// executor (the fleet's self-test mode).
 #[derive(Debug, Default)]
 pub struct LocalRunner {
     /// Fault injected into every execution, if any.
@@ -195,101 +159,38 @@ pub struct LocalRunner {
 }
 
 impl Runner for LocalRunner {
-    fn run(&mut self, source: &str, columns: &[Column]) -> Vec<Result<ColumnOutcome, RunError>> {
-        let unit = oracle::lower(source).map_err(|e| RunError::Compile(e.to_string()));
+    fn run(&mut self, source: &str, columns: &[Config]) -> Vec<Result<Outcome, Mismatch>> {
+        let unit = oracle::lower(source);
         columns
             .iter()
-            .map(|column| {
-                unit.as_ref()
-                    .map_err(Clone::clone)
-                    .and_then(|unit| run_local_column(unit, column, self.fault))
+            .map(|config| match &unit {
+                Ok(unit) => oracle::run(unit, config, self.fault),
+                Err(e) => Err(oracle::mismatch(
+                    MismatchKind::Compile,
+                    config,
+                    e.to_string(),
+                )),
             })
             .collect()
     }
 }
 
-/// Compile and execute a lowered program under one column, locally. With a
-/// fault the run goes through [`RefCpu`] (the only executor with fault
-/// injection); otherwise through the column's own backend.
-fn run_local_column(
-    unit: &Unit,
-    column: &Column,
-    fault: Option<Fault>,
-) -> Result<ColumnOutcome, RunError> {
-    let compiled = lisp::compile_unit(unit, &column.config.to_options())
-        .map_err(|e| RunError::Compile(e.to_string()))?;
-    let out = match fault {
-        Some(fault) => {
-            let mut cpu = RefCpu::new(&compiled.program, compiled.hw, compiled.mem_bytes);
-            cpu.inject_fault(fault);
-            cpu.run(SIM_FUEL)
-                .map_err(|e| RunError::Sim(format!("faulted run: {e:?}")))?
-        }
-        None => lisp::run_with(&compiled, column.config.backend, SIM_FUEL)
-            .map_err(|e| RunError::Sim(format!("{e:?}")))?,
-    };
-    Ok(ColumnOutcome {
-        halt_code: out.halt_code,
-        output: out.output,
-        stats: out.stats,
-    })
-}
-
-/// Diff one column outcome against the reference evaluator: halt code,
-/// printed output, then census reconciliation.
-pub fn diff_outcome(
-    expected: &EvalOutcome,
-    got: &ColumnOutcome,
-    config: &Config,
-) -> Option<(MismatchKind, String)> {
-    if got.halt_code != expected.halt_code {
-        return Some((
-            MismatchKind::Halt,
-            format!(
-                "evaluator halt {}, simulated {}",
-                expected.halt_code, got.halt_code
-            ),
-        ));
-    }
-    if got.output != expected.output {
-        return Some((
-            MismatchKind::Output,
-            format!(
-                "evaluator printed {:?}, simulator {:?}",
-                expected.output, got.output
-            ),
-        ));
-    }
-    if let Err(detail) = oracle::reconcile(&expected.census, &got.stats, config) {
-        return Some((MismatchKind::Census, detail));
-    }
-    None
-}
-
-/// Does `source` diverge from the reference evaluator under `column` (with
+/// Does `source` diverge from the reference evaluator under `config` (with
 /// `fault` injected, executed locally)? The shrinker's predicate, and the
-/// witness replayer's core.
-pub fn column_diverges(
-    source: &str,
-    column: &Column,
-    fault: Option<Fault>,
-) -> Option<(MismatchKind, String)> {
-    let reference_failed =
-        |e: EvalError| Some((MismatchKind::Compile, format!("reference: {e:?}")));
-    let unit = match oracle::lower(source) {
-        Ok(unit) => unit,
-        Err(e) => return reference_failed(EvalError::Compile(e)),
+/// witness replayer's core. A source the reference rejects diverges with a
+/// `reference: …` compile mismatch.
+pub fn column_diverges(source: &str, config: &Config, fault: Option<Fault>) -> Option<Mismatch> {
+    let reference_failed = |e: EvalError| Mismatch {
+        kind: MismatchKind::Compile,
+        config: "reference".into(),
+        detail: format!("reference: {e:?}"),
     };
-    let expected = match oracle::reference_unit(&unit) {
-        Ok(e) => e,
-        Err(e) => return reference_failed(e),
+    let check = || {
+        let unit = oracle::lower(source).map_err(|e| reference_failed(EvalError::Compile(e)))?;
+        let expected = oracle::reference_unit(&unit).map_err(reference_failed)?;
+        oracle::diff(&expected, &oracle::run(&unit, config, fault)?, config)
     };
-    let got = match run_local_column(&unit, column, fault) {
-        Ok(got) => got,
-        Err(RunError::Compile(d)) => return Some((MismatchKind::Compile, d)),
-        Err(RunError::Sim(d)) => return Some((MismatchKind::Sim, d)),
-    };
-    diff_outcome(&expected, &got, &column.config)
+    check().err()
 }
 
 /// Re-execute an archived witness locally and report whether it still
@@ -302,13 +203,12 @@ pub fn column_diverges(
 /// a future format).
 pub fn replay_witness(witness: &Witness) -> Result<bool, String> {
     let config = witness.config_with_backend()?;
-    let column = Column::from_config(config, config.backend);
     let fault = witness
         .fault
         .as_deref()
         .map(fault_from_string)
         .transpose()?;
-    Ok(column_diverges(&witness.source, &column, fault).is_some())
+    Ok(column_diverges(&witness.source, &config, fault).is_some())
 }
 
 // ---------------------------------------------------------------------------
@@ -466,7 +366,7 @@ pub fn run_campaign(
     };
     for cell in &cells {
         for column in &columns {
-            ledger.register(&ledger_key(&cell.name, &column.label()));
+            ledger.register(&ledger_key(&cell.name, &column_label(column)));
         }
     }
     if persist {
@@ -496,7 +396,7 @@ pub fn run_campaign(
         for (ci, cell) in cells.iter().enumerate() {
             let min = columns
                 .iter()
-                .map(|column| ledger.count(&ledger_key(&cell.name, &column.label())))
+                .map(|column| ledger.count(&ledger_key(&cell.name, &column_label(column))))
                 .min()
                 .unwrap_or(u64::MAX);
             if min < spec.per_cell && pick.is_none_or(|(_, best)| min < best) {
@@ -522,10 +422,10 @@ pub fn run_campaign(
 
         // Columns a previous run already carried past k are skipped — the
         // observable proof that resuming does not repeat covered work.
-        let todo: Vec<Column> = columns
+        let todo: Vec<Config> = columns
             .iter()
-            .filter(|column| ledger.count(&ledger_key(&cell.name, &column.label())) == k)
-            .cloned()
+            .filter(|column| ledger.count(&ledger_key(&cell.name, &column_label(column))) == k)
+            .copied()
             .collect();
         report.columns_skipped += (columns.len() - todo.len()) as u64;
 
@@ -545,18 +445,13 @@ pub fn run_campaign(
             if spec.stop_on_witness && !report.witnesses.is_empty() {
                 break;
             }
-            let divergence = match result {
-                Err(RunError::Compile(d)) => Some((MismatchKind::Compile, d)),
-                Err(RunError::Sim(d)) => Some((MismatchKind::Sim, d)),
-                Ok(got) => diff_outcome(&expected, &got, &column.config),
-            };
-            if let Some((kind, detail)) = divergence {
+            let verdict = result.and_then(|got| oracle::diff(&expected, &got, column));
+            if let Err(found) = verdict {
                 report.divergences += 1;
-                let key =
-                    archive_divergence(spec, store, cell, column, seed, &program, kind, detail)?;
+                let key = archive_divergence(spec, store, cell, column, seed, &program, found)?;
                 report.witnesses.push(key);
             }
-            ledger.bump(&ledger_key(&cell.name, &column.label()));
+            ledger.bump(&ledger_key(&cell.name, &column_label(column)));
             report.columns_run += 1;
             if persist {
                 // Persist per column, not per program: a campaign killed
@@ -590,16 +485,14 @@ pub fn run_campaign(
 
 /// Shrink one diverging program (re-checking the divergence locally) and
 /// archive the result as a witness. Returns the witness key.
-#[allow(clippy::too_many_arguments)]
 fn archive_divergence(
     spec: &CampaignSpec,
     store: &FuzzStore,
     cell: &MixCell,
-    column: &Column,
+    column: &Config,
     seed: u64,
     program: &Program,
-    kind: MismatchKind,
-    detail: String,
+    found: Mismatch,
 ) -> Result<String, String> {
     let mut still_failing =
         |q: &Program| column_diverges(&gen::render(q), column, spec.fault).is_some();
@@ -611,12 +504,14 @@ fn archive_divergence(
         program.clone()
     };
     let source = gen::render(&small);
-    let (kind, mut detail) = column_diverges(&source, column, spec.fault).unwrap_or((kind, detail));
+    let Mismatch {
+        kind, mut detail, ..
+    } = column_diverges(&source, column, spec.fault).unwrap_or(found);
 
     // In fault mode the conformance harness can pin the divergence to the
     // exact retired instruction — record that alongside the oracle's view.
     if let Some(fault) = spec.fault {
-        if let Ok(compiled) = lisp::compile(&source, &column.config.to_options()) {
+        if let Ok(compiled) = lisp::compile(&source, &column.to_options()) {
             if let Err(e) = conformance::check_compiled(&compiled, SIM_FUEL, Some(fault)) {
                 detail.push_str("; lockstep: ");
                 detail.push_str(&e.to_string());
@@ -636,9 +531,9 @@ fn archive_divergence(
         seed,
         mix: cell.mix.to_string(),
         cell: cell.name.clone(),
-        column: column.label(),
-        config: column.config,
-        backend: column.config.backend.name().to_string(),
+        column: column_label(column),
+        config: *column,
+        backend: column.backend.name().to_string(),
         fault: spec.fault.map(|f| fault_to_string(&f)),
         kind: format!("{kind:?}"),
         detail,
@@ -659,7 +554,7 @@ mod tests {
     fn matrix_is_configs_times_backends() {
         let columns = matrix_columns(&ALL_BACKENDS);
         assert_eq!(columns.len(), 24 * 2);
-        let mut labels: Vec<String> = columns.iter().map(Column::label).collect();
+        let mut labels: Vec<String> = columns.iter().map(column_label).collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 48, "labels identify columns uniquely");

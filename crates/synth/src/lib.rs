@@ -21,10 +21,11 @@
 //!   census;
 //! - [`shrink`] — greedy minimization of any program the oracle rejects, so
 //!   a failure report is a few forms, not a few hundred;
-//! - [`fleet`] — the continuous campaign engine over that oracle: a coverage
-//!   grid of op-mix cells × matrix columns, pluggable [`fleet::Runner`]s
-//!   (in-process or a live daemon), shrunk witnesses archived through
-//!   `store::fuzz`, and a persistent ledger that makes campaigns resumable.
+//! - [`fleet`] — the continuous campaign engine over that oracle, which
+//!   compiles, runs and diffs every column through it: a coverage grid of
+//!   op-mix cells × matrix columns, pluggable [`fleet::Runner`]s (in-process
+//!   or a live daemon), shrunk witnesses archived through `store::fuzz`, and
+//!   a persistent ledger that makes campaigns resumable.
 //!
 //! Reproduce any program from its report: `gen::render(&gen::generate(seed,
 //! &mix))` is bit-identical across runs and machines.
@@ -38,7 +39,7 @@ pub mod profile;
 pub mod rng;
 pub mod shrink;
 
-pub use fleet::{run_campaign, CampaignReport, CampaignSpec, Column, LocalRunner, Runner};
+pub use fleet::{run_campaign, CampaignReport, CampaignSpec, LocalRunner, Runner};
 pub use gen::{generate, render, Program};
 pub use oracle::{check_program, check_rendered, oracle_configs, Mismatch, MismatchKind};
 pub use profile::OpMix;

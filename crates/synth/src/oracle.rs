@@ -16,6 +16,13 @@
 //! The front end runs once per program: the evaluator and all 24 compiles
 //! share one lowered [`Unit`], which no configuration changes.
 //!
+//! This is the one differential check in the workspace. One private `run`
+//! compiles a [`Unit`] under a [`Config`] and executes it, and one private
+//! `diff` compares the outcome with the evaluator (halt code, output, then
+//! census). The oracle's own sweep ([`check_rendered`]) and the fuzzing fleet
+//! ([`crate::fleet`]: its runners, `column_diverges` and the witness
+//! replayer) all go through those two.
+//!
 //! A fault injected into the reference executor ([`mipsx::Fault`]) models a
 //! codegen/simulator bug; [`caught_by_oracle`] reruns the comparison over the
 //! faulted execution so tests can prove the oracle actually detects it.
@@ -23,8 +30,8 @@
 use crate::gen;
 use lisp::ast::Unit;
 use lisp::eval::{eval_unit, EvalError, EvalOptions, EvalOutcome, OpCensus};
-use lisp::{CheckingMode, CompileError, CompiledProgram};
-use mipsx::{CheckCat, Executor, Fault, ParallelCheck, RefCpu, Stats};
+use lisp::{CheckingMode, CompileError};
+use mipsx::{CheckCat, Executor, Fault, Outcome, ParallelCheck, RefCpu, Stats};
 use tagstudy::Config;
 use tagword::TagScheme;
 
@@ -111,52 +118,55 @@ pub fn check_config(source: &str, expected: &EvalOutcome, config: &Config) -> Re
 
 /// [`check_config`] on an already-lowered [`Unit`] (see [`lower`]).
 fn check_unit(unit: &Unit, expected: &EvalOutcome, config: &Config) -> Result<(), Mismatch> {
-    let label = config.name();
-    let compiled = lisp::compile_unit(unit, &config.to_options()).map_err(|e| Mismatch {
-        kind: MismatchKind::Compile,
-        config: label.clone(),
-        detail: e.to_string(),
-    })?;
-    let out = lisp::run(&compiled, SIM_FUEL).map_err(|e| Mismatch {
-        kind: MismatchKind::Sim,
-        config: label.clone(),
-        detail: format!("{e:?}"),
-    })?;
-    compare(expected, out.halt_code, &out.output, &label)?;
-    reconcile(&expected.census, &out.stats, config).map_err(|detail| Mismatch {
-        kind: MismatchKind::Census,
-        config: label,
-        detail,
-    })
+    diff(expected, &run(unit, config, None)?, config)
 }
 
-fn compare(
-    expected: &EvalOutcome,
-    halt_code: i32,
-    output: &str,
-    label: &str,
-) -> Result<(), Mismatch> {
-    if halt_code != expected.halt_code {
-        return Err(Mismatch {
-            kind: MismatchKind::Halt,
-            config: label.to_string(),
-            detail: format!(
-                "evaluator halt {}, simulated {halt_code}",
-                expected.halt_code
-            ),
-        });
+/// A mismatch of `kind` under `config`.
+pub(crate) fn mismatch(kind: MismatchKind, config: &Config, detail: String) -> Mismatch {
+    Mismatch {
+        kind,
+        config: config.name(),
+        detail,
     }
-    if output != expected.output {
-        return Err(Mismatch {
-            kind: MismatchKind::Output,
-            config: label.to_string(),
-            detail: format!(
-                "evaluator printed {:?}, simulator {output:?}",
-                expected.output
-            ),
-        });
+}
+
+/// Compile `unit` under `config` and run it to completion: on
+/// `config.backend`, or, with a `fault`, on [`RefCpu`] (the only executor
+/// with fault injection).
+pub(crate) fn run(unit: &Unit, config: &Config, fault: Option<Fault>) -> Result<Outcome, Mismatch> {
+    let compiled = lisp::compile_unit(unit, &config.to_options())
+        .map_err(|e| mismatch(MismatchKind::Compile, config, e.to_string()))?;
+    match fault {
+        Some(fault) => {
+            let mut cpu = RefCpu::new(&compiled.program, compiled.hw, compiled.mem_bytes);
+            cpu.inject_fault(fault);
+            cpu.run(SIM_FUEL)
+                .map_err(|e| mismatch(MismatchKind::Sim, config, format!("faulted run: {e:?}")))
+        }
+        None => lisp::run_with(&compiled, config.backend, SIM_FUEL)
+            .map_err(|e| mismatch(MismatchKind::Sim, config, format!("{e:?}"))),
     }
-    Ok(())
+}
+
+/// Diff one run against the reference evaluator: halt code, printed
+/// output, then census reconciliation.
+pub(crate) fn diff(expected: &EvalOutcome, got: &Outcome, config: &Config) -> Result<(), Mismatch> {
+    if got.halt_code != expected.halt_code {
+        let detail = format!(
+            "evaluator halt {}, simulated {}",
+            expected.halt_code, got.halt_code
+        );
+        return Err(mismatch(MismatchKind::Halt, config, detail));
+    }
+    if got.output != expected.output {
+        let detail = format!(
+            "evaluator printed {:?}, simulator {:?}",
+            expected.output, got.output
+        );
+        return Err(mismatch(MismatchKind::Output, config, detail));
+    }
+    reconcile(&expected.census, &got.stats, config)
+        .map_err(|detail| mismatch(MismatchKind::Census, config, detail))
 }
 
 /// Reconcile the simulator's checking-cycle attribution with the evaluator's
@@ -263,20 +273,11 @@ pub fn check_rendered(source: &str) -> Result<EvalOutcome, Mismatch> {
     Ok(expected)
 }
 
-/// Simulate `compiled` on the reference executor with `fault` injected, to
-/// completion, returning `(halt_code, output)`.
-pub fn run_faulted(compiled: &CompiledProgram, fault: Fault) -> Result<(i32, String), String> {
-    let mut cpu = RefCpu::new(&compiled.program, compiled.hw, compiled.mem_bytes);
-    cpu.inject_fault(fault);
-    let out = cpu
-        .run(SIM_FUEL)
-        .map_err(|e| format!("faulted run: {e:?}"))?;
-    Ok((out.halt_code, out.output))
-}
-
 /// Does the oracle catch `fault` when it corrupts this program's execution
-/// under `config`? True when the faulted result disagrees with the reference
-/// evaluator (i.e. the differential check would have flagged it).
+/// under `config`? True when the faulted run's halt code or output disagrees
+/// with the reference evaluator, or the faulted machine wedges or crashes;
+/// false when the program fails to lower, evaluate or compile. The census is
+/// not consulted.
 pub fn caught_by_oracle(p: &gen::Program, config: &Config, fault: Fault) -> bool {
     let Ok(unit) = lower(&gen::render(p)) else {
         return false;
@@ -284,13 +285,9 @@ pub fn caught_by_oracle(p: &gen::Program, config: &Config, fault: Fault) -> bool
     let Ok(expected) = reference_unit(&unit) else {
         return false;
     };
-    let Ok(compiled) = lisp::compile_unit(&unit, &config.to_options()) else {
-        return false;
-    };
-    match run_faulted(&compiled, fault) {
-        Ok((halt, output)) => halt != expected.halt_code || output != expected.output,
-        // A fault that wedges or crashes the machine is also "caught".
-        Err(_) => true,
+    match run(&unit, config, Some(fault)) {
+        Ok(out) => out.halt_code != expected.halt_code || out.output != expected.output,
+        Err(m) => m.kind == MismatchKind::Sim,
     }
 }
 

@@ -17,7 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mipsx::{Backend, Fault};
 use store::fuzz::FuzzStore;
 use synth::fleet::{
-    ledger_key, matrix_columns, mix_cells, replay_witness, run_campaign, CampaignSpec, LocalRunner,
+    column_label, ledger_key, matrix_columns, mix_cells, replay_witness, run_campaign,
+    CampaignSpec, LocalRunner,
 };
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -119,7 +120,7 @@ fn resumed_campaign_skips_covered_columns() {
     let next_cell = &mix_cells(spec.axis_points)[1].name;
     let mut ledger = store.load_ledger().unwrap();
     for column in &columns[..5] {
-        ledger.bump(&ledger_key(next_cell, &column.label()));
+        ledger.bump(&ledger_key(next_cell, &column_label(column)));
     }
     store.store_ledger(&ledger).unwrap();
 
