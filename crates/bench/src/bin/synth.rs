@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Every generated program is registered on the measurement
-//! [`Session`](tagstudy::Session) as an inline source, so the sweep rides the
+//! [`Session`] as an inline source, so the sweep rides the
 //! same memoizing engine (and the same `inline:<hash>` naming) as the daemon.
 //!
 //! The run fails (exit 1) unless the curve satisfies the two properties the

@@ -41,7 +41,8 @@ use std::ops::ControlFlow;
 
 use mipsx::trace::{Observer, Retirement};
 use mipsx::{
-    Annot, Executor, FastCpu, Fault, HwConfig, InsnClass, Program, RefCpu, Reg, SimError, Stats,
+    Annot, DecodedProgram, Executor, FastCpu, Fault, HwConfig, InsnClass, Mem, Program, RefCpu,
+    Reg, SimError, Stats,
 };
 
 /// How many agreed retirements to keep for divergence context.
@@ -423,12 +424,25 @@ pub fn check_program(
     fuel: u64,
     fault: Option<Fault>,
 ) -> Result<Conformance, CheckError> {
+    let decoded = DecodedProgram::decode(prog, hw).map_err(CheckError::Sim)?;
+    check_decoded(prog, decoded, hw, mem_bytes, fuel, fault)
+}
+
+/// [`check_program`] with `FastCpu` running `decoded`, `prog`'s predecode.
+fn check_decoded(
+    prog: &Program,
+    decoded: DecodedProgram,
+    hw: HwConfig,
+    mem_bytes: usize,
+    fuel: u64,
+    fault: Option<Fault>,
+) -> Result<Conformance, CheckError> {
     let mut reference = RefCpu::new(prog, hw, mem_bytes);
     if let Some(fault) = fault {
         reference.inject_fault(fault);
     }
     let mut lockstep = Lockstep::new(reference);
-    let mut cpu = FastCpu::new(prog, hw, mem_bytes).map_err(CheckError::Sim)?;
+    let mut cpu = FastCpu::from_decoded(prog, decoded, mem_bytes);
 
     let outcome = match cpu.run_observed(fuel, &mut lockstep) {
         Ok(outcome) => outcome,
@@ -477,20 +491,8 @@ pub fn check_program(
             });
         }
     }
-    for (w, (&c, &r)) in cpu
-        .mem()
-        .words()
-        .iter()
-        .zip(reference.mem().words())
-        .enumerate()
-    {
-        if c != r {
-            return diverged(Divergence::Memory {
-                addr: (w * 4) as u32,
-                cpu: c,
-                reference: r,
-            });
-        }
+    if let Some(d) = memory_divergence(cpu.mem(), reference.mem()) {
+        return diverged(d);
     }
     if lockstep.rebuilt != outcome.stats {
         return diverged(Divergence::Stats {
@@ -507,8 +509,21 @@ pub fn check_program(
     })
 }
 
+/// The lowest word at which the final memories differ, over their whole
+/// size: words past either side's materialised prefix read as 0.
+fn memory_divergence(cpu: &Mem, reference: &Mem) -> Option<Divergence> {
+    let addr = cpu.first_difference(reference)?;
+    let word = |m: &Mem| m.load(addr).unwrap_or(0);
+    Some(Divergence::Memory {
+        addr,
+        cpu: word(cpu),
+        reference: word(reference),
+    })
+}
+
 /// [`check_program`] for a compiled Lisp program, under its compiled-for
-/// hardware.
+/// hardware. `FastCpu` runs [`lisp::CompiledProgram::predecode`], the ops
+/// every fast run of the program executes.
 ///
 /// # Errors
 ///
@@ -518,8 +533,10 @@ pub fn check_compiled(
     fuel: u64,
     fault: Option<Fault>,
 ) -> Result<Conformance, CheckError> {
-    check_program(
+    let decoded = compiled.predecode().map_err(CheckError::Sim)?;
+    check_decoded(
         &compiled.program,
+        decoded,
         compiled.hw,
         compiled.mem_bytes,
         fuel,
@@ -622,6 +639,31 @@ mod tests {
         lockstep.squash(first.pc + 1, annot, 2);
         let d = lockstep.divergence.expect("an unexpected squash diverges");
         assert!(matches!(d, Divergence::Squash { .. }), "{d}");
+    }
+
+    /// Memories that differ only past one side's materialised prefix
+    /// diverge at that address; one materialised further with zeroes only
+    /// does not diverge.
+    #[test]
+    fn memory_compares_past_either_prefix() {
+        const SIZE: usize = 1 << 20;
+        let (mut cpu, mut reference) = (Mem::new(SIZE), Mem::new(SIZE));
+        assert!(cpu.store(16, 3) && reference.store(16, 3));
+        assert!(reference.store(0x8_0000, 0));
+        assert!(reference.words().len() > cpu.words().len());
+        assert!(memory_divergence(&cpu, &reference).is_none());
+        assert!(memory_divergence(&reference, &cpu).is_none());
+
+        assert!(reference.store(0x7_0000, 42));
+        assert!(cpu.words().len() * 4 <= 0x7_0000, "past the cpu's prefix");
+        match memory_divergence(&cpu, &reference) {
+            Some(Divergence::Memory {
+                addr,
+                cpu,
+                reference,
+            }) => assert_eq!((addr, cpu, reference), (0x7_0000, 0, 42)),
+            other => panic!("expected a memory divergence, got {other:?}"),
+        }
     }
 
     #[test]

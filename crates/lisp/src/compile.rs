@@ -1,16 +1,21 @@
 //! Top-level compilation pipeline and execution helpers.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 use mipsx::sched::{schedule_and_attribute, ScheduleReport};
-use mipsx::{Asm, Backend, Executor, HwConfig, Outcome, Program, SimError, SymbolTable};
+use mipsx::{
+    AnyExecutor, Asm, Backend, DecodedProgram, Executor, FastCpu, HwConfig, Outcome, Program,
+    SimError, SymbolTable,
+};
 use tagword::TagScheme;
 
 use crate::ast::Unit;
 use crate::codegen::Codegen;
 use crate::error::CompileError;
 use crate::front::{lower_sources, CheckingMode};
-use crate::image::{image, labels};
+use crate::image::{image, labels, Image, Placement};
 use crate::layout::{Layout, SYM_FNCODE};
 use crate::prelude::PRELUDE;
 use crate::runtime::emit_runtime;
@@ -99,6 +104,45 @@ pub struct CompiledProgram {
     pub stats: CompileStats,
     /// What the delay-slot scheduler achieved.
     pub schedule: ScheduleReport,
+    /// The system image `program` was linked from, and where it went;
+    /// `None` for the one-piece reference compile.
+    linked: Option<Linked>,
+}
+
+/// A linked program's system image and placement.
+#[derive(Clone)]
+struct Linked {
+    image: Arc<Image>,
+    at: Placement,
+}
+
+/// The image is shared and large: show only where it went.
+impl fmt::Debug for Linked {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Linked")
+            .field("at", &self.at)
+            .finish_non_exhaustive()
+    }
+}
+
+impl CompiledProgram {
+    /// `program` lowered to micro-ops for `hw`: what the fast backend runs.
+    ///
+    /// Equal to [`DecodedProgram::decode`]`(&self.program, self.hw)`. A
+    /// program linked against a system image decodes only its own code and
+    /// the image positions its placement or `hw`'s cycle costs change, and
+    /// copies the rest from the image, which decodes itself once
+    /// (DESIGN.md §4a).
+    ///
+    /// # Errors
+    ///
+    /// As [`DecodedProgram::decode`].
+    pub fn predecode(&self) -> Result<DecodedProgram, SimError> {
+        match &self.linked {
+            Some(l) => l.image.predecode(l.at, &self.program, self.hw),
+            None => DecodedProgram::decode(&self.program, self.hw),
+        }
+    }
 }
 
 /// Compile `source` under `opts`: [`lower_sources`] on the prelude (unless
@@ -202,7 +246,8 @@ pub fn compile_unit(unit: &Unit, opts: &Options) -> Result<CompiledProgram, Comp
         slots_filled: own_schedule.slots_filled + image.schedule.slots_filled,
         load_nops_inserted: own_schedule.load_nops_inserted + image.schedule.load_nops_inserted,
     };
-    verified(unit, opts, program, layout.mem_bytes, schedule)
+    let linked = Some(Linked { image, at });
+    verified(unit, opts, program, layout.mem_bytes, schedule, linked)
 }
 
 /// [`compile_unit`] in one piece, without the system image: generate,
@@ -259,7 +304,7 @@ pub fn compile_unit_reference(
             .push(((sym.addr as i32 + SYM_FNCODE) as u32, idx as u32));
     }
 
-    verified(unit, opts, program, layout.mem_bytes, schedule)
+    verified(unit, opts, program, layout.mem_bytes, schedule, None)
 }
 
 /// Verify `program` and wrap it with its Table 3 statistics.
@@ -269,6 +314,7 @@ fn verified(
     program: Program,
     mem_bytes: usize,
     schedule: ScheduleReport,
+    linked: Option<Linked>,
 ) -> Result<CompiledProgram, CompileError> {
     mipsx::verify::verify(&program).map_err(|e| CompileError::Verify(e.to_string()))?;
     let stats = CompileStats {
@@ -282,6 +328,7 @@ fn verified(
         hw: opts.hw,
         stats,
         schedule,
+        linked,
     })
 }
 
@@ -309,9 +356,19 @@ pub fn run_with(
     backend: Backend,
     max_cycles: u64,
 ) -> Result<Outcome, SimError> {
-    backend
-        .executor(&c.program, c.hw, c.mem_bytes)?
-        .run(max_cycles)
+    executor(c, backend)?.run(max_cycles)
+}
+
+/// An executor of kind `backend` for `c`, the fast one over
+/// [`CompiledProgram::predecode`].
+fn executor(c: &CompiledProgram, backend: Backend) -> Result<AnyExecutor<'_>, SimError> {
+    match backend {
+        Backend::Fast => {
+            let cpu = FastCpu::from_decoded(&c.program, c.predecode()?, c.mem_bytes);
+            Ok(AnyExecutor::Fast(Box::new(cpu)))
+        }
+        Backend::Ref => backend.executor(&c.program, c.hw, c.mem_bytes),
+    }
 }
 
 /// [`run`], reporting every retired instruction to `obs` (see
@@ -341,9 +398,7 @@ pub fn run_observed_with<O: mipsx::trace::Observer>(
     max_cycles: u64,
     obs: &mut O,
 ) -> Result<Outcome, SimError> {
-    backend
-        .executor(&c.program, c.hw, c.mem_bytes)?
-        .run_observed(max_cycles, obs)
+    executor(c, backend)?.run_observed(max_cycles, obs)
 }
 
 #[cfg(test)]

@@ -27,18 +27,30 @@
 //! [`TagOps::code_shape`] (scheme, hardware feature gates, checking, the two
 //! code-generation ablations) and whether the prelude is in. Cycle costs and
 //! heap and stack sizes are not in it. That bounds the memo at 1,536 images
-//! of at most about 80 KB each (DESIGN.md §4a). A program cannot redefine a
-//! prelude function ([`crate::lower_sources`] refuses a duplicate `defun`),
-//! so every unit lowered with the prelude links against it and no fallback
-//! exists. The pre-image monolithic compile survives as
+//! of at most about 90 KB each, plus at most about 130 KB for the decoded
+//! stream of each image a program has run against (DESIGN.md §4a). A
+//! program cannot redefine a prelude function ([`crate::lower_sources`]
+//! refuses a duplicate `defun`), so every unit lowered with the prelude
+//! links against it and no fallback exists. The pre-image monolithic compile survives as
 //! [`crate::compile_unit_reference`], the oracle the tests hold the linked
 //! output to.
+//!
+//! # Predecoding once
+//!
+//! On the first fast run of a program linked against it, an image decodes
+//! its own stream to micro-ops ([`mipsx::DecodedProgram`]) under its key's
+//! hardware: the code shape's feature gates, with plain cycle costs. It also
+//! records, when it is built, the positions each program must decode afresh:
+//! every code target, every layout operand, and every op whose cost the
+//! hardware sets (multiply, divide, remainder, float). A program's predecode
+//! ([`crate::CompiledProgram::predecode`]) then copies the rest and decodes
+//! only its own code and those positions ([`mipsx::DecodedProgram::splice`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mipsx::sched::{schedule_and_attribute, ScheduleReport};
-use mipsx::{Annot, Asm, Insn, Label};
+use mipsx::{Annot, Asm, DecodedProgram, HwConfig, Insn, Label, Program, SimError};
 
 use crate::ast::{PreludePrefix, Unit};
 use crate::codegen::Codegen;
@@ -73,6 +85,14 @@ pub(crate) struct Image {
     targets: Vec<usize>,
     /// Every layout-derived operand.
     relocs: Vec<(usize, Reloc)>,
+    /// The hardware the stream is decoded under: the key's feature gates,
+    /// with plain cycle costs.
+    hw: HwConfig,
+    /// The stream decoded under `hw`, once a program linked against it runs.
+    decoded: OnceLock<Result<DecodedProgram, SimError>>,
+    /// Every position whose op a program must decode afresh, ascending: code
+    /// targets, layout operands and ops whose cost the hardware sets.
+    fresh: Vec<usize>,
     symbols: Vec<(String, usize)>,
     /// Position of each label a program imports, by label id: the runtime's
     /// entries, then the prelude's functions (see [`labels`]).
@@ -148,7 +168,7 @@ impl Image {
             .iter()
             .map(|pos| pos.expect("the image binds every label it exports"))
             .collect();
-        let targets = part
+        let targets: Vec<usize> = part
             .insns
             .iter()
             .enumerate()
@@ -162,17 +182,34 @@ impl Image {
             })
             .map(|(pos, _)| pos)
             .collect();
-        let relocs = part
+        let relocs: Vec<(usize, Reloc)> = part
             .relocs
             .iter()
             .map(|&(pos, tag)| (pos, Reloc::from_tag(tag)))
             .collect();
+        let costed = part.insns.iter().enumerate().filter(|(_, insn)| {
+            matches!(
+                insn,
+                Insn::Mul(..) | Insn::Div(..) | Insn::Rem(..) | Insn::Fop(..)
+            )
+        });
+        let mut fresh: Vec<usize> = targets
+            .iter()
+            .copied()
+            .chain(relocs.iter().map(|&(pos, _)| pos))
+            .chain(costed.map(|(pos, _)| pos))
+            .collect();
+        fresh.sort_unstable();
+        fresh.dedup();
         Ok(Image {
             insns: part.insns,
             annots: part.annots,
             prelude_len,
             targets,
             relocs,
+            hw: t.hw,
+            decoded: OnceLock::new(),
+            fresh,
             symbols: part.symbols,
             exports,
             prefix: unit.prelude(),
@@ -260,6 +297,40 @@ impl Image {
         (out, splice(annots, &self.annots, at))
     }
 
+    /// Predecode `prog`, linked from this image at `at`, for `hw`: splice
+    /// the image's decoded stream, decoding it on first use, with the
+    /// program's own code and this image's fresh positions decoded under
+    /// `hw`. Equal to [`DecodedProgram::decode`]`(prog, hw)`.
+    ///
+    /// `hw` must have the feature gates of the key this image was built
+    /// under, as every program compiled against it does.
+    pub(crate) fn predecode(
+        &self,
+        at: Placement,
+        prog: &Program,
+        hw: HwConfig,
+    ) -> Result<DecodedProgram, SimError> {
+        let decoded = self.decoded.get_or_init(|| {
+            let stream = Program {
+                insns: self.insns.clone(),
+                annots: self.annots.clone(),
+                ..Program::default()
+            };
+            DecodedProgram::decode(&stream, self.hw)
+        });
+        let Ok(image) = decoded else {
+            // The image uses hardware its key lacks: the definition names
+            // the lowest offending pc of the program.
+            return DecodedProgram::decode(prog, hw);
+        };
+        let placed = [
+            (0..at.prelude, at.image(0)),
+            (at.prelude..self.insns.len(), at.image(at.prelude)),
+        ];
+        let fresh = self.fresh.iter().map(|&pos| at.image(pos));
+        DecodedProgram::splice(prog, hw, image, &placed, fresh)
+    }
+
     /// The image's named positions, placed at `at`.
     pub(crate) fn symbols(&self, at: Placement) -> impl Iterator<Item = (String, usize)> + '_ {
         self.symbols
@@ -271,8 +342,7 @@ impl Image {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile_unit, compile_unit_reference};
-    use mipsx::HwConfig;
+    use crate::compile::{compile_unit, compile_unit_reference, run, CompiledProgram};
     use tagword::TagScheme;
 
     /// Heap and stack sizes are relocations, not key fields: programs
@@ -300,12 +370,41 @@ mod tests {
         }
     }
 
+    /// `linked`'s spliced predecode equals the full decode of the
+    /// reference's program.
+    fn assert_predecode_is_the_reference(linked: &CompiledProgram, reference: &CompiledProgram) {
+        assert_eq!(
+            linked.predecode(),
+            DecodedProgram::decode(&reference.program, reference.hw),
+            "{:?}",
+            linked.hw
+        );
+    }
+
+    /// Costs no preset uses, so a copied image op (decoded under plain
+    /// costs) that should have been decoded afresh shows.
+    fn odd_costs(hw: HwConfig) -> HwConfig {
+        HwConfig {
+            trap_penalty: 3,
+            mul_cycles: 5,
+            div_cycles: 7,
+            fp_cycles: 9,
+            ..hw
+        }
+    }
+
     /// Hardware spellings that differ only in cycle costs, or in address-drop
     /// widths on the same side of the tag width, share one image, and the
-    /// programs linked against it are still the reference's.
+    /// programs linked against it are still the reference's, down to the
+    /// predecoded ops: the cost-bearing ops are decoded afresh.
     #[test]
     fn hardware_that_does_not_shape_code_shares_one_image() {
-        let unit = lower_sources(&[PRELUDE, "(print (car (list 1 2)))"]).expect("lowers");
+        let unit = lower_sources(&[
+            PRELUDE,
+            "(print (car (list 1 2))) (print (times 6 7)) (print (remainder 9 4)) \
+             (print (quotient 9 2)) (print (fplus (float 1) (float 2)))",
+        ])
+        .expect("lowers");
         let scheme = TagScheme::HighTag5;
         for (a, b) in [
             (
@@ -318,13 +417,11 @@ mod tests {
             ),
             (
                 HwConfig::with_tag_branch(),
-                HwConfig {
-                    trap_penalty: 3,
-                    mul_cycles: 1,
-                    div_cycles: 2,
-                    fp_cycles: 9,
-                    ..HwConfig::with_tag_branch()
-                },
+                odd_costs(HwConfig::with_tag_branch()),
+            ),
+            (
+                HwConfig::maximal(scheme.tag_bits()),
+                odd_costs(HwConfig::maximal(scheme.tag_bits())),
             ),
         ] {
             let [a, b] = [a, b].map(|hw| Options {
@@ -342,6 +439,29 @@ mod tests {
             let reference = compile_unit_reference(&unit, &b).expect("compiles");
             assert_eq!(linked.program.insns, reference.program.insns, "{:?}", b.hw);
             assert_eq!(linked.program.data, reference.program.data, "{:?}", b.hw);
+            assert_predecode_is_the_reference(&linked, &reference);
+            assert_eq!(
+                run(&linked, 50_000_000).expect("runs").stats,
+                run(&reference, 50_000_000).expect("runs").stats,
+                "{:?}",
+                b.hw
+            );
+        }
+    }
+
+    /// A unit lowered without the prelude splices the runtime-only image.
+    #[test]
+    fn prelude_less_unit_predecodes_as_the_reference() {
+        let unit = lower_sources(&["(defun f (x) (times x 3)) (wrint (f 14))"]).expect("lowers");
+        for hw in [HwConfig::plain(), odd_costs(HwConfig::with_generic_arith())] {
+            let opts = Options {
+                hw,
+                ..Options::new(TagScheme::LowTag3, crate::CheckingMode::Full)
+            };
+            let linked = compile_unit(&unit, &opts).expect("compiles");
+            let reference = compile_unit_reference(&unit, &opts).expect("compiles");
+            assert_predecode_is_the_reference(&linked, &reference);
+            assert_eq!(run(&linked, 1_000_000).expect("runs").output, "42");
         }
     }
 }

@@ -28,6 +28,16 @@
 //!   reads — with its length and total cost. A branch or jump records the
 //!   same for its delay slots when they form such a run.
 //!
+//! Most of a compiled Lisp program is a system image shared with every other
+//! program compiled under the same code shape. [`DecodedProgram::splice`]
+//! copies the image's ops, decoded once per image, into their placed ranges
+//! and decodes only the program's own code and the image positions that the
+//! placement or the hardware's cycle costs change; the result equals
+//! [`DecodedProgram::decode`]'s, which stays the definition. A run's set-up
+//! then scales with the program, not with the image it links, and likewise
+//! with the memory it touches, not the memory map: [`Mem`] materialises a
+//! zeroed prefix on demand.
+//!
 //! The dispatch loop matches on the dense micro-op enum (a jump table) and
 //! accounts **per run, not per instruction**. Every counter in [`Stats`] is a
 //! linear function of how often each pc commits, and inside a run every pc
@@ -73,6 +83,7 @@
 //! in lockstep against [`RefCpu`].
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::annot::{Annot, CheckCat, Provenance, TagOpKind, ALL_CHECK_CATS, ALL_TAG_OPS};
 use crate::hw::{HwConfig, ParallelCheck};
@@ -490,7 +501,7 @@ impl DenseStats {
 }
 
 /// A conditional branch's condition, with operand shape resolved.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BrCond {
     /// Register-register compare ([`Insn::Br`]).
     RegReg(Cond, Reg, Reg),
@@ -509,7 +520,7 @@ enum BrCond {
 /// One predecoded micro-op. Variants mirror [`Insn`] but with immediates
 /// pre-widened, hardware gates resolved away, checked-access clear masks
 /// precomputed, and control transfers lowered to three resolved shapes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKind {
     Add(Reg, Reg, Reg),
     Sub(Reg, Reg, Reg),
@@ -617,7 +628,7 @@ impl OpKind {
 }
 
 /// One micro-op with its fused metadata.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Op {
     kind: OpKind,
     /// The instruction's annotation (reported to observers).
@@ -646,7 +657,7 @@ struct Op {
 /// Produced by [`DecodedProgram::decode`]; executed by [`FastCpu`]. The
 /// lowering is pure, so a decoded program can be cloned and reused across
 /// runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedProgram {
     ops: Vec<Op>,
     entry: usize,
@@ -678,6 +689,77 @@ impl DecodedProgram {
         let mut ops = Vec::with_capacity(prog.insns.len());
         for (pc, &insn) in prog.insns.iter().enumerate() {
             ops.push(decode_one(pc, insn, prog.annots[pc], hw)?);
+        }
+        link_runs(&mut ops);
+        Ok(DecodedProgram {
+            ops,
+            entry: prog.entry,
+            address_mask: hw.address_mask(),
+            trap_penalty: u64::from(hw.trap_penalty),
+        })
+    }
+
+    /// [`decode`](Self::decode) for a program that contains already-decoded
+    /// stretches: copy `image`'s ops into their placed ranges, decode the
+    /// rest of `prog` and the `fresh` positions inside those ranges, then
+    /// link runs over the whole program.
+    ///
+    /// Each `placed` entry `(range, at)` says that `prog`'s positions from
+    /// `at` on hold `image`'s positions `range`, in order; the entries are in
+    /// ascending `at` and do not overlap. `fresh` lists, in ascending order,
+    /// every position inside a placed range whose op is not `image`'s: an
+    /// instruction the placement changed (a moved code target, a relocated
+    /// operand), or whose cost `hw` sets (`mul`, `div`, `rem` and float
+    /// ops). `image` must have been decoded under hardware with `hw`'s
+    /// feature gates. Under that contract the result equals
+    /// [`decode`](Self::decode)`(prog, hw)`, errors included, at the cost of
+    /// decoding only what is not shared.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode`](Self::decode).
+    ///
+    /// # Panics
+    ///
+    /// As [`decode`](Self::decode), or if a placed range falls outside
+    /// `image` or `prog`.
+    pub fn splice(
+        prog: &Program,
+        hw: HwConfig,
+        image: &DecodedProgram,
+        placed: &[(Range<usize>, usize)],
+        fresh: impl IntoIterator<Item = usize>,
+    ) -> Result<DecodedProgram, SimError> {
+        assert_eq!(
+            prog.annots.len(),
+            prog.insns.len(),
+            "program annots must parallel insns (one Annot per instruction)"
+        );
+        let decode = |pc: usize| decode_one(pc, prog.insns[pc], prog.annots[pc], hw);
+        let mut fresh = fresh.into_iter().peekable();
+        // Positions are filled in ascending order, so the first error is at
+        // the lowest offending pc, as `decode` reports it.
+        let mut ops = Vec::with_capacity(prog.insns.len());
+        for (range, at) in placed {
+            while ops.len() < *at {
+                ops.push(decode(ops.len())?);
+            }
+            let end = at + range.len();
+            while ops.len() < end {
+                let stop = fresh.next_if(|&pc| pc < end).unwrap_or(end);
+                let copied = range.start + ops.len() - at..range.start + stop - at;
+                ops.extend_from_slice(&image.ops[copied]);
+                if stop < end {
+                    ops.push(decode(stop)?);
+                }
+            }
+        }
+        debug_assert!(
+            fresh.next().is_none(),
+            "fresh positions lie in placed ranges"
+        );
+        while ops.len() < prog.insns.len() {
+            ops.push(decode(ops.len())?);
         }
         link_runs(&mut ops);
         Ok(DecodedProgram {
@@ -1303,8 +1385,9 @@ impl<'p> FastCpu<'p> {
     }
 
     /// Build an interpreter from an already-decoded program. `decoded` must
-    /// have been produced by [`DecodedProgram::decode`] from this same `prog`
-    /// (reusing a decoded program across runs skips the predecode pass).
+    /// have been produced by [`DecodedProgram::decode`] or
+    /// [`DecodedProgram::splice`] from this same `prog` (reusing a decoded
+    /// program across runs skips the predecode pass).
     pub fn from_decoded(prog: &'p Program, decoded: DecodedProgram, mem_bytes: usize) -> Self {
         assert_eq!(
             decoded.ops.len(),

@@ -8,7 +8,7 @@
 //! ([`crate::Executor::run_observed`]) and attributes every cycle — including
 //! squashed delay slots and trap penalties — to the instruction that spent it,
 //! the function that contains it (via the program's
-//! [`SymbolTable`](crate::SymbolTable)), and the tag operation /
+//! [`SymbolTable`]), and the tag operation /
 //! checking category its [`Annot`] names.
 //!
 //! Attribution is exact by construction: the observer receives cumulative

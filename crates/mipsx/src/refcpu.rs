@@ -55,7 +55,9 @@ struct SlotState {
     resume: usize,
 }
 
-/// The reference executor. See the [module docs](self).
+/// The reference executor: a naive sequential interpreter, sharing none of
+/// [`crate::FastCpu`]'s machinery, which the `conformance` crate runs in
+/// lockstep with it (see [`crate::exec`]).
 #[derive(Debug)]
 pub struct RefCpu<'p> {
     prog: &'p Program,

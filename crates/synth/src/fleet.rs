@@ -13,7 +13,7 @@
 //! Two persistent artifacts (both in [`store::fuzz`]) make campaigns
 //! *cumulative*:
 //!
-//! - every divergence is shrunk ([`crate::shrink`]) and archived as a
+//! - every divergence is shrunk ([`crate::shrink()`]) and archived as a
 //!   content-addressed [`Witness`] that replays deterministically
 //!   ([`replay_witness`]);
 //! - a [`CoverageLedger`] counts completed runs per `(op-mix cell | column)`

@@ -19,7 +19,7 @@
 //!   then every scheme × checking × hardware configuration must reproduce
 //!   the result exactly and attribute checking cycles consistently with the
 //!   census;
-//! - [`shrink`] — greedy minimization of any program the oracle rejects, so
+//! - [`mod@shrink`] — greedy minimization of any program the oracle rejects, so
 //!   a failure report is a few forms, not a few hundred;
 //! - [`fleet`] — the continuous campaign engine over that oracle, which
 //!   compiles, runs and diffs every column through it: a coverage grid of

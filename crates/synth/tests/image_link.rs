@@ -3,11 +3,14 @@
 //! reproduce the monolithic reference compile
 //! (`lisp::compile_unit_reference`) field by field: over generated programs
 //! under every oracle configuration, over the paper's programs under
-//! non-default heap and stack sizes, and on the small edge cases.
+//! non-default heap and stack sizes, and on the small edge cases. The linked
+//! program's predecode, spliced from its image's decoded stream, must equal
+//! the full decode of the reference program op for op.
 
 use std::sync::Barrier;
 
 use lisp::{CompiledProgram, Options};
+use mipsx::DecodedProgram;
 use proptest::prelude::*;
 use synth::{generate, render, OpMix};
 use tagstudy::Config;
@@ -41,6 +44,20 @@ fn assert_same(linked: &CompiledProgram, reference: &CompiledProgram, what: &str
     assert_eq!(linked.hw, reference.hw, "{what}: hw");
     assert_eq!(linked.stats, reference.stats, "{what}: stats");
     assert_eq!(linked.schedule, reference.schedule, "{what}: schedule");
+    assert_same_predecode(linked, reference, what);
+}
+
+/// Assert that `linked`'s predecode equals the full decode of `reference`'s
+/// program under the same hardware, naming the first op that differs.
+fn assert_same_predecode(linked: &CompiledProgram, reference: &CompiledProgram, what: &str) {
+    let spliced = linked.predecode();
+    let full = DecodedProgram::decode(&reference.program, reference.hw);
+    if spliced != full {
+        let [s, f] = [&spliced, &full].map(|d| format!("{d:#?}"));
+        let (s, f): (Vec<_>, Vec<_>) = (s.lines().collect(), f.lines().collect());
+        let d = first_difference(&s, &f).expect("unequal programs print differently");
+        panic!("{what}: predecode differs from the full decode, line {d}");
+    }
 }
 
 /// Compile `unit` both ways under `opts` and compare; both must agree on

@@ -134,7 +134,8 @@ impl Config {
     }
 
     /// Parse a [`name`](Config::name): all three positional fields, then any
-    /// of the [`NAME_KEYS`] in any order. Values ignore ASCII case.
+    /// of the keys `inttest`, `pairtag` and `timing` in any order. Values
+    /// ignore ASCII case.
     ///
     /// # Errors
     ///

@@ -1,86 +1,4 @@
-//! The memoizing, parallel experiment engine.
-//!
-//! A [`Session`] owns one pool of measurements for the whole process: a cache
-//! keyed by `(program, Config)`, a bounded worker pool that fills it, and an
-//! observability surface (hit/miss counters, per-measurement wall time split
-//! compile vs simulate, an optional progress callback). Every table/figure in
-//! [`crate::tables`] is a pure projection over session measurements, so
-//! regenerating all of them — which shares the HighTag5 baseline and several
-//! Table 2 configurations — compiles and simulates each point of the design
-//! space exactly once:
-//!
-//! ```no_run
-//! use tagstudy::{tables, CheckingMode, Config, Session};
-//!
-//! let mut session = Session::new();
-//! let names = tables::default_programs();
-//! let t1 = tables::table1_for(&mut session, &names)?;
-//! let f1 = tables::figure1_for(&mut session, &names)?; // baseline runs reused
-//! assert!(session.stats().hits > 0);
-//! # Ok::<(), tagstudy::StudyError>(())
-//! ```
-//!
-//! ## Sharing one session between threads
-//!
-//! `Session` is `Sync`, and every measuring method takes `&self`, so a
-//! long-lived process (the `tagstudyd` daemon) shares one session between
-//! request threads without an outer lock. No session-wide lock is held
-//! across a compile, a simulation or a writeback:
-//!
-//! - Each `(program, Config)` point has one cache cell, either *ready* or
-//!   *in flight*. The map of cells is locked only to look up or claim a
-//!   cell, so a cached point is answered while other batches are measuring.
-//! - A point is measured once however many batches ask for it at the same
-//!   time (single-flight): the first batch claims the cell and measures it
-//!   on its worker pool; every other request for it waits on that cell alone
-//!   and counts as a hit, as a duplicate within one batch does.
-//! - A failed measurement drops its cell. Every waiter gets the error, and a
-//!   later request measures the point again: failures are never cached.
-//!
-//! The worker-pool bound applies per batch; concurrent batches each run
-//! their own pool.
-//!
-//! ## One simulation per distinct run
-//!
-//! Several points of the design space compile to the same machine run: with
-//! no run-time checking, the generic-arithmetic and parallel-check hardware
-//! of Table 2 rows 4–6 has nothing to do, so those rows run the plain code.
-//! Once a point has compiled, the session keys its run by everything the
-//! simulator can observe: the backend, the timing model, the fuel, the
-//! memory size, the entry point, a digest of the code, annotations and data
-//! image, and the hardware as far as the code can observe it
-//! ([`mipsx::HwConfig::as_seen_by`]). A point whose run another point of the
-//! session has simulated, or is simulating, takes that run's `Stats`, output
-//! and halt code instead of simulating again. It is still compiled, checked
-//! against its own expected output, cached and reported under its own
-//! `(program, Config)`; [`SessionStats::shared_runs`] counts it, and its
-//! trace has a `run.shared` span naming the owning point in place of
-//! `simulate`.
-//!
-//! The run index is single-flight like the cells: the first worker to
-//! register a run simulates it and publishes it from the worker itself, so a
-//! point of the same batch can wait for it. A failed or abandoned run
-//! reaches its waiters as an error and is forgotten. A finished entry only
-//! names the point whose ready cell holds the run, so the index never holds
-//! more entries than the cache holds points.
-//!
-//! ## One ledger
-//!
-//! Each lifecycle fact — a hit, a miss started, a measurement finished or
-//! failed, a profile finished, a seed, a source registered — is recorded once,
-//! where it happens. One fold under one lock turns it into the
-//! [`SessionStats`], the `session_*` series of [`Session::metrics`] and the
-//! event log; the [`Progress`] callback then sees it, outside the lock.
-//!
-//! 1. Every request to [`Session::measure_many`] counts once, as a hit or a
-//!    miss. A miss with no result, an unknown program included, is also a
-//!    failure: `requests == hits + misses`, `failures <= misses`, and
-//!    [`SessionStats::misses`] is `misses - failures`.
-//! 2. A profile is no request. It observes its compile and simulate times and
-//!    reports [`Progress::Finished`], but adds no Mc/s sample (that histogram
-//!    is the simulator's own speed, one sample per simulated run) and nothing
-//!    to [`SessionStats`].
-//! 3. A series appears only once first touched.
+//! The memoizing, parallel experiment engine: [`Session`].
 
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -168,8 +86,8 @@ pub struct SessionStats {
     /// shared. Misses that failed are not counted.
     pub misses: u64,
     /// Measurements whose run was taken from another point of the session
-    /// that simulated the identical run, instead of simulated (see the
-    /// [module docs](self)). `misses - shared_runs` runs were simulated.
+    /// that simulated the identical run, instead of simulated (see
+    /// [`Session`]). `misses - shared_runs` runs were simulated.
     pub shared_runs: u64,
     /// Total wall time finished measurements spent compiling.
     pub compile_time: Duration,
@@ -353,7 +271,7 @@ enum Cell {
 /// it: set once, by that batch.
 type Flight = OnceLock<Result<Measurement, StudyError>>;
 
-/// One distinct machine run in the run index (see the [module docs](self)).
+/// One distinct machine run in the run index (see [`Session`]).
 enum RunEntry {
     /// Registered by the point `owner`, whose worker simulates it and sets
     /// `flight` when the run ends. The entry stays until `owner` settles.
@@ -495,11 +413,93 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The memoizing, parallel experiment engine. See the [module docs](self).
+/// The memoizing, parallel experiment engine.
+///
+/// A [`Session`] owns one pool of measurements for the whole process: a cache
+/// keyed by `(program, Config)`, a bounded worker pool that fills it, and an
+/// observability surface (hit/miss counters, per-measurement wall time split
+/// compile vs simulate, an optional progress callback). Every table/figure in
+/// [`crate::tables`] is a pure projection over session measurements, so
+/// regenerating all of them — which shares the HighTag5 baseline and several
+/// Table 2 configurations — compiles and simulates each point of the design
+/// space exactly once:
+///
+/// ```no_run
+/// use tagstudy::{tables, CheckingMode, Config, Session};
+///
+/// let mut session = Session::new();
+/// let names = tables::default_programs();
+/// let t1 = tables::table1_for(&mut session, &names)?;
+/// let f1 = tables::figure1_for(&mut session, &names)?; // baseline runs reused
+/// assert!(session.stats().hits > 0);
+/// # Ok::<(), tagstudy::StudyError>(())
+/// ```
+///
+/// ## Sharing one session between threads
+///
+/// `Session` is `Sync`, and every measuring method takes `&self`, so a
+/// long-lived process (the `tagstudyd` daemon) shares one session between
+/// request threads without an outer lock. No session-wide lock is held
+/// across a compile, a simulation or a writeback:
+///
+/// - Each `(program, Config)` point has one cache cell, either *ready* or
+///   *in flight*. The map of cells is locked only to look up or claim a
+///   cell, so a cached point is answered while other batches are measuring.
+/// - A point is measured once however many batches ask for it at the same
+///   time (single-flight): the first batch claims the cell and measures it
+///   on its worker pool; every other request for it waits on that cell alone
+///   and counts as a hit, as a duplicate within one batch does.
+/// - A failed measurement drops its cell. Every waiter gets the error, and a
+///   later request measures the point again: failures are never cached.
+///
+/// The worker-pool bound applies per batch; concurrent batches each run
+/// their own pool.
+///
+/// ## One simulation per distinct run
+///
+/// Several points of the design space compile to the same machine run: with
+/// no run-time checking, the generic-arithmetic and parallel-check hardware
+/// of Table 2 rows 4–6 has nothing to do, so those rows run the plain code.
+/// Once a point has compiled, the session keys its run by everything the
+/// simulator can observe: the backend, the timing model, the fuel, the
+/// memory size, the entry point, a digest of the code, annotations and data
+/// image, and the hardware as far as the code can observe it
+/// ([`mipsx::HwConfig::as_seen_by`]). A point whose run another point of the
+/// session has simulated, or is simulating, takes that run's `Stats`, output
+/// and halt code instead of simulating again. It is still compiled, checked
+/// against its own expected output, cached and reported under its own
+/// `(program, Config)`; [`SessionStats::shared_runs`] counts it, and its
+/// trace has a `run.shared` span naming the owning point in place of
+/// `simulate`.
+///
+/// The run index is single-flight like the cells: the first worker to
+/// register a run simulates it and publishes it from the worker itself, so a
+/// point of the same batch can wait for it. A failed or abandoned run
+/// reaches its waiters as an error and is forgotten. A finished entry only
+/// names the point whose ready cell holds the run, so the index never holds
+/// more entries than the cache holds points.
+///
+/// ## One ledger
+///
+/// Each lifecycle fact — a hit, a miss started, a measurement finished or
+/// failed, a profile finished, a seed, a source registered — is recorded once,
+/// where it happens. One fold under one lock turns it into the
+/// [`SessionStats`], the `session_*` series of [`Session::metrics`] and the
+/// event log; the [`Progress`] callback then sees it, outside the lock.
+///
+/// 1. Every request to [`Session::measure_many`] counts once, as a hit or a
+///    miss. A miss with no result, an unknown program included, is also a
+///    failure: `requests == hits + misses`, `failures <= misses`, and
+///    [`SessionStats::misses`] is `misses - failures`.
+/// 2. A profile is no request. It observes its compile and simulate times and
+///    reports [`Progress::Finished`], but adds no Mc/s sample (that histogram
+///    is the simulator's own speed, one sample per simulated run) and nothing
+///    to [`SessionStats`].
+/// 3. A series appears only once first touched.
 pub struct Session {
     cells: Mutex<HashMap<Key, Cell>>,
     /// The run index: each distinct machine run a point of this session has
-    /// simulated, or is simulating (see the [module docs](self)).
+    /// simulated, or is simulating (see [`Session`]).
     runs: RunIndex,
     /// The seeds of this session's run digests.
     run_seeds: RunSeeds,
@@ -716,7 +716,7 @@ impl Session {
     /// points are deduplicated (a point requested twice in one batch is
     /// measured once) and measured on the bounded worker pool. A point
     /// another batch is measuring right now is not measured again: this
-    /// batch waits for that result (see the [module docs](self)).
+    /// batch waits for that result (see [`Session`]).
     ///
     /// Inside a trace context (see [`crate::trace`]) every hit records a
     /// `cache.read` span (labelled `seeded=true` when the point was seeded
