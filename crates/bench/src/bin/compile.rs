@@ -14,7 +14,10 @@
 //! configuration and compiler is kept and summed over the configurations.
 //! Before timing, each configuration is compiled once both ways: that builds
 //! the configuration's image, as the first compile of a process does, and
-//! checks that the two programs are identical field by field.
+//! checks that the two programs are identical field by field, and that the
+//! linked program's spliced predecode (`CompiledProgram::predecode`) equals
+//! the full decode of the reference program. The two predecodes are timed
+//! the same way as the compiles.
 //!
 //! Workloads are the paper's ten programs plus 24 generated programs from a
 //! fixed-seed stream spread across the list-heavy to arith-heavy op-mix
@@ -28,6 +31,7 @@ use std::time::Instant;
 
 use lisp::ast::Unit;
 use lisp::{CompiledProgram, Options};
+use mipsx::DecodedProgram;
 use synth::OpMix;
 use tagstudy::Config;
 
@@ -61,6 +65,12 @@ struct Row {
     words: usize,
     ref_secs: f64,
     linked_secs: f64,
+    /// Full decode of the reference program and spliced predecode of the
+    /// linked one, summed like the compiles.
+    ref_decode_secs: f64,
+    linked_decode_secs: f64,
+    /// Configurations whose two predecodes were checked equal.
+    decodes_checked: usize,
 }
 
 impl Row {
@@ -84,6 +94,17 @@ fn same(a: &CompiledProgram, b: &CompiledProgram) -> bool {
         && a.schedule == b.schedule
 }
 
+/// The best wall time of `reps` runs of `f`.
+fn best_of<T>(reps: u32, mut f: impl FnMut() -> T) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Wall time of one compile.
 fn time(
     compile: fn(&Unit, &Options) -> Result<CompiledProgram, lisp::CompileError>,
@@ -104,6 +125,9 @@ fn measure(w: &Workload, reps: u32) -> Row {
         words: 0,
         ref_secs: 0.0,
         linked_secs: 0.0,
+        ref_decode_secs: 0.0,
+        linked_decode_secs: 0.0,
+        decodes_checked: 0,
     };
     for config in Config::matrix() {
         let opts = Options {
@@ -119,6 +143,15 @@ fn measure(w: &Workload, reps: u32) -> Row {
             "{} {config}: the linked program differs from the reference",
             w.name
         );
+        let full = || DecodedProgram::decode(&reference.program, reference.hw);
+        assert!(
+            linked.predecode() == full(),
+            "{} {config}: the spliced predecode differs from the full decode",
+            w.name
+        );
+        row.decodes_checked += 1;
+        row.ref_decode_secs += best_of(reps, full);
+        row.linked_decode_secs += best_of(reps, || linked.predecode());
         row.words += linked.stats.object_words;
         let (mut best_ref, mut best_linked) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..reps {
@@ -176,12 +209,14 @@ fn main() {
         let row = measure(w, reps);
         eprintln!(
             "[compile] {}: {} words over 24 configs, reference {:.2} ms, linked {:.2} ms, \
-             speed-up {:.2}x",
+             speed-up {:.2}x; predecode full {:.2} ms, spliced {:.2} ms",
             row.name,
             row.words,
             row.ref_secs * 1e3,
             row.linked_secs * 1e3,
-            row.speedup()
+            row.speedup(),
+            row.ref_decode_secs * 1e3,
+            row.linked_decode_secs * 1e3
         );
         rows.push(row);
     }
@@ -244,19 +279,28 @@ fn render_json(rows: &[Row], reps: u32, geomean: f64, paper: f64, synth: f64) ->
     let _ = writeln!(out, "  \"geomean_speedup\": {geomean:.4},");
     let _ = writeln!(out, "  \"paper_geomean_speedup\": {paper:.4},");
     let _ = writeln!(out, "  \"synth_geomean_speedup\": {synth:.4},");
+    let _ = writeln!(
+        out,
+        "  \"predecodes_checked\": {},",
+        rows.iter().map(|r| r.decodes_checked).sum::<usize>()
+    );
     let _ = writeln!(out, "  \"workloads\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(
             out,
             "    {{\"name\": \"{}\", \"kind\": \"{}\", \"words\": {}, \"ref_ms\": {:.4}, \
-             \"linked_ms\": {:.4}, \"speedup\": {:.4}}}{comma}",
+             \"linked_ms\": {:.4}, \"speedup\": {:.4}, \"ref_predecode_ms\": {:.4}, \
+             \"linked_predecode_ms\": {:.4}, \"predecodes_checked\": {}}}{comma}",
             r.name,
             r.kind,
             r.words,
             r.ref_secs * 1e3,
             r.linked_secs * 1e3,
-            r.speedup()
+            r.speedup(),
+            r.ref_decode_secs * 1e3,
+            r.linked_decode_secs * 1e3,
+            r.decodes_checked
         );
     }
     let _ = writeln!(out, "  ]");

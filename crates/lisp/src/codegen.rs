@@ -111,7 +111,7 @@ pub struct Codegen<'a> {
     /// The lowered unit.
     pub unit: &'a Unit,
     /// Memory map and static data.
-    pub layout: &'a Layout,
+    pub layout: &'a Layout<'a>,
     /// Tag-operation emitter.
     pub t: TagOps,
     /// Runtime routine labels.

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use mipsx::sched::{schedule_and_attribute, ScheduleReport};
 use mipsx::{
     AnyExecutor, Asm, Backend, DecodedProgram, Executor, FastCpu, HwConfig, Outcome, Program,
-    SimError, SymbolTable,
+    SimError,
 };
 use tagword::TagScheme;
 
@@ -219,9 +219,11 @@ pub fn compile_unit(unit: &Unit, opts: &Options) -> Result<CompiledProgram, Comp
         .finish_part(|pos| at.own(pos), |l| image.import(at, l))
         .map_err(|e| CompileError::Asm(e.to_string()))?;
     let (insns, annots) = image.link(at, &part.insns, &part.annots, &layout);
-    let mut symbols: HashMap<String, usize> = part.symbols.into_iter().collect();
-    symbols.extend(image.symbols(at));
-    let symtab = SymbolTable::build(&symbols, &insns);
+    let symtab = image.symtab(at, part.symbols.iter().map(|(n, p)| (n, *p)), &insns);
+    let image_symbols = image.symbols(at);
+    let mut symbols = HashMap::with_capacity(part.symbols.len() + image_symbols.len());
+    symbols.extend(part.symbols);
+    symbols.extend(image_symbols);
 
     // Patch each symbol's function cell with the function's code index
     // (funcall dispatches through these).
@@ -230,7 +232,7 @@ pub fn compile_unit(unit: &Unit, opts: &Options) -> Result<CompiledProgram, Comp
         let idx = part.labels[label.id() as usize]
             .or_else(|| image.import(at, *label))
             .expect("every function is placed");
-        let sym = &layout.symbols[layout.sym_ids[&f.name]];
+        let sym = &layout.symbols[layout.sym_ids[f.name.as_str()]];
         data.push(((sym.addr as i32 + SYM_FNCODE) as u32, idx as u32));
     }
 
@@ -296,9 +298,9 @@ pub fn compile_unit_reference(
     for f in &unit.fns {
         let idx = *program
             .symbols
-            .get(&format!("fn:{}", f.name))
+            .get(format!("fn:{}", f.name).as_str())
             .expect("every function label is named");
-        let sym = &layout.symbols[layout.sym_ids[&f.name]];
+        let sym = &layout.symbols[layout.sym_ids[f.name.as_str()]];
         program
             .data
             .push(((sym.addr as i32 + SYM_FNCODE) as u32, idx as u32));

@@ -50,7 +50,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mipsx::sched::{schedule_and_attribute, ScheduleReport};
-use mipsx::{Annot, Asm, DecodedProgram, HwConfig, Insn, Label, Program, SimError};
+use std::ops::Range;
+
+use mipsx::{Annot, Asm, DecodedProgram, HwConfig, Insn, Label, Program, SimError, SymbolTable};
 
 use crate::ast::{PreludePrefix, Unit};
 use crate::codegen::Codegen;
@@ -93,7 +95,10 @@ pub(crate) struct Image {
     /// Every position whose op a program must decode afresh, ascending: code
     /// targets, layout operands and ops whose cost the hardware sets.
     fresh: Vec<usize>,
-    symbols: Vec<(String, usize)>,
+    symbols: Vec<(Arc<str>, usize)>,
+    /// The symbol table of the stream alone: its regions and call sites,
+    /// which a program's table shifts instead of rebuilding.
+    symtab: SymbolTable,
     /// Position of each label a program imports, by label id: the runtime's
     /// entries, then the prelude's functions (see [`labels`]).
     exports: Vec<usize>,
@@ -201,6 +206,15 @@ impl Image {
             .collect();
         fresh.sort_unstable();
         fresh.dedup();
+        let symtab = SymbolTable::build(&part.symbols.iter().cloned().collect(), &part.insns);
+        // A program's table shifts these regions (see `SymbolTable::splice`),
+        // which needs a name at the start of each piece.
+        let starts =
+            [0, prelude_len].map(|pos| pos == part.insns.len() || symtab.entry_at(pos).is_some());
+        assert!(
+            starts == [true; 2],
+            "the image names the start of each piece"
+        );
         Ok(Image {
             insns: part.insns,
             annots: part.annots,
@@ -211,6 +225,7 @@ impl Image {
             decoded: OnceLock::new(),
             fresh,
             symbols: part.symbols,
+            symtab,
             exports,
             prefix: unit.prelude(),
             schedule,
@@ -236,6 +251,15 @@ impl Placement {
         } else {
             pos + self.prelude
         }
+    }
+
+    /// Where the image's `len` positions go: its prelude part, then its
+    /// runtime, each with the final position of its start.
+    pub(crate) fn ranges(self, len: usize) -> [(Range<usize>, usize); 2] {
+        [
+            (0..self.prelude, self.image(0)),
+            (self.prelude..len, self.image(self.prelude)),
+        ]
     }
 
     /// The final position of position `pos` of the image.
@@ -323,19 +347,29 @@ impl Image {
             // the lowest offending pc of the program.
             return DecodedProgram::decode(prog, hw);
         };
-        let placed = [
-            (0..at.prelude, at.image(0)),
-            (at.prelude..self.insns.len(), at.image(at.prelude)),
-        ];
         let fresh = self.fresh.iter().map(|&pos| at.image(pos));
-        DecodedProgram::splice(prog, hw, image, &placed, fresh)
+        DecodedProgram::splice(prog, hw, image, &at.ranges(self.insns.len()), fresh)
     }
 
-    /// The image's named positions, placed at `at`.
-    pub(crate) fn symbols(&self, at: Placement) -> impl Iterator<Item = (String, usize)> + '_ {
+    /// The image's named positions, placed at `at`, sharing its names.
+    pub(crate) fn symbols(
+        &self,
+        at: Placement,
+    ) -> impl ExactSizeIterator<Item = (Arc<str>, usize)> + '_ {
         self.symbols
             .iter()
-            .map(move |(name, pos)| (name.clone(), at.image(*pos)))
+            .map(move |(name, pos)| (Arc::clone(name), at.image(*pos)))
+    }
+
+    /// The symbol table of `insns`, linked from this image at `at`, whose
+    /// own code names `own`.
+    pub(crate) fn symtab<'a>(
+        &self,
+        at: Placement,
+        own: impl IntoIterator<Item = (&'a Arc<str>, usize)>,
+        insns: &[Insn],
+    ) -> SymbolTable {
+        SymbolTable::splice(own, insns, &self.symtab, &at.ranges(self.insns.len()))
     }
 }
 

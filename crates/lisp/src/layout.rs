@@ -17,6 +17,7 @@
 //! Everything static is built at compile time into the program's initial data
 //! image; the heap semispaces start empty.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use mipsx::{Asm, Insn};
@@ -41,19 +42,20 @@ pub fn header(code: u32, len: u32) -> u32 {
 
 /// One interned symbol.
 #[derive(Debug, Clone)]
-pub struct SymbolInfo {
-    /// The symbol's print name.
-    pub name: String,
+pub struct SymbolInfo<'u> {
+    /// The symbol's print name, borrowed from the unit.
+    pub name: &'u str,
     /// Byte address of its record in the symbol table.
     pub addr: u32,
     /// Its tagged word.
     pub word: u32,
 }
 
-/// The complete memory map plus initial data image for one compilation.
+/// The complete memory map plus initial data image for one compilation of
+/// a unit, whose symbol names it borrows.
 #[derive(Debug, Clone)]
 #[allow(dead_code)] // the map fields document the address space; tests read them
-pub struct Layout {
+pub struct Layout<'u> {
     /// Tag scheme the image was built for.
     pub scheme: TagScheme,
     /// Base of the globals area.
@@ -79,9 +81,9 @@ pub struct Layout {
     /// Total simulated memory needed.
     pub mem_bytes: usize,
     /// Interned symbols, `nil` first, `t` second.
-    pub symbols: Vec<SymbolInfo>,
+    pub symbols: Vec<SymbolInfo<'u>>,
     /// Name → index into [`Layout::symbols`].
-    pub sym_ids: HashMap<String, usize>,
+    pub sym_ids: HashMap<&'u str, usize>,
     /// The tagged `nil`.
     pub nil_word: u32,
     /// The tagged `t`.
@@ -111,24 +113,38 @@ pub const SYM_NAMELEN: i32 = 12;
 /// Offset of the first name character in a symbol record.
 pub const SYM_NAME: i32 = 16;
 
-fn collect_symbols(s: &Sexp, out: &mut Vec<String>, seen: &mut HashMap<String, ()>) {
+/// Intern `name` unless it already is: its record is placed later.
+fn intern<'u>(name: &'u str, symbols: &mut Vec<SymbolInfo<'u>>, ids: &mut HashMap<&'u str, usize>) {
+    if let Entry::Vacant(slot) = ids.entry(name) {
+        slot.insert(symbols.len());
+        symbols.push(SymbolInfo {
+            name,
+            addr: 0,
+            word: 0,
+        });
+    }
+}
+
+fn collect_symbols<'u>(
+    s: &'u Sexp,
+    symbols: &mut Vec<SymbolInfo<'u>>,
+    ids: &mut HashMap<&'u str, usize>,
+) {
     match s {
-        Sexp::Sym(n) if seen.insert(n.clone(), ()).is_none() => {
-            out.push(n.clone());
-        }
+        Sexp::Sym(n) => intern(n, symbols, ids),
         Sexp::List(items, tail) => {
             for i in items {
-                collect_symbols(i, out, seen);
+                collect_symbols(i, symbols, ids);
             }
             if let Some(t) = tail {
-                collect_symbols(t, out, seen);
+                collect_symbols(t, symbols, ids);
             }
         }
         _ => {}
     }
 }
 
-impl Layout {
+impl<'u> Layout<'u> {
     /// Build the layout and static image for `unit`.
     ///
     /// # Errors
@@ -136,21 +152,24 @@ impl Layout {
     /// [`CompileError::Literal`] when a constant cannot be encoded (fixnum out of
     /// the scheme's range, or the address space exceeded).
     pub fn build(
-        unit: &Unit,
+        unit: &'u Unit,
         scheme: TagScheme,
         semi_bytes: u32,
         stack_bytes: u32,
-    ) -> Result<Layout, CompileError> {
+    ) -> Result<Layout<'u>, CompileError> {
         // --- interning ---------------------------------------------------------
-        let mut names = vec!["nil".to_string(), "t".to_string()];
-        let mut seen: HashMap<String, ()> = names.iter().map(|n| (n.clone(), ())).collect();
+        // Names are borrowed from the unit; the map is the only index.
+        let guess = 2 + unit.fns.len() + unit.consts.len();
+        let mut symbols = Vec::with_capacity(guess);
+        let mut sym_ids = HashMap::with_capacity(guess);
+        for name in ["nil", "t"] {
+            intern(name, &mut symbols, &mut sym_ids);
+        }
         for c in &unit.consts {
-            collect_symbols(c, &mut names, &mut seen);
+            collect_symbols(c, &mut symbols, &mut sym_ids);
         }
         for f in &unit.fns {
-            if seen.insert(f.name.clone(), ()).is_none() {
-                names.push(f.name.clone());
-            }
+            intern(&f.name, &mut symbols, &mut sym_ids);
         }
 
         // --- region sizing ------------------------------------------------------
@@ -159,33 +178,30 @@ impl Layout {
         // Runtime cells (GC space flag, spares) live after the user globals and
         // are *not* in the root table: they hold raw machine words.
         let roots_base = align8(globals_base + 4 * (n_globals + N_RT_CELLS));
-        let n_roots = n_globals + 2 * names.len() as u32;
+        let n_roots = n_globals + 2 * symbols.len() as u32;
         let symtab_base = align8(roots_base + 4 * (n_roots + 1));
 
         let mut addr = symtab_base;
-        let mut symbols = Vec::with_capacity(names.len());
-        let mut sym_ids = HashMap::new();
-        for name in &names {
-            let rec = addr;
-            addr = align8(addr + SYM_NAME as u32 + 4 * name.len() as u32);
-            let word = scheme
-                .insert(Tag::Symbol, rec)
+        let mut record_words = 0;
+        for s in &mut symbols {
+            s.addr = addr;
+            addr = align8(addr + SYM_NAME as u32 + 4 * s.name.len() as u32);
+            s.word = scheme
+                .insert(Tag::Symbol, s.addr)
                 .map_err(|e| CompileError::Literal {
                     message: e.to_string(),
                 })?;
-            sym_ids.insert(name.clone(), symbols.len());
-            symbols.push(SymbolInfo {
-                name: name.clone(),
-                addr: rec,
-                word,
-            });
+            record_words += 4 + s.name.len();
         }
         let const_base = align8(addr);
         let nil_word = symbols[0].word;
         let t_word = symbols[1].word;
 
         // --- constant structure -------------------------------------------------
-        let mut data: Vec<(u32, u32)> = Vec::new();
+        // Sized for everything but the constants: symbol records, globals
+        // and the root table.
+        let static_words = record_words + 2 * n_globals as usize + n_roots as usize + 1;
+        let mut data: Vec<(u32, u32)> = Vec::with_capacity(static_words + 4 * unit.consts.len());
         let mut cursor = const_base;
         let mut const_words = Vec::with_capacity(unit.consts.len());
         for c in &unit.consts {
@@ -411,7 +427,7 @@ impl Reloc {
 fn build_const(
     s: &Sexp,
     scheme: TagScheme,
-    sym_ids: &HashMap<String, usize>,
+    sym_ids: &HashMap<&str, usize>,
     symbols: &[SymbolInfo],
     cursor: &mut u32,
     data: &mut Vec<(u32, u32)>,
@@ -436,9 +452,11 @@ fn build_const(
         Sexp::Sym(n) if n == "nil" => Ok(nil_word),
         Sexp::Sym(n) if n == "t" => Ok(t_word),
         Sexp::Sym(n) => {
-            let id = sym_ids.get(n).ok_or_else(|| CompileError::Literal {
-                message: format!("unknown symbol {n}"),
-            })?;
+            let id = sym_ids
+                .get(n.as_str())
+                .ok_or_else(|| CompileError::Literal {
+                    message: format!("unknown symbol {n}"),
+                })?;
             Ok(symbols[*id].word)
         }
         Sexp::List(items, tail) => {
@@ -474,9 +492,66 @@ mod tests {
     use crate::front::lower_sources;
     use tagword::ALL_SCHEMES;
 
-    fn layout_for(src: &str, scheme: TagScheme) -> Layout {
+    fn layout_for(src: &str, scheme: TagScheme) -> Layout<'static> {
+        let unit = Box::leak(Box::new(lower_sources(&[src]).unwrap()));
+        Layout::build(unit, scheme, 64 << 10, 16 << 10).unwrap()
+    }
+
+    /// FNV-1a over the data image's `(address, word)` pairs, in order.
+    fn data_digest(data: &[(u32, u32)]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for (a, w) in data {
+            for b in a.to_le_bytes().into_iter().chain(w.to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The layout of one small unit under every scheme, at the default
+    /// test sizes and at a smaller heap and stack: its map, symbol records
+    /// and data image, rendered.
+    fn small_unit_layouts() -> String {
+        use std::fmt::Write as _;
+        let src = "(defvar g 7) (defun f (x) (cons 'apple (list x 2.5 '(pear . 3)))) (f 'apple)";
         let unit = lower_sources(&[src]).unwrap();
-        Layout::build(&unit, scheme, 64 << 10, 16 << 10).unwrap()
+        let mut out = String::new();
+        for scheme in ALL_SCHEMES {
+            for (semi, stack) in [(64 << 10, 16 << 10), (40 << 10, 8 << 10)] {
+                let l = Layout::build(&unit, scheme, semi, stack).unwrap();
+                let _ = write!(
+                    out,
+                    "{scheme} {semi}/{stack}: mem {:#x} consts {:x?} data {} fnv {:016x};",
+                    l.mem_bytes,
+                    l.const_words,
+                    l.data.len(),
+                    data_digest(&l.data)
+                );
+                for s in &l.symbols {
+                    let _ = write!(out, " {}@{:#x}={:#x}", s.name, s.addr, s.word);
+                }
+                out.push('\n');
+            }
+        }
+        out
+    }
+
+    /// The small unit's layouts as the one-piece compiler laid them out
+    /// before symbol names were borrowed from the unit: every address,
+    /// word and data image stays where it was.
+    #[test]
+    fn small_unit_layouts_are_pinned() {
+        const PINNED: [&str; 8] = [
+            "high5 65536/16384: mem 0x24128 consts [100000c0, 8000120] data 49 fnv 76653184b64f481c; nil@0x88=0x10000088 t@0xa8=0x100000a8 apple@0xc0=0x100000c0 pear@0xe8=0x100000e8 f@0x108=0x10000108\n",
+            "high5 40960/8192: mem 0x16128 consts [100000c0, 8000120] data 49 fnv 76653184b64f481c; nil@0x88=0x10000088 t@0xa8=0x100000a8 apple@0xc0=0x100000c0 pear@0xe8=0x100000e8 f@0x108=0x10000108\n",
+            "high6 65536/16384: mem 0x24128 consts [440000c0, 40000120] data 49 fnv 3b69a4043a40d8ac; nil@0x88=0x44000088 t@0xa8=0x440000a8 apple@0xc0=0x440000c0 pear@0xe8=0x440000e8 f@0x108=0x44000108\n",
+            "high6 40960/8192: mem 0x16128 consts [440000c0, 40000120] data 49 fnv 3b69a4043a40d8ac; nil@0x88=0x44000088 t@0xa8=0x440000a8 apple@0xc0=0x440000c0 pear@0xe8=0x440000e8 f@0x108=0x44000108\n",
+            "low2 65536/16384: mem 0x24128 consts [c2, 121] data 49 fnv d129fe8ae38350c7; nil@0x88=0x8a t@0xa8=0xaa apple@0xc0=0xc2 pear@0xe8=0xea f@0x108=0x10a\n",
+            "low2 40960/8192: mem 0x16128 consts [c2, 121] data 49 fnv d129fe8ae38350c7; nil@0x88=0x8a t@0xa8=0xaa apple@0xc0=0xc2 pear@0xe8=0xea f@0x108=0x10a\n",
+            "low3 65536/16384: mem 0x24128 consts [c2, 121] data 49 fnv d129fe8ae38350c7; nil@0x88=0x8a t@0xa8=0xaa apple@0xc0=0xc2 pear@0xe8=0xea f@0x108=0x10a\n",
+            "low3 40960/8192: mem 0x16128 consts [c2, 121] data 49 fnv d129fe8ae38350c7; nil@0x88=0x8a t@0xa8=0xaa apple@0xc0=0xc2 pear@0xe8=0xea f@0x108=0x10a\n",
+        ];
+        assert_eq!(small_unit_layouts(), PINNED.concat());
     }
 
     #[test]

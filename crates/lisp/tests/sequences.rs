@@ -15,7 +15,7 @@ use tagword::TagScheme;
 fn body_of(src: &str, name: &str, opts: &Options) -> Vec<(Insn, mipsx::Annot)> {
     let c = compile(src, opts).expect("compiles");
     let p = &c.program;
-    let start = p.symbols[&format!("fn:{name}")];
+    let start = p.symbols[format!("fn:{name}").as_str()];
     let ret = (start..p.insns.len())
         .find(|&i| matches!(p.insns[i], Insn::Jr(_)))
         .expect("function has an epilogue return");

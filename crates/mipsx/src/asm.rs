@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::annot::Annot;
 use crate::insn::{Cond, Insn, WriteKind};
@@ -56,9 +57,11 @@ impl std::error::Error for AsmError {}
 pub struct Asm {
     pub(crate) items: Vec<(Insn, Annot)>,
     pub(crate) label_pos: Vec<Option<usize>>,
+    /// Every bound label, in the order it was bound: ascending position.
+    pub(crate) bound: Vec<Label>,
     ambient: Annot,
     entry: Option<Label>,
-    symbols: HashMap<String, Label>,
+    symbols: HashMap<Arc<str>, Label>,
     data: Vec<(u32, u32)>,
     /// `(item position, tag)`: relocation tags that follow their instruction
     /// through scheduling (see [`Asm::reloc`]).
@@ -80,7 +83,7 @@ pub struct Part {
     /// The entry's final position, if an entry was set.
     pub entry: Option<usize>,
     /// Named code positions (final).
-    pub symbols: Vec<(String, usize)>,
+    pub symbols: Vec<(Arc<str>, usize)>,
     /// Final position of every label bound in this stream, by label id.
     pub labels: Vec<Option<usize>>,
     /// Initial data words.
@@ -111,19 +114,20 @@ impl Asm {
         let slot = &mut self.label_pos[label.0 as usize];
         assert!(slot.is_none(), "label L{} bound twice", label.0);
         *slot = Some(self.items.len());
+        self.bound.push(label);
     }
 
     /// Create and bind a label here, recording `name` in the program's symbols.
     pub fn here(&mut self, name: &str) -> Label {
         let l = self.new_label();
         self.bind(l);
-        self.symbols.insert(name.to_string(), l);
+        self.symbols.insert(name.into(), l);
         l
     }
 
     /// Associate `name` with an existing label (bound or not).
     pub fn name_label(&mut self, name: &str, label: Label) {
-        self.symbols.insert(name.to_string(), label);
+        self.symbols.insert(name.into(), label);
     }
 
     /// Set the ambient annotation; returns the previous one for restoring.
@@ -326,7 +330,7 @@ impl Asm {
             None if empty => 0,
             None => return Err(AsmError::NoEntry),
         };
-        let symbols: HashMap<String, usize> = part.symbols.into_iter().collect();
+        let symbols: HashMap<Arc<str>, usize> = part.symbols.into_iter().collect();
         let symtab = crate::symtab::SymbolTable::build(&symbols, &part.insns);
         Ok(Program {
             insns: part.insns,

@@ -344,11 +344,12 @@ pub(crate) const GEN_TRAP_ANNOT: Annot = Annot {
     prov: Provenance::Checking,
 };
 
+// The dense slots are declaration-order indices: `ALL_CLASSES`,
+// `ALL_TAG_OPS` and `ALL_CHECK_CATS` list their enums in that order (see the
+// `slots_are_report_order_indices` test).
+
 fn class_slot(class: InsnClass) -> u8 {
-    ALL_CLASSES
-        .iter()
-        .position(|c| *c == class)
-        .expect("every class is in ALL_CLASSES") as u8
+    class as u8
 }
 
 fn prov_slot(prov: Provenance) -> u8 {
@@ -361,13 +362,7 @@ fn prov_slot(prov: Provenance) -> u8 {
 fn tag_slot(annot: Annot) -> u8 {
     match annot.tag_op {
         None => NO_SLOT,
-        Some(op) => {
-            let op_idx = ALL_TAG_OPS
-                .iter()
-                .position(|o| *o == op)
-                .expect("every tag op is in ALL_TAG_OPS") as u8;
-            op_idx * 2 + prov_slot(annot.prov)
-        }
+        Some(op) => op as u8 * 2 + prov_slot(annot.prov),
     }
 }
 
@@ -375,10 +370,7 @@ fn cat_slot(annot: Annot) -> u8 {
     if annot.prov != Provenance::Checking {
         return NO_SLOT;
     }
-    ALL_CHECK_CATS
-        .iter()
-        .position(|c| *c == annot.cat)
-        .expect("every category is in ALL_CHECK_CATS") as u8
+    annot.cat as u8
 }
 
 /// [`Stats`] as flat arrays: the hot-loop accumulator. Converted back to the
@@ -740,6 +732,9 @@ impl DecodedProgram {
         // Positions are filled in ascending order, so the first error is at
         // the lowest offending pc, as `decode` reports it.
         let mut ops = Vec::with_capacity(prog.insns.len());
+        // Where a copied op's run may differ from the image's: each fresh
+        // position and the last position of each range, ascending.
+        let mut changed = Vec::new();
         for (range, at) in placed {
             while ops.len() < *at {
                 ops.push(decode(ops.len())?);
@@ -751,7 +746,11 @@ impl DecodedProgram {
                 ops.extend_from_slice(&image.ops[copied]);
                 if stop < end {
                     ops.push(decode(stop)?);
+                    changed.push(stop);
                 }
+            }
+            if end > *at && changed.last() != Some(&(end - 1)) {
+                changed.push(end - 1);
             }
         }
         debug_assert!(
@@ -761,7 +760,23 @@ impl DecodedProgram {
         while ops.len() < prog.insns.len() {
             ops.push(decode(ops.len())?);
         }
-        link_runs(&mut ops);
+        // Link the program's own code in full; in each placed range, walk
+        // back from each changed position.
+        let mut own_end = ops.len();
+        for (range, at) in placed.iter().rev() {
+            let end = at + range.len();
+            for pc in (end..own_end).rev() {
+                link_one(&mut ops, pc);
+            }
+            while let Some(&from) = changed.last().filter(|&&pc| pc >= *at) {
+                changed.pop();
+                relink_back(&mut ops, from, *at);
+            }
+            own_end = *at;
+        }
+        for pc in (0..own_end).rev() {
+            link_one(&mut ops, pc);
+        }
         Ok(DecodedProgram {
             ops,
             entry: prog.entry,
@@ -781,43 +796,69 @@ impl DecodedProgram {
     }
 }
 
-/// Fill in every op's `run` and `run_cost`, back to front. A straight op
-/// heads a run of itself plus the run after it, unless it is a load whose
-/// register the next op reads (the load-delay check must then run at that
-/// next op) or its length or total cost would overflow. A control op's delay slots
-/// form a run when the run after it covers them all.
+/// Fill in every op's `run` and `run_cost`, back to front (see
+/// [`link_one`]).
 fn link_runs(ops: &mut [Op]) {
     for pc in (0..ops.len()).rev() {
-        let op = ops[pc];
-        let next = ops
-            .get(pc + 1)
-            .filter(|n| n.run > 0 && !n.kind.is_control());
-        let (run, run_cost) = match op.kind {
-            OpKind::CondBr { .. } | OpKind::Jump { .. } | OpKind::JumpReg { .. } => {
-                let slots = if matches!(op.kind, OpKind::CondBr { .. }) {
-                    2
-                } else {
-                    1
-                };
-                match next {
-                    // The run after covers the slots, so their cost fits.
-                    Some(n) if n.run >= slots => {
-                        let group = &ops[pc + 1..=pc + slots as usize];
-                        (slots, group.iter().map(|o| o.cost).sum())
-                    }
-                    _ => (0, 0),
+        link_one(ops, pc);
+    }
+}
+
+/// Fill in `run` and `run_cost` at `pc` from the op after it, which must be
+/// linked already; returns whether they changed. A straight op heads a run
+/// of itself plus the run after it, unless it is a load whose register the
+/// next op reads (the load-delay check must then run at that next op) or
+/// its length or total cost would overflow. A control op's delay slots form
+/// a run when the run after it covers them all.
+fn link_one(ops: &mut [Op], pc: usize) -> bool {
+    let op = ops[pc];
+    let next = ops
+        .get(pc + 1)
+        .filter(|n| n.run > 0 && !n.kind.is_control());
+    let (run, run_cost) = match op.kind {
+        OpKind::CondBr { .. } | OpKind::Jump { .. } | OpKind::JumpReg { .. } => {
+            let slots = if matches!(op.kind, OpKind::CondBr { .. }) {
+                2
+            } else {
+                1
+            };
+            match next {
+                // The run after covers the slots, so their cost fits.
+                Some(n) if n.run >= slots => {
+                    let group = &ops[pc + 1..=pc + slots as usize];
+                    (slots, group.iter().map(|o| o.cost).sum())
                 }
+                _ => (0, 0),
             }
-            kind if kind.is_straight() => {
-                let linked = next
-                    .filter(|n| kind.load_mask() & n.use_mask == 0)
-                    .and_then(|n| Some((n.run.checked_add(1)?, op.cost.checked_add(n.run_cost)?)));
-                linked.unwrap_or((1, op.cost))
-            }
-            _ => (0, 0),
-        };
-        ops[pc].run = run;
-        ops[pc].run_cost = run_cost;
+        }
+        kind if kind.is_straight() => {
+            let linked = next
+                .filter(|n| kind.load_mask() & n.use_mask == 0)
+                .and_then(|n| Some((n.run.checked_add(1)?, op.cost.checked_add(n.run_cost)?)));
+            linked.unwrap_or((1, op.cost))
+        }
+        _ => (0, 0),
+    };
+    ops[pc].run = run;
+    ops[pc].run_cost = run_cost;
+    (run, run_cost) != (op.run, op.run_cost)
+}
+
+/// Relink a stretch of ops copied from an image, whose links were made in
+/// the image's own stream, after the op at `from` changed or its successor
+/// did: walk back from `from`, not below `floor`. Only an op's successor
+/// enters its link, so the walk stops at the first op whose link comes out
+/// as it was, and at a control op or one that traps or halts, whose
+/// predecessor never joins its run.
+fn relink_back(ops: &mut [Op], from: usize, floor: usize) {
+    let mut pc = from;
+    loop {
+        let changed = link_one(ops, pc);
+        let kind = ops[pc].kind;
+        if pc == floor || !kind.is_straight() || (pc != from && !changed) {
+            return;
+        }
+        pc -= 1;
     }
 }
 
@@ -1915,6 +1956,25 @@ mod tests {
             .run(1000)
             .unwrap();
         assert_eq!(o.halt_code, 0);
+    }
+
+    #[test]
+    fn slots_are_report_order_indices() {
+        for (i, c) in ALL_CLASSES.iter().enumerate() {
+            assert_eq!(usize::from(class_slot(*c)), i, "{c:?}");
+        }
+        for (i, op) in ALL_TAG_OPS.iter().enumerate() {
+            let annot = Annot::base(*op);
+            assert_eq!(usize::from(tag_slot(annot)), 2 * i, "{op:?}");
+        }
+        for (i, cat) in ALL_CHECK_CATS.iter().enumerate() {
+            let annot = Annot {
+                tag_op: None,
+                cat: *cat,
+                prov: Provenance::Checking,
+            };
+            assert_eq!(usize::from(cat_slot(annot)), i, "{cat:?}");
+        }
     }
 
     #[test]

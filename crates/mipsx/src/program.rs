@@ -1,6 +1,7 @@
 //! An assembled, label-resolved program.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::annot::Annot;
 use crate::insn::Insn;
@@ -18,8 +19,9 @@ pub struct Program {
     pub entry: usize,
     /// Initial data memory image: `(byte address, word)` pairs.
     pub data: Vec<(u32, u32)>,
-    /// Named code positions (for debugging and tests).
-    pub symbols: HashMap<String, usize>,
+    /// Named code positions (for debugging and tests). A linked program
+    /// shares the names of its system image.
+    pub symbols: HashMap<Arc<str>, usize>,
     /// PC-range symbol table derived from `symbols`: function regions and
     /// static call sites, for profiling and annotated listings.
     pub symtab: SymbolTable,
@@ -116,7 +118,7 @@ mod tests {
             annots: vec![Annot::NONE; 2],
             entry: 0,
             data: vec![],
-            symbols: [("main".to_string(), 0)].into_iter().collect(),
+            symbols: [("main".into(), 0)].into_iter().collect(),
             symtab: Default::default(),
         };
         let l = p.listing();
@@ -128,7 +130,7 @@ mod tests {
 
     #[test]
     fn listing_shows_call_targets() {
-        let symbols: HashMap<String, usize> = [("main".to_string(), 0), ("fn:f".to_string(), 3)]
+        let symbols: HashMap<Arc<str>, usize> = [("main".into(), 0), ("fn:f".into(), 3)]
             .into_iter()
             .collect();
         let insns = vec![

@@ -9,24 +9,30 @@
 //! instructions are prime slot filler, so eliminating them (paper §5) claws back
 //! fewer cycles than the raw count suggests — Figure 2's no-op/squash increase.
 //!
-//! Each of the two passes is one forward sweep that copies the stream into a new
-//! vector and remaps the label positions once at the end, so the cost is linear
-//! in the stream apart from the block-local candidate search:
+//! Both passes run in one forward sweep that copies the stream once, so the
+//! cost is linear in the stream apart from the block-local candidate search:
 //!
-//! 1. *Load padding* copies each item and, when it is a load whose original
-//!    successor reads the loaded register, a `nop` after it. Labels move by the
-//!    number of pads inserted before them.
-//! 2. *Slot filling* streams the items into the output, where everything before
-//!    the current basic block is final. A block starts at the latest label or
-//!    control-group end, so only its first position can carry a label. The
-//!    filler for a slot is removed from the block at the output's tail, and each
-//!    label moves back by the number of slots filled by branches before it.
+//! 1. *Load padding* yields each item and, when it is a load whose original
+//!    successor reads the loaded register, a `nop` after it.
+//! 2. *Slot filling* streams those items into the output, where everything
+//!    before the current basic block is final. A block starts at the latest
+//!    label or control-group end, so only its first position can carry a
+//!    label. The filler for a slot is removed from the block at the output's
+//!    tail.
+//! 3. *Attribution* ([`schedule_and_attribute`]) charges each delay slot
+//!    that is still a `nop` to its branch once the branch's group is filled.
+//!
+//! No per-item index is kept. Labels are placed as their item lands, since a
+//! labelled item never moves once pushed: the assembler lists labels in the
+//! order they were bound, which is the order of their positions. A
+//! relocation tag follows its instruction until the instruction's block is
+//! final.
 //!
 //! The pass is deliberately block-local and conservative; [`crate::verify`] checks
 //! the result and the simulator re-checks load delays dynamically.
 
 use crate::annot::Annot;
-use crate::asm::Asm;
+use crate::asm::{Asm, Label};
 use crate::insn::Insn;
 use crate::reg::Reg;
 
@@ -74,136 +80,237 @@ fn loaded(insn: Insn) -> Option<Reg> {
 /// Must be called before [`Asm::finish`] (it rewrites positions and label
 /// bindings). Calling it twice is harmless.
 pub fn schedule(asm: &mut Asm) -> ScheduleReport {
-    ScheduleReport {
-        load_nops_inserted: insert_load_nops(asm),
-        slots_filled: fill_branch_slots(asm),
+    sweep(asm, false)
+}
+
+/// The input position of a pad, which no label or relocation tag names.
+const PAD: usize = usize::MAX;
+
+/// Where the next label or relocation tag is once there are none left: a
+/// position no item, pad or not, has.
+const NO_MARK: usize = usize::MAX - 1;
+
+/// The input stream with a `nop` after every load whose successor reads the
+/// loaded register: load padding, generated as slot filling consumes it.
+struct Padded<'a> {
+    items: &'a [(Insn, Annot)],
+    next: usize,
+    pad: Option<Annot>,
+}
+
+impl Iterator for Padded<'_> {
+    /// An item and its input position ([`PAD`] for a pad).
+    type Item = ((Insn, Annot), usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some(annot) = self.pad.take() {
+            return Some(((Insn::Nop, annot), PAD));
+        }
+        let k = self.next;
+        let item = *self.items.get(k)?;
+        self.next += 1;
+        if let (Some(rd), Some(&(next, _))) = (loaded(item.0), self.items.get(k + 1)) {
+            if next.uses().contains(rd) {
+                // Inherit the load's annotation: the wasted cycle belongs to
+                // whatever the load was doing (paper: delay-slot waste is
+                // charged to the owning operation).
+                self.pad = Some(item.1);
+            }
+        }
+        Some((item, k))
     }
 }
 
-/// Pass 1: make every load's successor safe by inserting `nop`s where the next
-/// instruction reads the loaded register. Returns the number inserted.
-fn insert_load_nops(asm: &mut Asm) -> usize {
-    let items = std::mem::take(&mut asm.items);
-    let mut out = Vec::with_capacity(items.len() + items.len() / 16);
-    // pads_before[i]: nops inserted before original position i.
-    let mut pads_before = Vec::with_capacity(items.len() + 1);
-    for (i, &(insn, annot)) in items.iter().enumerate() {
-        pads_before.push(out.len() - i);
-        out.push((insn, annot));
-        let next = items.get(i + 1).map(|&(next, _)| next);
-        if let (Some(rd), Some(next)) = (loaded(insn), next) {
-            if next.uses().contains(rd) {
-                // Inherit the load's annotation: the wasted cycle belongs to
-                // whatever the load was doing (paper: delay-slot waste is charged
-                // to the owning operation).
-                out.push((Insn::Nop, annot));
+/// Where the labels and relocation tags of the input stream land in the
+/// output, settled in input order as the sweep makes positions final.
+struct Marks<'a> {
+    /// Bound labels, ascending by input position, and their positions.
+    bound: &'a [Label],
+    label_pos: &'a mut [Option<usize>],
+    /// `bound[label..]` are not placed yet; the first binds at `label_at`.
+    label: usize,
+    label_at: usize,
+    /// Relocation tags, ascending by input position. `relocs[settled..next]`
+    /// hold output positions a fill can still move; `relocs[next..]` input
+    /// positions not reached yet, the first of them `reloc_at`.
+    relocs: &'a mut [(usize, u32)],
+    settled: usize,
+    next: usize,
+    reloc_at: usize,
+}
+
+impl<'a> Marks<'a> {
+    fn new(
+        bound: &'a [Label],
+        label_pos: &'a mut [Option<usize>],
+        relocs: &'a mut [(usize, u32)],
+    ) -> Self {
+        if !relocs.is_sorted_by_key(|r| r.0) {
+            relocs.sort_by_key(|r| r.0);
+        }
+        let mut marks = Marks {
+            bound,
+            label_pos,
+            label: 0,
+            label_at: NO_MARK,
+            relocs,
+            settled: 0,
+            next: 0,
+            reloc_at: NO_MARK,
+        };
+        marks.label_at = marks.label_pos_at(0);
+        marks.reloc_at = marks.relocs.first().map_or(NO_MARK, |r| r.0);
+        marks
+    }
+
+    fn label_pos_at(&self, i: usize) -> usize {
+        self.bound
+            .get(i)
+            .and_then(|l| self.label_pos[l.0 as usize])
+            .unwrap_or(NO_MARK)
+    }
+
+    /// Input position `k` now sits at output position `pos`.
+    fn pushed(&mut self, k: usize, pos: usize) {
+        while k == self.reloc_at {
+            self.relocs[self.next].0 = pos;
+            self.next += 1;
+            self.reloc_at = self.relocs.get(self.next).map_or(NO_MARK, |r| r.0);
+        }
+    }
+
+    /// Input position `k`, pushed at `pos`, stays there: place its labels.
+    fn settle(&mut self, k: usize, pos: usize) {
+        while k == self.label_at {
+            self.label_pos[self.bound[self.label].0 as usize] = Some(pos);
+            self.label += 1;
+            self.label_at = self.label_pos_at(self.label);
+        }
+    }
+
+    /// Output positions before `start` are final.
+    fn block_starts(&mut self, start: usize) {
+        while self.settled < self.next && self.relocs[self.settled].0 < start {
+            self.settled += 1;
+        }
+    }
+
+    /// The item at output position `from` moved to `to`, later in its
+    /// block, and everything after `from` up to `to` moved back by one.
+    fn moved(&mut self, from: usize, to: usize) {
+        for r in &mut self.relocs[self.settled..self.next] {
+            if r.0 == from {
+                r.0 = to;
+            } else if r.0 > from {
+                r.0 -= 1;
             }
         }
     }
-    let inserted = out.len() - items.len();
-    pads_before.push(inserted);
-    for pos in asm.label_pos.iter_mut().flatten() {
-        *pos += pads_before[*pos];
+
+    /// Labels bound at the very end stay there, at `end`.
+    fn finish(self, end: usize) {
+        for l in &self.bound[self.label..] {
+            self.label_pos[l.0 as usize] = Some(end);
+        }
     }
-    for (pos, _) in &mut asm.relocs {
-        *pos += pads_before[*pos];
-    }
-    asm.items = out;
-    inserted
 }
 
-/// Pass 2: fill `nop` delay slots of non-squashing branches/jumps with independent
-/// instructions hoisted from earlier in the same basic block. Returns the number
-/// of slots filled.
-fn fill_branch_slots(asm: &mut Asm) -> usize {
+/// Both passes in one forward sweep over the stream, which is copied once:
+/// load padding ([`Padded`]) feeds slot filling, which, when `attribute`
+/// is set, also charges each unfilled delay slot to its branch.
+///
+/// Slot filling streams the padded items into the output, where everything
+/// before the current basic block is final. A block starts at the latest
+/// label or control-group end, so only its first position can carry a label,
+/// and a filler is removed from the block at the output's tail. A label's
+/// item therefore never moves once pushed; a relocated instruction may move
+/// into a slot, so its tag follows it until its block ends.
+fn sweep(asm: &mut Asm, attribute: bool) -> ScheduleReport {
     let items = std::mem::take(&mut asm.items);
-    let n = items.len();
-    let mut labelled = vec![false; n + 1];
-    for &pos in asm.label_pos.iter().flatten() {
-        labelled[pos] = true;
-    }
-    // shift[i + 1]: slots filled by the branch at input position i. A label
-    // bound at input position l moves back by the prefix sum up to l.
-    let mut shift = vec![0; n + 1];
-    let mut out: Vec<(Insn, Annot)> = Vec::with_capacity(n);
-    // origin[k]: the input position of out[k], kept only to move relocation
-    // tags (see `Asm::reloc`) with their instructions.
-    let track = !asm.relocs.is_empty();
-    let mut origin: Vec<usize> = Vec::with_capacity(if track { n } else { 0 });
+    let mut out: Vec<(Insn, Annot)> = Vec::with_capacity(items.len() + items.len() / 16);
+    let mut input = Padded {
+        items: &items,
+        next: 0,
+        pad: None,
+    };
+    let mut marks = Marks::new(&asm.bound, &mut asm.label_pos, &mut asm.relocs);
     let mut block = Block::default();
-    let mut i = 0;
-    while i < n {
-        let (insn, _) = items[i];
-        let slots = insn.delay_slots();
+    let mut group = [PAD; 3];
+    let mut filled = 0;
+    while let Some((item, k)) = input.next() {
+        let slots = item.0.delay_slots();
+        if slots == 0 {
+            let pos = out.len();
+            if k == marks.label_at {
+                block.last_label = Some(pos);
+                marks.settle(k, pos);
+            }
+            marks.pushed(k, pos);
+            out.push(item);
+            continue;
+        }
         // The control group: the instruction and its delay slots.
-        let group = (i + 1 + slots).min(n);
+        let mut c = out.len();
+        let labelled = k == marks.label_at;
+        group[0] = k;
+        marks.pushed(k, c);
+        out.push(item);
+        let mut len = 1;
+        for (slot, k) in input.by_ref().take(slots) {
+            group[len] = k;
+            marks.pushed(k, out.len());
+            out.push(slot);
+            len += 1;
+        }
         // Squashing branches are filled explicitly by the code generator from
         // the taken path; hoisting always-executed code into them would be
         // wrong.
         let squash = matches!(
-            insn,
+            item.0,
             Insn::Br { squash: true, .. }
                 | Insn::Bri { squash: true, .. }
                 | Insn::TagBr { squash: true, .. }
         );
-        if track {
-            origin.extend(i..group);
-        }
-        if slots == 0 || squash {
-            for k in i..group {
-                block.note(out.len(), items[k].0, labelled[k]);
-                out.push(items[k]);
-            }
-            i = group;
-            continue;
-        }
-        let mut c = out.len();
-        let (start, start_labelled) = block.start(c, labelled[i]);
-        out.extend_from_slice(&items[i..group]);
-        for s in 0..slots {
-            let slot_pos = c + 1 + s;
-            if slot_pos >= out.len() || out[slot_pos].0 != Insn::Nop {
-                continue;
-            }
-            if let Some(p) = find_candidate(&out, start, start_labelled, c, slot_pos) {
-                // Move out[p] into the slot: remove it, then overwrite the nop
-                // (which has shifted down by one), as has the branch.
-                let item = out.remove(p);
-                debug_assert_eq!(out[slot_pos - 1].0, Insn::Nop);
-                out[slot_pos - 1] = item;
-                if track {
-                    let from = origin.remove(p);
-                    origin[slot_pos - 1] = from;
+        if !squash {
+            let (start, start_labelled) = block.start(c, labelled);
+            marks.block_starts(start);
+            for s in 0..slots {
+                let slot_pos = c + 1 + s;
+                if slot_pos >= out.len() || out[slot_pos].0 != Insn::Nop {
+                    continue;
                 }
-                c -= 1;
-                shift[i + 1] += 1;
+                if let Some(p) = find_candidate(&out, start, start_labelled, c, slot_pos) {
+                    // Move out[p] into the slot: remove it, then overwrite the
+                    // nop (which has shifted down by one), as has the branch.
+                    let item = out.remove(p);
+                    debug_assert_eq!(out[slot_pos - 1].0, Insn::Nop);
+                    out[slot_pos - 1] = item;
+                    marks.moved(p, slot_pos - 1);
+                    c -= 1;
+                    filled += 1;
+                }
             }
         }
-        for (k, &labelled) in labelled[i..group].iter().enumerate() {
-            block.note(c + k, out[c + k].0, labelled);
+        for (j, &k) in group[..len].iter().enumerate() {
+            block.note(c + j, out[c + j].0, k == marks.label_at);
+            marks.settle(k, c + j);
         }
-        i = group;
-    }
-    let mut filled = 0;
-    for s in &mut shift {
-        filled += *s;
-        *s = filled;
-    }
-    for pos in asm.label_pos.iter_mut().flatten() {
-        *pos -= shift[*pos];
-    }
-    if track {
-        let mut moved_to = vec![usize::MAX; n];
-        for (k, &from) in origin.iter().enumerate() {
-            moved_to[from] = k;
-        }
-        for (pos, _) in &mut asm.relocs {
-            *pos = moved_to[*pos];
-            debug_assert_ne!(*pos, usize::MAX, "a relocated instruction was dropped");
+        if attribute {
+            let annot = out[c].1;
+            for slot in &mut out[c + 1..c + len] {
+                if slot.0 == Insn::Nop {
+                    slot.1 = annot;
+                }
+            }
         }
     }
+    marks.finish(out.len());
+    let report = ScheduleReport {
+        slots_filled: filled,
+        load_nops_inserted: out.len() + filled - items.len(),
+    };
     asm.items = out;
-    filled
+    report
 }
 
 /// Where the basic block around the next branch starts, tracked over the
@@ -347,11 +454,9 @@ pub fn attribute_slot_nops(asm: &mut Asm) {
     }
 }
 
-/// Convenience: run [`schedule`] then [`attribute_slot_nops`].
+/// [`schedule`], then [`attribute_slot_nops`], in the same sweep.
 pub fn schedule_and_attribute(asm: &mut Asm) -> ScheduleReport {
-    let r = schedule(asm);
-    attribute_slot_nops(asm);
-    r
+    sweep(asm, true)
 }
 
 #[allow(unused_imports)]

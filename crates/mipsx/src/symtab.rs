@@ -14,6 +14,8 @@
 //! the retirement stream to functions in O(1) per retired instruction.
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::insn::Insn;
 
@@ -24,8 +26,9 @@ use crate::insn::Insn;
 /// the function that owns them, which is exactly what a profiler wants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncSym {
-    /// The symbol name (`main`, `fn:append`, `gc_collect`, …).
-    pub name: String,
+    /// The symbol name (`main`, `fn:append`, `gc_collect`, …), shared with
+    /// the program's [`symbols`](crate::Program::symbols).
+    pub name: Arc<str>,
     /// First instruction index of the region.
     pub start: usize,
     /// One past the last instruction index of the region.
@@ -60,41 +63,111 @@ impl SymbolTable {
     /// to the next named position (or the end of the program). When several
     /// names share a position the lexicographically first wins (deterministic,
     /// and in practice names are unique).
-    pub fn build(symbols: &HashMap<String, usize>, insns: &[Insn]) -> SymbolTable {
-        let mut named: Vec<(usize, &str)> = symbols
-            .iter()
-            .filter(|(_, pos)| **pos < insns.len())
-            .map(|(name, pos)| (*pos, name.as_str()))
-            .collect();
-        named.sort_unstable();
-        named.dedup_by_key(|(pos, _)| *pos);
-
-        let mut funcs = Vec::with_capacity(named.len());
-        for (i, (start, name)) in named.iter().enumerate() {
-            let end = named.get(i + 1).map_or(insns.len(), |(next, _)| *next);
-            funcs.push(FuncSym {
-                name: (*name).to_string(),
-                start: *start,
-                end,
-            });
-        }
-
+    pub fn build(symbols: &HashMap<Arc<str>, usize>, insns: &[Insn]) -> SymbolTable {
         let mut table = SymbolTable {
-            funcs,
+            funcs: regions(
+                named(symbols.iter().map(|(n, p)| (n, *p)), insns.len()),
+                insns.len(),
+            ),
             call_sites: Vec::new(),
         };
-        for (pc, insn) in insns.iter().enumerate() {
-            if let Insn::Jal(target, _) = insn {
-                let Some(callee) = table.entry_at(*target as usize) else {
-                    continue;
-                };
-                let Some(caller) = table.index_of(pc) else {
-                    continue;
-                };
-                table.call_sites.push(CallSite { pc, caller, callee });
+        table.scan_calls(insns, 0..insns.len());
+        table
+    }
+
+    /// [`build`](Self::build) for a program spliced from its own code and
+    /// an image's: `own` names the program's own positions, and the rest of
+    /// the program's names are `image`'s, placed.
+    ///
+    /// `image` is the table of the image's stream alone, and each `placed`
+    /// entry `(range, at)` says that `insns` from `at` on hold the image's
+    /// positions `range`, as for
+    /// [`DecodedProgram::splice`](crate::DecodedProgram::splice); here the
+    /// ranges must cover the image's stream in order. The image must name
+    /// the first position of every non-empty range, and `own` must name no
+    /// position strictly inside one. Under that contract
+    /// the result equals `build` over both sets of names, aliases resolved
+    /// alike, but only the program's own code is scanned for calls: the
+    /// image's regions and call sites are shifted, not rebuilt.
+    pub fn splice<'a>(
+        own: impl IntoIterator<Item = (&'a Arc<str>, usize)>,
+        insns: &[Insn],
+        image: &SymbolTable,
+        placed: &[(Range<usize>, usize)],
+    ) -> SymbolTable {
+        let len = insns.len();
+        let image_at = |pos: usize| {
+            placed
+                .iter()
+                .find(|(range, _)| range.contains(&pos))
+                .map(|(range, at)| at + pos - range.start)
+        };
+        // Merge the two sorted name lists, keeping the first name at a
+        // shared position, and note where each image region went.
+        let own = named(own, len);
+        let mut kept = Vec::with_capacity(image.funcs.len());
+        let mut merged: Vec<(usize, &Arc<str>)> = Vec::with_capacity(own.len() + image.funcs.len());
+        let mut own = own.into_iter().peekable();
+        for f in &image.funcs {
+            let start = image_at(f.start).expect("image regions start in placed ranges");
+            while let Some(o) = own.next_if(|o| o.0 < start) {
+                merged.push(o);
+            }
+            match own.next_if(|o| o.0 == start) {
+                Some(o) if o.1 < &f.name => {
+                    merged.push(o);
+                    kept.push(None);
+                }
+                _ => {
+                    kept.push(Some(merged.len()));
+                    merged.push((start, &f.name));
+                }
             }
         }
+        merged.extend(own);
+        let mut table = SymbolTable {
+            funcs: regions(merged, len),
+            call_sites: Vec::with_capacity(image.call_sites.len()),
+        };
+        // Call sites in program order: own code between the placed ranges
+        // is scanned, the image's are shifted.
+        let mut scanned = 0;
+        let mut sites = image.call_sites.iter().peekable();
+        for (range, at) in placed {
+            table.scan_calls(insns, scanned..*at);
+            while let Some(site) = sites.next_if(|s| s.pc < range.end) {
+                let pc = at + site.pc - range.start;
+                let caller = image.funcs[site.caller].start;
+                let caller = kept[site.caller]
+                    .filter(|_| range.contains(&caller))
+                    .or_else(|| table.index_of(pc));
+                let callee = kept[site.callee].or_else(|| match insns[pc] {
+                    Insn::Jal(target, _) => table.entry_at(target as usize),
+                    _ => None,
+                });
+                if let (Some(caller), Some(callee)) = (caller, callee) {
+                    table.call_sites.push(CallSite { pc, caller, callee });
+                }
+            }
+            scanned = at + range.len();
+        }
+        table.scan_calls(insns, scanned..len);
         table
+    }
+
+    /// Append the call sites of `insns[pcs]`, in order.
+    fn scan_calls(&mut self, insns: &[Insn], pcs: Range<usize>) {
+        for pc in pcs {
+            if let Insn::Jal(target, _) = insns[pc] {
+                let Some(callee) = self.entry_at(target as usize) else {
+                    continue;
+                };
+                let Some(caller) = self.index_of(pc) else {
+                    continue;
+                };
+                self.call_sites.push(CallSite { pc, caller, callee });
+            }
+        }
     }
 
     /// All regions, sorted by start position.
@@ -146,11 +219,42 @@ impl SymbolTable {
     /// Human-readable position: `name+offset` inside a region, `pc N` outside.
     pub fn locate(&self, pc: usize) -> String {
         match self.function_at(pc) {
-            Some(f) if pc == f.start => f.name.clone(),
+            Some(f) if pc == f.start => f.name.to_string(),
             Some(f) => format!("{}+{}", f.name, pc - f.start),
             None => format!("pc {pc}"),
         }
     }
+}
+
+/// The named positions inside a program of `len` instructions, ascending,
+/// with the lexicographically first name where several share a position.
+fn named<'a>(
+    symbols: impl IntoIterator<Item = (&'a Arc<str>, usize)>,
+    len: usize,
+) -> Vec<(usize, &'a Arc<str>)> {
+    let mut named: Vec<(usize, &Arc<str>)> = symbols
+        .into_iter()
+        .filter(|(_, pos)| *pos < len)
+        .map(|(name, pos)| (pos, name))
+        .collect();
+    named.sort_unstable();
+    named.dedup_by_key(|(pos, _)| *pos);
+    named
+}
+
+/// Regions from ascending, distinct named positions: each runs to the next
+/// one, the last to `len`.
+fn regions(named: Vec<(usize, &Arc<str>)>, len: usize) -> Vec<FuncSym> {
+    let mut funcs = Vec::with_capacity(named.len());
+    for (i, (start, name)) in named.iter().enumerate() {
+        let end = named.get(i + 1).map_or(len, |(next, _)| *next);
+        funcs.push(FuncSym {
+            name: Arc::clone(name),
+            start: *start,
+            end,
+        });
+    }
+    funcs
 }
 
 #[cfg(test)]
@@ -160,13 +264,10 @@ mod tests {
 
     fn table() -> SymbolTable {
         // 0..3 = main, 3..5 = fn:a, 5..8 = fn:b; jal at 1 targets fn:a.
-        let symbols: HashMap<String, usize> = [
-            ("main".to_string(), 0),
-            ("fn:a".to_string(), 3),
-            ("fn:b".to_string(), 5),
-        ]
-        .into_iter()
-        .collect();
+        let symbols: HashMap<Arc<str>, usize> =
+            [("main".into(), 0), ("fn:a".into(), 3), ("fn:b".into(), 5)]
+                .into_iter()
+                .collect();
         let insns = vec![
             Insn::Nop,
             Insn::Jal(3, Reg::Link),
@@ -184,7 +285,7 @@ mod tests {
     fn ranges_cover_the_program() {
         let t = table();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.functions()[0].name, "main");
+        assert_eq!(&*t.functions()[0].name, "main");
         assert_eq!((t.functions()[0].start, t.functions()[0].end), (0, 3));
         assert_eq!((t.functions()[2].start, t.functions()[2].end), (5, 8));
         assert_eq!(t.index_of(0), Some(0));
@@ -219,7 +320,7 @@ mod tests {
 
     #[test]
     fn unnamed_prefix_belongs_to_no_region() {
-        let symbols: HashMap<String, usize> = [("f".to_string(), 2)].into_iter().collect();
+        let symbols: HashMap<Arc<str>, usize> = [("f".into(), 2)].into_iter().collect();
         let insns = vec![Insn::Nop, Insn::Nop, Insn::Nop, Insn::Halt(Reg::Zero)];
         let t = SymbolTable::build(&symbols, &insns);
         assert_eq!(t.index_of(0), None);

@@ -203,3 +203,26 @@ fn content_length_is_parsed_strictly() {
     server.handle().shutdown();
     server.join();
 }
+
+/// A body nested deeper than the JSON parser's bound earns a 400 that names
+/// the nesting, where unbounded recursion would overflow the worker's stack
+/// and abort the whole daemon.
+#[test]
+fn deeply_nested_json_earns_a_400() {
+    let (server, addr) = start();
+    let body = "[".repeat(20_000);
+    let (status, answer) = http::fetch(
+        &addr,
+        "POST",
+        "/v1/fuzz/report",
+        body.as_bytes(),
+        STALL_BUDGET,
+    )
+    .expect("answers");
+    let answer = String::from_utf8_lossy(&answer);
+    assert_eq!(status, 400, "{answer}");
+    assert!(answer.contains("nesting deeper than"), "{answer}");
+    assert_still_healthy(&addr);
+    server.handle().shutdown();
+    server.join();
+}

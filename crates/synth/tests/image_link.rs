@@ -186,3 +186,75 @@ fn concurrent_first_compiles_agree() {
         "144\n"
     );
 }
+
+/// A unit with no functions of its own, with and without the prelude: the
+/// image's two pieces then meet at one seam, with no own code between them.
+#[test]
+fn units_without_functions_of_their_own_link() {
+    for sources in [
+        vec![lisp::PRELUDE, "(print (length '(1 2 3)))"],
+        vec!["(wrint 42)"],
+    ] {
+        let unit = lisp::lower_sources(&sources).expect("lowers");
+        assert_eq!(unit.fns.len(), unit.prelude().map_or(0, |p| p.fns));
+        for config in Config::matrix() {
+            let what = format!("{:?} {}", sources.last(), config.name());
+            let c = check(&unit, &config.to_options(), &what).expect("compiles");
+            let outcome = lisp::run(&c, 1_000_000).expect("runs");
+            assert!(matches!(outcome.output.as_str(), "3\n" | "42"), "{what}");
+        }
+    }
+}
+
+/// Programs whose own code is a single form: one expression, or one
+/// function and nothing for `main` to do.
+#[test]
+fn programs_of_one_form_link() {
+    for source in ["(print 7)", "(defun f (x) (cons x x))"] {
+        let unit = synth::oracle::lower(source).expect("lowers");
+        for config in Config::matrix() {
+            let what = format!("{source} {}", config.name());
+            check(&unit, &config.to_options(), &what).expect("compiles");
+        }
+    }
+}
+
+/// Cycle costs no preset uses, so an op copied from the image (decoded
+/// under plain costs) whose run should have been relinked shows. The
+/// program multiplies and divides next to both seams of its own code: in
+/// the last form of `main`, which the prelude follows, and in its only
+/// function, which the runtime follows.
+#[test]
+fn odd_costs_at_the_seams_relink() {
+    let source = "(defun g (x y) (quotient (times x y) (remainder y 7))) \
+                  (print (g 6 9)) (print (times (g 3 8) 5))";
+    let unit = synth::oracle::lower(source).expect("lowers");
+    for config in Config::matrix() {
+        let hw = mipsx::HwConfig {
+            trap_penalty: 3,
+            mul_cycles: 5,
+            div_cycles: 7,
+            fp_cycles: 9,
+            ..config.hw
+        };
+        let opts = Options {
+            hw,
+            ..config.to_options()
+        };
+        let what = format!("odd costs {}", config.name());
+        let c = check(&unit, &opts, &what).expect("compiles");
+        let p = &c.program;
+        let runtime = p.symbols["err_car"];
+        let costed = |range: std::ops::Range<usize>| {
+            p.insns[range].iter().any(|i| {
+                matches!(
+                    i,
+                    mipsx::Insn::Mul(..) | mipsx::Insn::Div(..) | mipsx::Insn::Rem(..)
+                )
+            })
+        };
+        assert!(costed(p.symbols["fn:g"]..runtime), "{what}: g divides");
+        let outcome = lisp::run(&c, 1_000_000).expect("runs");
+        assert_eq!(outcome.output, "27\n120\n", "{what}");
+    }
+}

@@ -554,16 +554,25 @@ pub enum Json {
 }
 
 impl Json {
+    /// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+    /// The documents this workspace writes nest a few levels deep (the
+    /// committed benchmark records and the fault witness, 3 to 4). The
+    /// parser recurses once per level, and this bound keeps that recursion,
+    /// and the drop of what it built, well inside a 2 MiB thread stack.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parse one JSON document (trailing whitespace allowed, nothing else).
     ///
     /// # Errors
     ///
-    /// A description of the first syntax error, with byte offset.
+    /// A description of the first syntax error, with byte offset, or of the
+    /// first array or object nested deeper than [`Json::MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -643,6 +652,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -681,8 +692,13 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == Json::MAX_DEPTH => Err(format!(
+                "nesting deeper than {} levels at byte {}",
+                Json::MAX_DEPTH,
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -694,6 +710,14 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse an array or object one level further in.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -978,6 +1002,38 @@ mod tests {
         );
         assert_eq!(split_labels("m{k=\"v\"}"), ("m", Some("k=\"v\"")));
         assert_eq!(split_labels("plain"), ("plain", None));
+    }
+
+    /// Parse `text` on a thread with a 2 MiB stack, the size of a daemon
+    /// worker's.
+    fn parse_on_small_stack(text: String) -> Result<Json, String> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&text))
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow")
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest =
+            |open: &str, close: &str, depth: usize| open.repeat(depth) + &close.repeat(depth);
+        let deepest = parse_on_small_stack(nest("[", "]", Json::MAX_DEPTH));
+        assert!(deepest.is_ok(), "{deepest:?}");
+        let objects = nest("{\"a\":", "}", Json::MAX_DEPTH).replacen("{\"a\":}", "{}", 1);
+        assert!(parse_on_small_stack(objects).is_ok());
+        for text in [
+            nest("[", "]", Json::MAX_DEPTH + 1),
+            nest("{\"a\":", "}", Json::MAX_DEPTH + 1),
+            "[".repeat(1 << 20),
+        ] {
+            let err = parse_on_small_stack(text).unwrap_err();
+            assert!(
+                err.contains(&format!("nesting deeper than {} levels", Json::MAX_DEPTH)),
+                "{err}"
+            );
+        }
     }
 
     #[test]
