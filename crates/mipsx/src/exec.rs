@@ -694,7 +694,10 @@ impl DecodedProgram {
     /// [`decode`](Self::decode) for a program that contains already-decoded
     /// stretches: copy `image`'s ops into their placed ranges, decode the
     /// rest of `prog` and the `fresh` positions inside those ranges, then
-    /// link runs over the whole program.
+    /// link runs. The program's own code is linked in full. A copied op
+    /// keeps the run `image` linked for it unless its successors differ in
+    /// `prog`, so each placed range is relinked only back from its end and
+    /// from each fresh position, as far as a run can change.
     ///
     /// Each `placed` entry `(range, at)` says that `prog`'s positions from
     /// `at` on hold `image`'s positions `range`, in order; the entries are in

@@ -436,25 +436,10 @@ fn find_candidate(
     None
 }
 
-/// Re-annotate the remaining `nop` delay slots of every branch with the branch's
-/// own annotation, so that unused-slot cycles are charged to the operation owning
-/// the branch (as the paper does for tag checks).
-pub fn attribute_slot_nops(asm: &mut Asm) {
-    let mut c = 0;
-    while c < asm.items.len() {
-        let (insn, annot) = asm.items[c];
-        let slots = insn.delay_slots();
-        for s in 0..slots {
-            let sp = c + 1 + s;
-            if sp < asm.items.len() && asm.items[sp].0 == Insn::Nop {
-                asm.items[sp].1 = annot;
-            }
-        }
-        c += slots + 1;
-    }
-}
-
-/// [`schedule`], then [`attribute_slot_nops`], in the same sweep.
+/// [`schedule`], and in the same sweep re-annotate the delay slots that
+/// stay `nop` with their branch's annotation, so that unused-slot cycles are
+/// charged to the operation owning the branch (as the paper does for tag
+/// checks).
 pub fn schedule_and_attribute(asm: &mut Asm) -> ScheduleReport {
     sweep(asm, true)
 }
@@ -623,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn attribute_slot_nops_inherits_branch_annot() {
+    fn unfilled_slots_inherit_branch_annot() {
         use crate::annot::{Annot, TagOpKind};
         let mut asm = Asm::new();
         let e = asm.here("entry");
@@ -634,7 +619,8 @@ mod tests {
         });
         asm.bind(t);
         asm.halt(Reg::Zero);
-        attribute_slot_nops(&mut asm);
+        let rep = schedule_and_attribute(&mut asm);
+        assert_eq!(rep.slots_filled, 0, "nothing precedes the branch");
         let prog = asm.finish().unwrap();
         assert_eq!(prog.annots[1].tag_op, Some(TagOpKind::Check));
         assert_eq!(prog.annots[2].tag_op, Some(TagOpKind::Check));
