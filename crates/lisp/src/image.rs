@@ -44,14 +44,19 @@
 //! every code target, every layout operand, and every op whose cost the
 //! hardware sets (multiply, divide, remainder, float). A program's predecode
 //! ([`crate::CompiledProgram::predecode`]) then copies the rest and decodes
-//! only its own code and those positions ([`mipsx::DecodedProgram::splice`]).
+//! only its own code and those positions ([`mipsx::DecodedProgram::splice`]),
+//! relinking runs only where a copied op's successors changed.
+//!
+//! The image's symbol table is built once too: a program's table shifts its
+//! regions and call sites and merges in the program's own names
+//! ([`mipsx::SymbolTable::splice`]), and every program shares the image's
+//! names.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mipsx::sched::{schedule_and_attribute, ScheduleReport};
-use std::ops::Range;
-
 use mipsx::{Annot, Asm, DecodedProgram, HwConfig, Insn, Label, Program, SimError, SymbolTable};
 
 use crate::ast::{PreludePrefix, Unit};
