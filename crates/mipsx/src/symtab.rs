@@ -336,4 +336,49 @@ mod tests {
         assert_eq!(t.index_of(0), None);
         assert_eq!(t.entry_at(0), None);
     }
+
+    /// A splice equals `build` over the union of names, including where an
+    /// own name shares the start of an image piece: the first name in
+    /// order wins there, and the image's call sites into and out of the
+    /// region it displaced are looked up afresh.
+    #[test]
+    fn splice_equals_build_at_the_seams() {
+        // The image: piece `p` (0..3) calls `r`, piece `r` (3..6) calls `p`.
+        let image_names: HashMap<Arc<str>, usize> =
+            [("p".into(), 0), ("r".into(), 3)].into_iter().collect();
+        let image_insns = [
+            Insn::Jal(3, Reg::Link),
+            Insn::Nop,
+            Insn::Jr(Reg::Link),
+            Insn::Nop,
+            Insn::Jal(0, Reg::Link),
+            Insn::Nop,
+        ];
+        let image = SymbolTable::build(&image_names, &image_insns);
+        // The program: `main` (0..2) calls `p`, then the two pieces, placed
+        // at 2 and 5 with their targets moved.
+        let placed = [(0..3, 2), (3..6, 5)];
+        let insns = [
+            Insn::Jal(2, Reg::Link),
+            Insn::Nop,
+            Insn::Jal(5, Reg::Link),
+            Insn::Nop,
+            Insn::Jr(Reg::Link),
+            Insn::Nop,
+            Insn::Jal(2, Reg::Link),
+            Insn::Nop,
+        ];
+        for alias in [None, Some("a_alias"), Some("zz_alias")] {
+            let mut own: HashMap<Arc<str>, usize> = [("main".into(), 0)].into_iter().collect();
+            if let Some(alias) = alias {
+                own.insert(alias.into(), 5);
+            }
+            let spliced =
+                SymbolTable::splice(own.iter().map(|(n, p)| (n, *p)), &insns, &image, &placed);
+            let mut all = own.clone();
+            all.extend([("p".into(), 2), ("r".into(), 5)]);
+            assert_eq!(spliced, SymbolTable::build(&all, &insns), "{alias:?}");
+            assert_eq!(spliced.call_sites().len(), 3, "{alias:?}");
+        }
+    }
 }
