@@ -849,16 +849,23 @@ fn link_one(ops: &mut [Op], pc: usize) -> bool {
 
 /// Relink a stretch of ops copied from an image, whose links were made in
 /// the image's own stream, after the op at `from` changed or its successor
-/// did: walk back from `from`, not below `floor`. Only an op's successor
-/// enters its link, so the walk stops at the first op whose link comes out
-/// as it was, and at a control op or one that traps or halts, whose
-/// predecessor never joins its run.
+/// did: walk back from `from`, not below `floor`. A straight op's link reads
+/// only its successor's, so the walk stops at the first op whose link comes
+/// out as it was, and at a control op or one that traps or halts, whose
+/// predecessor never joins its run. A branch's link also sums the costs of
+/// both its slots, so where the walk stops on an unchanged op, a branch just
+/// before it is relinked too.
 fn relink_back(ops: &mut [Op], from: usize, floor: usize) {
     let mut pc = from;
     loop {
         let changed = link_one(ops, pc);
-        let kind = ops[pc].kind;
-        if pc == floor || !kind.is_straight() || (pc != from && !changed) {
+        if pc == floor || !ops[pc].kind.is_straight() {
+            return;
+        }
+        if pc != from && !changed {
+            if ops[pc - 1].kind.is_control() {
+                link_one(ops, pc - 1);
+            }
             return;
         }
         pc -= 1;
