@@ -872,10 +872,6 @@ fn relink_back(ops: &mut [Op], from: usize, floor: usize) {
     }
 }
 
-// Inlined into the decode loops: as a call returning its `Result` through
-// memory, it took about 19.5 ns an op against about 13 inlined, on a
-// 2,298-op program (best of 50 decodes).
-#[inline]
 fn decode_one(pc: usize, insn: Insn, annot: Annot, hw: HwConfig) -> Result<Op, SimError> {
     let mut cost = 1u32;
     let kind = match insn {
