@@ -12,6 +12,14 @@ pub enum CompileError {
         /// What went wrong.
         message: String,
     },
+    /// Source nested deeper than [`crate::MAX_NESTING`] levels.
+    Nesting {
+        /// 1-based source line: where the reader passed the limit, or where
+        /// the top-level form starts whose lowering did.
+        line: usize,
+        /// The limit passed.
+        limit: usize,
+    },
     /// A malformed special form or top-level item.
     Form {
         /// What went wrong, with the offending form rendered.
@@ -57,6 +65,9 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::Read { line, message } => {
                 write!(f, "read error (line {line}): {message}")
+            }
+            CompileError::Nesting { line, limit } => {
+                write!(f, "nesting deeper than {limit} levels (line {line})")
             }
             CompileError::Form { message } => write!(f, "bad form: {message}"),
             CompileError::UnknownVariable { name } => write!(f, "unknown variable: {name}"),

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use crate::ast::{Expr, FnDef, PreludePrefix, Prim, Unit};
 use crate::error::CompileError;
 use crate::prelude::PRELUDE;
-use crate::sexp::{count_code_lines, parse_all, Sexp};
+use crate::sexp::{count_code_lines, parse_forms, Sexp, MAX_NESTING};
 
 /// How much run-time checking the compiler emits — the paper's two extremes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -94,6 +94,11 @@ struct Lower {
     fn_arity: Vec<usize>,
     global_ids: HashMap<String, usize>,
     const_ids: HashMap<String, usize>,
+    /// Levels of nesting around the expression being lowered (see
+    /// [`MAX_NESTING`]).
+    depth: usize,
+    /// The line the top-level form being lowered starts on.
+    line: usize,
 }
 
 impl Lower {
@@ -132,7 +137,33 @@ impl Lower {
         forms.iter().map(|f| self.lower(f, sc)).collect()
     }
 
+    /// Run `lower` `levels` deeper, or fail past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        levels: usize,
+        lower: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        if self.depth + levels > MAX_NESTING {
+            return Err(CompileError::Nesting {
+                line: self.line,
+                limit: MAX_NESTING,
+            });
+        }
+        self.depth += levels;
+        let v = lower(self);
+        self.depth -= levels;
+        v
+    }
+
+    /// Lower `s`, a level deeper when it is a list, as the reader counts.
     fn lower(&mut self, s: &Sexp, sc: &mut Scope) -> Result<Expr, CompileError> {
+        match s {
+            Sexp::List(..) => self.nested(1, |lo| lo.lower_one(s, sc)),
+            _ => self.lower_one(s, sc),
+        }
+    }
+
+    fn lower_one(&mut self, s: &Sexp, sc: &mut Scope) -> Result<Expr, CompileError> {
         match s {
             Sexp::Int(i) => Ok(Expr::Int(*i)),
             Sexp::Float(b) => Ok(Expr::Float(*b)),
@@ -205,9 +236,10 @@ impl Lower {
                 Ok(Expr::If(Box::new(c), Box::new(t), Box::new(e)))
             }
             "cond" => {
-                // (cond (c e...) ... ) => nested ifs
+                // (cond (c e...) ... ) => nested ifs: clause k sits inside k
+                // of them.
                 let mut out = Expr::Nil;
-                for clause in args.iter().rev() {
+                for (k, clause) in args.iter().enumerate().rev() {
                     let cl = clause
                         .as_list()
                         .ok_or_else(|| form_err(format!("bad cond clause: {clause}")))?;
@@ -218,12 +250,13 @@ impl Lower {
                     let body = if cl.len() == 1 {
                         None
                     } else {
-                        Some(Expr::Progn(self.lower_body(&cl[1..], sc)?))
+                        let body = self.nested(k, |lo| lo.lower_body(&cl[1..], sc))?;
+                        Some(Expr::Progn(body))
                     };
                     if is_default {
                         out = body.unwrap_or(Expr::T);
                     } else {
-                        let c = self.lower(&cl[0], sc)?;
+                        let c = self.nested(k, |lo| lo.lower(&cl[0], sc))?;
                         out = match body {
                             Some(b) => Expr::If(Box::new(c), Box::new(b), Box::new(out)),
                             // (cond (x) ...): value of the test itself
@@ -304,10 +337,14 @@ impl Lower {
             "and" => Ok(Expr::And(self.lower_body(args, sc)?)),
             "or" => Ok(Expr::Or(self.lower_body(args, sc)?)),
             "list" => {
-                // (list a b c) => (cons a (cons b (cons c nil)))
+                // (list a b c) => (cons a (cons b (cons c nil))): element i
+                // sits inside i conses.
                 let mut out = Expr::Nil;
-                let lowered: Result<Vec<_>, _> = args.iter().map(|a| self.lower(a, sc)).collect();
-                for e in lowered?.into_iter().rev() {
+                let mut lowered = Vec::with_capacity(args.len());
+                for (i, a) in args.iter().enumerate() {
+                    lowered.push(self.nested(i, |lo| lo.lower(a, sc))?);
+                }
+                for e in lowered.into_iter().rev() {
                     out = Expr::Prim(Prim::Cons, vec![e, out]);
                 }
                 Ok(out)
@@ -530,13 +567,14 @@ impl Lower {
 ///
 /// # Errors
 ///
-/// Reader errors, unknown variables/functions, malformed forms, arity mismatches.
+/// Reader errors, unknown variables/functions, malformed forms, arity
+/// mismatches, and nesting past [`MAX_NESTING`].
 pub fn lower_sources(sources: &[&str]) -> Result<Unit, CompileError> {
     let mut parsed = Vec::with_capacity(sources.len());
     let mut lines = 0;
     for src in sources {
         lines += count_code_lines(src);
-        parsed.push(parse_all(src)?);
+        parsed.push(parse_forms(src)?);
     }
 
     let mut lo = Lower {
@@ -548,6 +586,8 @@ pub fn lower_sources(sources: &[&str]) -> Result<Unit, CompileError> {
         fn_arity: Vec::new(),
         global_ids: HashMap::new(),
         const_ids: HashMap::new(),
+        depth: 0,
+        line: 0,
     };
 
     // Pass 1 declares every function and global, pass 2 lowers the bodies.
@@ -560,7 +600,7 @@ pub fn lower_sources(sources: &[&str]) -> Result<Unit, CompileError> {
         consts: 0,
     };
     for (s, forms) in parsed.iter().enumerate() {
-        for form in forms {
+        for (_, form) in forms {
             lo.declare(form)?;
         }
         if s == 0 {
@@ -569,7 +609,8 @@ pub fn lower_sources(sources: &[&str]) -> Result<Unit, CompileError> {
         }
     }
     for (s, forms) in parsed.iter().enumerate() {
-        for form in forms {
+        for (line, form) in forms {
+            lo.line = *line;
             lo.define(form)?;
         }
         if s == 0 {

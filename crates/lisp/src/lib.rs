@@ -57,5 +57,5 @@ pub use front::{lower_sources, CheckingMode};
 pub use mipsx::{Backend, Executor, Outcome, SimError};
 pub use prelude::PRELUDE;
 pub use runtime::exit_code;
-pub use sexp::{parse_all, parse_one, Sexp};
+pub use sexp::{parse_all, parse_one, Sexp, MAX_NESTING};
 pub use tagops::IntTestMethod;

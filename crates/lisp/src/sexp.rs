@@ -4,6 +4,15 @@ use std::fmt;
 
 use crate::error::CompileError;
 
+/// The deepest nesting the reader and lowering accept: lists (a quote
+/// counts as one) for the reader, nested forms plus the elements of a
+/// `list` and the clauses of a `cond` (each nests the next) for lowering.
+/// The paper programs, the prelude and synth's generator nest at most 18
+/// levels on either count (DESIGN.md). The reader, lowering, code
+/// generation and the drop of what they built each recurse once per level
+/// or a few, and this bound keeps them well inside a 2 MiB thread stack.
+pub const MAX_NESTING: usize = 256;
+
 /// A parsed s-expression.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Sexp {
@@ -87,6 +96,8 @@ struct Reader<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
+    /// Lists (and quotes) open around the current position.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -95,6 +106,7 @@ impl<'a> Reader<'a> {
             src: src.as_bytes(),
             pos: 0,
             line: 1,
+            depth: 0,
         }
     }
 
@@ -142,20 +154,31 @@ impl<'a> Reader<'a> {
             return Ok(None);
         };
         match c {
+            b'(' | b'\'' if self.depth == MAX_NESTING => Err(CompileError::Nesting {
+                line: self.line,
+                limit: MAX_NESTING,
+            }),
             b'(' => {
                 self.bump();
-                self.read_list().map(Some)
+                self.nested(Self::read_list).map(Some)
             }
             b')' => Err(self.err("unexpected ')'")),
             b'\'' => {
                 self.bump();
                 let inner = self
-                    .read()?
+                    .nested(Self::read)?
                     .ok_or_else(|| self.err("end of input after quote"))?;
                 Ok(Some(Sexp::list(vec![Sexp::Sym("quote".into()), inner])))
             }
             _ => self.read_atom().map(Some),
         }
+    }
+
+    fn nested<T>(&mut self, read: fn(&mut Self) -> T) -> T {
+        self.depth += 1;
+        let v = read(self);
+        self.depth -= 1;
+        v
     }
 
     fn read_list(&mut self) -> Result<Sexp, CompileError> {
@@ -257,7 +280,8 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 ///
-/// [`CompileError::Read`] on malformed input or when `src` is empty.
+/// [`CompileError::Read`] on malformed input or when `src` is empty,
+/// [`CompileError::Nesting`] past [`MAX_NESTING`].
 pub fn parse_one(src: &str) -> Result<Sexp, CompileError> {
     let mut r = Reader::new(src);
     r.read()?.ok_or_else(|| CompileError::Read {
@@ -270,14 +294,24 @@ pub fn parse_one(src: &str) -> Result<Sexp, CompileError> {
 ///
 /// # Errors
 ///
-/// [`CompileError::Read`] on malformed input.
+/// [`CompileError::Read`] on malformed input, [`CompileError::Nesting`] past
+/// [`MAX_NESTING`].
 pub fn parse_all(src: &str) -> Result<Vec<Sexp>, CompileError> {
+    Ok(parse_forms(src)?.into_iter().map(|(_, s)| s).collect())
+}
+
+/// [`parse_all`], each form with the 1-based line it starts on.
+pub(crate) fn parse_forms(src: &str) -> Result<Vec<(usize, Sexp)>, CompileError> {
     let mut r = Reader::new(src);
     let mut out = Vec::new();
-    while let Some(s) = r.read()? {
-        out.push(s);
+    loop {
+        r.skip_ws();
+        let line = r.line;
+        match r.read()? {
+            Some(s) => out.push((line, s)),
+            None => return Ok(out),
+        }
     }
-    Ok(out)
 }
 
 /// Count the non-blank, non-comment-only source lines (Table 3's "lines source

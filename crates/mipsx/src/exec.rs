@@ -26,7 +26,8 @@
 //!   control transfer, no trapping op (`LdChk`, `StChk`, generic
 //!   arithmetic), no `halt`, and no load whose register the very next op
 //!   reads — with its length and total cost. A branch or jump records the
-//!   same for its delay slots when they form such a run.
+//!   same for its delay slots when they form such a run, and marks them
+//!   when every slot is a `nop`.
 //!
 //! Most of a compiled Lisp program is a system image shared with every other
 //! program compiled under the same code shape. [`DecodedProgram::splice`]
@@ -46,10 +47,11 @@
 //! check at its first op, each op through the one semantic `match`, one
 //! cycle add, one bump of the run's counter, and the load hazard of its last
 //! op. A taken or non-squashing branch executes slots that form a run the
-//! same way, with one counter per branch. Trapping ops, runs the fuel check
+//! same way, with one counter per branch; unobserved, slots marked
+//! all-`nop` only add their cycles. Trapping ops, runs the fuel check
 //! could fire inside, and squashed slots take the per-op path, which bumps a
 //! per-pc counter. When the run halts, the run counters are spread over
-//! their ops through a difference array and added to the per-pc counts, and
+//! their ops with running sums and added to the per-pc counts, and
 //! [`Stats`] is folded from those counts and the predecoded op metadata
 //! (trap penalties, which are rare and data-dependent, are accumulated
 //! directly as they happen). The result is byte-identical to charging every
@@ -433,30 +435,39 @@ impl DenseStats {
     /// per-retirement `Stats::record`/`record_squashed` calls would have
     /// accumulated — but the hot loop only paid one counter bump per op or
     /// per run (trap penalties are rare and recorded directly as they
-    /// happen).
-    fn fold_counts(&self, decoded: &DecodedProgram, counts: &[u64], squashes: &[u64]) -> Stats {
+    /// happen). `counts` yields the committed executions of each op, in pc
+    /// order.
+    fn fold_counts(
+        &self,
+        ops: &[Op],
+        counts: impl IntoIterator<Item = u64>,
+        squashes: &[u64],
+    ) -> Stats {
         let mut agg = self.clone();
-        for (pc, op) in decoded.ops.iter().enumerate() {
-            let n = counts[pc];
+        for ((op, n), &s) in ops.iter().zip(counts).zip(squashes) {
+            let (tag, cat) = (tag_slot(op.annot), cat_slot(op.annot));
             if n > 0 {
                 agg.committed += n;
                 agg.class_counts[op.class as usize] += n;
-                agg.attribute(op.tag, op.cat, n * u64::from(op.cost));
+                agg.attribute(tag, cat, n * u64::from(op.cost));
             }
-            let s = squashes[pc];
             if s > 0 {
                 agg.squashed += s;
-                agg.attribute(op.tag, op.cat, s);
+                agg.attribute(tag, cat, s);
             }
         }
         agg.to_stats()
     }
 
-    fn record_trap(&mut self, tag: u8, cat: u8, penalty: u64) {
+    /// Charge a trap's penalty to `annot`. Traps are rare, so this stays
+    /// out of line: folding it into the dispatch loop measured slower.
+    #[cold]
+    #[inline(never)]
+    fn record_trap(&mut self, annot: Annot, penalty: u64) {
         self.cycles += penalty;
         self.trap_cycles += penalty;
         self.traps += 1;
-        self.attribute(tag, cat, penalty);
+        self.attribute(tag_slot(annot), cat_slot(annot), penalty);
     }
 
     fn to_stats(&self) -> Stats {
@@ -623,14 +634,11 @@ impl OpKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Op {
     kind: OpKind,
-    /// The instruction's annotation (reported to observers).
+    /// The instruction's annotation (reported to observers, and mapped to
+    /// its dense statistics slots when the counts are folded).
     annot: Annot,
     /// Dense [`ALL_CLASSES`] index.
     class: u8,
-    /// Dense `(tag op, provenance)` slot, or [`NO_SLOT`].
-    tag: u8,
-    /// Dense checking-category slot, or [`NO_SLOT`].
-    cat: u8,
     /// Retirement cost in cycles (multiply/divide/float resolved).
     cost: u32,
     /// Registers read, as a bitmask over register indices (r0 excluded).
@@ -642,7 +650,15 @@ struct Op {
     /// Total cost in cycles of those `run` ops (a run ends early rather
     /// than overflow either field).
     run_cost: u32,
+    /// For a control op whose delay slots form a run: whether every slot is
+    /// a `nop`. Such a group changes nothing but the cycle count, so the
+    /// unobserved dispatch loop charges `run_cost` and counts the run
+    /// without executing it. Set by [`link_one`] alone, like `run`.
+    nop_slots: bool,
 }
+
+// Keep an `Op` within 48 bytes: the dispatch loop copies one per step.
+const _: () = assert!(std::mem::size_of::<Op>() <= 48);
 
 /// A program lowered to micro-ops for one hardware configuration.
 ///
@@ -799,26 +815,27 @@ impl DecodedProgram {
     }
 }
 
-/// Fill in every op's `run` and `run_cost`, back to front (see
-/// [`link_one`]).
+/// Fill in every op's `run`, `run_cost` and `nop_slots`, back to front
+/// (see [`link_one`]).
 fn link_runs(ops: &mut [Op]) {
     for pc in (0..ops.len()).rev() {
         link_one(ops, pc);
     }
 }
 
-/// Fill in `run` and `run_cost` at `pc` from the op after it, which must be
-/// linked already; returns whether they changed. A straight op heads a run
-/// of itself plus the run after it, unless it is a load whose register the
-/// next op reads (the load-delay check must then run at that next op) or
-/// its length or total cost would overflow. A control op's delay slots form
-/// a run when the run after it covers them all.
+/// Fill in `run`, `run_cost` and `nop_slots` at `pc` from the op after it,
+/// which must be linked already; returns whether they changed. A straight
+/// op heads a run of itself plus the run after it, unless it is a load
+/// whose register the next op reads (the load-delay check must then run at
+/// that next op) or its length or total cost would overflow. A control op's
+/// delay slots form a run when the run after it covers them all, and are
+/// marked when they are all `nop`s.
 fn link_one(ops: &mut [Op], pc: usize) -> bool {
     let op = ops[pc];
     let next = ops
         .get(pc + 1)
         .filter(|n| n.run > 0 && !n.kind.is_control());
-    let (run, run_cost) = match op.kind {
+    let (run, run_cost, nop_slots) = match op.kind {
         OpKind::CondBr { .. } | OpKind::Jump { .. } | OpKind::JumpReg { .. } => {
             let slots = if matches!(op.kind, OpKind::CondBr { .. }) {
                 2
@@ -829,22 +846,28 @@ fn link_one(ops: &mut [Op], pc: usize) -> bool {
                 // The run after covers the slots, so their cost fits.
                 Some(n) if n.run >= slots => {
                     let group = &ops[pc + 1..=pc + slots as usize];
-                    (slots, group.iter().map(|o| o.cost).sum())
+                    (
+                        slots,
+                        group.iter().map(|o| o.cost).sum(),
+                        group.iter().all(|o| o.kind == OpKind::Nop),
+                    )
                 }
-                _ => (0, 0),
+                _ => (0, 0, false),
             }
         }
         kind if kind.is_straight() => {
             let linked = next
                 .filter(|n| kind.load_mask() & n.use_mask == 0)
                 .and_then(|n| Some((n.run.checked_add(1)?, op.cost.checked_add(n.run_cost)?)));
-            linked.unwrap_or((1, op.cost))
+            let (run, run_cost) = linked.unwrap_or((1, op.cost));
+            (run, run_cost, false)
         }
-        _ => (0, 0),
+        _ => (0, 0, false),
     };
     ops[pc].run = run;
     ops[pc].run_cost = run_cost;
-    (run, run_cost) != (op.run, op.run_cost)
+    ops[pc].nop_slots = nop_slots;
+    (run, run_cost, nop_slots) != (op.run, op.run_cost, op.nop_slots)
 }
 
 /// Relink a stretch of ops copied from an image, whose links were made in
@@ -1058,12 +1081,11 @@ fn decode_one(pc: usize, insn: Insn, annot: Annot, hw: HwConfig) -> Result<Op, S
         kind,
         annot,
         class: class_slot(InsnClass::of(insn)),
-        tag: tag_slot(annot),
-        cat: cat_slot(annot),
         cost,
         use_mask,
         run: 0,
         run_cost: 0,
+        nop_slots: false,
     })
 }
 
@@ -1511,13 +1533,12 @@ impl<'p> FastCpu<'p> {
         if let Flow::Trap { target } = done.flow {
             // Nothing commits; the trap penalty is charged to the op's
             // annotation (a generic-arithmetic trap to dispatch work).
-            let (annot, tag, cat) = if matches!(op.kind, OpKind::GenArith { .. }) {
-                let a = GEN_TRAP_ANNOT;
-                (a, tag_slot(a), cat_slot(a))
+            let annot = if matches!(op.kind, OpKind::GenArith { .. }) {
+                GEN_TRAP_ANNOT
             } else {
-                (op.annot, op.tag, op.cat)
+                op.annot
             };
-            self.stats.record_trap(tag, cat, self.decoded.trap_penalty);
+            self.stats.record_trap(annot, self.decoded.trap_penalty);
             self.pending_load = 0;
             if O::ENABLED {
                 let ev = Retirement {
@@ -1591,37 +1612,49 @@ impl<'p> FastCpu<'p> {
         self.exec_simple(pc, &op, obs)
     }
 
-    /// Committed executions per pc: the per-op counts, plus every whole-run
-    /// execution spread over its ops through a difference array (a control
-    /// op's run is its delay slots, one pc on).
-    fn commit_counts(&self) -> Vec<u64> {
-        let ops = &self.decoded.ops;
-        let mut counts = vec![0u64; ops.len() + 1];
-        for (pc, (&n, op)) in self.run_counts.iter().zip(ops).enumerate() {
-            if n > 0 {
-                let first = pc + usize::from(op.kind.is_control());
-                let end = first + op.run as usize;
-                counts[first] = counts[first].wrapping_add(n);
-                counts[end] = counts[end].wrapping_sub(n);
+    /// Committed executions per pc, in pc order: the per-op counts plus
+    /// every whole-run execution that covers the pc, in one pass. Straight
+    /// runs are suffix-linked: a straight op's run reaches exactly as far as
+    /// the run of the op after it, unless it is one op long. So every run
+    /// heading a pc of one maximal chain of straight ops ends where the
+    /// chain does, and one running sum, reset at each chain's first op,
+    /// holds the chain's runs. A control op's run is its delay slots, one pc
+    /// on; it covers straight ops only, so at most one is live at a time.
+    fn commit_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        // (executions, end) of the current chain and of the last slot run.
+        let mut chain = (0u64, 0usize);
+        let mut slots = (0u64, 0usize);
+        let ops = self
+            .decoded
+            .ops
+            .iter()
+            .zip(&self.counts)
+            .zip(&self.run_counts);
+        ops.enumerate().map(move |(pc, ((op, &own), &runs))| {
+            if op.kind.is_control() {
+                slots = (runs, pc + 1 + op.run as usize);
+                return own;
             }
-        }
-        counts.pop();
-        let mut live = 0u64;
-        for (c, &own) in counts.iter_mut().zip(&self.counts) {
-            live = live.wrapping_add(*c);
-            *c = live + own;
-        }
-        counts
+            if op.run == 0 {
+                return own;
+            }
+            if pc >= chain.1 {
+                chain = (0, pc + op.run as usize);
+            }
+            chain.0 += runs;
+            let in_slots = if pc < slots.1 { slots.0 } else { 0 };
+            own + chain.0 + in_slots
+        })
     }
 
     fn outcome(&mut self, code: i32) -> Outcome {
-        let counts = self.commit_counts();
+        let stats =
+            self.stats
+                .fold_counts(&self.decoded.ops, self.commit_counts(), &self.squash_counts);
         Outcome {
             halt_code: code,
             output: std::mem::take(&mut self.arch.output),
-            stats: self
-                .stats
-                .fold_counts(&self.decoded, &counts, &self.squash_counts),
+            stats,
         }
     }
 }
@@ -1721,7 +1754,12 @@ impl Executor for FastCpu<'_> {
                 }
             } else if op.run > 0 {
                 // The slots form a run: one step, counted at the branch.
-                self.exec_run(pc + 1, slots, u64::from(op.run_cost), obs)?;
+                // Unobserved, an all-`nop` group is only its cycles.
+                if O::ENABLED || !op.nop_slots {
+                    self.exec_run(pc + 1, slots, u64::from(op.run_cost), obs)?;
+                } else {
+                    self.stats.cycles += u64::from(op.run_cost);
+                }
                 self.run_counts[pc] += 1;
             } else {
                 for spc in pc + 1..=pc + slots {
@@ -2007,7 +2045,7 @@ mod tests {
         }
         dense.record_squashed(tag_slot(annots[2]), cat_slot(annots[2]));
         per_retirement.record_squashed(annots[2]);
-        dense.record_trap(tag_slot(GEN_TRAP_ANNOT), cat_slot(GEN_TRAP_ANNOT), 0);
+        dense.record_trap(GEN_TRAP_ANNOT, 0);
         per_retirement.record_trap(GEN_TRAP_ANNOT, 0);
         assert_eq!(dense.to_stats(), per_retirement);
     }
@@ -2497,7 +2535,7 @@ mod tests {
         for r in buf.records.iter().filter(|r| r.trap.is_none()) {
             reference[r.pc] += 1;
         }
-        (fast.commit_counts(), reference)
+        (fast.commit_counts().collect(), reference)
     }
 
     /// `(run, run_cost)` of every op, as predecode linked them.
@@ -2657,5 +2695,156 @@ mod tests {
                 pc: 4
             })
         );
+    }
+
+    // All-`nop` delay-slot groups. Unobserved, FastCpu charges such a group
+    // without executing it; each test checks the mark and holds the result,
+    // the per-pc counts and every fuel budget to RefCpu.
+
+    /// `nop_slots` of every op, as predecode marked them.
+    fn marks(prog: &Program, hw: HwConfig) -> Vec<bool> {
+        let decoded = DecodedProgram::decode(prog, hw).unwrap();
+        decoded.ops.iter().map(|o| o.nop_slots).collect()
+    }
+
+    /// Assert both backends agree on `prog` under every fuel budget up to
+    /// past its end, and on the per-pc counts; return the full run.
+    fn agree_at_every_fuel(prog: &Program, hw: HwConfig) -> Outcome {
+        let full = agree(prog, hw, 1_000_000).unwrap();
+        for fuel in 1..=full.stats.cycles + 1 {
+            let _ = agree(prog, hw, fuel);
+        }
+        let (fast, reference) = per_pc_counts(prog, hw);
+        assert_eq!(fast, reference);
+        full
+    }
+
+    #[test]
+    fn all_nop_slots_after_conditional_branches_match_ref() {
+        let field = TagField {
+            shift: 27,
+            mask: 0x1F,
+        };
+        let hw = HwConfig::with_tag_branch();
+        for squash in [false, true] {
+            for kind in 0..3 {
+                // Three trips: the branch is taken twice, then falls
+                // through, its slots squashed or committed.
+                let mut asm = Asm::new();
+                entry(&mut asm);
+                asm.li(Reg::T0, 3); // 0
+                let top = asm.here("top");
+                asm.emit(Insn::Addi(Reg::T0, Reg::T0, -1)); // 1
+                asm.emit(Insn::Sll(Reg::T1, Reg::T0, 27)); // 2
+                let target = top.0;
+                asm.emit(match kind {
+                    0 => Insn::Br {
+                        cond: Cond::Ne,
+                        rs: Reg::T0,
+                        rt: Reg::Zero,
+                        target,
+                        squash,
+                    },
+                    1 => Insn::Bri {
+                        cond: Cond::Gt,
+                        rs: Reg::T0,
+                        imm: 0,
+                        target,
+                        squash,
+                    },
+                    _ => Insn::TagBr {
+                        rs: Reg::T1,
+                        field,
+                        value: 0,
+                        neq: true,
+                        target,
+                        squash,
+                    },
+                }); // 3
+                asm.nop();
+                asm.nop();
+                asm.emit(Insn::Addi(Reg::A0, Reg::T0, 7)); // 6
+                asm.halt(Reg::A0);
+                let prog = asm.finish().unwrap();
+                assert_eq!(
+                    marks(&prog, hw),
+                    [false, false, false, true, false, false, false, false]
+                );
+                let o = agree_at_every_fuel(&prog, hw);
+                assert_eq!(o.halt_code, 7);
+                assert_eq!(o.stats.squashed, if squash { 2 } else { 0 });
+                assert_eq!(o.stats.cycles, 1 + 3 * 5 + 2);
+                // A budget spent at the third branch ends inside its slots;
+                // the check waits for the end of the group.
+                let at_branch = 1 + 2 * 5 + 3;
+                assert_eq!(
+                    agree(&prog, hw, at_branch).unwrap_err(),
+                    SimError::OutOfFuel {
+                        cycles: at_branch + 2
+                    }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn all_nop_slots_after_jumps_match_ref() {
+        let mut asm = Asm::new();
+        let g = asm.here("g");
+        asm.jr(Reg::T2); // 0-1
+        let f = asm.here("f");
+        asm.jr(Reg::Link); // 2-3
+        entry(&mut asm);
+        let done = asm.new_label();
+        asm.li(Reg::T0, 3); // 4
+        let top = asm.here("top");
+        asm.jal(f, Reg::Link); // 5-6
+        asm.li(Reg::T3, asm.position(g).unwrap() as i32); // 7
+        asm.jalr(Reg::T3, Reg::T2); // 8-9
+        asm.emit(Insn::Addi(Reg::T0, Reg::T0, -1)); // 10
+        asm.bri(Cond::Eq, Reg::T0, 0, done); // 11-13
+        asm.j(top); // 14-15
+        asm.bind(done);
+        asm.halt(Reg::T0); // 16
+        let prog = asm.finish().unwrap();
+        let hw = HwConfig::plain();
+        let marked: Vec<usize> = (0..prog.len()).filter(|&pc| marks(&prog, hw)[pc]).collect();
+        assert_eq!(marked, [0, 2, 5, 8, 11, 14]);
+        let o = agree_at_every_fuel(&prog, hw);
+        assert_eq!(o.halt_code, 0);
+        assert_eq!(o.stats.squashed, 0);
+        // A budget spent at the first `jal` ends inside its slot.
+        assert_eq!(
+            agree(&prog, hw, 2).unwrap_err(),
+            SimError::OutOfFuel { cycles: 3 }
+        );
+    }
+
+    #[test]
+    fn a_slot_group_with_a_live_slot_is_not_marked() {
+        for live_first in [true, false] {
+            let mut asm = Asm::new();
+            entry(&mut asm);
+            let t = asm.new_label();
+            asm.li(Reg::T0, 2); // 0
+            let top = asm.here("top");
+            asm.emit(Insn::Addi(Reg::T0, Reg::T0, -1)); // 1
+            asm.br_raw(Cond::Ne, Reg::T0, Reg::Zero, top, false); // 2
+            if live_first {
+                asm.emit(Insn::Addi(Reg::A0, Reg::A0, 1));
+                asm.nop();
+            } else {
+                asm.nop();
+                asm.emit(Insn::Addi(Reg::A0, Reg::A0, 1));
+            }
+            asm.bind(t);
+            asm.halt(Reg::A0); // 5
+            let prog = asm.finish().unwrap();
+            let hw = HwConfig::plain();
+            assert_eq!(runs(&prog, hw)[2].0, 2, "the slots still form a run");
+            assert!(!marks(&prog, hw).contains(&true));
+            let o = agree_at_every_fuel(&prog, hw);
+            assert_eq!(o.halt_code, 2, "both trips commit the live slot");
+        }
     }
 }

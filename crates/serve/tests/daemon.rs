@@ -402,6 +402,22 @@ fn broken_inline_source_is_a_400() {
     shutdown(&addr, server);
 }
 
+/// An inline source nested past the reader's bound is a 400 that names the
+/// nesting, where unbounded recursion would overflow a worker's stack and
+/// abort the whole daemon; the daemon then still answers.
+#[test]
+fn deeply_nested_inline_source_is_a_400() {
+    let (server, _, addr) = start(None, ServerConfig::default());
+    let source = format!("(print {}1{})", "(+ 1 ".repeat(4_999), ")".repeat(4_999));
+    let body = format!(r#"{{"experiments": [{{"source": "{source}"}}]}}"#);
+    let (status, text) = post(&addr, "/v1/experiments", &body);
+    assert_eq!(status, 400, "{text}");
+    assert!(text.contains("nesting deeper than"), "{text}");
+    let (status, text) = get(&addr, "/healthz");
+    assert_eq!((status, text.as_str()), (200, "ok\n"));
+    shutdown(&addr, server);
+}
+
 /// `POST /v1/shutdown` stops accepting but drains in-flight work: a batch
 /// already being measured still completes and gets its full response.
 #[test]
