@@ -77,7 +77,7 @@ fn per_function_totals_reconcile_exactly() {
             let per_function_tag_total: u64 = prof
                 .hot_functions()
                 .iter()
-                .map(|(_, f)| f.tag_total())
+                .map(|(_, f)| f.stats.total_tag_cycles())
                 .sum();
             assert_eq!(
                 per_function_tag_total,

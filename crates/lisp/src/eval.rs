@@ -52,16 +52,27 @@ pub struct EvalOptions {
     pub fuel: u64,
     /// Maximum Lisp call depth; exceeding it is [`EvalError::Depth`]. The
     /// compiled system traps on stack overflow at a configuration-dependent
-    /// depth, so the two limits are deliberately not conflated.
+    /// depth, so the two limits are deliberately not conflated. The default,
+    /// [`DEFAULT_MAX_DEPTH`], keeps a plain recursion within a 2 MiB thread
+    /// stack.
     pub max_depth: usize,
 }
+
+/// The default [`EvalOptions::max_depth`]. Each Lisp call costs the
+/// evaluator's recursion well over a kilobyte of Rust stack, so a plain
+/// recursive `defun` overflows a 2 MiB thread near 1,000 calls deep; the
+/// deepest real sources reach 200 (the `comp` benchmark) and synth's
+/// generator 11. A call nested many expression levels inside its caller
+/// costs more stack, so this is no bound for every accepted source. See
+/// DESIGN.md, *Call depth in the evaluator*.
+pub const DEFAULT_MAX_DEPTH: usize = 400;
 
 impl Default for EvalOptions {
     fn default() -> EvalOptions {
         EvalOptions {
             int_bits: 27,
             fuel: 2_000_000_000,
-            max_depth: 100_000,
+            max_depth: DEFAULT_MAX_DEPTH,
         }
     }
 }
@@ -882,5 +893,31 @@ mod tests {
             .unwrap_err(),
             EvalError::Fuel
         );
+    }
+
+    /// On a 2 MiB thread, the size of a worker's stack, a recursion exactly
+    /// [`DEFAULT_MAX_DEPTH`] calls deep evaluates and one call deeper is
+    /// [`EvalError::Depth`], where an unbounded evaluator would overflow the
+    /// stack and abort the process.
+    #[test]
+    fn default_depth_limit_fits_a_worker_stack() {
+        let results = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                // `(f n)` nests n + 1 calls of `f`.
+                let depth = |calls: usize| {
+                    let src = format!(
+                        "(defun f (n) (cond ((eq n 0) 0) (t (add1 (f (sub1 n)))))) (print (f {}))",
+                        calls - 1
+                    );
+                    eval_source(&src, &EvalOptions::default()).map(|o| o.output)
+                };
+                (depth(DEFAULT_MAX_DEPTH), depth(DEFAULT_MAX_DEPTH + 1))
+            })
+            .expect("spawns")
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(results.0, Ok(format!("{}\n", DEFAULT_MAX_DEPTH - 1)));
+        assert_eq!(results.1, Err(EvalError::Depth));
     }
 }

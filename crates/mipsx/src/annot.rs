@@ -7,6 +7,7 @@
 //! cycles per annotation.
 
 /// Which primitive tag operation an instruction implements (paper §2.1).
+/// Declared in [`ALL_TAG_OPS`] order, which `op as usize` indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TagOpKind {
     /// Tag insertion: constructing a tagged item.
@@ -33,6 +34,7 @@ pub const ALL_TAG_OPS: [TagOpKind; 5] = [
 ];
 
 /// The run-time-checking category an instruction belongs to (Table 1's columns).
+/// Declared in [`ALL_CHECK_CATS`] order, which `cat as usize` indexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CheckCat {
     /// Not part of run-time checking.
@@ -54,7 +56,7 @@ pub const ALL_CHECK_CATS: [CheckCat; 4] = [
 ];
 
 /// Whether an instruction is part of the base program or was added by enabling
-/// full run-time checking.
+/// full run-time checking. `prov as usize` is 0 for `Base`, 1 for `Checking`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Provenance {
     /// Present regardless of the checking mode (source-level tests, data access).

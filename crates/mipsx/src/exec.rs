@@ -7,17 +7,16 @@
 //! [`FastCpu`] produces every number the study reports. A naive interpreter
 //! re-derives per-instruction facts on every step: it looks up the
 //! instruction's [`Annot`], classifies it, checks hardware availability, and
-//! charges statistics through `HashMap` entries on every retirement. None of
-//! that depends on run-time state — it is all a pure function of
-//! `(Program, HwConfig)`. [`DecodedProgram::decode`] therefore lowers the
+//! charges statistics on every retirement. None of that depends on run-time
+//! state — it is all a pure function of `(Program, HwConfig)`.
+//! [`DecodedProgram::decode`] therefore lowers the
 //! program **once** into a dense array of micro-ops ([`FastCpu`]'s internal
 //! `Op`) with everything pre-resolved:
 //!
 //! - hardware-feature availability: an instruction needing absent hardware is
 //!   a *predecode* error ([`SimError::MissingHardware`] from `decode`), not a
 //!   per-step branch;
-//! - the annotation, instruction class, and statistics slots (dense array
-//!   indices replacing the `HashMap` keys);
+//! - the annotation and the instruction class;
 //! - the retirement cost in cycles (multiply/divide/float costs folded in);
 //! - branch shapes: delay-slot counts, squash behaviour, link registers, and
 //!   tag-clearing masks for checked accesses;
@@ -70,7 +69,7 @@
 //!
 //! For any program that [`RefCpu`] runs to completion (`Ok` or `Err`),
 //! [`FastCpu`] produces **byte-identical** results: the same [`Outcome`]
-//! (halt code, output, and `Stats`, including every map entry), the same
+//! (halt code, output, and `Stats`, including every table cell), the same
 //! retirement/squash event stream, and the same errors — except where
 //! [`RefCpu`] documents that it does not model the pipeline:
 //!
@@ -87,14 +86,14 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::annot::{Annot, CheckCat, Provenance, TagOpKind, ALL_CHECK_CATS, ALL_TAG_OPS};
+use crate::annot::{Annot, CheckCat, Provenance, TagOpKind};
 use crate::hw::{HwConfig, ParallelCheck};
 use crate::insn::{Cond, FpOp, Insn, IntTest, TagField, WriteKind};
 use crate::mem::Mem;
 use crate::program::Program;
 use crate::refcpu::RefCpu;
 use crate::reg::Reg;
-use crate::stats::{InsnClass, Stats, ALL_CLASSES};
+use crate::stats::{InsnClass, Stats};
 use crate::trace::{MemOp, NoTrace, Observer, Retirement};
 
 /// Simulation failures. These indicate bugs in generated code (or an exhausted
@@ -332,12 +331,6 @@ impl Executor for AnyExecutor<'_> {
     }
 }
 
-/// "No dense-statistics slot": this op touches no tag/category counter.
-const NO_SLOT: u8 = u8::MAX;
-
-/// Number of `(TagOpKind, Provenance)` slots.
-const TAG_SLOTS: usize = ALL_TAG_OPS.len() * 2;
-
 /// The annotation every generic-arithmetic trap is charged to (dispatch work,
 /// regardless of the fast path's annotation), on both backends.
 pub(crate) const GEN_TRAP_ANNOT: Annot = Annot {
@@ -346,161 +339,32 @@ pub(crate) const GEN_TRAP_ANNOT: Annot = Annot {
     prov: Provenance::Checking,
 };
 
-// The dense slots are declaration-order indices: `ALL_CLASSES`,
-// `ALL_TAG_OPS` and `ALL_CHECK_CATS` list their enums in that order (see the
-// `slots_are_report_order_indices` test).
-
-fn class_slot(class: InsnClass) -> u8 {
-    class as u8
-}
-
-fn prov_slot(prov: Provenance) -> u8 {
-    match prov {
-        Provenance::Base => 0,
-        Provenance::Checking => 1,
-    }
-}
-
-fn tag_slot(annot: Annot) -> u8 {
-    match annot.tag_op {
-        None => NO_SLOT,
-        Some(op) => op as u8 * 2 + prov_slot(annot.prov),
-    }
-}
-
-fn cat_slot(annot: Annot) -> u8 {
-    if annot.prov != Provenance::Checking {
-        return NO_SLOT;
-    }
-    annot.cat as u8
-}
-
-/// [`Stats`] as flat arrays: the hot-loop accumulator. Converted back to the
-/// `HashMap` form (inserting only the touched entries, so the result is
-/// byte-identical to per-retirement [`Stats::record`] accounting) when the
-/// run finishes.
-#[derive(Debug, Clone, Default)]
-struct DenseStats {
-    cycles: u64,
-    committed: u64,
-    squashed: u64,
-    trap_cycles: u64,
-    traps: u64,
-    class_counts: [u64; ALL_CLASSES.len()],
-    tag_cycles: [u64; TAG_SLOTS],
-    /// Bit per tag slot: [`Stats`] accounting creates a map entry even when
-    /// it adds zero cycles (a zero trap penalty), so "touched" is tracked
-    /// separately from "non-zero".
-    tag_touched: u16,
-    cat_cycles: [u64; ALL_CHECK_CATS.len()],
-    cat_touched: u8,
-}
-
-impl DenseStats {
-    #[inline(always)]
-    fn attribute(&mut self, tag: u8, cat: u8, cycles: u64) {
-        if tag != NO_SLOT {
-            self.tag_cycles[tag as usize] += cycles;
-            self.tag_touched |= 1 << tag;
+/// Fold the per-pc retirement and squash counters into `stats`: each
+/// committed execution of an op contributes its class, its cost charged to
+/// its annotation, and `committed`; each squashed slot contributes one cycle
+/// charged to the owning branch's annotation. Exactly what per-retirement
+/// [`Stats::record`]/[`Stats::record_squashed`] calls would have accumulated
+/// — but the hot loop only paid one counter bump per op or per run (trap
+/// penalties are rare and recorded directly as they happen). `counts` yields
+/// the committed executions of each op, in pc order.
+fn fold_counts(
+    mut stats: Stats,
+    ops: &[Op],
+    counts: impl IntoIterator<Item = u64>,
+    squashes: &[u64],
+) -> Stats {
+    for ((op, n), &s) in ops.iter().zip(counts).zip(squashes) {
+        if n > 0 {
+            stats.committed += n;
+            stats.class_counts[op.class as usize] += n;
+            stats.attribute(op.annot, n * u64::from(op.cost));
         }
-        if cat != NO_SLOT {
-            self.cat_cycles[cat as usize] += cycles;
-            self.cat_touched |= 1 << cat;
+        if s > 0 {
+            stats.squashed += s;
+            stats.attribute(op.annot, s);
         }
     }
-
-    /// Per-retirement accounting, one call per committed op. The dispatch
-    /// loop does not use this — it counts executions per pc and per run and
-    /// reconstructs the same totals in [`DenseStats::fold_counts`] — but the
-    /// equivalence test below uses it as the reference accumulator.
-    #[cfg(test)]
-    fn record(&mut self, class: u8, tag: u8, cat: u8, cycles: u64) {
-        self.cycles += cycles;
-        self.committed += 1;
-        self.class_counts[class as usize] += 1;
-        self.attribute(tag, cat, cycles);
-    }
-
-    #[cfg(test)]
-    fn record_squashed(&mut self, tag: u8, cat: u8) {
-        self.cycles += 1;
-        self.squashed += 1;
-        self.attribute(tag, cat, 1);
-    }
-
-    /// Fold the per-pc retirement and squash counters into the accumulator:
-    /// each committed execution of an op contributes its class, its cost to
-    /// its tag/category slots, and `committed`; each squashed slot
-    /// contributes one cycle against the owning branch's slots. Exactly what
-    /// per-retirement `Stats::record`/`record_squashed` calls would have
-    /// accumulated — but the hot loop only paid one counter bump per op or
-    /// per run (trap penalties are rare and recorded directly as they
-    /// happen). `counts` yields the committed executions of each op, in pc
-    /// order.
-    fn fold_counts(
-        &self,
-        ops: &[Op],
-        counts: impl IntoIterator<Item = u64>,
-        squashes: &[u64],
-    ) -> Stats {
-        let mut agg = self.clone();
-        for ((op, n), &s) in ops.iter().zip(counts).zip(squashes) {
-            let (tag, cat) = (tag_slot(op.annot), cat_slot(op.annot));
-            if n > 0 {
-                agg.committed += n;
-                agg.class_counts[op.class as usize] += n;
-                agg.attribute(tag, cat, n * u64::from(op.cost));
-            }
-            if s > 0 {
-                agg.squashed += s;
-                agg.attribute(tag, cat, s);
-            }
-        }
-        agg.to_stats()
-    }
-
-    /// Charge a trap's penalty to `annot`. Traps are rare, so this stays
-    /// out of line: folding it into the dispatch loop measured slower.
-    #[cold]
-    #[inline(never)]
-    fn record_trap(&mut self, annot: Annot, penalty: u64) {
-        self.cycles += penalty;
-        self.trap_cycles += penalty;
-        self.traps += 1;
-        self.attribute(tag_slot(annot), cat_slot(annot), penalty);
-    }
-
-    fn to_stats(&self) -> Stats {
-        let mut s = Stats {
-            cycles: self.cycles,
-            committed: self.committed,
-            squashed: self.squashed,
-            trap_cycles: self.trap_cycles,
-            traps: self.traps,
-            ..Stats::default()
-        };
-        for (i, &n) in self.class_counts.iter().enumerate() {
-            if n > 0 {
-                s.class_counts.insert(ALL_CLASSES[i], n);
-            }
-        }
-        for (slot, &cycles) in self.tag_cycles.iter().enumerate() {
-            if self.tag_touched & (1 << slot) != 0 {
-                let prov = if slot % 2 == 0 {
-                    Provenance::Base
-                } else {
-                    Provenance::Checking
-                };
-                s.tag_cycles.insert((ALL_TAG_OPS[slot / 2], prov), cycles);
-            }
-        }
-        for (slot, &cat) in ALL_CHECK_CATS.iter().enumerate() {
-            if self.cat_touched & (1 << slot) != 0 {
-                s.check_cat_cycles.insert(cat, self.cat_cycles[slot]);
-            }
-        }
-        s
-    }
+    stats
 }
 
 /// A conditional branch's condition, with operand shape resolved.
@@ -634,10 +498,10 @@ impl OpKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Op {
     kind: OpKind,
-    /// The instruction's annotation (reported to observers, and mapped to
-    /// its dense statistics slots when the counts are folded).
+    /// The instruction's annotation (reported to observers, and charged
+    /// when the counts are folded).
     annot: Annot,
-    /// Dense [`ALL_CLASSES`] index.
+    /// `InsnClass as u8`, the [`Stats::class_counts`] index.
     class: u8,
     /// Retirement cost in cycles (multiply/divide/float resolved).
     cost: u32,
@@ -1080,7 +944,7 @@ fn decode_one(pc: usize, insn: Insn, annot: Annot, hw: HwConfig) -> Result<Op, S
     Ok(Op {
         kind,
         annot,
-        class: class_slot(InsnClass::of(insn)),
+        class: InsnClass::of(insn) as u8,
         cost,
         use_mask,
         run: 0,
@@ -1430,7 +1294,6 @@ pub struct FastCpu<'p> {
     decoded: DecodedProgram,
     arch: Arch,
     pc: usize,
-    stats: DenseStats,
     /// Committed executions per pc on the per-op path.
     counts: Vec<u64>,
     /// Whole-run executions, per pc heading the run (for a control op: per
@@ -1443,6 +1306,10 @@ pub struct FastCpu<'p> {
     /// Register written by the immediately preceding load, as a bitmask
     /// (0 = none): the load-delay check is `use_mask & pending_load`.
     pending_load: u32,
+    /// Out of line: the dispatch loop touches only `cycles`, and with the
+    /// whole table inline the larger `FastCpu` measured about 4% slower on
+    /// `all_experiments`.
+    stats: Box<Stats>,
 }
 
 impl<'p> FastCpu<'p> {
@@ -1485,7 +1352,7 @@ impl<'p> FastCpu<'p> {
                 address_mask: decoded.address_mask,
             },
             decoded,
-            stats: DenseStats::default(),
+            stats: Box::default(),
             counts: vec![0; nops],
             run_counts: vec![0; nops],
             squash_counts: vec![0; nops],
@@ -1648,9 +1515,12 @@ impl<'p> FastCpu<'p> {
     }
 
     fn outcome(&mut self, code: i32) -> Outcome {
-        let stats =
-            self.stats
-                .fold_counts(&self.decoded.ops, self.commit_counts(), &self.squash_counts);
+        let stats = fold_counts(
+            (*self.stats).clone(),
+            &self.decoded.ops,
+            self.commit_counts(),
+            &self.squash_counts,
+        );
         Outcome {
             halt_code: code,
             output: std::mem::take(&mut self.arch.output),
@@ -2004,50 +1874,6 @@ mod tests {
             .run(1000)
             .unwrap();
         assert_eq!(o.halt_code, 0);
-    }
-
-    #[test]
-    fn slots_are_report_order_indices() {
-        for (i, c) in ALL_CLASSES.iter().enumerate() {
-            assert_eq!(usize::from(class_slot(*c)), i, "{c:?}");
-        }
-        for (i, op) in ALL_TAG_OPS.iter().enumerate() {
-            let annot = Annot::base(*op);
-            assert_eq!(usize::from(tag_slot(annot)), 2 * i, "{op:?}");
-        }
-        for (i, cat) in ALL_CHECK_CATS.iter().enumerate() {
-            let annot = Annot {
-                tag_op: None,
-                cat: *cat,
-                prov: Provenance::Checking,
-            };
-            assert_eq!(usize::from(cat_slot(annot)), i, "{cat:?}");
-        }
-    }
-
-    #[test]
-    fn dense_stats_round_trip_matches_hashmap_accounting() {
-        // Exercise every attribution path, including a zero-cycle trap (the
-        // case where "touched" differs from "non-zero").
-        let annots = [
-            Annot::NONE,
-            Annot::base(TagOpKind::Remove),
-            Annot::checking(TagOpKind::Check, CheckCat::List),
-            Annot::checking(TagOpKind::Insert, CheckCat::Vector),
-            GEN_TRAP_ANNOT,
-        ];
-        let mut dense = DenseStats::default();
-        let mut per_retirement = Stats::default();
-        for (i, &a) in annots.iter().enumerate() {
-            let class = ALL_CLASSES[i];
-            dense.record(class_slot(class), tag_slot(a), cat_slot(a), i as u64 + 1);
-            per_retirement.record(class, a, i as u64 + 1);
-        }
-        dense.record_squashed(tag_slot(annots[2]), cat_slot(annots[2]));
-        per_retirement.record_squashed(annots[2]);
-        dense.record_trap(GEN_TRAP_ANNOT, 0);
-        per_retirement.record_trap(GEN_TRAP_ANNOT, 0);
-        assert_eq!(dense.to_stats(), per_retirement);
     }
 
     // ISA semantics. Each test runs on both backends (`run` asserts they

@@ -13,12 +13,12 @@
 //!
 //! Attribution is exact by construction: the observer receives cumulative
 //! cycle counts, so successive deltas partition the run's total cycles, and
-//! each delta is filed under the same annotation the simulator's own
-//! [`Stats`] charged. [`Profiler::reconcile`] checks the resulting equalities
-//! (total cycles, the full `(tag op, provenance)` map, checking categories,
-//! squash and trap counts) against a [`Stats`] and reports the first
-//! discrepancy — the per-function tables provably *are* the whole-program
-//! figures, redistributed.
+//! each function keeps its own [`Stats`], charged by the same
+//! [`Stats::record`] rule as the simulator's. [`Profiler::reconcile`] checks
+//! that the functions' books sum to the run's [`Stats`] (total cycles, every
+//! class, `(tag op, provenance)` and checking-category cell, squash and trap
+//! counts) and reports the first discrepancy — the per-function tables
+//! provably *are* the whole-program figures, redistributed.
 //!
 //! Beyond flat tables the profiler keeps an inferred call stack (calls are
 //! retirements landing on a named entry right after a `jal`/`jalr`; returns
@@ -31,10 +31,10 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 
-use crate::annot::{Annot, CheckCat, Provenance, TagOpKind, ALL_CHECK_CATS, ALL_TAG_OPS};
+use crate::annot::{Annot, CheckCat, TagOpKind};
 use crate::insn::Insn;
 use crate::program::Program;
-use crate::stats::Stats;
+use crate::stats::{InsnClass, Stats};
 use crate::symtab::SymbolTable;
 use crate::trace::{Observer, Retirement};
 
@@ -46,77 +46,15 @@ const TRUNCATED: u32 = u32::MAX - 1;
 /// tail into a `...` frame so recursive workloads cannot explode the output.
 const FOLD_DEPTH: usize = 48;
 
-#[inline]
-fn op_index(op: TagOpKind) -> usize {
-    // Must match ALL_TAG_OPS order (asserted by the `index_order` test).
-    match op {
-        TagOpKind::Insert => 0,
-        TagOpKind::Remove => 1,
-        TagOpKind::Extract => 2,
-        TagOpKind::Check => 3,
-        TagOpKind::Generic => 4,
-    }
-}
-
-#[inline]
-fn cat_index(cat: CheckCat) -> usize {
-    // Must match ALL_CHECK_CATS order (asserted by the `index_order` test).
-    match cat {
-        CheckCat::NotChecking => 0,
-        CheckCat::Arith => 1,
-        CheckCat::Vector => 2,
-        CheckCat::List => 3,
-    }
-}
-
-#[inline]
-fn prov_index(p: Provenance) -> usize {
-    match p {
-        Provenance::Base => 0,
-        Provenance::Checking => 1,
-    }
-}
-
 /// Cycle accounting for one function (one [`SymbolTable`] region).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FuncProfile {
-    /// Total cycles spent at PCs of this function, including squashed slots
-    /// and trap penalties charged there.
-    pub cycles: u64,
-    /// Retired instructions (committed, including trapping retirements).
-    pub retired: u64,
     /// Times this function was entered by a call.
     pub calls: u64,
-    /// Squashed delay slots at PCs of this function.
-    pub squashes: u64,
-    /// Cycles wasted in those squashed slots.
-    pub squash_cycles: u64,
-    /// Traps taken by checked instructions of this function.
-    pub traps: u64,
-    /// Trap-penalty cycles charged here.
-    pub trap_cycles: u64,
-    /// Cycles per `[tag operation][provenance]`, indexed in
-    /// [`ALL_TAG_OPS`] / `[Base, Checking]` order.
-    pub tag_cycles: [[u64; 2]; 5],
-    /// Checking-added cycles per category, indexed in [`ALL_CHECK_CATS`] order.
-    pub check_cycles: [u64; 4],
-}
-
-impl FuncProfile {
-    /// All cycles attributed to any tag operation in this function.
-    pub fn tag_total(&self) -> u64 {
-        self.tag_cycles.iter().flatten().sum()
-    }
-
-    /// Cycles in tag operation `op` (both provenances).
-    pub fn tag_op(&self, op: TagOpKind) -> u64 {
-        self.tag_cycles[op_index(op)].iter().sum()
-    }
-
-    /// Checking-added cycles in category `cat`.
-    pub fn checking(&self, cat: CheckCat) -> u64 {
-        self.check_cycles[cat_index(cat)]
-    }
+    /// The function's share of the run's [`Stats`]: every retirement,
+    /// squashed slot and trap penalty at its PCs, charged exactly as the
+    /// simulator charges the whole run.
+    pub stats: Stats,
 }
 
 /// Cycle accounting for one instruction.
@@ -281,16 +219,10 @@ impl Profiler {
         }
     }
 
+    /// Charge an event at `pc` that spent `delta` cycles to the pc's
+    /// counters and to the current stack.
     #[inline]
-    fn attribute(&mut self, bucket: usize, pc: usize, delta: u64, annot: Annot) {
-        let fp = &mut self.funcs[bucket];
-        fp.cycles += delta;
-        if let Some(op) = annot.tag_op {
-            fp.tag_cycles[op_index(op)][prov_index(annot.prov)] += delta;
-        }
-        if annot.prov == Provenance::Checking {
-            fp.check_cycles[cat_index(annot.cat)] += delta;
-        }
+    fn charge_pc(&mut self, pc: usize, delta: u64) {
         if let Some(p) = self.pcs.get_mut(pc) {
             p.cycles += delta;
             p.count += 1;
@@ -307,7 +239,7 @@ impl Profiler {
 
     /// All cycles attributed to any tag operation, summed over functions.
     pub fn total_tag_cycles(&self) -> u64 {
-        self.funcs.iter().map(FuncProfile::tag_total).sum()
+        self.funcs.iter().map(|f| f.stats.total_tag_cycles()).sum()
     }
 
     /// Per-function profiles as `(name, profile)`, hottest first (ties broken
@@ -317,10 +249,10 @@ impl Profiler {
             .funcs
             .iter()
             .enumerate()
-            .filter(|(_, f)| f.cycles > 0 || f.calls > 0)
+            .filter(|(_, f)| f.stats.cycles > 0 || f.calls > 0)
             .map(|(i, f)| (self.bucket_name(i), f))
             .collect();
-        v.sort_by(|a, b| b.1.cycles.cmp(&a.1.cycles).then(a.0.cmp(b.0)));
+        v.sort_by(|a, b| b.1.stats.cycles.cmp(&a.1.stats.cycles).then(a.0.cmp(b.0)));
         v
     }
 
@@ -341,21 +273,14 @@ impl Profiler {
         v
     }
 
-    /// Rebuild the whole-program `(tag op, provenance) → cycles` map from the
-    /// per-function buckets (for comparison against [`Stats::tag_cycles`]).
-    pub fn tag_cycles_rebuilt(&self) -> HashMap<(TagOpKind, Provenance), u64> {
-        let mut out = HashMap::new();
+    /// The whole-program [`Stats`] rebuilt from the per-function books
+    /// (without a timing breakdown).
+    pub fn rebuilt(&self) -> Stats {
+        let mut total = Stats::default();
         for f in &self.funcs {
-            for (oi, op) in ALL_TAG_OPS.iter().enumerate() {
-                for (pi, prov) in [Provenance::Base, Provenance::Checking].iter().enumerate() {
-                    let c = f.tag_cycles[oi][pi];
-                    if c > 0 {
-                        *out.entry((*op, *prov)).or_insert(0) += c;
-                    }
-                }
-            }
+            total += &f.stats;
         }
-        out
+        total
     }
 
     /// Check the profiler's books against the simulator's own [`Stats`].
@@ -364,60 +289,38 @@ impl Profiler {
     ///
     /// A description of the first discrepancy. `Ok(())` proves the
     /// per-function tables are an exact redistribution of the whole-program
-    /// figures: total cycles, every `(tag op, provenance)` cell, every
-    /// checking category, squash and trap counts all reconcile.
+    /// figures: total cycles, every class, `(tag op, provenance)` and
+    /// checking-category cell, squash and trap counts all reconcile.
     pub fn reconcile(&self, stats: &Stats) -> Result<(), String> {
-        if self.total_cycles() != stats.cycles {
-            return Err(format!(
-                "total cycles: profiler {} vs stats {}",
-                self.total_cycles(),
-                stats.cycles
-            ));
-        }
-        let rebuilt = self.tag_cycles_rebuilt();
-        let reference: HashMap<_, _> = stats
-            .tag_cycles
-            .iter()
-            .filter(|(_, c)| **c > 0)
-            .map(|(k, c)| (*k, *c))
-            .collect();
-        if rebuilt != reference {
-            return Err(format!(
-                "tag cycles: profiler {rebuilt:?} vs stats {reference:?}"
-            ));
-        }
-        for cat in ALL_CHECK_CATS {
-            let ours: u64 = self.funcs.iter().map(|f| f.checking(cat)).sum();
-            if ours != stats.checking_cycles(cat) {
-                return Err(format!(
-                    "checking cycles ({cat:?}): profiler {ours} vs stats {}",
-                    stats.checking_cycles(cat)
-                ));
+        let ours = self.rebuilt();
+        for (what, profiler, simulator) in [
+            ("total cycles", self.total_cycles(), stats.cycles),
+            ("attributed cycles", ours.cycles, stats.cycles),
+            ("squashed slots", ours.squashed, stats.squashed),
+            ("traps", ours.traps, stats.traps),
+            ("trap cycles", ours.trap_cycles, stats.trap_cycles),
+            ("retired", ours.committed, stats.committed),
+        ] {
+            if profiler != simulator {
+                return Err(format!("{what}: profiler {profiler} vs stats {simulator}"));
             }
         }
-        let squashes: u64 = self.funcs.iter().map(|f| f.squashes).sum();
-        if squashes != stats.squashed {
+        if ours.tag_cycles != stats.tag_cycles {
             return Err(format!(
-                "squashed slots: profiler {squashes} vs stats {}",
-                stats.squashed
+                "tag cycles: profiler {:?} vs stats {:?}",
+                ours.tag_cycles, stats.tag_cycles
             ));
         }
-        let traps: u64 = self.funcs.iter().map(|f| f.traps).sum();
-        if traps != stats.traps {
-            return Err(format!("traps: profiler {traps} vs stats {}", stats.traps));
-        }
-        let trap_cycles: u64 = self.funcs.iter().map(|f| f.trap_cycles).sum();
-        if trap_cycles != stats.trap_cycles {
+        if ours.check_cat_cycles != stats.check_cat_cycles {
             return Err(format!(
-                "trap cycles: profiler {trap_cycles} vs stats {}",
-                stats.trap_cycles
+                "checking cycles: profiler {:?} vs stats {:?}",
+                ours.check_cat_cycles, stats.check_cat_cycles
             ));
         }
-        let retired: u64 = self.funcs.iter().map(|f| f.retired).sum();
-        if retired != stats.committed {
+        if ours.class_counts != stats.class_counts {
             return Err(format!(
-                "retired: profiler {retired} vs stats {}",
-                stats.committed
+                "class counts: profiler {:?} vs stats {:?}",
+                ours.class_counts, stats.class_counts
             ));
         }
         Ok(())
@@ -498,19 +401,19 @@ impl Profiler {
                 "{:name_w$} {:>9} {:>12} {:>6.1} {:>6.1} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>7} {:>8}",
                 name,
                 f.calls,
-                f.cycles,
-                pct(f.cycles),
-                pct(f.tag_total()),
-                f.tag_op(TagOpKind::Insert),
-                f.tag_op(TagOpKind::Remove),
-                f.tag_op(TagOpKind::Extract),
-                f.tag_op(TagOpKind::Check),
-                f.tag_op(TagOpKind::Generic),
-                f.checking(CheckCat::Arith),
-                f.checking(CheckCat::Vector),
-                f.checking(CheckCat::List),
-                f.squashes,
-                f.trap_cycles,
+                f.stats.cycles,
+                pct(f.stats.cycles),
+                pct(f.stats.total_tag_cycles()),
+                f.stats.tag_op_cycles(TagOpKind::Insert),
+                f.stats.tag_op_cycles(TagOpKind::Remove),
+                f.stats.tag_op_cycles(TagOpKind::Extract),
+                f.stats.tag_op_cycles(TagOpKind::Check),
+                f.stats.tag_op_cycles(TagOpKind::Generic),
+                f.stats.checking_cycles(CheckCat::Arith),
+                f.stats.checking_cycles(CheckCat::Vector),
+                f.stats.checking_cycles(CheckCat::List),
+                f.stats.squashed,
+                f.stats.trap_cycles,
             );
         }
         let tag_total = self.total_tag_cycles();
@@ -584,12 +487,13 @@ impl Observer for Profiler {
         self.track_stack(pc, f);
 
         let bucket = self.bucket(pc);
-        self.funcs[bucket].retired += 1;
+        let stats = &mut self.funcs[bucket].stats;
         if ev.trap.is_some() {
-            self.funcs[bucket].traps += 1;
-            self.funcs[bucket].trap_cycles += delta;
+            stats.record_trap(annot, delta);
+        } else {
+            stats.record(InsnClass::of(ev.insn), annot, delta);
         }
-        self.attribute(bucket, pc, delta, annot);
+        self.charge_pc(pc, delta);
 
         if ev.trap.is_none() && matches!(ev.insn, Insn::Jal(..) | Insn::Jalr(..)) {
             self.pending_call = Some((pc as u32, 1));
@@ -601,9 +505,8 @@ impl Observer for Profiler {
         let delta = cycle - self.last_cycle;
         self.last_cycle = cycle;
         let bucket = self.bucket(pc);
-        self.funcs[bucket].squashes += 1;
-        self.funcs[bucket].squash_cycles += delta;
-        self.attribute(bucket, pc, delta, branch_annot);
+        self.funcs[bucket].stats.record_squashed(branch_annot);
+        self.charge_pc(pc, delta);
     }
 }
 
@@ -614,16 +517,6 @@ mod tests {
     use crate::exec::{Executor, FastCpu};
     use crate::hw::HwConfig;
     use crate::reg::Reg;
-
-    #[test]
-    fn index_order() {
-        for (i, op) in ALL_TAG_OPS.iter().enumerate() {
-            assert_eq!(op_index(*op), i, "{op:?}");
-        }
-        for (i, cat) in ALL_CHECK_CATS.iter().enumerate() {
-            assert_eq!(cat_index(*cat), i, "{cat:?}");
-        }
-    }
 
     /// A two-function program: main calls f twice; every cycle lands in a
     /// named bucket, calls are counted, and the folded stacks reconcile.
@@ -652,10 +545,10 @@ mod tests {
 
         let funcs: HashMap<&str, &FuncProfile> = prof.hot_functions().into_iter().collect();
         assert_eq!(funcs["fn:f"].calls, 2);
-        assert!(funcs["fn:f"].cycles >= 6, "2 × (addi + jr + slot)");
-        assert!(funcs["main"].cycles > 0);
+        assert!(funcs["fn:f"].stats.cycles >= 6, "2 × (addi + jr + slot)");
+        assert!(funcs["main"].stats.cycles > 0);
         assert_eq!(
-            funcs["main"].cycles + funcs["fn:f"].cycles,
+            funcs["main"].stats.cycles + funcs["fn:f"].stats.cycles,
             o.stats.cycles,
             "every cycle attributed"
         );
@@ -748,8 +641,7 @@ mod tests {
         assert_eq!(o.stats.squashed, 2);
         prof.reconcile(&o.stats).expect("books balance");
         let funcs: HashMap<&str, &FuncProfile> = prof.hot_functions().into_iter().collect();
-        assert_eq!(funcs["main"].squashes, 2);
-        assert_eq!(funcs["main"].squash_cycles, 2);
+        assert_eq!(funcs["main"].stats.squashed, 2);
     }
 
     /// A program with no symbols at all still profiles (into `<unknown>`).
@@ -771,6 +663,6 @@ mod tests {
         let funcs = prof.hot_functions();
         assert_eq!(funcs.len(), 1);
         assert_eq!(funcs[0].0, "<unknown>");
-        assert_eq!(funcs[0].1.cycles, o.stats.cycles);
+        assert_eq!(funcs[0].1.stats, o.stats);
     }
 }

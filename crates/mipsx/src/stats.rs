@@ -1,12 +1,12 @@
 //! Execution statistics: cycles decomposed by instruction class and tag operation.
 
-use std::collections::HashMap;
 use std::ops::AddAssign;
 
-use crate::annot::{Annot, CheckCat, Provenance, TagOpKind};
+use crate::annot::{Annot, CheckCat, Provenance, TagOpKind, ALL_CHECK_CATS, ALL_TAG_OPS};
 use crate::insn::Insn;
 
-/// Instruction classes counted for Figure 2 of the paper.
+/// Instruction classes counted for Figure 2 of the paper. Declared in
+/// [`ALL_CLASSES`] order: `class as usize` indexes [`Stats::class_counts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InsnClass {
     /// Generic ALU (add/sub/xor/or/slt/shift/immediate forms, excluding the
@@ -111,6 +111,12 @@ impl InsnClass {
 }
 
 /// Aggregated execution statistics from one simulation.
+///
+/// Every breakdown is a dense table indexed by its enums' declaration order
+/// (`InsnClass as usize`, `TagOpKind as usize`, `Provenance as usize`,
+/// `CheckCat as usize`), which is also the order of [`ALL_CLASSES`],
+/// [`ALL_TAG_OPS`] and [`ALL_CHECK_CATS`]. A zero cell means the run charged
+/// nothing there.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Total cycles.
@@ -124,11 +130,11 @@ pub struct Stats {
     /// Number of traps taken (checked-memory or generic-arith failures).
     pub traps: u64,
     /// Committed-instruction counts per class.
-    pub class_counts: HashMap<InsnClass, u64>,
-    /// Cycles per (tag operation, provenance).
-    pub tag_cycles: HashMap<(TagOpKind, Provenance), u64>,
-    /// Cycles per (checking category, tag op present) for checking-added work.
-    pub check_cat_cycles: HashMap<CheckCat, u64>,
+    pub class_counts: [u64; ALL_CLASSES.len()],
+    /// Cycles per `[tag operation][provenance]`.
+    pub tag_cycles: [[u64; 2]; ALL_TAG_OPS.len()],
+    /// Cycles of checking-added work per checking category.
+    pub check_cat_cycles: [u64; ALL_CHECK_CATS.len()],
     /// Microarchitectural stall breakdown, present only when a
     /// [`TimingModel`](crate::timing::TimingModel) was attached to the run.
     /// Purely additive: `cycles` above stays the architectural count, and the
@@ -137,77 +143,77 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// Charge `cycles` to `annot`: to its tag operation (under its
+    /// provenance) if it has one, and to its checking category if checking
+    /// added it. The one attribution rule behind every breakdown.
+    #[inline(always)]
+    pub(crate) fn attribute(&mut self, annot: Annot, cycles: u64) {
+        if let Some(op) = annot.tag_op {
+            self.tag_cycles[op as usize][annot.prov as usize] += cycles;
+        }
+        if annot.prov == Provenance::Checking {
+            self.check_cat_cycles[annot.cat as usize] += cycles;
+        }
+    }
+
     /// Record `cycles` for an instruction of `class` with annotation `annot`
     /// that committed.
     ///
     /// Public so a conformance harness can rebuild a `Stats` from a retirement
     /// trace and compare it against the simulator's own accounting.
+    #[inline]
     pub fn record(&mut self, class: InsnClass, annot: Annot, cycles: u64) {
         self.cycles += cycles;
         self.committed += 1;
-        *self.class_counts.entry(class).or_insert(0) += 1;
-        if let Some(op) = annot.tag_op {
-            *self.tag_cycles.entry((op, annot.prov)).or_insert(0) += cycles;
-        }
-        if annot.prov == Provenance::Checking {
-            *self.check_cat_cycles.entry(annot.cat).or_insert(0) += cycles;
-        }
+        self.class_counts[class as usize] += 1;
+        self.attribute(annot, cycles);
     }
 
     /// Record a squashed delay-slot instruction: one wasted cycle attributed to the
     /// *branch's* annotation (the paper charges unused slots to the checking
     /// operation that owns the branch).
+    #[inline]
     pub fn record_squashed(&mut self, branch_annot: Annot) {
         self.cycles += 1;
         self.squashed += 1;
-        if let Some(op) = branch_annot.tag_op {
-            *self.tag_cycles.entry((op, branch_annot.prov)).or_insert(0) += 1;
-        }
-        if branch_annot.prov == Provenance::Checking {
-            *self.check_cat_cycles.entry(branch_annot.cat).or_insert(0) += 1;
-        }
+        self.attribute(branch_annot, 1);
     }
 
-    /// Record a trap: the penalty cycles, attributed to `annot`.
+    /// Record a trap: the penalty cycles, attributed to `annot`. Traps are
+    /// rare, so this stays out of line: folding it into the fast
+    /// interpreter's dispatch loop measured slower.
+    #[cold]
+    #[inline(never)]
     pub fn record_trap(&mut self, annot: Annot, penalty: u64) {
         self.cycles += penalty;
         self.trap_cycles += penalty;
         self.traps += 1;
-        if let Some(op) = annot.tag_op {
-            *self.tag_cycles.entry((op, annot.prov)).or_insert(0) += penalty;
-        }
-        if annot.prov == Provenance::Checking {
-            *self.check_cat_cycles.entry(annot.cat).or_insert(0) += penalty;
-        }
+        self.attribute(annot, penalty);
     }
 
     /// Cycles attributed to tag operation `op`, over both provenances.
     pub fn tag_op_cycles(&self, op: TagOpKind) -> u64 {
-        self.tag_cycles
-            .iter()
-            .filter(|((o, _), _)| *o == op)
-            .map(|(_, c)| *c)
-            .sum()
+        self.tag_cycles[op as usize].iter().sum()
     }
 
     /// Cycles attributed to tag operation `op` restricted to `prov`.
     pub fn tag_op_cycles_by(&self, op: TagOpKind, prov: Provenance) -> u64 {
-        self.tag_cycles.get(&(op, prov)).copied().unwrap_or(0)
+        self.tag_cycles[op as usize][prov as usize]
     }
 
     /// All cycles attributed to any tag operation.
     pub fn total_tag_cycles(&self) -> u64 {
-        self.tag_cycles.values().sum()
+        self.tag_cycles.iter().flatten().sum()
     }
 
     /// Cycles of checking-added work in category `cat`.
     pub fn checking_cycles(&self, cat: CheckCat) -> u64 {
-        self.check_cat_cycles.get(&cat).copied().unwrap_or(0)
+        self.check_cat_cycles[cat as usize]
     }
 
     /// Committed-instruction count in class `class`.
     pub fn class_count(&self, class: InsnClass) -> u64 {
-        self.class_counts.get(&class).copied().unwrap_or(0)
+        self.class_counts[class as usize]
     }
 
     /// Fraction of total cycles in `op`, as a percentage.
@@ -220,6 +226,12 @@ impl Stats {
     }
 }
 
+fn add_cells<const N: usize>(into: &mut [u64; N], from: &[u64; N]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a += b;
+    }
+}
+
 impl AddAssign<&Stats> for Stats {
     fn add_assign(&mut self, rhs: &Stats) {
         self.cycles += rhs.cycles;
@@ -227,15 +239,11 @@ impl AddAssign<&Stats> for Stats {
         self.squashed += rhs.squashed;
         self.trap_cycles += rhs.trap_cycles;
         self.traps += rhs.traps;
-        for (k, v) in &rhs.class_counts {
-            *self.class_counts.entry(*k).or_insert(0) += v;
+        add_cells(&mut self.class_counts, &rhs.class_counts);
+        for (a, b) in self.tag_cycles.iter_mut().zip(&rhs.tag_cycles) {
+            add_cells(a, b);
         }
-        for (k, v) in &rhs.tag_cycles {
-            *self.tag_cycles.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &rhs.check_cat_cycles {
-            *self.check_cat_cycles.entry(*k).or_insert(0) += v;
-        }
+        add_cells(&mut self.check_cat_cycles, &rhs.check_cat_cycles);
         if let Some(t) = &rhs.timing {
             *self.timing.get_or_insert_with(Default::default) += t;
         }
@@ -303,6 +311,23 @@ mod tests {
         assert_eq!(a.cycles, 23);
         assert_eq!(a.traps, 1);
         assert_eq!(a.class_count(InsnClass::Alu), 2);
+    }
+
+    /// `as usize` on each enum indexes the dense tables, so declaration
+    /// order must be report order.
+    #[test]
+    fn declaration_order_is_report_order() {
+        for (i, c) in ALL_CLASSES.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{c:?}");
+        }
+        for (i, op) in ALL_TAG_OPS.iter().enumerate() {
+            assert_eq!(*op as usize, i, "{op:?}");
+        }
+        for (i, cat) in ALL_CHECK_CATS.iter().enumerate() {
+            assert_eq!(*cat as usize, i, "{cat:?}");
+        }
+        assert_eq!(Provenance::Base as usize, 0);
+        assert_eq!(Provenance::Checking as usize, 1);
     }
 
     #[test]

@@ -628,6 +628,11 @@ impl Daemon {
                 // spec-by-spec to pin down which column refused (a refusal
                 // *is* a differential signal — e.g. a halt-code mismatch the
                 // measurement validator catches before the client could).
+                // An inline source that does not compile is the client's
+                // error, as on `/v1/experiments`.
+                Err(e @ StudyError::Compile { .. }) if spec.source.is_some() => {
+                    return Response::error(400, &format!("inline source failed: {e}"));
+                }
                 Err(e) => {
                     return Response::error(500, &format!("fuzz run failed: {label}: {e}"));
                 }

@@ -403,18 +403,22 @@ fn broken_inline_source_is_a_400() {
 }
 
 /// An inline source nested past the reader's bound is a 400 that names the
-/// nesting, where unbounded recursion would overflow a worker's stack and
-/// abort the whole daemon; the daemon then still answers.
+/// nesting, on the measuring and the fuzzing endpoint alike, where unbounded
+/// recursion would overflow a worker's stack and abort the whole daemon; the
+/// daemon then still answers.
 #[test]
 fn deeply_nested_inline_source_is_a_400() {
     let (server, _, addr) = start(None, ServerConfig::default());
     let source = format!("(print {}1{})", "(+ 1 ".repeat(4_999), ")".repeat(4_999));
     let body = format!(r#"{{"experiments": [{{"source": "{source}"}}]}}"#);
-    let (status, text) = post(&addr, "/v1/experiments", &body);
-    assert_eq!(status, 400, "{text}");
-    assert!(text.contains("nesting deeper than"), "{text}");
-    let (status, text) = get(&addr, "/healthz");
-    assert_eq!((status, text.as_str()), (200, "ok\n"));
+    for path in ["/v1/experiments", "/v1/fuzz/run"] {
+        let (status, text) = post(&addr, path, &body);
+        assert_eq!(status, 400, "{path}: {text}");
+        assert!(text.contains("inline source failed"), "{path}: {text}");
+        assert!(text.contains("nesting deeper than"), "{path}: {text}");
+        let (status, text) = get(&addr, "/healthz");
+        assert_eq!((status, text.as_str()), (200, "ok\n"), "after {path}");
+    }
     shutdown(&addr, server);
 }
 

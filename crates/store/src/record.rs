@@ -3,8 +3,8 @@
 //! (see the crate docs).
 //!
 //! Everything here is exact: all numeric fields are `u64`/`usize` counters or
-//! `Duration` nanoseconds, map-shaped statistics are emitted as arrays sorted
-//! by key, and enum variants are written by name — so encode → decode → encode
+//! `Duration` nanoseconds, the statistics tables are emitted as arrays of
+//! their non-zero cells sorted by name, and enum variants are written by name — so encode → decode → encode
 //! is byte-identical, which is what lets a checksum over the payload text
 //! detect any corruption.
 
@@ -18,6 +18,8 @@ use tagstudy::{json_field, json_string, CheckingMode, Config, Json, Measurement,
 
 use crate::disk::Envelope;
 use crate::{StoreKey, FORMAT_VERSION};
+
+const PROVENANCES: [Provenance; 2] = [Provenance::Base, Provenance::Checking];
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -88,21 +90,27 @@ fn timing_config_to_json(t: &mipsx::TimingConfig) -> String {
 }
 
 fn stats_to_json(s: &Stats) -> String {
-    // Map-shaped fields are sorted by their report-order name so the encoding
-    // is deterministic regardless of HashMap iteration order.
-    let mut classes: Vec<(&str, u64)> =
-        s.class_counts.iter().map(|(k, v)| (k.name(), *v)).collect();
-    classes.sort_unstable();
-    let mut tags: Vec<(String, String, u64)> = s
-        .tag_cycles
+    // Each table is written as its non-zero cells, sorted by name.
+    let mut classes: Vec<(&str, u64)> = ALL_CLASSES
         .iter()
-        .map(|((op, prov), v)| (format!("{op:?}"), format!("{prov:?}"), *v))
+        .map(|&c| (c.name(), s.class_count(c)))
+        .filter(|&(_, v)| v > 0)
+        .collect();
+    classes.sort_unstable();
+    let mut tags: Vec<(String, String, u64)> = ALL_TAG_OPS
+        .iter()
+        .flat_map(|&op| PROVENANCES.map(|prov| (op, prov)))
+        .map(|(op, prov)| {
+            let v = s.tag_op_cycles_by(op, prov);
+            (format!("{op:?}"), format!("{prov:?}"), v)
+        })
+        .filter(|&(_, _, v)| v > 0)
         .collect();
     tags.sort();
-    let mut cats: Vec<(String, u64)> = s
-        .check_cat_cycles
+    let mut cats: Vec<(String, u64)> = ALL_CHECK_CATS
         .iter()
-        .map(|(k, v)| (format!("{k:?}"), *v))
+        .map(|&c| (format!("{c:?}"), s.checking_cycles(c)))
+        .filter(|&(_, v)| v > 0)
         .collect();
     cats.sort();
 
@@ -384,9 +392,7 @@ fn stats_from_json(v: &Json) -> Result<Stats, String> {
             &ALL_CLASSES,
             |c| c.name().to_string(),
         )?;
-        stats
-            .class_counts
-            .insert(class, count.as_u64("class count")?);
+        stats.class_counts[class as usize] = count.as_u64("class count")?;
     }
     for entry in json_field(obj, "tag_cycles")?.as_array("tag_cycles")? {
         let triple = entry.as_array("tag cycle entry")?;
@@ -401,12 +407,10 @@ fn stats_from_json(v: &Json) -> Result<Stats, String> {
         let prov: Provenance = parse_variant(
             "provenance",
             prov.as_str("provenance")?,
-            &[Provenance::Base, Provenance::Checking],
+            &PROVENANCES,
             |p| format!("{p:?}"),
         )?;
-        stats
-            .tag_cycles
-            .insert((op, prov), cycles.as_u64("tag cycles")?);
+        stats.tag_cycles[op as usize][prov as usize] = cycles.as_u64("tag cycles")?;
     }
     for entry in json_field(obj, "check_cat_cycles")?.as_array("check_cat_cycles")? {
         let pair = entry.as_array("check cat entry")?;
@@ -419,9 +423,7 @@ fn stats_from_json(v: &Json) -> Result<Stats, String> {
             &ALL_CHECK_CATS,
             |c| format!("{c:?}"),
         )?;
-        stats
-            .check_cat_cycles
-            .insert(cat, cycles.as_u64("check cat cycles")?);
+        stats.check_cat_cycles[cat as usize] = cycles.as_u64("check cat cycles")?;
     }
     if let Some((_, v)) = obj.iter().find(|(k, _)| k == "timing") {
         stats.timing = Some(timing_stats_from_json(v)?);
@@ -595,6 +597,65 @@ mod tests {
         assert_eq!(m2.config, m.config);
         assert_eq!(m2.stats, m.stats);
         assert_eq!(record_to_json(&key, &m2, &Timing::default()), text);
+    }
+
+    fn decode(json: &str) -> Measurement {
+        measurement_from_json(&Json::parse(json).expect("parses")).expect("decodes")
+    }
+
+    /// Every class, `(op, prov)` and category cell, each with its own
+    /// value, survives the codec.
+    #[test]
+    fn every_stats_cell_round_trips() {
+        let mut m = sample_measurement();
+        let mut next = 0;
+        let mut value = || {
+            next += 1;
+            next
+        };
+        for count in &mut m.stats.class_counts {
+            *count = value();
+        }
+        for cell in m.stats.tag_cycles.iter_mut().flatten() {
+            *cell = value();
+        }
+        for cycles in &mut m.stats.check_cat_cycles {
+            *cycles = value();
+        }
+        let json = measurement_to_json(&m);
+        let back = decode(&json);
+        assert_eq!(back.stats, m.stats);
+        assert_eq!(measurement_to_json(&back), json);
+    }
+
+    /// A zero cell is not written.
+    #[test]
+    fn zero_cells_are_not_written() {
+        let m = sample_measurement();
+        assert_eq!(m.stats.class_count(InsnClass::CheckedMem), 0);
+        assert_eq!(m.stats.checking_cycles(CheckCat::Arith), 0);
+        let json = measurement_to_json(&m);
+        assert!(!json.contains(",0]"), "{json}");
+        assert!(!json.contains("\"chkmem\""), "{json}");
+        assert!(!json.contains("\"Arith\""), "{json}");
+        assert!(json.contains("[\"Generic\",\"Base\",20]"), "{json}");
+    }
+
+    /// Records that wrote explicit zero entries still decode to an equal
+    /// `Stats`, and re-encode without them.
+    #[test]
+    fn explicit_zero_entries_still_decode() {
+        let m = sample_measurement();
+        let json = measurement_to_json(&m);
+        let with_zero = json.replacen(
+            "\"tag_cycles\":[",
+            "\"tag_cycles\":[[\"Generic\",\"Checking\",0],",
+            1,
+        );
+        assert_ne!(with_zero, json);
+        let back = decode(&with_zero);
+        assert_eq!(back.stats, m.stats);
+        assert_eq!(measurement_to_json(&back), json);
     }
 
     #[test]

@@ -141,9 +141,12 @@ fn measurement_json_is_pinned() {
             Config::new(tagword::TagScheme::LowTag2, CheckingMode::Full),
         ),
     ];
+    let session = tagstudy::Session::serial();
     let mut lines = String::new();
     for (name, config) in cells {
-        let m = tagstudy::run_program(name, &config).expect("cell simulates");
+        let m = session
+            .measure_uncached(name, config)
+            .expect("cell simulates");
         lines.push_str(&format!("{name}:{config} {}\n", measurement_to_json(&m)));
     }
     assert_pinned("pinned_measurements.txt", &lines);

@@ -1,10 +1,9 @@
 //! Output-validated, measured benchmark executions.
 //!
-//! [`run_benchmark`]/[`run_program`] are the single-shot primitives: one
-//! compile + one simulation, output checked against the benchmark's pinned
-//! expectation. Studies should not call them in a loop — that is what
-//! [`Session`](crate::Session) is for, which memoizes them per
-//! `(program, Config)` and runs batches on a bounded worker pool.
+//! `run_timed` is the single-shot primitive: one compile + one simulation,
+//! output checked against the program's pinned expectation.
+//! [`Session`](crate::Session) calls it, memoizing per `(program, Config)`
+//! and running batches on a bounded worker pool.
 
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -12,7 +11,6 @@ use std::time::{Duration, Instant};
 
 use lisp::CompileStats;
 use mipsx::Stats;
-use programs::Benchmark;
 
 use crate::config::Config;
 
@@ -343,17 +341,6 @@ impl Hasher for Word {
     }
 }
 
-/// [`simulate`] as a [`Run`] of its own, with the simulator's error as a
-/// message.
-pub(crate) fn simulate_run(
-    compiled: &lisp::CompiledProgram,
-    config: &Config,
-) -> Result<Run, String> {
-    simulate(compiled, config)
-        .map(Run::Simulated)
-        .map_err(|e| e.to_string())
-}
-
 /// Where a compiled point's run came from.
 pub(crate) enum Run {
     /// Simulated for this point.
@@ -374,9 +361,9 @@ pub(crate) enum Run {
 /// (see [`crate::trace::record`]); a run shared from another point is a
 /// `run.shared` span labelled with its `owner` in place of `simulate`, and
 /// [`Timing::simulate`] holds the wait for it. `compile` builds the program
-/// from the config's compiler options (a [`Benchmark`] or an
-/// [`InlineProgram`]); `run` is [`simulate_run`] or the session's run
-/// index, an error being the simulator's message; `expected_output` is the
+/// from the config's compiler options (a [`programs::Benchmark`] or an
+/// [`InlineProgram`]); `run` is [`simulate`] or the session's run index,
+/// an error being the simulator's message; `expected_output` is the
 /// exact output to assert, or `None` to validate only the exit code
 /// ([`lisp::exit_code::OK`], which is always required).
 ///
@@ -442,51 +429,10 @@ pub(crate) fn run_timed(
     ))
 }
 
-/// Compile and run benchmark `b` under `config`, validating its output.
-///
-/// # Errors
-///
-/// [`StudyError`] on compile/run failure or output mismatch.
-pub fn run_benchmark(b: &Benchmark, config: &Config) -> Result<Measurement, StudyError> {
-    let expected = Some(b.expected_output);
-    run_timed(
-        b.name,
-        |o| b.compile(o),
-        expected,
-        config,
-        |c| simulate_run(c, config),
-    )
-    .map(|(m, _)| m)
-}
-
-/// Run a named benchmark under `config`.
-///
-/// # Errors
-///
-/// [`StudyError::UnknownProgram`] plus everything [`run_benchmark`] can raise.
-pub fn run_program(name: &str, config: &Config) -> Result<Measurement, StudyError> {
-    let b = programs::by_name(name).ok_or_else(|| StudyError::UnknownProgram(name.into()))?;
-    run_benchmark(b, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lisp::CheckingMode;
-
-    #[test]
-    fn unknown_program_is_an_error() {
-        let e = run_program("nope", &Config::baseline(CheckingMode::None));
-        assert!(matches!(e, Err(StudyError::UnknownProgram(_))));
-    }
-
-    #[test]
-    fn run_program_validates_and_measures() {
-        let m = run_program("frl", &Config::baseline(CheckingMode::None)).unwrap();
-        assert!(m.stats.cycles > 100_000);
-        assert!(m.compile.procedures > 20);
-        assert_eq!(m.program, "frl");
-    }
 
     #[test]
     fn timed_runs_attribute_wall_time() {
@@ -498,7 +444,11 @@ mod tests {
             |o| b.compile(o),
             expected,
             &config,
-            |c| simulate_run(c, &config),
+            |c| {
+                simulate(c, &config)
+                    .map(Run::Simulated)
+                    .map_err(|e| e.to_string())
+            },
         )
         .unwrap();
         assert!(t.compile > Duration::ZERO);
