@@ -16,8 +16,9 @@
 //! the configuration's image, as the first compile of a process does, and
 //! checks that the two programs are identical field by field, and that the
 //! linked program's spliced predecode (`CompiledProgram::predecode`) equals
-//! the full decode of the reference program. The two predecodes are timed
-//! the same way as the compiles.
+//! the full decode of the reference program. The two predecodes, and the
+//! static verification of the linked program (`mipsx::verify`, which every
+//! compile runs), are timed the same way as the compiles.
 //!
 //! Workloads are the paper's ten programs plus 24 generated programs from a
 //! fixed-seed stream spread across the list-heavy to arith-heavy op-mix
@@ -69,6 +70,8 @@ struct Row {
     /// linked one, summed like the compiles.
     ref_decode_secs: f64,
     linked_decode_secs: f64,
+    /// `mipsx::verify` of the linked program, summed like the compiles.
+    verify_secs: f64,
     /// Configurations whose two predecodes were checked equal.
     decodes_checked: usize,
 }
@@ -127,6 +130,7 @@ fn measure(w: &Workload, reps: u32) -> Row {
         linked_secs: 0.0,
         ref_decode_secs: 0.0,
         linked_decode_secs: 0.0,
+        verify_secs: 0.0,
         decodes_checked: 0,
     };
     for config in Config::matrix() {
@@ -152,6 +156,7 @@ fn measure(w: &Workload, reps: u32) -> Row {
         row.decodes_checked += 1;
         row.ref_decode_secs += best_of(reps, full);
         row.linked_decode_secs += best_of(reps, || linked.predecode());
+        row.verify_secs += best_of(reps, || mipsx::verify::verify(&linked.program));
         row.words += linked.stats.object_words;
         let (mut best_ref, mut best_linked) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..reps {
@@ -209,14 +214,15 @@ fn main() {
         let row = measure(w, reps);
         eprintln!(
             "[compile] {}: {} words over 24 configs, reference {:.2} ms, linked {:.2} ms, \
-             speed-up {:.2}x; predecode full {:.2} ms, spliced {:.2} ms",
+             speed-up {:.2}x; predecode full {:.2} ms, spliced {:.2} ms; verify {:.2} ms",
             row.name,
             row.words,
             row.ref_secs * 1e3,
             row.linked_secs * 1e3,
             row.speedup(),
             row.ref_decode_secs * 1e3,
-            row.linked_decode_secs * 1e3
+            row.linked_decode_secs * 1e3,
+            row.verify_secs * 1e3
         );
         rows.push(row);
     }
@@ -291,7 +297,7 @@ fn render_json(rows: &[Row], reps: u32, geomean: f64, paper: f64, synth: f64) ->
             out,
             "    {{\"name\": \"{}\", \"kind\": \"{}\", \"words\": {}, \"ref_ms\": {:.4}, \
              \"linked_ms\": {:.4}, \"speedup\": {:.4}, \"ref_predecode_ms\": {:.4}, \
-             \"linked_predecode_ms\": {:.4}, \"predecodes_checked\": {}}}{comma}",
+             \"linked_predecode_ms\": {:.4}, \"verify_ms\": {:.4}, \"predecodes_checked\": {}}}{comma}",
             r.name,
             r.kind,
             r.words,
@@ -300,6 +306,7 @@ fn render_json(rows: &[Row], reps: u32, geomean: f64, paper: f64, synth: f64) ->
             r.speedup(),
             r.ref_decode_secs * 1e3,
             r.linked_decode_secs * 1e3,
+            r.verify_secs * 1e3,
             r.decodes_checked
         );
     }

@@ -50,22 +50,23 @@ pub struct EvalOptions {
     /// harness error, not a program trap, because the compiled counterpart
     /// gets its own (cycle) budget.
     pub fuel: u64,
-    /// Maximum Lisp call depth; exceeding it is [`EvalError::Depth`]. The
-    /// compiled system traps on stack overflow at a configuration-dependent
-    /// depth, so the two limits are deliberately not conflated. The default,
-    /// [`DEFAULT_MAX_DEPTH`], keeps a plain recursion within a 2 MiB thread
-    /// stack.
+    /// Maximum evaluation depth: how many expressions may be under
+    /// evaluation at once, counting every level of nesting, a call's body
+    /// as one level below the call; exceeding it is [`EvalError::Depth`].
+    /// The compiled system traps on stack overflow at a
+    /// configuration-dependent depth, so the two limits are deliberately not
+    /// conflated. The default, [`DEFAULT_MAX_DEPTH`], keeps the evaluator's
+    /// recursion within a 2 MiB thread stack, whatever the source.
     pub max_depth: usize,
 }
 
-/// The default [`EvalOptions::max_depth`]. Each Lisp call costs the
-/// evaluator's recursion well over a kilobyte of Rust stack, so a plain
-/// recursive `defun` overflows a 2 MiB thread near 1,000 calls deep; the
-/// deepest real sources reach 200 (the `comp` benchmark) and synth's
-/// generator 11. A call nested many expression levels inside its caller
-/// costs more stack, so this is no bound for every accepted source. See
-/// DESIGN.md, *Call depth in the evaluator*.
-pub const DEFAULT_MAX_DEPTH: usize = 400;
+/// The default [`EvalOptions::max_depth`]. Each level of evaluation costs
+/// the evaluator's recursion up to about 740 bytes of Rust stack, so on a
+/// 2 MiB thread the costliest shape (a primitive's argument, nested level
+/// after level) overflows past 2,852 levels in a release build; synth's
+/// generator reaches 61 levels and the paper programs 929 (`opt`). See
+/// DESIGN.md, *Evaluation depth*.
+pub const DEFAULT_MAX_DEPTH: usize = 1_600;
 
 impl Default for EvalOptions {
     fn default() -> EvalOptions {
@@ -156,7 +157,7 @@ pub enum EvalError {
     Compile(CompileError),
     /// The step budget ran out.
     Fuel,
-    /// The call-depth limit was exceeded.
+    /// The evaluation-depth limit was exceeded.
     Depth,
     /// The program left the domain the evaluator models faithfully (e.g. a
     /// `times` product outside the fixnum range, which compiled code does
@@ -169,7 +170,7 @@ impl fmt::Display for EvalError {
         match self {
             EvalError::Compile(e) => write!(f, "compile: {e}"),
             EvalError::Fuel => write!(f, "evaluation step budget exhausted"),
-            EvalError::Depth => write!(f, "evaluation call depth exceeded"),
+            EvalError::Depth => write!(f, "evaluation depth exceeded"),
             EvalError::Unsupported(why) => write!(f, "outside the modeled domain: {why}"),
         }
     }
@@ -330,8 +331,21 @@ impl<'u> Interp<'u> {
         Ok(())
     }
 
+    /// Evaluate `e`, one level deeper: every level counts against
+    /// `max_depth`, since each costs Rust stack, whether or not it is a
+    /// call.
     fn eval(&mut self, e: &Expr, frame: &mut Vec<Value>) -> R<Value> {
         self.tick()?;
+        if self.depth >= self.max_depth {
+            return Err(Stop::Depth);
+        }
+        self.depth += 1;
+        let value = self.eval_expr(e, frame);
+        self.depth -= 1;
+        value
+    }
+
+    fn eval_expr(&mut self, e: &Expr, frame: &mut Vec<Value>) -> R<Value> {
         match e {
             Expr::Nil => Ok(Value::Nil),
             Expr::T => Ok(Value::True),
@@ -426,9 +440,6 @@ impl<'u> Interp<'u> {
     }
 
     fn call(&mut self, f: usize, args: Vec<Value>) -> R<Value> {
-        if self.depth >= self.max_depth {
-            return Err(Stop::Depth);
-        }
         let unit = self.unit;
         let def = &unit.fns[f];
         if args.len() != def.params {
@@ -439,21 +450,13 @@ impl<'u> Interp<'u> {
                 def.params
             )));
         }
-        self.depth += 1;
         self.census.calls += 1;
         let mut frame = args;
         frame.resize(def.nslots, Value::Nil);
         let mut result = Value::Nil;
         for b in &def.body {
-            match self.eval(b, &mut frame) {
-                Ok(v) => result = v,
-                Err(stop) => {
-                    self.depth -= 1;
-                    return Err(stop);
-                }
-            }
+            result = self.eval(b, &mut frame)?;
         }
-        self.depth -= 1;
         Ok(result)
     }
 
@@ -895,29 +898,67 @@ mod tests {
         );
     }
 
-    /// On a 2 MiB thread, the size of a worker's stack, a recursion exactly
-    /// [`DEFAULT_MAX_DEPTH`] calls deep evaluates and one call deeper is
-    /// [`EvalError::Depth`], where an unbounded evaluator would overflow the
-    /// stack and abort the process.
+    /// Every level of evaluation counts against `max_depth`, not only
+    /// calls: one more `add1` around an expression needs exactly one more
+    /// level.
+    #[test]
+    fn every_level_counts_against_the_depth_limit() {
+        // The smallest `max_depth` under which `source` evaluates.
+        let least_depth = |source: &str| {
+            (1..100)
+                .find(|&max_depth| {
+                    let opts = EvalOptions {
+                        max_depth,
+                        ..EvalOptions::default()
+                    };
+                    eval_source(source, &opts) != Err(EvalError::Depth)
+                })
+                .expect("evaluates within 100 levels")
+        };
+        let nested = |levels: usize| {
+            let mut e = "0".to_string();
+            for _ in 0..levels {
+                e = format!("(add1 {e})");
+            }
+            format!("(print {e})")
+        };
+        // Past the prelude's own top-level forms, which are shallower.
+        let base = least_depth(&nested(20));
+        for levels in 21..28 {
+            assert_eq!(least_depth(&nested(levels)), base + levels - 20);
+        }
+    }
+
+    /// On a 2 MiB thread, the size of a worker's stack, recursion that
+    /// never ends gets [`EvalError::Depth`] under the default limit, where an
+    /// unbounded evaluator would overflow the stack and abort the process:
+    /// a plain recursive call, and one nested inside 10 `add1`s (the
+    /// costliest shape per level), which a bound on calls alone let
+    /// overflow at 400 calls.
     #[test]
     fn default_depth_limit_fits_a_worker_stack() {
         let results = std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(|| {
-                // `(f n)` nests n + 1 calls of `f`.
-                let depth = |calls: usize| {
-                    let src = format!(
-                        "(defun f (n) (cond ((eq n 0) 0) (t (add1 (f (sub1 n)))))) (print (f {}))",
-                        calls - 1
-                    );
-                    eval_source(&src, &EvalOptions::default()).map(|o| o.output)
-                };
-                (depth(DEFAULT_MAX_DEPTH), depth(DEFAULT_MAX_DEPTH + 1))
+                let run = |src: &str| eval_source(src, &EvalOptions::default()).map(|o| o.output);
+                let mut add1s = "(f (sub1 n))".to_string();
+                for _ in 0..10 {
+                    add1s = format!("(add1 {add1s})");
+                }
+                [
+                    run("(defun f (n) (f n)) (f 0)"),
+                    run(&format!(
+                        "(defun f (n) (cond ((eq n 0) 0) (t {add1s}))) (print (f 399))"
+                    )),
+                    run("(defun f (n) (cons 1 (f n))) (f 0)"),
+                    run("(defun f (n) (list 1 2 (f n))) (f 0)"),
+                ]
             })
             .expect("spawns")
             .join()
             .expect("no stack overflow");
-        assert_eq!(results.0, Ok(format!("{}\n", DEFAULT_MAX_DEPTH - 1)));
-        assert_eq!(results.1, Err(EvalError::Depth));
+        for result in results {
+            assert_eq!(result, Err(EvalError::Depth));
+        }
     }
 }

@@ -51,10 +51,11 @@
 //! could fire inside, and squashed slots take the per-op path, which bumps a
 //! per-pc counter. When the run halts, the run counters are spread over
 //! their ops with running sums and added to the per-pc counts, and
-//! [`Stats`] is folded from those counts and the predecoded op metadata
-//! (trap penalties, which are rare and data-dependent, are accumulated
-//! directly as they happen). The result is byte-identical to charging every
-//! retirement as it happens. The [`Observer`] hook is monomorphized behind
+//! [`Stats`] is folded from those counts and the predecoded op metadata,
+//! reading only the ops that ran or were squashed (trap penalties, which
+//! are rare and data-dependent, are accumulated directly as they happen).
+//! The result is byte-identical to charging every retirement as it
+//! happens. The [`Observer`] hook is monomorphized behind
 //! [`Observer::ENABLED`]: the unobserved path compiles to the plain loop,
 //! and an observed run still sees every retirement, stamped with its own
 //! cycle.
@@ -345,15 +346,16 @@ pub(crate) const GEN_TRAP_ANNOT: Annot = Annot {
 /// charged to the owning branch's annotation. Exactly what per-retirement
 /// [`Stats::record`]/[`Stats::record_squashed`] calls would have accumulated
 /// — but the hot loop only paid one counter bump per op or per run (trap
-/// penalties are rare and recorded directly as they happen). `counts` yields
-/// the committed executions of each op, in pc order.
+/// penalties are rare and recorded directly as they happen). `counts`
+/// yields `(pc, committed, squashed)` in pc order for every pc where either
+/// count may be non-zero; no other op is read.
 fn fold_counts(
     mut stats: Stats,
     ops: &[Op],
-    counts: impl IntoIterator<Item = u64>,
-    squashes: &[u64],
+    counts: impl IntoIterator<Item = (usize, u64, u64)>,
 ) -> Stats {
-    for ((op, n), &s) in ops.iter().zip(counts).zip(squashes) {
+    for (pc, n, s) in counts {
+        let op = &ops[pc];
         if n > 0 {
             stats.committed += n;
             stats.class_counts[op.class as usize] += n;
@@ -559,9 +561,7 @@ impl DecodedProgram {
             "program annots must parallel insns (one Annot per instruction)"
         );
         let mut ops = Vec::with_capacity(prog.insns.len());
-        for (pc, &insn) in prog.insns.iter().enumerate() {
-            ops.push(decode_one(pc, insn, prog.annots[pc], hw)?);
-        }
+        decode_stretch(&mut ops, prog, prog.insns.len(), hw)?;
         link_runs(&mut ops);
         Ok(DecodedProgram {
             ops,
@@ -610,7 +610,6 @@ impl DecodedProgram {
             prog.insns.len(),
             "program annots must parallel insns (one Annot per instruction)"
         );
-        let decode = |pc: usize| decode_one(pc, prog.insns[pc], prog.annots[pc], hw);
         let mut fresh = fresh.into_iter().peekable();
         // Positions are filled in ascending order, so the first error is at
         // the lowest offending pc, as `decode` reports it.
@@ -619,16 +618,14 @@ impl DecodedProgram {
         // position and the last position of each range, ascending.
         let mut changed = Vec::new();
         for (range, at) in placed {
-            while ops.len() < *at {
-                ops.push(decode(ops.len())?);
-            }
+            decode_stretch(&mut ops, prog, *at, hw)?;
             let end = at + range.len();
             while ops.len() < end {
                 let stop = fresh.next_if(|&pc| pc < end).unwrap_or(end);
                 let copied = range.start + ops.len() - at..range.start + stop - at;
                 ops.extend_from_slice(&image.ops[copied]);
                 if stop < end {
-                    ops.push(decode(stop)?);
+                    decode_stretch(&mut ops, prog, stop + 1, hw)?;
                     changed.push(stop);
                 }
             }
@@ -640,9 +637,7 @@ impl DecodedProgram {
             fresh.next().is_none(),
             "fresh positions lie in placed ranges"
         );
-        while ops.len() < prog.insns.len() {
-            ops.push(decode(ops.len())?);
-        }
+        decode_stretch(&mut ops, prog, prog.insns.len(), hw)?;
         // Link the program's own code in full; in each placed range, walk
         // back from each changed position.
         let mut own_end = ops.len();
@@ -677,6 +672,29 @@ impl DecodedProgram {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
+}
+
+/// Decode `prog`'s positions from `ops.len()` up to `end` onto `ops`; the
+/// first error is at the lowest offending pc. This is the one loop that
+/// decodes, and [`decode_one`] is inlined here and nowhere else: `decode`
+/// runs it over the whole program, and `splice` over each stretch it does
+/// not copy from the image (the program's own code and each fresh
+/// position). Keep it a plain loop over the two slices: pushing one
+/// position at a time through a closure cost more per position than the
+/// decode itself.
+#[inline(never)]
+fn decode_stretch(
+    ops: &mut Vec<Op>,
+    prog: &Program,
+    end: usize,
+    hw: HwConfig,
+) -> Result<(), SimError> {
+    let start = ops.len();
+    let stretch = prog.insns[start..end].iter().zip(&prog.annots[start..end]);
+    for (pc, (&insn, &annot)) in (start..).zip(stretch) {
+        ops.push(decode_one(pc, insn, annot, hw)?);
+    }
+    Ok(())
 }
 
 /// Fill in every op's `run`, `run_cost` and `nop_slots`, back to front
@@ -759,6 +777,7 @@ fn relink_back(ops: &mut [Op], from: usize, floor: usize) {
     }
 }
 
+#[inline(always)]
 fn decode_one(pc: usize, insn: Insn, annot: Annot, hw: HwConfig) -> Result<Op, SimError> {
     let mut cost = 1u32;
     let kind = match insn {
@@ -1487,39 +1506,58 @@ impl<'p> FastCpu<'p> {
     /// chain does, and one running sum, reset at each chain's first op,
     /// holds the chain's runs. A control op's run is its delay slots, one pc
     /// on; it covers straight ops only, so at most one is live at a time.
-    fn commit_counts(&self) -> impl Iterator<Item = u64> + '_ {
+    ///
+    /// Most of a linked program never runs, so the pass reads the three
+    /// counters first and reads an op only where one of them is non-zero or
+    /// a run with executions covers the pc; it yields
+    /// `(pc, committed, squashed)` there. Skipping a pc that heads a chain
+    /// changes nothing: no run ran there, and the first pc of the chain
+    /// that did run starts it again with the same end.
+    fn commit_counts(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
         // (executions, end) of the current chain and of the last slot run.
         let mut chain = (0u64, 0usize);
         let mut slots = (0u64, 0usize);
-        let ops = self
-            .decoded
-            .ops
+        let counters = self
+            .counts
             .iter()
-            .zip(&self.counts)
-            .zip(&self.run_counts);
-        ops.enumerate().map(move |(pc, ((op, &own), &runs))| {
-            if op.kind.is_control() {
-                slots = (runs, pc + 1 + op.run as usize);
-                return own;
-            }
-            if op.run == 0 {
-                return own;
-            }
-            if pc >= chain.1 {
-                chain = (0, pc + op.run as usize);
-            }
-            chain.0 += runs;
-            let in_slots = if pc < slots.1 { slots.0 } else { 0 };
-            own + chain.0 + in_slots
-        })
+            .zip(&self.run_counts)
+            .zip(&self.squash_counts);
+        counters
+            .enumerate()
+            .filter_map(move |(pc, ((&own, &runs), &squashed))| {
+                let live = |(n, end): (u64, usize)| if pc < end { n } else { 0 };
+                let (in_chain, in_slots) = (live(chain), live(slots));
+                if own | runs | squashed | in_chain | in_slots == 0 {
+                    return None;
+                }
+                let op = &self.decoded.ops[pc];
+                if op.kind.is_control() {
+                    slots = (runs, pc + 1 + op.run as usize);
+                    return Some((pc, own, squashed));
+                }
+                if op.run == 0 {
+                    return Some((pc, own, squashed));
+                }
+                if pc >= chain.1 {
+                    chain = (0, pc + op.run as usize);
+                }
+                chain.0 += runs;
+                Some((pc, own + chain.0 + in_slots, squashed))
+            })
     }
 
+    /// The run's result, with the counts folded into its [`Stats`]. It runs
+    /// once per run, so it is cold: without the mark, the dispatch loop
+    /// that calls it compiled differently once the fold skipped ops, and
+    /// `bench dispatch` read about 6% slower (`#[inline(never)]` alone did
+    /// not help).
+    #[cold]
+    #[inline(never)]
     fn outcome(&mut self, code: i32) -> Outcome {
         let stats = fold_counts(
             (*self.stats).clone(),
             &self.decoded.ops,
             self.commit_counts(),
-            &self.squash_counts,
         );
         Outcome {
             halt_code: code,
@@ -2361,7 +2399,11 @@ mod tests {
         for r in buf.records.iter().filter(|r| r.trap.is_none()) {
             reference[r.pc] += 1;
         }
-        (fast.commit_counts().collect(), reference)
+        let mut counts = vec![0; prog.len()];
+        for (pc, n, _) in fast.commit_counts() {
+            counts[pc] = n;
+        }
+        (counts, reference)
     }
 
     /// `(run, run_cost)` of every op, as predecode linked them.
